@@ -2,8 +2,8 @@
 
 One seed gives one sample of each metric; :func:`run_seeds` runs a config
 across seeds and :func:`aggregate_runs` folds the samples into means with
-confidence intervals (Student-t when scipy is available, normal
-approximation otherwise).
+Student-t confidence intervals (the t quantile is computed here, so the
+same store reports the same half-widths on every host).
 """
 
 from __future__ import annotations
@@ -67,14 +67,68 @@ class AggregatedMetrics:
         return "\n".join(lines)
 
 
-def _t_critical(df: int, confidence: float) -> float:
-    """Two-sided t critical value; scipy when present, normal z fallback."""
-    try:
-        from scipy import stats as scipy_stats
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), for 0 <= x <= 1."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0 if x <= 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        # The continued fraction converges fast only below the mean.
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    ) / a
+    # Modified Lentz evaluation of the continued fraction (NR 6.4).
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    fraction = d
+    for m in range(1, 500):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= d * c
+        if abs(d * c - 1.0) < 3e-16:
+            break
+    return front * fraction
 
-        return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
-    except ImportError:  # pragma: no cover - scipy is a declared dev dep
-        return {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}.get(confidence, 1.96)
+
+def _t_critical(df: int, confidence: float) -> float:
+    """Two-sided Student-t critical value: P(|T_df| <= t) = ``confidence``.
+
+    Self-contained (``math`` only).  The two-sided tail is an incomplete
+    beta function, P(|T| > t) = I_x(df/2, 1/2) at x = df / (df + t^2);
+    it is convex and decreasing in t >= 0, so Newton's iteration from
+    t = 0 climbs to the root without overshooting.
+    """
+    # The upper-tail mass, through the same rounding of
+    # ``0.5 + confidence / 2`` a quantile-function call would be handed.
+    tail = 1.0 - (0.5 + confidence / 2.0)
+    if df == 1:
+        # Cauchy: the quantile has a closed form, good to the last bit
+        # (two seeds, the smallest campaign, lands here).
+        return 1.0 / math.tan(math.pi * tail)
+    half = df / 2.0
+    log_density_at_0 = (
+        math.lgamma(half + 0.5) - math.lgamma(half) - 0.5 * math.log(df * math.pi)
+    )
+    t = 0.0
+    for _ in range(100):
+        excess = _betainc(half, 0.5, df / (df + t * t)) - 2.0 * tail
+        density = math.exp(log_density_at_0 - (half + 0.5) * math.log1p(t * t / df))
+        step = excess / (2.0 * density)
+        t += step
+        # Convergence is quadratic: a step this small leaves an error far
+        # below one ulp, and a tighter test would chase rounding noise.
+        if abs(step) <= 1e-9 * t:
+            break
+    return t
 
 
 def run_seeds(

@@ -11,7 +11,7 @@ Use :class:`ControlPlane` as the bridge between a
 :class:`~repro.counting.pushback.PushbackCoordinator` and the per-ATR
 agents::
 
-    plane = ControlPlane(sim, topology.graph, "lasthop", dispatch)
+    plane = ControlPlane(sim, topology.adjacency, "lasthop", dispatch)
     coordinator = PushbackCoordinator(..., on_request=plane.send)
 
 where ``dispatch(request)`` performs the actual activation.  With
@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
-
 from repro.counting.pushback import PushbackRequest
+from repro.sim.routing import Adjacency, shortest_path_tree
 from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,9 +50,9 @@ class ControlPlane:
     ----------
     sim:
         Simulation clock used to schedule deliveries.
-    graph:
-        The router graph with ``delay`` edge attributes (the same graph
-        the topology builders produce).
+    adjacency:
+        The router graph, ``{name: {neighbour: link delay}}`` (a
+        topology's ``adjacency``).
     victim_router:
         Name of the router originating the notifications.
     dispatch:
@@ -69,7 +68,7 @@ class ControlPlane:
     def __init__(
         self,
         sim: "Simulator",
-        graph: nx.Graph,
+        adjacency: Adjacency,
         victim_router: str,
         dispatch: Callable[[PushbackRequest], None],
         per_hop_processing: float = 0.001,
@@ -77,29 +76,28 @@ class ControlPlane:
     ) -> None:
         check_non_negative("per_hop_processing", per_hop_processing)
         self.sim = sim
-        self.graph = graph
+        self.adjacency = adjacency
         self.victim_router = victim_router
         self.dispatch = dispatch
         self.per_hop_processing = float(per_hop_processing)
         self.instant = instant
         self.records: list[SignalRecord] = []
-        self._latency_cache: dict[str, tuple[float, int] | None] = {}
+        # One Dijkstra from the victim router, run when the first request
+        # needs it, answers every ATR.
+        self._latencies: dict[str, tuple[float, int]] | None = None
 
     def latency_to(self, atr_name: str) -> tuple[float, int] | None:
         """(propagation delay, hop count) from the victim router, or
         None when unreachable."""
-        if atr_name in self._latency_cache:
-            return self._latency_cache[atr_name]
-        try:
-            delay, path = nx.single_source_dijkstra(
-                self.graph, self.victim_router, atr_name, weight="delay"
-            )
-            hops = len(path) - 1
-            result: tuple[float, int] | None = (float(delay), hops)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            result = None
-        self._latency_cache[atr_name] = result
-        return result
+        if self._latencies is None:
+            dist, pred = shortest_path_tree(self.adjacency, self.victim_router)
+            hops: dict[str, int] = {}
+            for node in dist:  # settling order: a predecessor comes first
+                hops[node] = hops[pred[node]] + 1 if node in pred else 0
+            self._latencies = {
+                node: (float(delay), hops[node]) for node, delay in dist.items()
+            }
+        return self._latencies.get(atr_name)
 
     def send(self, request: PushbackRequest) -> None:
         """Dispatch ``request`` after its control-path latency."""

@@ -23,11 +23,10 @@ attack, or defence is immediately runnable by name.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from repro.attacks.scenarios import ATTACKS
-from repro.campaign import cli as campaign_cli
-from repro.lint import cli as lint_cli
 from repro.core.defenses import DEFENSES
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ALL_FIGURES
@@ -42,6 +41,24 @@ COMPONENT_REGISTRIES = {
     "workloads": WORKLOADS,
     "attacks": ATTACKS,
     "defenses": DEFENSES,
+}
+
+
+#: Verbs whose CLI lives in a package the other verbs never import
+#: (``repro.campaign`` alone is a quarter of a cold ``run``'s import
+#: time): verb -> (module with ``add_parser``/``cmd``, the one-line help
+#: ``repro --help`` lists it under).  The module is imported, and its
+#: real sub-parser built, only when the verb is the one invoked.
+LAZY_VERBS = {
+    "campaign": (
+        "repro.campaign.cli",
+        "run, resume, inspect, and report experiment campaigns",
+    ),
+    "lint": (
+        "repro.lint.cli",
+        "statically check the repo's determinism/atomicity/"
+        "twin-parity invariants",
+    ),
 }
 
 
@@ -77,7 +94,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The full CLI; ``verb`` is the sub-command about to be parsed, the
+    only one of :data:`LAZY_VERBS` whose own options are needed."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MAFIC reproduction: run experiments and figures.",
@@ -203,8 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--out", type=str, default=None,
                        help="write the data table to this file")
 
-    campaign_cli.add_parser(sub)
-    lint_cli.add_parser(sub)
+    for name, (module, help_text) in LAZY_VERBS.items():
+        if name == verb:
+            importlib.import_module(module).add_parser(sub)
+        else:
+            sub.add_parser(name, help=help_text)
 
     sub.add_parser("list", help="list the available figures")
     sub.add_parser("presets", help="list the named experiment presets")
@@ -415,7 +437,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The verb is the first positional: the top-level parser has no
+    # options of its own but -h.
+    verb = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _build_parser(verb).parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "serve":
@@ -428,10 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_replay(args)
     if args.command == "figure":
         return _cmd_figure(args)
-    if args.command == "campaign":
-        return campaign_cli.cmd(args)
-    if args.command == "lint":
-        return lint_cli.cmd(args)
+    if args.command in LAZY_VERBS:
+        return importlib.import_module(LAZY_VERBS[args.command][0]).cmd(args)
     if args.command == "validate":
         return _cmd_validate(args)
     if args.command == "presets":

@@ -175,7 +175,7 @@ def build_scenario(
 
     control_plane = ControlPlane(
         sim,
-        topology.graph,
+        topology.adjacency,
         topology.victim_router_name,
         dispatch_request,
         per_hop_processing=config.control_per_hop_processing,

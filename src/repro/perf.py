@@ -9,6 +9,14 @@ These flags exist so the legacy formulation stays runnable — the
 asserts their results are bit-identical before reporting a speedup, and
 CI's ``engine-perf-smoke`` job runs the invariants at tiny scale.
 
+Not every overhaul sits behind a flag.  The forwarding plane's route
+memo is *structural*: :class:`repro.sim.node.Router` resolves local
+delivery, longest-prefix match and the outgoing link in one
+per-destination probe whatever ``hot_path_caches`` says, and
+:class:`repro.sim.routing.RoutingTable` keeps no cache of its own to
+switch off — one ``FLAGS`` branch site fewer, and one more reason a
+``legacy_mode`` wall time understates the pre-overhaul cost.
+
 ``FLAGS`` is a process-global (the simulator is single-threaded per
 process; parallel sweep workers inherit the defaults).  Use
 :func:`engine_mode` to override temporarily::
@@ -41,10 +49,11 @@ class PerfFlags:
     #: CBR/on-off senders precompute departure times per horizon chunk
     #: (and zombies sharing an RNG stream prefetch jitter draws).
     batched_sources: bool = True
-    #: Cross-layer memoization (static route lookups, source-legality
-    #: checks, flow labels, LogLog item hashes, spoofed flow keys).
-    #: Toggleable so ``legacy_mode`` can measure the pre-overhaul
-    #: formulation in the same process.
+    #: Cross-layer memoization (source-legality checks, flow labels,
+    #: LogLog item hashes, spoofed flow keys).  Toggleable so
+    #: ``legacy_mode`` can measure the pre-overhaul formulation in the
+    #: same process.  The route memo is no longer among them: the
+    #: router's per-destination memo is structural (see module docstring).
     hot_path_caches: bool = True
     #: TCP senders postpone their pending RTO event in place per ACK
     #: (``Simulator.postpone``) instead of a cancel+reschedule round

@@ -55,6 +55,10 @@ class SimplexLink:
         self.sim = sim
         self.src = src
         self.dst = dst
+        # Bound once: both run per packet.  A delivery is the destination's
+        # ``receive(packet, self)`` scheduled directly, with no link-side frame.
+        self._schedule_anon = sim.schedule_anon
+        self._receive = dst.receive
         self.bandwidth_bps = float(bandwidth_bps)
         self.delay = float(delay)
         self.queue = queue if queue is not None else DropTailQueue()
@@ -150,7 +154,7 @@ class SimplexLink:
                 self._drain_pending = True
                 # Fire-and-forget: the handle is never retained, so it
                 # rides the simulator's recycled-event free list.
-                self.sim.schedule_anon(self._busy_until, self._drain_event)
+                self._schedule_anon(self._busy_until, self._drain_event)
         return True
 
     def _drain(self, now: float) -> None:
@@ -166,8 +170,11 @@ class SimplexLink:
         # still serializing differs from the old at-tx-complete counters.
         self.packets_sent += 1
         self.bytes_sent += packet.size
-        schedule_anon = self.sim.schedule_anon
-        schedule_anon(depart + self.delay, self._deliver, packet)
+        # The hop is counted here, not on arrival: nothing can observe
+        # the packet between the wire and the destination's receive().
+        packet.hop_count += 1
+        schedule_anon = self._schedule_anon
+        schedule_anon(depart + self.delay, self._receive, packet, self)
         if self._q_len():
             self._drain_pending = True
             schedule_anon(depart, self._drain_event)
@@ -175,10 +182,6 @@ class SimplexLink:
     def _drain_event(self) -> None:
         self._drain_pending = False
         self._drain(self.sim.now)
-
-    def _deliver(self, packet: Packet) -> None:
-        packet.hop_count += 1
-        self.dst.receive(packet, self)
 
     def _drop_event(self, reason: str) -> None:
         """Publish one ``link.drop`` event (bus attached and listening)."""

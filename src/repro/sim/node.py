@@ -66,19 +66,61 @@ class Router(Node):
     ``local_delivery`` handlers receive packets addressed to hosts this
     router fronts for (the last-hop case).  The router is also where
     control-plane agents (pushback coordinator) can be attached.
+
+    Where a destination goes — a local handler, an outgoing link, or
+    nowhere — is resolved once and memoized per destination address, so
+    a forwarded packet costs one dict probe.  Everything the resolution
+    reads invalidates the memo when it changes: the local-delivery
+    list, the outgoing links, the routing table and its routes.
     """
+
+    #: Memo bound: probes routed toward rotating spoofed sources can
+    #: mint one fresh destination per packet; past this many entries the
+    #: memo is cleared rather than grown (stable flows repopulate it
+    #: immediately, memory stays bounded).
+    _MEMO_MAX = 1 << 16
 
     def __init__(self, sim: "Simulator", name: str, address: int | None = None) -> None:
         super().__init__(sim, name, address)
-        self.routing_table: "RoutingTable | None" = None
+        self._routing_table: "RoutingTable | None" = None
         self._local_subnet_handlers: list[tuple[Callable[[int], bool], PacketHandler]] = []
         self._control_handlers: list[PacketHandler] = []
+        # dst_ip -> (handle_packet of a local handler, None)
+        #         | (None, send of the next link)
+        #         | (None, None) when there is no route.
+        self._memo: dict[int, tuple] = {}
+        self._forget = self._memo.clear
+
+    @property
+    def routing_table(self) -> "RoutingTable | None":
+        """The longest-prefix-match table forwarding consults (assignable)."""
+        return self._routing_table
+
+    @routing_table.setter
+    def routing_table(self, table: "RoutingTable | None") -> None:
+        if self._routing_table is not None:
+            self._routing_table.unwatch(self._forget)
+        self._routing_table = table
+        if table is not None:
+            table.watch(self._forget)
+        self._forget()
+
+    def attach_link(self, link: "SimplexLink") -> None:
+        """Register an outgoing link (called by topology builders)."""
+        super().attach_link(link)
+        self._forget()
 
     def add_local_delivery(
         self, matches: Callable[[int], bool], handler: PacketHandler
     ) -> None:
-        """Deliver packets whose dst matches the predicate to ``handler``."""
+        """Deliver packets whose dst matches the predicate to ``handler``.
+
+        ``matches`` must be pure in the address — the same answer for the
+        same address for as long as it is installed — because its verdict
+        is memoized per destination.
+        """
         self._local_subnet_handlers.append((matches, handler))
+        self._forget()
 
     def add_control_handler(self, handler: PacketHandler) -> None:
         """Receive CONTROL packets addressed to this router."""
@@ -95,26 +137,41 @@ class Router(Node):
             self.packets_delivered += 1
             packet.release()  # control handlers copy what they keep
             return
-        for matches, handler in self._local_subnet_handlers:
-            if matches(dst_ip):
-                # Local delivery handlers may forward the packet onward
-                # (e.g. down a host access link), so ownership transfers —
-                # no release here.
-                handler.handle_packet(packet, self.sim.now)
-                self.packets_delivered += 1
-                return
-        self._forward(packet)
-
-    def _forward(self, packet: Packet) -> None:
-        table = self.routing_table
-        next_hop = table.next_hop(packet.flow.dst_ip) if table is not None else None
-        link = self._links_out.get(next_hop) if next_hop is not None else None
-        if link is None:
+        action = self._memo.get(dst_ip)
+        if action is None:
+            action = self._resolve(dst_ip)
+        deliver, send = action
+        if send is not None:
+            self.packets_forwarded += 1
+            send(packet)
+        elif deliver is not None:
+            # Local delivery handlers may forward the packet onward
+            # (e.g. down a host access link), so ownership transfers —
+            # no release here.
+            deliver(packet, self.sim.now)
+            self.packets_delivered += 1
+        else:
             self.packets_dropped_no_route += 1
             packet.release()
-            return
-        self.packets_forwarded += 1
-        link.send(packet)
+
+    def _resolve(self, dst_ip: int) -> tuple:
+        """Work out and memoize where ``dst_ip`` goes (a memo miss)."""
+        action: tuple = (None, None)
+        for matches, handler in self._local_subnet_handlers:
+            if matches(dst_ip):
+                action = (handler.handle_packet, None)
+                break
+        else:
+            table = self._routing_table
+            next_hop = table.next_hop(dst_ip) if table is not None else None
+            link = self._links_out.get(next_hop) if next_hop is not None else None
+            if link is not None:
+                action = (None, link.send)
+        memo = self._memo
+        if len(memo) >= self._MEMO_MAX:
+            memo.clear()
+        memo[dst_ip] = action
+        return action
 
 
 class Host(Node):

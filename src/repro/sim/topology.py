@@ -14,7 +14,7 @@ pattern plus a dumbbell for transport unit tests:
 * :func:`build_dumbbell` — 2 hosts, 2 routers, 1 bottleneck.
 
 Every generator returns a :class:`Topology` carrying the simulator, the
-graph, routers/hosts, the address plan, and the victim designation.
+router adjacency, routers/hosts, the address plan, and the victim designation.
 
 Experiment-facing topologies live in the :data:`TOPOLOGIES` registry:
 each entry adapts an :class:`~repro.experiments.config.ExperimentConfig`
@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
-
 from repro.sim.address import AddressSpace, Subnet
 from repro.sim.engine import Simulator
 from repro.sim.link import SimplexLink
@@ -40,6 +38,8 @@ from repro.sim.routing import build_static_routes
 from repro.util.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
     from repro.experiments.config import ExperimentConfig
 
 #: Experiment topologies: builders of type ``(ExperimentConfig,
@@ -58,7 +58,9 @@ class Topology:
     """A built domain: everything an experiment needs to wire flows."""
 
     sim: Simulator
-    graph: nx.Graph
+    #: The router graph, ``{name: {neighbour: link delay}}`` (see
+    #: :data:`repro.sim.routing.Adjacency`): what routes are built from.
+    adjacency: dict[str, dict[str, float]]
     routers: dict[str, Router]
     hosts: dict[str, Host]
     address_space: AddressSpace
@@ -67,6 +69,36 @@ class Topology:
     victim_router_name: str
     victim_host_name: str
     links: list[SimplexLink] = field(default_factory=list)
+
+    @property
+    def graph(self) -> "nx.Graph":
+        """The router graph as a ``networkx.Graph`` with ``delay`` edge
+        weights, built on request (analysis and tests; nothing on the
+        run path imports networkx).
+
+        Edges are added in an order that gives every node the neighbour
+        order ``adjacency`` has, which is the order networkx breaks
+        equal-delay ties in: an edge is placed once it heads the
+        unplaced neighbours of both its ends.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(self.adjacency)
+        unplaced = {
+            name: list(reversed(neighbours))
+            for name, neighbours in self.adjacency.items()
+        }
+        placed = True
+        while placed:
+            placed = False
+            for a, rest in unplaced.items():
+                while rest and unplaced[rest[-1]][-1:] == [a]:
+                    b = rest.pop()
+                    unplaced[b].pop()
+                    graph.add_edge(a, b, delay=self.adjacency[a][b])
+                    placed = True
+        return graph
 
     @property
     def victim_router(self) -> Router:
@@ -109,6 +141,14 @@ class Topology:
         if link is None:
             raise RuntimeError(f"{ingress_name} missing link to {hop}")
         return link
+
+
+def _add_edge(
+    adjacency: dict[str, dict[str, float]], a: str, b: str, delay: float
+) -> None:
+    """Record the duplex connection ``a - b`` in the router graph."""
+    adjacency[a][b] = delay
+    adjacency[b][a] = delay
 
 
 def _link_pair(
@@ -181,7 +221,7 @@ def build_star_domain(
         raise ValueError("need at least one ingress router")
     sim = sim if sim is not None else Simulator()
     space = AddressSpace()
-    graph = nx.Graph()
+    adjacency: dict[str, dict[str, float]] = {}
     links: list[SimplexLink] = []
     routers: dict[str, Router] = {}
     hosts: dict[str, Host] = {}
@@ -189,15 +229,15 @@ def build_star_domain(
 
     victim_router = Router(sim, "lasthop")
     routers["lasthop"] = victim_router
-    graph.add_node("lasthop")
+    adjacency["lasthop"] = {}
 
     ingress_names: list[str] = []
     for i in range(n_ingress):
         name = f"ingress{i}"
         router = Router(sim, name)
         routers[name] = router
-        graph.add_node(name)
-        graph.add_edge(name, "lasthop", delay=link_delay)
+        adjacency[name] = {}
+        _add_edge(adjacency, name, "lasthop", link_delay)
         _link_pair(sim, router, victim_router, core_bandwidth_bps, link_delay,
                    queue_capacity, links)
         ingress_names.append(name)
@@ -221,9 +261,9 @@ def build_star_domain(
         )
         hosts[f"src{i}"] = host
 
-    build_static_routes(graph, routers, subnet_of_router.items())
+    build_static_routes(adjacency, routers, subnet_of_router.items())
     return Topology(
-        sim=sim, graph=graph, routers=routers, hosts=hosts, address_space=space,
+        sim=sim, adjacency=adjacency, routers=routers, hosts=hosts, address_space=space,
         subnet_of_router=subnet_of_router, ingress_names=ingress_names,
         victim_router_name="lasthop", victim_host_name="victim", links=links,
     )
@@ -244,7 +284,7 @@ def build_tree_domain(
         raise ValueError("depth and fanout must be >= 1")
     sim = sim if sim is not None else Simulator()
     space = AddressSpace()
-    graph = nx.Graph()
+    adjacency: dict[str, dict[str, float]] = {}
     links: list[SimplexLink] = []
     routers: dict[str, Router] = {}
     hosts: dict[str, Host] = {}
@@ -252,7 +292,7 @@ def build_tree_domain(
 
     root = Router(sim, "lasthop")
     routers["lasthop"] = root
-    graph.add_node("lasthop")
+    adjacency["lasthop"] = {}
 
     level = ["lasthop"]
     counter = 0
@@ -265,8 +305,8 @@ def build_tree_domain(
                 counter += 1
                 router = Router(sim, name)
                 routers[name] = router
-                graph.add_node(name)
-                graph.add_edge(parent, name, delay=link_delay)
+                adjacency[name] = {}
+                _add_edge(adjacency, parent, name, link_delay)
                 _link_pair(sim, routers[parent], router, core_bandwidth_bps,
                            link_delay, queue_capacity, links)
                 next_level.append(name)
@@ -290,9 +330,9 @@ def build_tree_domain(
         )
         hosts[f"src{i}"] = host
 
-    build_static_routes(graph, routers, subnet_of_router.items())
+    build_static_routes(adjacency, routers, subnet_of_router.items())
     return Topology(
-        sim=sim, graph=graph, routers=routers, hosts=hosts, address_space=space,
+        sim=sim, adjacency=adjacency, routers=routers, hosts=hosts, address_space=space,
         subnet_of_router=subnet_of_router, ingress_names=list(leaves),
         victim_router_name="lasthop", victim_host_name="victim", links=links,
     )
@@ -321,7 +361,7 @@ def build_transit_stub_domain(
         raise ValueError("transit_fraction must be in (0, 1)")
     sim = sim if sim is not None else Simulator()
     space = AddressSpace()
-    graph = nx.Graph()
+    adjacency: dict[str, dict[str, float]] = {}
     links: list[SimplexLink] = []
     routers: dict[str, Router] = {}
     hosts: dict[str, Host] = {}
@@ -338,26 +378,26 @@ def build_transit_stub_domain(
     core_names = [f"core{i}" for i in range(n_core)]
     for name in core_names:
         routers[name] = Router(sim, name)
-        graph.add_node(name)
+        adjacency[name] = {}
     # Ring plus a chord for redundancy.
     for i, name in enumerate(core_names):
         nxt = core_names[(i + 1) % n_core]
-        if not graph.has_edge(name, nxt):
-            graph.add_edge(name, nxt, delay=link_delay)
+        if nxt not in adjacency[name]:
+            _add_edge(adjacency, name, nxt, link_delay)
             _link_pair(sim, routers[name], routers[nxt], core_bandwidth_bps,
                        link_delay, queue_capacity, links)
     if n_core >= 4:
         a, b = core_names[0], core_names[n_core // 2]
-        if not graph.has_edge(a, b):
-            graph.add_edge(a, b, delay=link_delay)
+        if b not in adjacency[a]:
+            _add_edge(adjacency, a, b, link_delay)
             _link_pair(sim, routers[a], routers[b], core_bandwidth_bps,
                        link_delay, queue_capacity, links)
 
     # Last-hop router hangs off core0.
     victim_router = Router(sim, "lasthop")
     routers["lasthop"] = victim_router
-    graph.add_node("lasthop")
-    graph.add_edge("lasthop", core_names[0], delay=link_delay)
+    adjacency["lasthop"] = {}
+    _add_edge(adjacency, "lasthop", core_names[0], link_delay)
     _link_pair(sim, victim_router, routers[core_names[0]], core_bandwidth_bps,
                link_delay, queue_capacity, links)
 
@@ -374,9 +414,9 @@ def build_transit_stub_domain(
         name = f"ingress{i}"
         router = Router(sim, name)
         routers[name] = router
-        graph.add_node(name)
+        adjacency[name] = {}
         anchor = core_names[i % n_core]
-        graph.add_edge(name, anchor, delay=link_delay)
+        _add_edge(adjacency, name, anchor, link_delay)
         _link_pair(sim, router, routers[anchor], access_bandwidth_bps,
                    link_delay, queue_capacity, links)
         ingress_names.append(name)
@@ -388,9 +428,9 @@ def build_transit_stub_domain(
         )
         hosts[f"src{i}"] = host
 
-    build_static_routes(graph, routers, subnet_of_router.items())
+    build_static_routes(adjacency, routers, subnet_of_router.items())
     return Topology(
-        sim=sim, graph=graph, routers=routers, hosts=hosts, address_space=space,
+        sim=sim, adjacency=adjacency, routers=routers, hosts=hosts, address_space=space,
         subnet_of_router=subnet_of_router, ingress_names=ingress_names,
         victim_router_name="lasthop", victim_host_name="victim", links=links,
     )
@@ -423,7 +463,7 @@ def build_multi_tier_domain(
         raise ValueError("all tier sizes must be >= 1")
     sim = sim if sim is not None else Simulator()
     space = AddressSpace()
-    graph = nx.Graph()
+    adjacency: dict[str, dict[str, float]] = {}
     links: list[SimplexLink] = []
     routers: dict[str, Router] = {}
     hosts: dict[str, Host] = {}
@@ -431,13 +471,13 @@ def build_multi_tier_domain(
 
     root = Router(sim, "lasthop")
     routers["lasthop"] = root
-    graph.add_node("lasthop")
+    adjacency["lasthop"] = {}
 
     def connect(parent: str, name: str, bandwidth: float) -> Router:
         router = Router(sim, name)
         routers[name] = router
-        graph.add_node(name)
-        graph.add_edge(parent, name, delay=link_delay)
+        adjacency[name] = {}
+        _add_edge(adjacency, parent, name, link_delay)
         _link_pair(sim, routers[parent], router, bandwidth, link_delay,
                    queue_capacity, links)
         return router
@@ -476,9 +516,9 @@ def build_multi_tier_domain(
         )
         hosts[f"src{i}"] = host
 
-    build_static_routes(graph, routers, subnet_of_router.items())
+    build_static_routes(adjacency, routers, subnet_of_router.items())
     return Topology(
-        sim=sim, graph=graph, routers=routers, hosts=hosts, address_space=space,
+        sim=sim, adjacency=adjacency, routers=routers, hosts=hosts, address_space=space,
         subnet_of_router=subnet_of_router, ingress_names=ingress_names,
         victim_router_name="lasthop", victim_host_name="victim", links=links,
     )
@@ -494,7 +534,7 @@ def build_dumbbell(
     """Two hosts, two routers, one bottleneck — the transport test rig."""
     sim = sim if sim is not None else Simulator()
     space = AddressSpace()
-    graph = nx.Graph()
+    adjacency: dict[str, dict[str, float]] = {}
     links: list[SimplexLink] = []
     routers: dict[str, Router] = {}
     hosts: dict[str, Host] = {}
@@ -503,9 +543,9 @@ def build_dumbbell(
     left = Router(sim, "left")
     right = Router(sim, "lasthop")
     routers["left"], routers["lasthop"] = left, right
-    graph.add_node("left")
-    graph.add_node("lasthop")
-    graph.add_edge("left", "lasthop", delay=delay)
+    adjacency["left"] = {}
+    adjacency["lasthop"] = {}
+    _add_edge(adjacency, "left", "lasthop", delay)
     _link_pair(sim, left, right, bottleneck_bps, delay, queue_capacity, links)
 
     left_subnet = space.allocate_subnet(24)
@@ -520,9 +560,9 @@ def build_dumbbell(
                                queue_capacity, links, subnet=right_subnet)
     hosts["victim"] = dst
 
-    build_static_routes(graph, routers, subnet_of_router.items())
+    build_static_routes(adjacency, routers, subnet_of_router.items())
     return Topology(
-        sim=sim, graph=graph, routers=routers, hosts=hosts, address_space=space,
+        sim=sim, adjacency=adjacency, routers=routers, hosts=hosts, address_space=space,
         subnet_of_router=subnet_of_router, ingress_names=["left"],
         victim_router_name="lasthop", victim_host_name="victim", links=links,
     )

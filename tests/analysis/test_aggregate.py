@@ -1,8 +1,11 @@
 """Tests for repro.analysis.aggregate."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.aggregate import aggregate_runs, run_seeds
+from repro.analysis.aggregate import _t_critical, aggregate_runs, run_seeds
 from repro.experiments.config import ExperimentConfig
 
 
@@ -69,3 +72,30 @@ class TestAggregateRuns:
     def test_bad_confidence_rejected(self, three_runs):
         with pytest.raises(ValueError):
             aggregate_runs(three_runs, confidence=1.5)
+
+
+class TestTCritical:
+    """The self-contained t quantile against a committed reference table
+    (df 1..200 x {0.90, 0.95, 0.99}), so every host reports the same CI."""
+
+    REFERENCE = json.loads(
+        (Path(__file__).parent / "t_critical_reference.json").read_text()
+    )
+
+    def test_matches_reference_table(self):
+        confidences = self.REFERENCE["confidence"]
+        assert len(self.REFERENCE["by_df"]) == 200
+        for df, row in self.REFERENCE["by_df"].items():
+            for confidence, expected in zip(confidences, row):
+                assert _t_critical(int(df), confidence) == pytest.approx(
+                    expected, rel=1e-9, abs=0.0
+                ), (df, confidence)
+
+    def test_two_seeds_is_student_t_not_z(self):
+        # The value the old no-scipy fallback got wrong by 6.5x.
+        assert _t_critical(1, 0.95) == pytest.approx(12.706204736174694, rel=1e-12)
+
+    def test_decreases_toward_normal_quantile(self):
+        values = [_t_critical(df, 0.95) for df in (1, 2, 5, 30, 200, 5000)]
+        assert values == sorted(values, reverse=True)
+        assert values[-1] == pytest.approx(1.959964, rel=1e-3)

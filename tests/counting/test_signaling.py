@@ -1,6 +1,5 @@
 """Tests for repro.counting.signaling (control-plane latency)."""
 
-import networkx as nx
 import pytest
 
 from repro.counting.pushback import PushbackRequest
@@ -15,10 +14,11 @@ def request(atr="ingress0", action="start", time=1.0):
 
 def line_graph():
     """lasthop - core - ingress0 with 10 ms links."""
-    g = nx.Graph()
-    g.add_edge("lasthop", "core", delay=0.010)
-    g.add_edge("core", "ingress0", delay=0.010)
-    return g
+    return {
+        "lasthop": {"core": 0.010},
+        "core": {"lasthop": 0.010, "ingress0": 0.010},
+        "ingress0": {"core": 0.010},
+    }
 
 
 class TestInstantMode:
@@ -58,7 +58,7 @@ class TestLatencyMode:
 
     def test_unreachable_atr_recorded_undeliverable(self, sim):
         g = line_graph()
-        g.add_node("island")
+        g["island"] = {}
         seen = []
         plane = ControlPlane(sim, g, "lasthop", seen.append)
         plane.send(request(atr="island"))

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.cli import main
+import repro
+from repro.experiments.cli import LAZY_VERBS, main
 
 
 class TestList:
@@ -129,3 +135,52 @@ class TestPresetOverrides:
     def test_unknown_component_choice_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--defense", "prayer"])
+
+
+class TestColdStart:
+    """What a plain ``run`` imports: the routed domain is built and the
+    CI table computed with numpy alone, and other verbs' packages stay
+    unloaded."""
+
+    TINY = ["--preset", "paper-default", "--flows", "8", "--routers", "8",
+            "--duration", "2.0", "--seed", "3"]
+
+    @pytest.mark.parametrize("extra", [[], ["--seeds", "2", "--jobs", "1"]],
+                             ids=["single", "multi-seed"])
+    def test_run_loads_no_networkx_scipy_or_other_verbs(self, extra):
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['repro', 'run'] + sys.argv[1:]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    assert not done.code, done.code\n"
+            "print('LOADED', sorted(m for m in ('networkx', 'scipy',\n"
+            "      'repro.campaign', 'repro.lint') if m in sys.modules))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code] + self.TINY + extra,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "accuracy" in done.stdout
+        assert done.stdout.rstrip().endswith("LOADED []")
+
+    def test_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for verb in ("run", "serve", "replay", "figure", "list", "presets",
+                     "validate", *LAZY_VERBS):
+            assert f"\n    {verb} " in out
+        for _, help_text in LAZY_VERBS.values():
+            assert help_text.split()[0] in out
+
+    def test_lazy_verbs_still_parse_their_own_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "status", "--help"])
+        assert exit_info.value.code == 0
+        assert "--root" in capsys.readouterr().out
+        assert main(["lint", "--list-rules"]) == 0

@@ -1,7 +1,10 @@
 """Tests for link up/down failure behaviour."""
 
+from repro.sim.address import Subnet
 from repro.sim.link import SimplexLink
+from repro.sim.node import Router
 from repro.sim.packet import FlowKey, Packet
+from repro.sim.routing import RoutingTable
 
 
 class _Cap:
@@ -52,6 +55,24 @@ class TestLinkFailure:
         assert link.send(pkt(1))
         sim.run()
         assert [p.seq for _, p in dst.got] == [1]
+
+    def test_down_is_honoured_through_a_memoised_route(self, sim):
+        """A router that already forwarded to a destination (and memoised
+        where it goes) must still see the link fail and recover."""
+        a, b = Router(sim, "a"), _Cap(sim, "b")
+        link = SimplexLink(sim, a, b)
+        a.attach_link(link)
+        a.routing_table = RoutingTable()
+        a.routing_table.add_route(Subnet(0, 0), "b")
+        a.receive(pkt(0))
+        link.set_down()
+        a.receive(pkt(1))
+        link.set_up()
+        a.receive(pkt(2))
+        sim.run()
+        assert link.failure_drops == 1
+        assert a.packets_forwarded == 3  # forwarding offered all three
+        assert [p.seq for _, p in b.got] == [0, 2]
 
     def test_failed_atr_path_stalls_defense_scenario(self):
         """End-to-end: failing an ingress uplink silences that ingress

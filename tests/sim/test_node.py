@@ -131,3 +131,91 @@ class TestRouter:
         a.receive(Packet(flow=FlowKey(1, 888, 0, 0), ptype=PacketType.CONTROL))
         assert handler.packets == []
         assert a.packets_dropped_no_route == 1
+
+
+class TestRouterMemo:
+    """The per-destination memo must never outlive what it was resolved
+    from: after traffic has flowed, each mutation moves the next packet."""
+
+    DST = 0x0A000005
+
+    def _fan(self, sim):
+        """Router a with links to b and c, routing DST's /24 via b, and
+        one packet already forwarded (so the memo holds DST)."""
+        a, b, c = Router(sim, "a"), Router(sim, "b"), Router(sim, "c")
+        to_b, to_c = SimplexLink(sim, a, b), SimplexLink(sim, a, c)
+        a.attach_link(to_b)
+        a.attach_link(to_c)
+        table = RoutingTable()
+        table.add_route(Subnet(0x0A000000, 24), "b")
+        a.routing_table = table
+        self._send(a)
+        assert (to_b.packets_offered, to_c.packets_offered) == (1, 0)
+        return a, table, to_b, to_c
+
+    def _send(self, router, dst=DST):
+        router.receive(Packet(flow=FlowKey(1, dst, 3, 4)))
+
+    def test_add_route_moves_the_next_packet(self, sim):
+        a, table, to_b, to_c = self._fan(sim)
+        table.add_route(Subnet(self.DST, 32), "c")  # a longer prefix wins
+        self._send(a)
+        assert (to_b.packets_offered, to_c.packets_offered) == (1, 1)
+
+    def test_set_default_moves_the_next_packet(self, sim):
+        a, table, to_b, to_c = self._fan(sim)
+        self._send(a, dst=0x0B000001)  # no route: memoized as a drop
+        assert a.packets_dropped_no_route == 1
+        table.set_default("c")
+        self._send(a, dst=0x0B000001)
+        assert a.packets_dropped_no_route == 1
+        assert to_c.packets_offered == 1
+
+    def test_add_local_delivery_moves_the_next_packet(self, sim):
+        a, _, to_b, _ = self._fan(sim)
+        agent = _Recorder()
+        a.add_local_delivery(lambda ip: ip == self.DST, agent)
+        self._send(a)
+        assert len(agent.packets) == 1
+        assert to_b.packets_offered == 1
+
+    def test_attach_link_moves_the_next_packet(self, sim):
+        a, _, to_b, _ = self._fan(sim)
+        replacement = SimplexLink(sim, a, to_b.dst)
+        a.attach_link(replacement)  # same neighbour, new link
+        self._send(a)
+        assert (to_b.packets_offered, replacement.packets_offered) == (1, 1)
+
+    def test_table_reassignment_moves_the_next_packet(self, sim):
+        a, old_table, to_b, to_c = self._fan(sim)
+        table = RoutingTable()
+        table.add_route(Subnet(0x0A000000, 24), "c")
+        a.routing_table = table
+        self._send(a)
+        assert (to_b.packets_offered, to_c.packets_offered) == (1, 1)
+        # The replaced table no longer reaches this router ...
+        old_table.add_route(Subnet(self.DST, 32), "b")
+        self._send(a)
+        assert (to_b.packets_offered, to_c.packets_offered) == (1, 2)
+        # ... and the new one still does.
+        table.add_route(Subnet(self.DST, 32), "b")
+        self._send(a)
+        assert (to_b.packets_offered, to_c.packets_offered) == (2, 2)
+
+    def test_table_removal_drops_the_next_packet(self, sim):
+        a, _, to_b, _ = self._fan(sim)
+        a.routing_table = None
+        self._send(a)
+        assert a.packets_dropped_no_route == 1
+        assert to_b.packets_offered == 1
+
+    def test_rotating_destinations_never_outgrow_the_bound(self, sim):
+        a, _, to_b, _ = self._fan(sim)
+        a.routing_table.set_default("b")
+        peak = 0
+        for dst in range(0x20000000, 0x20000000 + 100_000):
+            self._send(a, dst=dst)
+            peak = max(peak, len(a._memo))
+        assert peak == Router._MEMO_MAX
+        assert len(a._memo) <= Router._MEMO_MAX
+        assert to_b.packets_offered == 100_001

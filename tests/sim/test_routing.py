@@ -1,6 +1,5 @@
 """Tests for repro.sim.routing."""
 
-import networkx as nx
 import pytest
 
 from repro.sim.address import Subnet
@@ -40,9 +39,7 @@ class TestRoutingTable:
 def _build_line(sim):
     """a - b - c with one subnet at each end."""
     routers = {name: Router(sim, name) for name in "abc"}
-    graph = nx.Graph()
-    graph.add_edge("a", "b", delay=1.0)
-    graph.add_edge("b", "c", delay=1.0)
+    graph = {"a": {"b": 1.0}, "b": {"a": 1.0, "c": 1.0}, "c": {"b": 1.0}}
     for u, v in (("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")):
         link = SimplexLink(sim, routers[u], routers[v])
         routers[u].attach_link(link)
@@ -79,13 +76,14 @@ class TestBuildStaticRoutes:
     def test_shortest_path_chosen(self, sim):
         # Square with a shortcut: a-b-d (2 hops) vs a-c-d with c slow.
         routers = {name: Router(sim, name) for name in "abcd"}
-        graph = nx.Graph()
-        graph.add_edge("a", "b", delay=1.0)
-        graph.add_edge("b", "d", delay=1.0)
-        graph.add_edge("a", "c", delay=5.0)
-        graph.add_edge("c", "d", delay=5.0)
-        for u, v in graph.edges:
-            for s, t in ((u, v), (v, u)):
+        graph = {
+            "a": {"b": 1.0, "c": 5.0},
+            "b": {"a": 1.0, "d": 1.0},
+            "c": {"a": 5.0, "d": 5.0},
+            "d": {"b": 1.0, "c": 5.0},
+        }
+        for s, neighbours in graph.items():
+            for t in neighbours:
                 link = SimplexLink(sim, routers[s], routers[t])
                 routers[s].attach_link(link)
         subnet = Subnet(0x0A000000, 24)
