@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from repro.sim.packet import PacketType
-from repro.util.hashing import stable_hash64
+from repro.util.hashing import int_hasher
 
 _DATA = PacketType.DATA
 
@@ -61,6 +61,8 @@ class LogLogCounter:
         self.k = int(k)
         self.m = 1 << self.k
         self.salt = int(salt)
+        # item -> stable_hash64(salt, item), the salt's share paid once.
+        self._hash = int_hasher(self.salt)
         # Registers live in a bytearray: per-item updates index it at
         # C speed (a numpy uint8 scalar read/write costs ~10x as much),
         # while the `registers` property exposes the same data as a
@@ -81,7 +83,7 @@ class LogLogCounter:
 
     def add(self, item: int) -> None:
         """Insert one (hashable-to-int) item."""
-        self._add_hashed(stable_hash64(self.salt, int(item)))
+        self._add_hashed(self._hash(int(item)))
 
     def _add_hashed(self, h: int) -> None:
         """Insert a pre-hashed item (``stable_hash64(salt, item)``)."""
@@ -184,7 +186,7 @@ class LogLogLinkCounter:
                 # packet so the FNV mix runs once per packet, not per hook.
                 h = packet._uid_hash
                 if h is None:
-                    h = stable_hash64(0, packet.uid)
+                    h = sketch._hash(packet.uid)
                     packet._uid_hash = h
                 sketch._add_hashed(h)
             else:

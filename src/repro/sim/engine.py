@@ -306,7 +306,7 @@ class _HeapQueue:
             heappop(heap)
             self.size -= 1
             sim._live -= 1
-            sim._now = time
+            sim.now = time
             times = ev.times
             if times is None:
                 ev.fn = None  # consumed; a late cancel() must be a no-op
@@ -600,7 +600,7 @@ class _CalendarQueue:
             ev = entry[3]
             fn = ev.fn
             sim._live -= 1
-            sim._now = entry[0]
+            sim.now = entry[0]
             times = ev.times
             if times is None:
                 ev.fn = None  # consumed; a late cancel() must be a no-op
@@ -758,7 +758,9 @@ class Simulator:
                 f"unknown queue backend {queue!r}; expected one of "
                 f"{sorted(_BACKENDS)}"
             ) from None
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, read
+        #: per packet all over the library; only the engine writes it.
+        self.now = 0.0
         self._q = backend()
         self._next_seq = itertools.count().__next__
         self._live = 0  # non-cancelled entries still queued
@@ -768,11 +770,6 @@ class Simulator:
         self._ev_pool: list[Event] = []  # recycled fire-and-forget handles
         self._ev_created = 0
         self._ev_reused = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def queue_kind(self) -> str:
@@ -804,7 +801,7 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args, priority=priority)
+        return self.schedule_at(self.now + delay, fn, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -819,10 +816,10 @@ class Simulator:
         # One interval check covers past times AND the non-finite values
         # a naive ``time < now`` lets through (NaN compares False against
         # everything; +inf would park an unreachable event forever).
-        if not (self._now <= time < math.inf):
+        if not (self.now <= time < math.inf):
             if math.isfinite(time):
                 raise ValueError(
-                    f"cannot schedule into the past (time={time}, now={self._now})"
+                    f"cannot schedule into the past (time={time}, now={self.now})"
                 )
             raise ValueError(f"event time must be finite, got {time}")
         if not callable(fn):
@@ -864,10 +861,10 @@ class Simulator:
             return self.schedule_at(time, fn, *args, priority=priority)
         if time.__class__ is not float:
             time = float(time)
-        if not (self._now <= time < math.inf):
+        if not (self.now <= time < math.inf):
             if math.isfinite(time):
                 raise ValueError(
-                    f"cannot schedule into the past (time={time}, now={self._now})"
+                    f"cannot schedule into the past (time={time}, now={self.now})"
                 )
             raise ValueError(f"event time must be finite, got {time}")
         if not callable(fn):
@@ -939,7 +936,7 @@ class Simulator:
         times = [float(t) for t in times]
         if not times:
             raise ValueError("schedule_series needs at least one time")
-        prev = self._now
+        prev = self.now
         for t in times:
             if not (prev <= t < math.inf):
                 raise ValueError(
@@ -988,9 +985,9 @@ class Simulator:
             self._q.run_loop(self, limit, cap)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = float(until)
-        return self._now
+        if until is not None and self.now < until and not self._stopped:
+            self.now = float(until)
+        return self.now
 
     # ------------------------------------------------------------ internals
 
@@ -1001,7 +998,7 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"Simulator(now={self._now:.6f}, pending={self._live}, "
+            f"Simulator(now={self.now:.6f}, pending={self._live}, "
             f"queue={self._q.kind})"
         )
 

@@ -61,15 +61,17 @@ class SimplexLink:
         self._receive = dst.receive
         self.bandwidth_bps = float(bandwidth_bps)
         self.delay = float(delay)
-        self.queue = queue if queue is not None else DropTailQueue()
-        self.name = name if name is not None else f"{src.name}->{dst.name}"
-        self._head_hooks: list[LinkHook] = []
         # The transmitter is a busy-until timestamp, not an event: a
         # packet offered to an idle link is dequeued and its delivery
         # scheduled immediately, with no intermediate tx-complete event.
-        # A continuation wake-up exists only while a backlog is queued.
+        # A continuation wake-up exists only while a backlog is queued,
+        # and the converse is what send() relies on: no wake-up pending
+        # means the queue is empty.
         self._busy_until = 0.0
         self._drain_pending = False
+        self.queue = queue if queue is not None else DropTailQueue()
+        self.name = name if name is not None else f"{src.name}->{dst.name}"
+        self._head_hooks: list[LinkHook] = []
         self._up = True
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -89,11 +91,18 @@ class SimplexLink:
     @queue.setter
     def queue(self, queue: PacketQueue) -> None:
         # Bind the per-packet queue methods once per assignment; send()
-        # and _drain() run per packet, a property/attr chain per call adds up.
+        # runs per packet, a property/attr chain per call adds up.
         self._queue = queue
         self._q_enqueue = queue.enqueue
         self._q_dequeue = queue.dequeue
         self._q_len = queue.__len__
+        # A queue that arrives with a backlog gets its wake-up here, so
+        # "no wake-up pending" keeps meaning "queue empty".
+        if not self._drain_pending and len(queue):
+            self._drain_pending = True
+            self._schedule_anon(
+                max(self._busy_until, self.sim.now), self._drain_event
+            )
 
     def add_head_hook(self, hook: LinkHook) -> None:
         """Attach a hook at the link head (NS-2 Connector seam)."""
@@ -147,24 +156,21 @@ class SimplexLink:
             packet.release()
             self._drop_event("queue")
             return False
-        if not self._drain_pending:
-            if self._busy_until <= now:
-                self._drain(now)
-            else:
-                self._drain_pending = True
-                # Fire-and-forget: the handle is never retained, so it
-                # rides the simulator's recycled-event free list.
-                self._schedule_anon(self._busy_until, self._drain_event)
-        return True
-
-    def _drain(self, now: float) -> None:
-        """Pull the next packet and schedule its delivery in one step."""
+        if self._drain_pending:
+            return True  # queued behind a backlog; the wake-up will reach it
+        if self._busy_until > now:
+            self._drain_pending = True
+            # Fire-and-forget: the handle is never retained, so it
+            # rides the simulator's recycled-event free list.
+            self._schedule_anon(self._busy_until, self._drain_event)
+            return True
+        # Idle transmitter and no wake-up pending: the queue held nothing
+        # before this packet, so it hands back this one and is empty
+        # again — straight onto the wire, with no backlog to ask about.
+        # The discipline still sees the arrival and the departure.
         packet = self._q_dequeue()
-        if packet is None:
-            return
         # Inlined transmission_delay (same arithmetic, minus a call).
-        tx = packet.size * 8.0 / self.bandwidth_bps
-        depart = now + tx
+        depart = now + packet.size * 8.0 / self.bandwidth_bps
         self._busy_until = depart
         # Counted when committed to the wire: at most the one packet
         # still serializing differs from the old at-tx-complete counters.
@@ -173,15 +179,27 @@ class SimplexLink:
         # The hop is counted here, not on arrival: nothing can observe
         # the packet between the wire and the destination's receive().
         packet.hop_count += 1
+        self._schedule_anon(depart + self.delay, self._receive, packet, self)
+        return True
+
+    def _drain_event(self) -> None:
+        """The wake-up: put the head of the backlog on the wire (the same
+        steps as an idle send()) and re-arm while a backlog remains."""
+        self._drain_pending = False
+        packet = self._q_dequeue()
+        if packet is None:  # the backlog's queue was swapped out meanwhile
+            return
+        depart = self.sim.now + packet.size * 8.0 / self.bandwidth_bps
+        self._busy_until = depart
+        self.packets_sent += 1
+        self.bytes_sent += packet.size
+        packet.hop_count += 1
         schedule_anon = self._schedule_anon
+        # Delivery first, then the wake-up: the order of ``seq`` draws.
         schedule_anon(depart + self.delay, self._receive, packet, self)
         if self._q_len():
             self._drain_pending = True
             schedule_anon(depart, self._drain_event)
-
-    def _drain_event(self) -> None:
-        self._drain_pending = False
-        self._drain(self.sim.now)
 
     def _drop_event(self, reason: str) -> None:
         """Publish one ``link.drop`` event (bus attached and listening)."""

@@ -17,6 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.link import SimplexLink
     from repro.sim.routing import RoutingTable
 
+_CONTROL = PacketType.CONTROL
+
 
 class PacketHandler(Protocol):
     """Anything that can accept a delivered packet."""
@@ -130,7 +132,7 @@ class Router(Node):
         """Forward per routing table, or deliver locally."""
         self.packets_received += 1
         dst_ip = packet.flow.dst_ip
-        if packet.ptype is PacketType.CONTROL and dst_ip == (self.address or -1):
+        if packet.ptype is _CONTROL and dst_ip == (self.address or -1):
             now = self.sim.now
             for handler in self._control_handlers:
                 handler.handle_packet(packet, now)
@@ -186,8 +188,26 @@ class Host(Node):
         super().__init__(sim, name, address)
         self._port_handlers: dict[int, PacketHandler] = {}
         self._default_handler: PacketHandler | None = None
-        self.gateway: Router | None = None
+        self._gateway: Router | None = None
+        # Bound ``send`` of the link to the gateway, resolved on the first
+        # send() after either end of that lookup changes.
+        self._uplink_send: Callable[[Packet], bool] | None = None
         self.unhandled_packets = 0
+
+    @property
+    def gateway(self) -> Router | None:
+        """The router this host's traffic leaves through (assignable)."""
+        return self._gateway
+
+    @gateway.setter
+    def gateway(self, router: Router | None) -> None:
+        self._gateway = router
+        self._uplink_send = None
+
+    def attach_link(self, link: "SimplexLink") -> None:
+        """Register an outgoing link (called by topology builders)."""
+        super().attach_link(link)
+        self._uplink_send = None
 
     def bind_port(self, port: int, handler: PacketHandler) -> None:
         """Attach a transport agent to a local port."""
@@ -225,9 +245,17 @@ class Host(Node):
 
     def send(self, packet: Packet) -> bool:
         """Hand a locally generated packet to the gateway link."""
-        if self.gateway is None:
+        send = self._uplink_send
+        if send is None:
+            send = self._bind_uplink()
+        return send(packet)
+
+    def _bind_uplink(self) -> Callable[[Packet], bool]:
+        gateway = self._gateway
+        if gateway is None:
             raise RuntimeError(f"host {self.name} has no gateway")
-        link = self.link_to(self.gateway.name)
+        link = self.link_to(gateway.name)
         if link is None:
             raise RuntimeError(f"host {self.name} has no link to its gateway")
-        return link.send(packet)
+        self._uplink_send = link.send
+        return link.send

@@ -196,11 +196,21 @@ class _HostDelivery:
     def __init__(self, host: Host, router: Router) -> None:
         self._host = host
         self._router = router
+        # Bound ``send`` of the access link, from the first packet on.
+        self._send = None
 
     def handle_packet(self, packet, now) -> None:
-        link = self._router.link_to(self._host.name)
-        if link is not None:
-            link.send(packet)
+        send = self._send
+        if send is None:
+            link = self._router.link_to(self._host.name)
+            if link is None:
+                # No access link: the packet dies here, released and
+                # counted like any other the router cannot place.
+                self._router.packets_dropped_no_route += 1
+                packet.release()
+                return
+            send = self._send = link.send
+        send(packet)
 
 
 def build_star_domain(

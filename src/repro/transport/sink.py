@@ -17,6 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.node import Host
 
+_DATA = PacketType.DATA
+
 
 class CountingSink:
     """Counts arrivals; optionally tracks a windowed arrival rate."""
@@ -35,10 +37,10 @@ class CountingSink:
         self._rate = WindowedRate(rate_window) if rate_window else None
         self._on_packet = on_packet
 
-    def handle_packet(self, packet: Packet, now: float) -> None:
-        """Count one arrival."""
-        if packet.ptype not in (PacketType.DATA,):
-            return
+    def handle_packet(self, packet: Packet, now: float) -> bool:
+        """Count one arrival; False for anything but DATA, which is ignored."""
+        if packet.ptype is not _DATA:
+            return False
         self.packets_received += 1
         self.bytes_received += packet.size
         if packet.is_attack:
@@ -49,6 +51,7 @@ class CountingSink:
             self._rate.record(now, packet.size * 8.0)
         if self._on_packet is not None:
             self._on_packet(packet, now)
+        return True
 
     def arrival_rate_bps(self, now: float) -> float:
         """Windowed arrival rate in bits/s (0 when no window configured)."""
@@ -94,11 +97,10 @@ class AckingSink(CountingSink):
         self.dup_acks_sent = 0
         self.delayed_acks_coalesced = 0
 
-    def handle_packet(self, packet: Packet, now: float) -> None:
+    def handle_packet(self, packet: Packet, now: float) -> bool:
         """Count, reassemble, and ACK one DATA arrival."""
-        if packet.ptype is not PacketType.DATA:
-            return
-        super().handle_packet(packet, now)
+        if not super().handle_packet(packet, now):  # the one type test
+            return False
         key = packet.flow_hash
         expected = self._next_expected.get(key, 0)
         buffered = self._ooo.setdefault(key, set())
@@ -120,6 +122,7 @@ class AckingSink(CountingSink):
         else:
             self._flush_pending(key)
             self._send_ack(packet.flow, packet.ts_val, frontier, now)
+        return True
 
     def _delayed_ack_path(self, packet: Packet, key: int, now: float) -> None:
         if key in self._pending_ack:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.counting.loglog import LogLogCounter, LogLogLinkCounter
 from repro.sim.packet import FlowKey, Packet, PacketType
+from repro.util.hashing import stable_hash64
 
 
 class TestEstimation:
@@ -132,6 +133,46 @@ class TestMergeAndSetOps:
         union = a.union_estimate(b)
         assert union >= a.estimate() - 1e-9
         assert union >= b.estimate() - 1e-9
+
+
+def _reference_registers(k, salt, items):
+    """The register file built straight from ``stable_hash64(salt, item)``."""
+    width = 64 - k
+    regs = bytearray(1 << k)
+    for item in items:
+        h = stable_hash64(salt, item)
+        rank = width - (h & ((1 << width) - 1)).bit_length() + 1
+        regs[h >> width] = max(regs[h >> width], min(rank, 64))
+    return regs
+
+
+class TestHashParity:
+    """The sketch's prefix-state hasher is ``stable_hash64(salt, item)``."""
+
+    @pytest.mark.parametrize("salt", [0, 0xDEADBEEF])
+    def test_registers_byte_equal_to_the_reference(self, salt):
+        items = [i * 2654435761 % (1 << 40) for i in range(10_000)]
+        sketch = LogLogCounter(k=10, salt=salt)
+        for item in items:
+            sketch.add(item)
+        assert bytes(sketch.registers) == bytes(_reference_registers(10, salt, items))
+
+    def test_bool_is_added_as_the_int_it_equals(self):
+        as_bool, as_int = LogLogCounter(k=6), LogLogCounter(k=6)
+        as_bool.add(True)
+        as_int.add(1)
+        assert bytes(as_bool.registers) == bytes(as_int.registers)
+        assert bytes(as_int.registers) == bytes(_reference_registers(6, 0, [1]))
+
+    def test_link_counter_memo_is_the_same_hash(self):
+        counter = LogLogLinkCounter("ingress0", k=8)
+        packets = [Packet(flow=FlowKey(1, 2, 3, 4)) for _ in range(200)]
+        for p in packets:
+            counter.on_packet(p, None, 0.0)
+        assert all(p._uid_hash == stable_hash64(0, p.uid) for p in packets)
+        assert bytes(counter.sketch.registers) == bytes(
+            _reference_registers(8, 0, [p.uid for p in packets])
+        )
 
 
 class TestLinkCounter:

@@ -1,0 +1,81 @@
+"""What one forwarded hop costs, in Python-level calls.
+
+The figures are sweeps of whole-domain runs, and a run is this chain
+repeated a few hundred thousand times:
+
+    Router.receive -> SimplexLink.send -> queue.enqueue -> queue.dequeue
+                   -> Simulator.schedule_anon -> queue backend push
+
+Six frames in the pure build (four with the compiled scheduler, whose
+last two are C).  The bound is pinned so a refactor cannot quietly put
+one back: a property on the clock, a helper between send() and the wire,
+a backlog probe on an idle link.
+"""
+
+import sys
+from collections import Counter
+
+from repro.sim.address import Subnet
+from repro.sim.engine import Simulator
+from repro.sim.link import SimplexLink
+from repro.sim.node import Router
+from repro.sim.packet import FlowKey, Packet
+from repro.sim.queues import DropTailQueue
+from repro.sim.routing import RoutingTable
+
+PACKETS = 100
+DST = 0x0A000005
+
+
+class _End:
+    """Terminal node: one frame per arrival, subtracted below."""
+
+    name = "end"
+
+    def __init__(self):
+        self.arrivals = 0
+
+    def receive(self, packet, via=None):
+        self.arrivals += 1
+
+
+def _chain(sim):
+    """a -> b -> c -> end: three routers, each forwarding DST onward."""
+    nodes = [Router(sim, "a"), Router(sim, "b"), Router(sim, "c"), _End()]
+    for here, there in zip(nodes, nodes[1:]):
+        here.attach_link(SimplexLink(sim, here, there, 100e6, 0.001, DropTailQueue(8)))
+        table = RoutingTable()
+        table.add_route(Subnet(DST & ~0xFF, 24), there.name)
+        here.routing_table = table
+    return nodes
+
+
+def test_a_forwarded_hop_costs_at_most_six_python_calls():
+    sim = Simulator()
+    first, *_, end = _chain(sim)
+    # Far enough apart that every link is idle again: the common case.
+    for i in range(-1, PACKETS):
+        sim.schedule_at(
+            1.0 + i, first.receive, Packet(flow=FlowKey(1, DST, 3, 80), seq=i)
+        )
+    sim.run(until=0.5)  # the first packet fills the route memos, uncounted
+
+    calls = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(previous)
+
+    assert end.arrivals == PACKETS + 1
+    assert calls["receive"] == 4 * PACKETS  # three routers and the end
+    hops = 3 * PACKETS
+    harness = calls["run"] + calls["run_loop"] + PACKETS  # _End.receive
+    per_hop = (sum(calls.values()) - harness) / hops
+    assert per_hop <= 6, dict(calls)

@@ -1,10 +1,12 @@
 """Tests for repro.sim.link."""
 
+import numpy as np
 import pytest
 
+from repro.sim.engine import Simulator
 from repro.sim.link import SimplexLink
 from repro.sim.packet import FlowKey, Packet
-from repro.sim.queues import DropTailQueue
+from repro.sim.queues import DropTailQueue, DRRQueue, REDQueue
 
 
 class _Capture:
@@ -138,3 +140,203 @@ class TestHeadHooks:
         hook = _CountingHook()
         link.add_head_hook(hook)
         assert link.head_hooks == (hook,)
+
+
+# --------------------------------------------------------------------------
+# Parity of the idle cut-through with the link spelled the long way
+
+
+class _LoggedSim:
+    """A simulator front that logs each ``schedule_anon`` a link makes.
+
+    ``seq`` is drawn per call, so the log's order is the ``seq`` order.
+    """
+
+    def __init__(self, sim):
+        self._sim = sim
+        self.log = []
+
+    @property
+    def now(self):
+        return self._sim.now
+
+    def schedule_anon(self, time, fn, *args):
+        self.log.append(("deliver" if args else "wake", time))
+        return self._sim.schedule_anon(time, fn, *args)
+
+
+class _ReferenceLink:
+    """The link algorithm with nothing folded away: every offer is an
+    ``enqueue``, every transmission a ``dequeue`` followed by ``__len__``."""
+
+    def __init__(self, sim, dst, bandwidth_bps, delay, queue):
+        self.sim = sim
+        self.dst = dst
+        self.bandwidth_bps = bandwidth_bps
+        self.delay = delay
+        self.queue = queue
+        self.busy_until = 0.0
+        self.pending = False
+
+    def send(self, packet):
+        now = self.sim.now
+        if not self.queue.enqueue(packet, now):
+            return False
+        if not self.pending:
+            if self.busy_until <= now:
+                self._drain(now)
+            else:
+                self.pending = True
+                self.sim.schedule_anon(self.busy_until, self._wake)
+        return True
+
+    def _drain(self, now):
+        packet = self.queue.dequeue()
+        if packet is None:
+            return
+        depart = now + packet.size * 8.0 / self.bandwidth_bps
+        self.busy_until = depart
+        self.sim.schedule_anon(depart + self.delay, self.dst.receive, packet, self)
+        if len(self.queue):
+            self.pending = True
+            self.sim.schedule_anon(depart, self._wake)
+
+    def _wake(self):
+        self.pending = False
+        self._drain(self.sim.now)
+
+
+def _queue(kind):
+    if kind == "droptail":
+        return DropTailQueue(capacity=6)
+    if kind == "red":
+        return REDQueue(capacity=6, min_thresh=1.0, max_thresh=4.0, max_prob=0.5,
+                        weight=0.5, rng=np.random.default_rng(7))
+    return DRRQueue(capacity=6, quantum=500)
+
+
+#: (time, size, source) offers: arrivals on an idle link, a burst into a
+#: busy one, then more than the queue holds, then idle again.  1000 B at
+#: 8 Mb/s is 1 ms on the wire.
+_SCRIPT = (
+    [(0.000, 1000, 1), (0.010, 400, 2), (0.020, 1000, 1)]
+    + [(0.0300 + 0.0001 * i, 1000 - 100 * (i % 3), 1 + i % 3) for i in range(5)]
+    + [(0.0500, 1000, 1 + i % 4) for i in range(12)]
+    + [(0.2000, 700, 3), (0.3000, 1000, 1)]
+)
+
+
+def _play(link_of, discipline, queue_kind):
+    """Run ``_SCRIPT`` through the link ``link_of(front, dst, queue)`` builds.
+
+    Returns everything the two links must agree on.
+    """
+    sim = Simulator(queue=queue_kind)
+    front = _LoggedSim(sim)
+    dst = _Capture(sim, "dst")
+    queue = _queue(discipline)
+    link = link_of(front, dst, queue)
+    accepted = []
+    for n, (time, size, source) in enumerate(_SCRIPT):
+        packet = Packet(flow=FlowKey(source, 9, 3, 4), size=size, seq=n)
+        sim.schedule_at(time, lambda p=packet: accepted.append(link.send(p)))
+    sim.run()
+    return {
+        "accepted": accepted,
+        "deliveries": [(t, p.seq) for t, p in dst.received],
+        "schedule_log": front.log,
+        "enqueued": queue.enqueued,
+        "drops": queue.drops,
+        "left": len(queue),
+        "red_average": getattr(queue, "average_occupancy", None),
+    }
+
+
+@pytest.mark.parametrize("discipline", ["droptail", "red", "drr"])
+def test_link_matches_the_long_way_round(sim, discipline):
+    def real(front, dst, queue):
+        return SimplexLink(front, _Capture(front, "src"), dst, 8e6, 0.002, queue)
+
+    def reference(front, dst, queue):
+        return _ReferenceLink(front, dst, 8e6, 0.002, queue)
+
+    got = _play(real, discipline, sim.queue_kind)
+    want = _play(reference, discipline, sim.queue_kind)
+    assert got == want  # floats compared exactly: same arithmetic, same order
+    assert want["drops"] > 0 and want["left"] == 0  # the script overflowed
+
+
+class TestWakeUps:
+    def test_burst_into_busy_link_keeps_one_wake_up(self, sim):
+        front = _LoggedSim(sim)
+        dst = _Capture(sim, "dst")
+        link = SimplexLink(front, _Capture(sim, "src"), dst, 8e6, 0.01,
+                           DropTailQueue(8))
+        for i in range(5):
+            assert link.send(pkt(seq=i))
+        # One packet on the wire, four queued behind a single wake-up.
+        assert front.log == [("deliver", 0.011), ("wake", 0.001)]
+        assert sim.pending() == 2
+        sim.run()
+        assert [p.seq for _, p in dst.received] == [0, 1, 2, 3, 4]
+        # Each wake-up re-armed itself only after sending: never two at once.
+        wakes = [t for kind, t in front.log if kind == "wake"]
+        assert wakes == sorted(set(wakes)) and len(wakes) == 4
+
+    def test_idle_offer_asks_for_no_backlog(self, sim):
+        class _Asked(DropTailQueue):
+            asked = 0
+
+            def __len__(self):
+                self.asked += 1
+                return super().__len__()
+
+        link, dst = make_link(sim)
+        link.queue = queue = _Asked(4)
+        queue.asked = 0  # the assignment itself may look
+        link.send(pkt(seq=0))
+        sim.run(until=1.0)
+        link.send(pkt(seq=1))
+        sim.run()
+        assert [p.seq for _, p in dst.received] == [0, 1]
+        assert queue.enqueued == 2  # the discipline saw both arrivals
+        assert queue.asked == 0
+        link.send(pkt(seq=2))
+        link.send(pkt(seq=3))  # a backlog: its one wake-up asks, once
+        sim.run()
+        assert queue.asked == 1
+
+
+class TestQueueAssignment:
+    def _backlog(self, n):
+        queue = DropTailQueue(8)
+        for i in range(n):
+            queue.enqueue(pkt(seq=i), 0.0)
+        return queue
+
+    def test_backlog_assigned_to_idle_link_drains_unprompted(self, sim):
+        link, dst = make_link(sim, bandwidth=8e6, delay=0.0)
+        link.queue = self._backlog(3)
+        sim.run()
+        assert [p.seq for _, p in dst.received] == [0, 1, 2]
+        assert [t for t, _ in dst.received] == pytest.approx([0.001, 0.002, 0.003])
+
+    def test_backlog_assigned_to_busy_link_waits_for_the_wire(self, sim):
+        link, dst = make_link(sim, bandwidth=8e6, delay=0.0)
+        link.send(pkt(seq=9))  # on the wire until 1 ms
+        link.queue = self._backlog(1)
+        link.send(pkt(seq=1))  # joins the backlog, behind its wake-up
+        sim.run()
+        assert [p.seq for _, p in dst.received] == [9, 0, 1]
+        assert [t for t, _ in dst.received] == pytest.approx([0.001, 0.002, 0.003])
+
+    def test_empty_queue_swapped_under_a_pending_wake_up(self, sim):
+        link, dst = make_link(sim, bandwidth=8e6, delay=0.0)
+        link.send(pkt(seq=0))
+        link.send(pkt(seq=1))  # queued; wake-up pending
+        link.queue = DropTailQueue(4)  # the old backlog goes with its queue
+        sim.run()
+        assert [p.seq for _, p in dst.received] == [0]
+        assert link.send(pkt(seq=2))  # and the link is not wedged
+        sim.run()
+        assert [p.seq for _, p in dst.received] == [0, 2]

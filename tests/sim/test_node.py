@@ -64,6 +64,42 @@ class TestHost:
         assert host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
         assert link.packets_offered == 1
 
+    def test_send_follows_a_reassigned_gateway(self, sim):
+        host = Host(sim, "h", 1)
+        first, second = Router(sim, "r1"), Router(sim, "r2")
+        to_first, to_second = SimplexLink(sim, host, first), SimplexLink(sim, host, second)
+        host.attach_link(to_first)
+        host.attach_link(to_second)
+        host.gateway = first
+        assert host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+        host.gateway = second
+        assert host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+        assert (to_first.packets_offered, to_second.packets_offered) == (1, 1)
+
+    def test_send_follows_a_replaced_uplink(self, sim):
+        host = Host(sim, "h", 1)
+        router = Router(sim, "r")
+        original, replacement = SimplexLink(sim, host, router), SimplexLink(sim, host, router)
+        host.gateway = router
+        host.attach_link(original)
+        assert host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+        host.attach_link(replacement)  # same neighbour, new link
+        assert host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+        assert (original.packets_offered, replacement.packets_offered) == (1, 1)
+
+    def test_send_errors_survive_a_working_uplink(self, sim):
+        host = Host(sim, "h", 1)
+        router = Router(sim, "r")
+        host.attach_link(SimplexLink(sim, host, router))
+        host.gateway = router
+        assert host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+        host.gateway = Router(sim, "elsewhere")
+        with pytest.raises(RuntimeError, match="no link to its gateway"):
+            host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+        host.gateway = None
+        with pytest.raises(RuntimeError, match="no gateway"):
+            host.send(Packet(flow=FlowKey(1, 2, 3, 4)))
+
     def test_attach_foreign_link_rejected(self, sim):
         host = Host(sim, "h", 1)
         other = Host(sim, "o", 2)

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.sim.packet import FlowKey, Packet
+from repro.sim.engine import Simulator
+from repro.sim.node import Host, Router
+from repro.sim.packet import (
+    FlowKey,
+    Packet,
+    enable_packet_pool,
+    packet_pool_stats,
+)
 from repro.sim.topology import (
+    _HostDelivery,
     build_dumbbell,
     build_star_domain,
     build_transit_stub_domain,
@@ -116,3 +124,36 @@ class TestDumbbell:
         topo = build_dumbbell(bottleneck_bps=1e6)
         link = topo.routers["left"].link_to("lasthop")
         assert link.bandwidth_bps == 1e6
+
+
+class TestHostDelivery:
+    """The router-side last hop ``attach_host`` installs."""
+
+    def test_binds_the_access_link_once(self):
+        topo = build_dumbbell()
+        victim, router = topo.victim_host, topo.routers["lasthop"]
+        sink = _Recorder()
+        victim.bind_port(80, sink)
+        lookups = []
+        real_link_to = router.link_to
+        router.link_to = lambda name: lookups.append(name) or real_link_to(name)
+        for _ in range(3):
+            router.receive(Packet(flow=FlowKey(1, victim.address, 1000, 80)))
+        topo.sim.run(until=1.0)
+        assert len(sink.packets) == 3
+        assert lookups == [victim.name]
+
+    def test_no_access_link_drops_releases_and_counts(self):
+        sim = Simulator()
+        router = Router(sim, "r")
+        host = Host(sim, "h", 0x0A000001)
+        router.add_local_delivery(lambda ip: True, _HostDelivery(host, router))
+        enable_packet_pool(True)
+        try:
+            for _ in range(2):
+                router.receive(Packet.acquire(flow=FlowKey(1, host.address, 3, 80)))
+            assert packet_pool_stats()["released"] == 2
+        finally:
+            enable_packet_pool(False)
+        assert router.packets_dropped_no_route == 2
+        assert sim.pending() == 0

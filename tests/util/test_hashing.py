@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.hashing import fmix64, fnv1a_64, stable_hash64
+from repro.util.hashing import fmix64, fnv1a_64, int_hasher, stable_hash64
 
 
 class TestFnv1a:
@@ -25,6 +25,10 @@ class TestFnv1a:
     @given(st.binary(max_size=64))
     def test_output_is_64_bit(self, data):
         assert 0 <= fnv1a_64(data) < (1 << 64)
+
+    @given(st.binary(max_size=32), st.binary(max_size=32))
+    def test_resumes_from_a_prefix_state(self, a, b):
+        assert fnv1a_64(a + b) == fnv1a_64(b, fnv1a_64(a))
 
 
 class TestFmix64:
@@ -97,3 +101,43 @@ class TestStableHash64:
         for i in range(64 * 200):
             counts[stable_hash64(i) >> 58] += 1
         assert counts.min() > 100  # no starving bucket
+
+
+_PARTS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+)
+
+
+class TestIntHasher:
+    """``int_hasher(*prefix)`` is ``stable_hash64(*prefix, item)``, bit for bit."""
+
+    @given(
+        st.lists(_PARTS, max_size=3),
+        st.one_of(
+            st.integers(min_value=-(2**70), max_value=2**70),
+            # every leading-zero-byte count, and both sides of each edge
+            st.integers(0, 8).flatmap(
+                lambda n: st.integers(max(0, 256**n - 2), 256**n + 1)
+            ),
+        ),
+    )
+    def test_matches_stable_hash64(self, prefix, item):
+        assert int_hasher(*prefix)(item) == stable_hash64(*prefix, item)
+
+    @pytest.mark.parametrize(
+        "item", [0, 1, 255, 256, 2**56 - 1, 2**56, 2**64 - 1, 2**64, 2**64 + 7, -1, -256]
+    )
+    def test_edges_under_the_loglog_prefix(self, item):
+        assert int_hasher(0)(item) == stable_hash64(0, item)
+
+    def test_one_hasher_serves_many_items(self):
+        hash_int = int_hasher(3, "epoch")
+        assert [hash_int(i) for i in range(1000)] == [
+            stable_hash64(3, "epoch", i) for i in range(1000)
+        ]
+
+    def test_rejects_unsupported_prefix(self):
+        with pytest.raises(TypeError):
+            int_hasher(3.14)
