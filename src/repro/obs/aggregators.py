@@ -69,8 +69,16 @@ class LiveMetrics:
     def emit(self, event: MetricEvent) -> None:
         kind = event.kind
         with self._lock:
-            if event.time > self.sim_time:
-                self.sim_time = event.time
+            # Nothing expires unless the clock moved -- or this event is
+            # itself older than the window (a later run's clock restarting
+            # under the same aggregator) and may land at the head of an
+            # empty deque.
+            time = event.time
+            if time > self.sim_time:
+                self.sim_time = time
+                prune = True
+            else:
+                prune = time < self.sim_time - self.window
             if kind == "victim.arrival":
                 self.arrivals_total += 1
                 self.arrival_bytes_total += event.size
@@ -125,7 +133,8 @@ class LiveMetrics:
                 self.last_run = event.to_dict()
             elif kind == "campaign.progress":
                 self.campaign = event.to_dict()
-            self._prune(self.sim_time)
+            if prune:
+                self._prune(self.sim_time)
 
     def close(self) -> None:
         """Nothing to flush; the last snapshot stays readable."""

@@ -1,11 +1,11 @@
 """Flight recorder: JSONL record/replay for the event bus.
 
 :class:`JsonlSink` subscribes to an :class:`~repro.obs.bus.EventBus`
-like any other sink and writes every event as one JSON line — the exact
-``to_dict()`` payload the serve layer already streams over SSE.  The
-first line of every recording is a *header* carrying the schema version
-and run metadata, so a reader can refuse files it does not understand
-before parsing a single event.
+like any other sink and writes every event as one JSON line —
+:func:`repro.obs.events.encode_line`, the same bytes the serve layer
+streams over SSE.  The first line of every recording is a *header*
+carrying the schema version and run metadata, so a reader can refuse
+files it does not understand before parsing a single event.
 
 Paths ending in ``.gz`` are gzip-compressed transparently on write;
 readers do not trust the suffix and sniff the two gzip magic bytes
@@ -27,7 +27,7 @@ import os
 import threading
 from typing import IO, Iterator
 
-from repro.obs.events import MetricEvent, event_from_dict
+from repro.obs.events import MetricEvent, encode_line, event_from_dict
 
 #: Bumped when the header shape or event envelope changes incompatibly.
 SCHEMA_VERSION = 1
@@ -36,6 +36,11 @@ SCHEMA_VERSION = 1
 SCHEMA_NAME = "repro.obs.recording"
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+#: Lines held before one write.  A gzip write per event costs more than
+#: encoding the event; a few hundred lines (~50 KiB) amortise it away
+#: and keep the pending tail small.
+_BATCH_LINES = 512
 
 
 class RecordingError(ValueError):
@@ -56,44 +61,57 @@ class JsonlSink:
         see without scanning events).
 
     The sink is thread-safe (campaign demux threads may emit
-    concurrently) and buffers through the underlying file object; call
-    :meth:`close` (or use it as a context manager) to flush the tail.
+    concurrently) and holds up to ``_BATCH_LINES`` encoded lines before
+    each write; call :meth:`close` (or use it as a context manager) to
+    write the tail.  ``emit`` after ``close`` is a no-op.
     """
 
     def __init__(self, path: str, metadata: dict | None = None) -> None:
         self.path = str(path)
         self.events_written = 0
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        if self.path.endswith(".gz"):
-            self._file: IO[str] = gzip.open(
-                self.path, "wt", encoding="utf-8", newline="\n"
-            )
-        else:
-            self._file = open(
-                self.path, "w", encoding="utf-8", newline="\n"
-            )
-        self._lock = threading.Lock()
         header = {
             "schema": SCHEMA_NAME,
             "version": SCHEMA_VERSION,
             "metadata": metadata or {},
         }
-        self._file.write(json.dumps(header, separators=(",", ":")) + "\n")
+        self._lines = [json.dumps(header, separators=(",", ":")) + "\n"]
+        parent = os.path.dirname(self.path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        if self.path.endswith(".gz"):
+            # Level 6 (zlib's default), not gzip.open's 9: on an event
+            # stream 9 buys 6% smaller files for twice the deflate time.
+            self._file: IO[bytes] | None = gzip.open(
+                self.path, "wb", compresslevel=6
+            )
+        else:
+            self._file = open(self.path, "wb")
+        self._lock = threading.Lock()
 
     def emit(self, event: MetricEvent) -> None:
         """Append one event as a JSON line."""
-        line = json.dumps(event.to_dict(), separators=(",", ":"))
+        line = encode_line(event)
         with self._lock:
-            self._file.write(line + "\n")
+            if self._file is None:
+                return
+            lines = self._lines
+            lines.append(line)
             self.events_written += 1
+            if len(lines) >= _BATCH_LINES:
+                self._file.write("".join(lines).encode("utf-8"))
+                lines.clear()
 
     def close(self) -> None:
-        """Flush and close the file (idempotent)."""
+        """Write the tail and close the file (idempotent)."""
         with self._lock:
-            if not self._file.closed:
-                self._file.close()
+            file, self._file = self._file, None
+            if file is None:
+                return
+            try:
+                file.write("".join(self._lines).encode("utf-8"))
+            finally:
+                self._lines.clear()
+                file.close()
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -44,7 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.aggregators import AtrDrilldown, FlowDrilldown, LiveMetrics
 from repro.obs.bus import EventBus
-from repro.obs.events import MetricEvent
+from repro.obs.events import MetricEvent, encode_line
 from repro.obs.exposition import render_prometheus
 
 #: Event kinds the drill-down aggregators fold (the per-packet kinds the
@@ -100,7 +100,7 @@ class SSEBroker:
     # ------------------------------------------------------------ sink API
 
     def emit(self, event: MetricEvent) -> None:
-        self.publish(event.to_dict())
+        self._offer(encode_line(event)[:-1])
 
     def close(self) -> None:
         """Wake every client with the end-of-stream sentinel."""
@@ -116,8 +116,11 @@ class SSEBroker:
     # --------------------------------------------------------- broker API
 
     def publish(self, payload: dict) -> None:
-        """Serialize once, offer to every client, drop (counted) on full."""
-        line = json.dumps(payload, separators=(",", ":"))
+        """Offer a non-event payload (the periodic ``live.snapshot``)."""
+        self._offer(json.dumps(payload, separators=(",", ":")))
+
+    def _offer(self, line: str) -> None:
+        """One serialized line to every client, drop (counted) on full."""
         dropped = 0
         with self._lock:
             clients = list(self._clients)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.obs.events import MetricEvent
+from repro.obs.events import MetricEvent, encode_line
 
 #: Kinds that ride the block buffer; everything else forces a flush.
 _BUFFERED_KINDS = frozenset({"victim.arrival", "defense.decision"})
@@ -39,10 +39,9 @@ class StdoutJsonSink:
         self.events_written = 0
 
     def emit(self, event: MetricEvent) -> None:
-        payload = event.to_dict()
-        self._stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        self._stream.write(encode_line(event))
         self.events_written += 1
-        if payload["kind"] not in _BUFFERED_KINDS:
+        if event.kind not in _BUFFERED_KINDS:
             self._stream.flush()
 
     def close(self) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
+from repro.obs.events import LinkDrop
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue, PacketQueue
 
@@ -205,8 +206,6 @@ class SimplexLink:
         """Publish one ``link.drop`` event (bus attached and listening)."""
         bus = self.bus
         if bus is not None and bus:
-            from repro.obs.events import LinkDrop
-
             bus.emit(LinkDrop(self.sim.now, self.name, reason))
 
     def stats(self) -> dict:

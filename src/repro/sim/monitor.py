@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.obs.events import EngineStats, MonitorSnapshot
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
@@ -118,8 +120,6 @@ class TrafficMonitor:
         bus = self.bus
         if not bus:
             return
-        from repro.obs.events import EngineStats, MonitorSnapshot
-
         bus.emit(MonitorSnapshot(
             time=snapshot.time,
             epoch=len(self.snapshots),

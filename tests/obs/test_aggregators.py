@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.timeseries import BandwidthSeries, StreamingBandwidthSeries
 from repro.obs import (
@@ -194,6 +196,55 @@ class TestLiveMetrics:
         assert snap["drops_per_second"] == 0.0
         assert snap["verdicts_per_second"] == 0.0
         assert snap["arrivals_total"] == 1  # totals never decay
+
+
+class _PruneEveryEvent(LiveMetrics):
+    """The reference: prune after every event, advanced clock or not."""
+
+    def emit(self, event) -> None:
+        super().emit(event)
+        with self._lock:
+            self._prune(self.sim_time)
+
+
+_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=6.0),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+)
+_WINDOW_EVENTS = st.one_of(
+    st.builds(VictimArrival, time=_TIMES, size=st.integers(40, 1500),
+              is_attack=st.booleans()),
+    st.builds(_drop, _TIMES, st.integers(1, 5)),
+    st.builds(_verdict, _TIMES, st.integers(1, 5), st.just("cut")),
+    st.builds(LinkDrop, time=_TIMES, link=st.just("l"), reason=st.just("hook")),
+)
+
+
+class TestPruneOnlyWhenItCanMatter:
+    @given(st.lists(_WINDOW_EVENTS, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_state_as_pruning_after_every_event(self, events):
+        """Pruning is skipped unless the clock moved or the event itself
+        is already expired; after every event — in order, out of order,
+        a second run restarting at 0 — windows and snapshot are those of
+        an aggregator that always prunes."""
+        live, reference = LiveMetrics(window=1.0), _PruneEveryEvent(window=1.0)
+        for event in events:
+            live.emit(event)
+            reference.emit(event)
+            assert live._arrival_window == reference._arrival_window
+            assert live._drop_window == reference._drop_window
+            assert live._verdict_window == reference._verdict_window
+        assert live.snapshot() == reference.snapshot()
+
+    def test_expired_event_under_a_restarted_clock_is_dropped_at_once(self):
+        live = LiveMetrics(window=1.0)
+        live.emit(MonitorSnapshot(time=5.0, epoch=1, n_sources=1,
+                                  n_destinations=1, ingress_total=1.0,
+                                  egress_total=1.0))
+        live.emit(VictimArrival(time=0.1, size=1000, is_attack=False))
+        assert live.snapshot()["arrival_kbps"] == 0.0
+        assert len(live._arrival_window) == 0
 
 
 class TestFlowDrilldown:

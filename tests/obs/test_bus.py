@@ -71,6 +71,45 @@ class TestEventBus:
         ]
         assert [e.kind for e in arrivals_only.events] == ["victim.arrival"]
 
+    def test_subscriptions_after_a_kind_was_seen_take_effect(self):
+        """Delivery is routed per kind on first sight of the kind; a
+        later subscribe or unsubscribe must redo the routing."""
+        calls = []
+
+        def tag(name):
+            return CallbackSink(lambda e: calls.append((name, e.kind)))
+
+        from repro.obs import Verdict
+
+        verdict = Verdict(time=1.0, label=3, verdict="cut", truth="attack")
+        bus = EventBus()
+        first = bus.subscribe(tag("first"))
+        bus.emit(_arrival())
+        bus.emit(verdict)
+        filtered = bus.subscribe(tag("filtered"), kinds=("victim.arrival",))
+        bus.subscribe(tag("last"))
+        bus.emit(_arrival())
+        bus.emit(verdict)
+        bus.unsubscribe(first)
+        bus.emit(_arrival())
+        bus.unsubscribe(filtered)
+        bus.emit(_arrival())
+        assert calls == [
+            ("first", "victim.arrival"), ("first", "defense.verdict"),
+            ("first", "victim.arrival"), ("filtered", "victim.arrival"),
+            ("last", "victim.arrival"),
+            ("first", "defense.verdict"), ("last", "defense.verdict"),
+            ("filtered", "victim.arrival"), ("last", "victim.arrival"),
+            ("last", "victim.arrival"),
+        ]
+
+    def test_same_sink_subscribed_twice_delivers_twice(self):
+        bus = EventBus()
+        sink = bus.subscribe(BufferedSink())
+        bus.subscribe(sink, kinds=("victim.arrival",))
+        bus.emit(_arrival())
+        assert len(sink) == 2
+
     def test_empty_kinds_rejected(self):
         with pytest.raises(ValueError):
             EventBus().subscribe(BufferedSink(), kinds=())

@@ -3,6 +3,8 @@
 import dataclasses
 import gzip
 import json
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.obs.events import (
     event_from_dict,
 )
 from repro.obs.recorder import (
+    _BATCH_LINES as BATCH_LINES,
     SCHEMA_NAME,
     SCHEMA_VERSION,
     JsonlSink,
@@ -85,6 +88,77 @@ class TestJsonlSink:
         sink.close()
         sink.close()
 
+    @pytest.mark.parametrize("name", ["r.jsonl", "r.jsonl.gz"])
+    def test_emit_after_close_is_a_noop(self, tmp_path, name):
+        """A sink must never raise from emit, and a closed recorder has
+        nowhere to put a line: it drops it, counts nothing, holds nothing."""
+        path = tmp_path / name
+        sink = _record(path, SAMPLE_EVENTS)
+        before = path.read_bytes()
+        for _ in range(3 * BATCH_LINES):
+            sink.emit(SAMPLE_EVENTS[1])
+        sink.close()
+        assert sink.events_written == len(SAMPLE_EVENTS)
+        assert sink._lines == []
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("count", [
+        0, 1, BATCH_LINES - 2, BATCH_LINES - 1, BATCH_LINES,
+        2 * BATCH_LINES + 7,
+    ])
+    def test_batch_boundaries_lose_and_repeat_nothing(self, tmp_path, count):
+        """The header rides the first batch; whatever the count relative
+        to the batch size, the file is header + every event, in order."""
+        events = [
+            VictimArrival(time=i * 0.001, size=i, is_attack=bool(i % 2))
+            for i in range(count)
+        ]
+        path = tmp_path / "r.jsonl.gz"
+        sink = _record(path, events, metadata={"n": count})
+        lines = gzip.open(path, "rt").read().splitlines()
+        assert json.loads(lines[0])["metadata"] == {"n": count}
+        assert lines[1:] == [
+            json.dumps(e.to_dict(), separators=(",", ":")) for e in events
+        ]
+        assert sink.events_written == count
+
+    def test_concurrent_emitters_write_whole_lines(self, tmp_path):
+        """Campaign demux threads share one recorder: every line must
+        come out whole and every event exactly once."""
+        threads, per_thread = 4, 3 * BATCH_LINES + 11
+        path = tmp_path / "r.jsonl.gz"
+        sink = JsonlSink(str(path))
+        start = threading.Barrier(threads)
+
+        def emitter(worker: int) -> None:
+            start.wait(timeout=30)
+            for i in range(per_thread):
+                sink.emit(DefenseDecision(
+                    time=float(i), action="drop", reason="probe",
+                    truth="attack", flow=i, atr=f"atr{worker}",
+                ))
+
+        workers = [
+            threading.Thread(target=emitter, args=(n,)) for n in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        sink.close()
+        assert sink.events_written == threads * per_thread
+        back = list(open_recording(str(path)).events())
+        assert len(back) == threads * per_thread
+        for worker in range(threads):
+            mine = [e.flow for e in back if e.atr == f"atr{worker}"]
+            assert mine == list(range(per_thread))
+
 
 class TestOpenRecording:
     def test_empty_file_rejected(self, tmp_path):
@@ -152,6 +226,37 @@ class TestOpenRecording:
         with pytest.raises(RecordingError, match="truncated"):
             list(open_recording(str(path)).events())
 
+    def test_gzip_cut_at_any_offset_is_a_clean_prefix_then_truncated(
+        self, tmp_path
+    ):
+        """Whatever byte a dying recorder stopped at, a reader gets whole
+        events in order and then ``truncated`` — never half a line parsed
+        as an event, never a bare ``EOFError``."""
+        events = [
+            DefenseDecision(
+                time=i * 0.37, action="drop", reason="probe", truth="attack",
+                flow=(i * 2654435761) % 2 ** 48, atr=f"atr{i % 7}",
+            )
+            for i in range(400)
+        ]
+        whole = tmp_path / "whole.jsonl.gz"
+        _record(whole, events)
+        data = whole.read_bytes()
+        assert list(open_recording(str(whole)).events()) == events
+        cut = tmp_path / "cut.jsonl.gz"
+        longest = 0
+        for offset in range(len(data)):
+            cut.write_bytes(data[:offset])
+            seen = []
+            with pytest.raises(RecordingError) as failure:
+                for event in open_recording(str(cut)).events():
+                    seen.append(event)
+            assert seen == events[:len(seen)], offset
+            if seen:
+                assert "truncated" in str(failure.value), offset
+            longest = max(longest, len(seen))
+        assert longest > len(events) // 2  # the prefix really grows
+
     def test_events_iterable_more_than_once(self, tmp_path):
         path = tmp_path / "r.jsonl"
         _record(path, SAMPLE_EVENTS)
@@ -202,3 +307,47 @@ class TestRecordingARun:
         assert count == sink.events_written > 0
         assert recording.unknown_kinds == 0
         assert refolded.snapshot() == live.snapshot()
+
+
+class _Bomb:
+    """A sink that kills the run it observes after ``fuse`` events."""
+
+    def __init__(self, fuse: int) -> None:
+        self.fuse = fuse
+
+    def emit(self, event) -> None:
+        self.fuse -= 1
+        if self.fuse <= 0:
+            raise RuntimeError("boom mid-simulation")
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fuse", [40, 700])
+def test_a_run_that_dies_mid_simulation_leaves_a_whole_recording(
+    tmp_path, monkeypatch, fuse
+):
+    """``repro run --record`` closes the recorder in ``finally``: the
+    events emitted before the crash are all on disk, last line whole,
+    whether or not a batch had been written yet."""
+    from repro.experiments import cli
+
+    def exploding_run(config, bus=None):
+        bus.subscribe(_Bomb(fuse))
+        return run_experiment(config, bus=bus)
+
+    monkeypatch.setattr(cli, "run_experiment", exploding_run)
+    path = tmp_path / "crash.jsonl.gz"
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main([
+            "run", "--flows", "8", "--routers", "6", "--seed", "3",
+            "--record", str(path),
+        ])
+    text = gzip.open(path, "rt").read()
+    assert text.endswith("}\n")
+    recording = open_recording(str(path))
+    assert recording.metadata["command"] == "run"
+    events = list(recording.events())
+    assert len(events) == fuse == text.count("\n") - 1
+    assert events[0].kind == "run.started"
