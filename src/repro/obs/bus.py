@@ -121,55 +121,20 @@ class _Subscription:
         self.kinds = kinds
 
 
-class _Routes(dict):
-    """kind -> the bound ``emit`` of every sink subscribed to that kind,
-    in attachment order; a kind's route is worked out on first sight."""
-
-    __slots__ = ("_subs",)
-
-    def __init__(self, subs: list[_Subscription]) -> None:
-        self._subs = subs
-
-    def __missing__(self, kind: str) -> tuple[Callable[[MetricEvent], None], ...]:
-        route = self[kind] = tuple(
-            sub.sink.emit for sub in self._subs
-            if sub.kinds is None or kind in sub.kinds
-        )
-        return route
-
-
 class EventBus:
     """Synchronous fan-out of metric events to subscribed sinks.
 
     Falsy while no sink is subscribed — producers use that to skip
     event construction entirely.  ``emit`` forwards to subscribers in
     attachment order; a ``kinds`` filter restricts a subscriber to a
-    subset of event kinds without burdening the others: which sinks a
-    kind reaches is decided once per kind, not once per event.
+    subset of event kinds without burdening the others.
     """
 
     def __init__(self) -> None:
         self._subs: list[_Subscription] = []
-        self._reroute()
 
     def __bool__(self) -> bool:
         return bool(self._subs)
-
-    def _reroute(self) -> None:
-        """Redo the routing after a subscription change.
-
-        Both tables are replaced, never edited in place, so an ``emit``
-        racing a ``subscribe`` on another thread delivers by the old
-        routing or the new, not by a mixture.
-        """
-        subs = self._subs
-        self._routes = _Routes(subs)
-        #: With no kind filter anywhere every kind has the same route,
-        #: and ``emit`` need not even read the event's kind.
-        self._broadcast = (
-            None if any(sub.kinds is not None for sub in subs)
-            else tuple(sub.sink.emit for sub in subs)
-        )
 
     def subscribe(
         self, sink: MetricSink, kinds: Iterable[str] | None = None
@@ -183,21 +148,18 @@ class EventBus:
         if kindset is not None and not kindset:
             raise ValueError("kinds must be None or non-empty")
         self._subs.append(_Subscription(sink, kindset))
-        self._reroute()
         return sink
 
     def unsubscribe(self, sink: MetricSink) -> None:
         """Detach every subscription of ``sink`` (missing is a no-op)."""
         self._subs = [sub for sub in self._subs if sub.sink is not sink]
-        self._reroute()
 
     def emit(self, event: MetricEvent) -> None:
         """Deliver one event to every matching subscriber, in order."""
-        route = self._broadcast
-        if route is None:
-            route = self._routes[event.kind]
-        for deliver in route:
-            deliver(event)
+        kind = event.kind
+        for sub in self._subs:
+            if sub.kinds is None or kind in sub.kinds:
+                sub.sink.emit(event)
 
     def close(self) -> None:
         """Close every subscriber (each at most once, attachment order)."""

@@ -98,8 +98,12 @@ class JsonlSink:
             lines.append(line)
             self.events_written += 1
             if len(lines) >= _BATCH_LINES:
-                self._file.write("".join(lines).encode("utf-8"))
-                lines.clear()
+                try:
+                    self._file.write("".join(lines).encode("utf-8"))
+                finally:
+                    # A failed write (ENOSPC, EIO) loses its batch: kept,
+                    # it would be re-joined and re-written on every emit.
+                    lines.clear()
 
     def close(self) -> None:
         """Write the tail and close the file (idempotent)."""

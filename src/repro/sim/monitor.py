@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.obs.bus import NULL_BUS
 from repro.obs.events import EngineStats, MonitorSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,8 +72,6 @@ class TrafficMonitor:
         reset_each_epoch: bool = True,
         bus=None,
     ) -> None:
-        from repro.obs.bus import NULL_BUS
-
         if period <= 0:
             raise ValueError("period must be positive")
         self.sim = sim

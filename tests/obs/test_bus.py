@@ -72,8 +72,8 @@ class TestEventBus:
         assert [e.kind for e in arrivals_only.events] == ["victim.arrival"]
 
     def test_subscriptions_after_a_kind_was_seen_take_effect(self):
-        """Delivery is routed per kind on first sight of the kind; a
-        later subscribe or unsubscribe must redo the routing."""
+        """A subscribe or unsubscribe after a kind was first delivered
+        takes effect on the next event of that kind."""
         calls = []
 
         def tag(name):

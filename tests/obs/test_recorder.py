@@ -16,6 +16,7 @@ from repro.obs.events import (
     RunStarted,
     Verdict,
     VictimArrival,
+    encode_line,
     event_from_dict,
 )
 from repro.obs.recorder import (
@@ -121,6 +122,36 @@ class TestJsonlSink:
             json.dumps(e.to_dict(), separators=(",", ":")) for e in events
         ]
         assert sink.events_written == count
+
+    def test_a_failed_batch_write_is_dropped_not_retried(self, tmp_path):
+        """A full disk fails one batch; kept, that batch would be joined
+        and written again on every later emit, growing each time."""
+
+        class FullDisk:
+            def __init__(self) -> None:
+                self.sizes: list[int] = []
+
+            def write(self, data: bytes) -> int:
+                self.sizes.append(len(data))
+                raise OSError(28, "No space left on device")
+
+            def close(self) -> None:
+                pass
+
+        sink = JsonlSink(str(tmp_path / "r.jsonl"))
+        sink._file.close()
+        disk = sink._file = FullDisk()
+        failures = 0
+        for _ in range(3 * BATCH_LINES):
+            try:
+                sink.emit(SAMPLE_EVENTS[1])
+            except OSError:
+                failures += 1
+                assert sink._lines == []
+        assert failures == len(disk.sizes) == 3
+        # No batch carries an earlier one (the first held the header).
+        batch = BATCH_LINES * len(encode_line(SAMPLE_EVENTS[1]))
+        assert disk.sizes[1:] == [batch, batch]
 
     def test_concurrent_emitters_write_whole_lines(self, tmp_path):
         """Campaign demux threads share one recorder: every line must
