@@ -24,9 +24,7 @@ batch hot path fails the build.  ``live-sink`` and
 ``recording`` are *observed* modes: they may cost real work per event,
 but each carries its own budget (``MAX_LIVE_OVERHEAD`` /
 ``MAX_RECORDING_OVERHEAD``) so an accidental quadratic fold or
-per-event fsync can't land silently.  The pinned ``BENCH_engine.json``
-"overhauled" wall is reported alongside for cross-PR context but never
-gated on (different machine states would make it flaky).
+per-event fsync can't land silently.
 
 ``--check`` is the CI mode: a tiny scenario, invariants only (bit
 identity, live-sink saw events, a record→read-back→refold round-trip
@@ -267,13 +265,6 @@ def main() -> int:
         name for name, budget in budgets.items()
         if overheads[name] > budget
     ]
-    engine_path = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-    pinned_wall = None
-    if engine_path.exists():
-        pinned_wall = json.loads(engine_path.read_text())["wall_seconds"].get(
-            "overhauled"
-        )
-
     record = {
         "benchmark": "observability_overhead",
         "scenario": "paper_default (Table II)",
@@ -292,7 +283,6 @@ def main() -> int:
         "max_idle_overhead": MAX_IDLE_OVERHEAD,
         "max_live_overhead": MAX_LIVE_OVERHEAD,
         "max_recording_overhead": MAX_RECORDING_OVERHEAD,
-        "pinned_engine_overhauled_wall": pinned_wall,
         "live_sink_arrivals_folded": snap.get("arrivals_total"),
         "recording_roundtrip_ok": not roundtrip_failures,
         "note": (
@@ -304,8 +294,7 @@ def main() -> int:
             "every event — what `repro serve` pays while someone is "
             "watching) and recording (a JsonlSink gzip flight recording, "
             "the --record worst case) do real per-event work and carry "
-            "their own looser budgets.  The pinned engine wall is "
-            "context only; cross-process walls are never gated."
+            "their own looser budgets.  Cross-process walls are never gated."
         ),
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

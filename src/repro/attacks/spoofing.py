@@ -79,25 +79,19 @@ def make_spoofer(
     and hence a fresh flow identity.
     """
     if not model.rotate_per_packet:
-        from repro.perf import FLAGS
-
         fixed = _draw_address(model, space, rng, true_address)
         # Every packet of the flow carries the sender's one FlowKey, so
         # the rewritten key is constant too: build it once and reuse it
         # (keyed on input identity, in case a caller varies the flow).
-        cache: dict[FlowKey, FlowKey] | None = (
-            {} if FLAGS.hot_path_caches else None
-        )
+        cache: dict[FlowKey, FlowKey] = {}
 
         def stable_spoof(packet: Packet) -> Packet:
             flow = packet.flow
-            spoofed = cache.get(flow) if cache is not None else None
+            spoofed = cache.get(flow)
             if spoofed is None:
-                spoofed = FlowKey(
+                spoofed = cache[flow] = FlowKey(
                     fixed, flow.dst_ip, flow.src_port, flow.dst_port
                 )
-                if cache is not None:
-                    cache[flow] = spoofed
             packet.flow = spoofed
             return packet
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf import FLAGS
 from repro.sim.packet import FlowKey, Packet
 
 
@@ -50,6 +49,5 @@ def label_of_packet(packet: Packet) -> FlowLabel:
     label = key._label
     if label is None:
         label = FlowLabel(key._hash64)
-        if FLAGS.hot_path_caches:
-            object.__setattr__(key, "_label", label)
+        object.__setattr__(key, "_label", label)
     return label

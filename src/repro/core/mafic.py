@@ -139,27 +139,19 @@ class MaficAgent:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.address_space = address_space
         if policy is None:
-            from repro.perf import FLAGS
+            # This agent owns every draw on its stream (the gate in
+            # _handle_suspicious and the policy's Bernoulli), so both
+            # can share one prefetched buffer — same values, same
+            # order, minus a numpy scalar dispatch per examined
+            # packet.  An injected policy keeps the raw stream: the
+            # agent cannot know who else draws from it.
+            from repro.util.rng import UniformBuffer, UniformSource
 
-            if FLAGS.batched_sources:
-                # This agent owns every draw on its stream (the gate in
-                # _handle_suspicious and the policy's Bernoulli), so both
-                # can share one prefetched buffer — same values, same
-                # order, minus a numpy scalar dispatch per examined
-                # packet.  An injected policy keeps the raw stream: the
-                # agent cannot know who else draws from it.
-                from repro.util.rng import UniformBuffer, UniformSource
-
-                buffer = UniformBuffer(self._rng)
-                self._draw_uniform = buffer.next
-                policy = AdaptiveMaficPolicy(
-                    self.config.drop_probability, UniformSource(buffer)
-                )
-            else:
-                policy = AdaptiveMaficPolicy(
-                    self.config.drop_probability, self._rng
-                )
-                self._draw_uniform = self._scalar_uniform
+            buffer = UniformBuffer(self._rng)
+            self._draw_uniform = buffer.next
+            policy = AdaptiveMaficPolicy(
+                self.config.drop_probability, UniformSource(buffer)
+            )
         else:
             self._draw_uniform = self._scalar_uniform
         self.policy = policy

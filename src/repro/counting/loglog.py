@@ -169,18 +169,15 @@ class LogLogLinkCounter:
     """
 
     def __init__(self, router_name: str, k: int = 10, salt: int = 0) -> None:
-        from repro.perf import FLAGS
-
         self.router_name = router_name
         self.sketch = LogLogCounter(k=k, salt=salt)
         self.packets_seen = 0
-        self._memo_items = FLAGS.hot_path_caches
 
     def on_packet(self, packet, link, now: float) -> bool:
         """Count the packet; never consumes it."""
         if packet.ptype is _DATA:
             sketch = self.sketch
-            if sketch.salt == 0 and self._memo_items:
+            if sketch.salt == 0:
                 # Both the ingress and the victim counter hash the same
                 # uid with the default salt; memoize the item hash on the
                 # packet so the FNV mix runs once per packet, not per hook.

@@ -128,7 +128,8 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     run_p.add_argument(
         "--engine-info", action="store_true",
         help="print which engine core is active (compiled C extension "
-        "or pure Python) and exit",
+        "or pure Python), the sha256 of _corec.c and the stamp of the "
+        "extension built from it, and exit",
     )
     run_p.add_argument(
         "--list", dest="list_components", default=None,
@@ -300,8 +301,15 @@ def _print_engine_info() -> int:
 
     info = core_info()
     print(f"engine core: {info['impl']} ({info['module']})")
+    print(f"_corec.c sha256: {info['source_hash'] or 'no source here'}")
+    if info["built_hash"]:
+        print(f"extension stamp: {info['built_hash']}")
     if info["forced_pure"]:
         print("REPRO_NO_COMPILED is set: the pure-Python engine is forced")
+    elif info["refused_hash"]:
+        print(f"compiled extension refused: it is stamped "
+              f"{info['refused_hash']}, built from another _corec.c; "
+              "rebuild it with `python setup.py build_ext --inplace`")
     elif info["impl"] == "pure":
         print("compiled extension not built; build it with "
               "`python setup.py build_ext --inplace`")

@@ -61,10 +61,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Build (unless given), run to ``config.duration``, and summarize.
 
-    The packet free-list pool is enabled for the duration of the run
-    (unless ``repro.perf.FLAGS.packet_pool`` is off): the simulation
-    never retains a delivered or dropped packet, so recycling is safe
-    here, while unit tests that hold raw packets run with the pool off.
+    The packet free-list pool is enabled for the duration of the run:
+    the simulation never retains a delivered or dropped packet, so
+    recycling is safe here, while unit tests that hold raw packets run
+    with the pool off.
 
     Observability (all off by default, and provably free when off —
     the golden master pins every combination bit-exact):
@@ -84,7 +84,6 @@ def run_experiment(
         loop just pauses at slice boundaries); the serve layer uses it
         for wall-clock pacing and Ctrl-C responsiveness.
     """
-    from repro.perf import FLAGS
     from repro.sim.packet import enable_packet_pool, reset_packet_ids
 
     reduction_window = config.mafic.probe_window(None)
@@ -112,9 +111,7 @@ def run_experiment(
         )
 
     reset_packet_ids()
-    pooled = FLAGS.packet_pool
-    if pooled:
-        enable_packet_pool(True)
+    enable_packet_pool(True)
     try:
         if scenario is None:
             scenario = build_scenario(
@@ -129,8 +126,7 @@ def run_experiment(
             _run_sliced(scenario.sim, config.duration, slice_seconds, on_slice)
         wall = time.perf_counter() - started
     finally:
-        if pooled:
-            enable_packet_pool(False)
+        enable_packet_pool(False)
 
     summary = summarize(
         scenario.defense_collector,
@@ -188,7 +184,7 @@ def _run_sliced(sim, duration: float, slice_seconds, on_slice) -> None:
 
 def _emit_run_started(bus, config: ExperimentConfig) -> None:
     from repro.obs.events import RunStarted
-    from repro.sim._core import core_info
+    from repro.sim._core import ENGINE_IMPL
 
     bus.emit(RunStarted(
         time=0.0,
@@ -199,7 +195,7 @@ def _emit_run_started(bus, config: ExperimentConfig) -> None:
             f"{config.attack}/{config.defense}"
         ),
         duration=config.duration,
-        engine=core_info()["impl"],
+        engine=ENGINE_IMPL,
     ))
 
 

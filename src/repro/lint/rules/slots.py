@@ -29,10 +29,7 @@ from repro.lint.findings import Finding
 #: module -> class names that must declare ``__slots__``.
 HOT_CLASSES: dict[str, tuple[str, ...]] = {
     "repro.sim.packet": ("FlowKey", "Packet", "_PacketPool"),
-    "repro.sim.engine": (
-        "Event", "_PooledEvent", "SeriesEvent", "_HeapQueue",
-        "_CalendarQueue",
-    ),
+    "repro.sim.engine": ("Event", "SeriesEvent"),
     "repro.obs.bus": ("_Subscription",),
 }
 

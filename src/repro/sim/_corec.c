@@ -1,20 +1,21 @@
 /* Compiled engine core: Event / SeriesEvent / Simulator in C.
  *
  * A hand-written CPython extension mirroring repro/sim/engine.py
- * statement for statement where it matters: both queue backends (binary
- * heap and calendar queue), series events, the pooled fire-and-forget
- * path (schedule_anon), and lazy postpone.  The contract is *bit-exact
- * equivalence* with the pure-Python engine — same (time, priority, seq)
- * total order, same seq draws on every path (including error paths:
- * validation happens before the seq draw, exactly like the pure code),
- * same counters in queue_stats(), same exception types and messages.
+ * statement for statement where it matters: the binary heap, series
+ * events, handle-free fire-and-forget events (schedule_anon), and lazy
+ * postpone.  The contract is *bit-exact equivalence* with the
+ * pure-Python engine — same (time, priority, seq) total order, same seq
+ * draws on every path (including error paths: validation happens before
+ * the seq draw, exactly like the pure code), same counters in
+ * queue_stats(), same exception types and messages.
  *
  * The golden-master suite and the scheduler fuzz test pin this: any
  * divergence from engine.py is a bug here, not a tolerance.
  *
- * Built optionally (setup.py marks the extension optional); the selector
- * in repro/sim/_core.py falls back to the pure engine when this module
- * is absent or REPRO_NO_COMPILED is set.
+ * Built optionally (setup.py marks the extension optional, and stamps it
+ * with a hash of this file); the selector in repro/sim/_core.py falls
+ * back to the pure engine when this module is absent, was built from
+ * some other state of this file, or REPRO_NO_COMPILED is set.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -26,22 +27,22 @@
 /* ---------------------------------------------------------------- tuning */
 
 #define COMPACT_MIN_DEAD 64   /* never compact below this many dead */
-#define EV_POOL_MAX 4096      /* free-list cap per simulator */
 
-#define CAL_MIN_BUCKETS 64
-#define CAL_MAX_BUCKETS (1 << 15)
-#define CAL_MIN_WIDTH 1e-9
-#define CAL_MAX_WIDTH 1e6
-#define CAL_INIT_BUCKETS 256
-#define CAL_INIT_WIDTH (1.0 / 1024.0)
+/* sha256 of this file at build time (-D from setup.py); compared with
+ * the source on disk by repro/sim/_core.py. */
+#ifndef COREC_SOURCE_HASH
+#define COREC_SOURCE_HASH "unstamped"
+#endif
 
-enum { EV_PLAIN = 0, EV_POOLED = 1, EV_SERIES = 2 };
-enum { BACKEND_HEAP = 0, BACKEND_CALENDAR = 1 };
+enum { EV_PLAIN = 0, EV_SERIES = 1 };
 
 /* ------------------------------------------------------------- entries */
 
 /* One queued entry: the (time, priority, seq) tuple of the pure engine,
- * flattened into a struct.  `ev` is a strong reference. */
+ * flattened into a struct.  `ev` is a strong reference: to the handle,
+ * or — a handle-free schedule_anon entry — to that call's own argument
+ * tuple (time, fn, *args), which is all there is to remember of it.
+ * Nothing can cancel or postpone such an entry; it is always live. */
 typedef struct {
     double time;
     long prio;
@@ -49,8 +50,7 @@ typedef struct {
     PyObject *ev;
 } Entry;
 
-/* A growable Entry array, used both as a binary heap (heap backend,
- * calendar buckets, overflow) and as a plain vector (resize staging). */
+/* A growable Entry array, kept as a binary heap. */
 typedef struct {
     Entry *a;
     Py_ssize_t len;
@@ -144,17 +144,6 @@ eheap_pop(EVec *v)
     return top;
 }
 
-/* Append without sifting (valid only when e sorts >= every element, as
- * in ascending migration from the overflow heap). */
-static int
-evec_append(EVec *v, Entry e)
-{
-    if (evec_reserve(v, v->len + 1) < 0)
-        return -1;
-    v->a[v->len++] = e;
-    return 0;
-}
-
 static void
 eheap_heapify(EVec *v)
 {
@@ -187,7 +176,7 @@ typedef struct {
     PyObject *sim;     /* owning Simulator (strong ref; cycle via queue) */
     PyObject *times;   /* list of floats, series only */
     Py_ssize_t index;  /* series: position currently queued / just fired */
-    int kind;          /* EV_PLAIN / EV_POOLED / EV_SERIES */
+    int kind;          /* EV_PLAIN / EV_SERIES */
     char stop_flag;    /* series: end after the current firing */
     char queued;       /* series: an entry for this handle is in the queue */
 } CoreEvent;
@@ -196,49 +185,31 @@ typedef struct {
     PyObject_HEAD
     double now;
     long long next_seq;
-    long long live;          /* non-cancelled entries still queued */
     int running;
     int stopped;
-    int backend;
     long long events_executed;
-    /* shared queue counters (queue_stats) */
-    long long dead;
-    long long size;
+    /* queue counters (queue_stats); queued is heap.len, live the rest */
+    long long dead;          /* cancelled entries not yet discarded */
     long long peak;
     long long pushes;
-    long long resizes;
-    /* heap backend */
     EVec heap;
-    /* calendar backend */
-    EVec *buckets;
-    Py_ssize_t nbuckets;
-    double width, inv_width;
-    int anchored;
-    double start, end;
-    Py_ssize_t hint;
-    long long wheel_count;   /* entries (live + dead) in the wheel */
-    EVec over;               /* far-future overflow heap */
-    long long grow_at, shrink_at;
-    /* pooled fire-and-forget handles */
-    PyObject **ev_pool;      /* lazily allocated, EV_POOL_MAX slots */
-    Py_ssize_t ev_pool_len;
-    long long ev_created, ev_reused;
 } CoreSim;
 
 static PyTypeObject Event_Type;
 static PyTypeObject SeriesEvent_Type;
 static PyTypeObject Simulator_Type;
 
-static PyObject *empty_tuple;   /* shared (); also the pooled `times` marker */
+static PyObject *empty_tuple;   /* shared () */
 
-static int cal_push_core(CoreSim *sim, Entry e);
-static int cal_resize(CoreSim *sim, Py_ssize_t n);
+/* A handle-free entry holds an argument tuple where others hold a handle. */
+#define ENTRY_IS_ANON(e) PyTuple_CheckExact((e)->ev)
+
 static void sim_note_cancel(CoreSim *sim);
 
 /* ---------------------------------------------------------------- Event */
 
 /* Cancel bookkeeping shared by every kind: null the callback in place,
- * tell the simulator (live--, dead++, maybe compact).  Mirrors
+ * tell the simulator (dead++, maybe compact).  Mirrors
  * Event.cancel + Simulator._on_cancel in the pure engine. */
 static void
 event_cancel_impl(CoreEvent *ev)
@@ -247,11 +218,8 @@ event_cancel_impl(CoreEvent *ev)
         return;
     Py_CLEAR(ev->fn);
     Py_CLEAR(ev->args);
-    if (ev->sim != NULL) {
-        CoreSim *sim = (CoreSim *)ev->sim;
-        sim->live--;
-        sim_note_cancel(sim);
-    }
+    if (ev->sim != NULL)
+        sim_note_cancel((CoreSim *)ev->sim);
 }
 
 static PyObject *
@@ -378,17 +346,9 @@ static PyObject *
 event_get_times(PyObject *self, void *Py_UNUSED(closure))
 {
     CoreEvent *ev = (CoreEvent *)self;
-    switch (ev->kind) {
-    case EV_PLAIN:
+    if (ev->kind == EV_PLAIN || ev->times == NULL)
         Py_RETURN_NONE;
-    case EV_POOLED:
-        /* Non-None marker, like the pure _PooledEvent.times sentinel. */
-        return Py_NewRef(empty_tuple);
-    default:
-        if (ev->times == NULL)
-            Py_RETURN_NONE;
-        return Py_NewRef(ev->times);
-    }
+    return Py_NewRef(ev->times);
 }
 
 static PyObject *
@@ -508,8 +468,8 @@ static PyTypeObject SeriesEvent_Type = {
 
 /* ------------------------------------------------------ queue plumbing */
 
-/* Heap-backend compaction: drop every cancelled entry, re-file stale
- * (postponed) ones at their true deadlines, re-heapify. */
+/* Compaction: drop every cancelled entry, re-file stale (postponed)
+ * ones at their true deadlines, re-heapify. */
 static void
 heap_compact(CoreSim *sim)
 {
@@ -517,283 +477,101 @@ heap_compact(CoreSim *sim)
     Entry *a = heap->a;
     Py_ssize_t out = 0;
     for (Py_ssize_t i = 0; i < heap->len; i++) {
-        CoreEvent *ev = (CoreEvent *)a[i].ev;
-        if (ev->fn == NULL) {
-            Py_DECREF((PyObject *)ev);
-            continue;
-        }
-        if (a[i].seq != ev->seq) {
-            a[i].time = ev->time;
-            a[i].prio = ev->priority;
-            a[i].seq = ev->seq;
+        if (!ENTRY_IS_ANON(&a[i])) {
+            CoreEvent *ev = (CoreEvent *)a[i].ev;
+            if (ev->fn == NULL) {
+                Py_DECREF((PyObject *)ev);
+                continue;
+            }
+            if (a[i].seq != ev->seq) {
+                a[i].time = ev->time;
+                a[i].prio = ev->priority;
+                a[i].seq = ev->seq;
+            }
         }
         a[out++] = a[i];
     }
     heap->len = out;
     eheap_heapify(heap);
     sim->dead = 0;
-    sim->size = out;
 }
 
 static void
 sim_note_cancel(CoreSim *sim)
 {
     sim->dead++;
-    if (sim->dead > COMPACT_MIN_DEAD && sim->dead > sim->live) {
-        if (sim->backend == BACKEND_HEAP)
-            heap_compact(sim);
-        else if (cal_resize(sim, sim->nbuckets) < 0)
-            PyErr_Clear();   /* compaction is advisory; OOM only */
-    }
+    if (sim->dead > COMPACT_MIN_DEAD && sim->dead > sim->heap.len - sim->dead)
+        heap_compact(sim);
 }
 
-/* ------------------------------------------------------ calendar queue */
-
-static void
-cal_anchor(CoreSim *sim, double t)
-{
-    double width = sim->width;
-    sim->start = floor(t / width) * width;
-    sim->end = sim->start + (double)sim->nbuckets * width;
-    sim->hint = 0;
-    sim->anchored = 1;
-}
-
-/* Pull overflow entries that now fall inside the wheel window. */
-static int
-cal_migrate(CoreSim *sim)
-{
-    EVec *over = &sim->over;
-    double end = sim->end;
-    double start = sim->start;
-    double inv_width = sim->inv_width;
-    Py_ssize_t n = sim->nbuckets;
-    while (over->len && over->a[0].time < end) {
-        Entry e = eheap_pop(over);
-        CoreEvent *ev = (CoreEvent *)e.ev;
-        if (ev->fn == NULL) {
-            sim->dead--;
-            sim->size--;
-            Py_DECREF(e.ev);
-            continue;
-        }
-        Py_ssize_t i = (Py_ssize_t)((e.time - start) * inv_width);
-        if (i < 0)
-            i = 0;
-        else if (i >= n)
-            i = n - 1;
-        /* Ascending heap-pops appended to a bucket keep the bucket-heap
-         * invariant (a sorted suffix is a valid heap tail). */
-        if (evec_append(&sim->buckets[i], e) < 0) {
-            Py_DECREF(e.ev);
-            return -1;
-        }
-        sim->wheel_count++;
-    }
-    return 0;
-}
-
-/* Bucket width ~ 2x the median inter-event gap near the head (same
- * robust tuning rule as the pure engine: sort all times, look at the
- * soonest 128, drop zero gaps, take the median, clamp). */
-static int
-cmp_double(const void *pa, const void *pb)
-{
-    double a = *(const double *)pa, b = *(const double *)pb;
-    return (a > b) - (a < b);
-}
-
-static double
-cal_tune_width(CoreSim *sim, EVec *entries)
-{
-    Py_ssize_t n = entries->len;
-    if (n < 2)
-        return sim->width;
-    double *times = (double *)PyMem_Malloc((size_t)n * sizeof(double));
-    if (times == NULL)
-        return sim->width;   /* tuning is best-effort; keep the old width */
-    for (Py_ssize_t i = 0; i < n; i++)
-        times[i] = entries->a[i].time;
-    qsort(times, (size_t)n, sizeof(double), cmp_double);
-    Py_ssize_t head = n < 128 ? n : 128;
-    Py_ssize_t ngaps = 0;
-    double *gaps = times;   /* reuse in place: gaps fit before their sources */
-    for (Py_ssize_t i = 1; i < head; i++) {
-        double g = times[i] - times[i - 1];
-        if (g > 0.0)
-            gaps[ngaps++] = g;
-    }
-    if (ngaps == 0) {
-        PyMem_Free(times);
-        return sim->width;
-    }
-    qsort(gaps, (size_t)ngaps, sizeof(double), cmp_double);
-    double width = 2.0 * gaps[ngaps / 2];
-    PyMem_Free(times);
-    if (width < CAL_MIN_WIDTH)
-        width = CAL_MIN_WIDTH;
-    else if (width > CAL_MAX_WIDTH)
-        width = CAL_MAX_WIDTH;
-    return width;
-}
-
-/* Rebuild with n buckets and a re-tuned width (purges dead entries).
- * Mirrors _CalendarQueue._resize, including the counter save/restore:
- * re-filing existing entries is not churn. */
-static int
-cal_resize(CoreSim *sim, Py_ssize_t n)
-{
-    /* Collect live entries (re-filing stale ones); transfer the refs. */
-    EVec entries;
-    evec_init(&entries);
-    Py_ssize_t total = sim->wheel_count + sim->over.len;
-    if (total > 0 && evec_reserve(&entries, total) < 0)
-        return -1;
-    for (Py_ssize_t b = 0; b < sim->nbuckets; b++) {
-        EVec *bucket = &sim->buckets[b];
-        for (Py_ssize_t i = 0; i < bucket->len; i++) {
-            Entry e = bucket->a[i];
-            CoreEvent *ev = (CoreEvent *)e.ev;
-            if (ev->fn == NULL) {
-                Py_DECREF(e.ev);
-                continue;
-            }
-            if (e.seq != ev->seq) {
-                e.time = ev->time;
-                e.prio = ev->priority;
-                e.seq = ev->seq;
-            }
-            entries.a[entries.len++] = e;
-        }
-        bucket->len = 0;
-    }
-    for (Py_ssize_t i = 0; i < sim->over.len; i++) {
-        Entry e = sim->over.a[i];
-        CoreEvent *ev = (CoreEvent *)e.ev;
-        if (ev->fn == NULL) {
-            Py_DECREF(e.ev);
-            continue;
-        }
-        if (e.seq != ev->seq) {
-            e.time = ev->time;
-            e.prio = ev->priority;
-            e.seq = ev->seq;
-        }
-        entries.a[entries.len++] = e;
-    }
-    sim->over.len = 0;
-    sim->resizes++;
-
-    /* Reallocate the bucket array if the count changes. */
-    if (n != sim->nbuckets) {
-        for (Py_ssize_t b = 0; b < sim->nbuckets; b++)
-            evec_free(&sim->buckets[b]);
-        EVec *fresh = (EVec *)PyMem_Calloc((size_t)n, sizeof(EVec));
-        if (fresh == NULL) {
-            /* Roll back: keep the old geometry, re-push into it. */
-            n = sim->nbuckets;
-            fresh = sim->buckets;
-            memset(fresh, 0, (size_t)n * sizeof(EVec));
-        }
-        else {
-            PyMem_Free(sim->buckets);
-            sim->buckets = fresh;
-        }
-        sim->nbuckets = n;
-    }
-    sim->grow_at = 2 * n;
-    sim->shrink_at = n / 8;
-    sim->width = cal_tune_width(sim, &entries);
-    sim->inv_width = 1.0 / sim->width;
-    sim->wheel_count = 0;
-    sim->dead = 0;
-    sim->size = 0;
-    long long peak = sim->peak;
-    long long pushes = sim->pushes;
-    if (entries.len) {
-        double tmin = entries.a[0].time;
-        for (Py_ssize_t i = 1; i < entries.len; i++)
-            if (entries.a[i].time < tmin)
-                tmin = entries.a[i].time;
-        cal_anchor(sim, tmin);
-    }
-    else {
-        sim->anchored = 0;
-    }
-    int rc = 0;
-    for (Py_ssize_t i = 0; i < entries.len; i++) {
-        if (rc == 0 && cal_push_core(sim, entries.a[i]) < 0)
-            rc = -1;   /* OOM: drop remaining refs, report below */
-        else if (rc < 0)
-            Py_DECREF(entries.a[i].ev);
-    }
-    sim->peak = peak;
-    sim->pushes = pushes;
-    evec_free(&entries);
-    return rc;
-}
-
-/* Insert one entry (ref transferred) with full counter bookkeeping —
- * the _CalendarQueue.push of the pure engine. */
-static int
-cal_push_core(CoreSim *sim, Entry e)
-{
-    sim->pushes++;
-    double t = e.time;
-    if (!sim->anchored)
-        cal_anchor(sim, t);
-    if (t < sim->end) {
-        Py_ssize_t i = (Py_ssize_t)((t - sim->start) * sim->inv_width);
-        if (i < 0)
-            i = 0;
-        else if (i >= sim->nbuckets)
-            i = sim->nbuckets - 1;
-        if (eheap_push(&sim->buckets[i], e) < 0)
-            return -1;
-        sim->wheel_count++;
-        if (i < sim->hint)
-            sim->hint = i;
-    }
-    else {
-        if (eheap_push(&sim->over, e) < 0)
-            return -1;
-    }
-    sim->size++;
-    if (sim->size > sim->peak)
-        sim->peak = sim->size;
-    if (sim->size - sim->dead > sim->grow_at && sim->nbuckets < CAL_MAX_BUCKETS)
-        return cal_resize(sim, sim->nbuckets * 2);
-    return 0;
-}
-
-/* Backend-dispatching insert (ref transferred), counters included. */
+/* Insert one entry (ref transferred), counters included. */
 static int
 sim_push_entry(CoreSim *sim, Entry e)
 {
-    if (sim->backend == BACKEND_HEAP) {
-        if (eheap_push(&sim->heap, e) < 0)
-            return -1;
-        sim->pushes++;
-        sim->size++;
-        if (sim->size > sim->peak)
-            sim->peak = sim->size;
+    if (eheap_push(&sim->heap, e) < 0)
+        return -1;
+    sim->pushes++;
+    if (sim->heap.len > sim->peak)
+        sim->peak = sim->heap.len;
+    return 0;
+}
+
+/* The top entry is cancelled (discard it) or stale (re-file it at the
+ * handle's true deadline without executing).  Returns 1 when it was
+ * either, 0 when it is live, -1 on OOM. */
+static int
+heap_settle_top(CoreSim *sim)
+{
+    EVec *heap = &sim->heap;
+    Entry *top = &heap->a[0];
+    if (ENTRY_IS_ANON(top))
         return 0;
+    CoreEvent *ev = (CoreEvent *)top->ev;
+    if (ev->fn == NULL) {
+        Entry e = eheap_pop(heap);
+        Py_DECREF(e.ev);
+        sim->dead--;
+        return 1;
     }
-    return cal_push_core(sim, e);
+    if (top->seq != ev->seq) {
+        Entry e = eheap_pop(heap);
+        e.time = ev->time;
+        e.prio = ev->priority;
+        e.seq = ev->seq;
+        if (eheap_push(heap, e) < 0) {
+            Py_DECREF(e.ev);
+            return -1;
+        }
+        sim->pushes++;
+        return 1;
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------ execution */
 
 /* Execute one popped entry (ref transferred).  Kept in lockstep with
- * the execute sections of both pure run loops: plain events null their
- * callback *before* it runs, pooled handles recycle into the free list,
- * series handles re-insert with a seq drawn *after* the callback. */
+ * the pure run loop: a handle-free entry just calls fn(*args) out of
+ * the argument tuple it holds, plain events null their callback *before*
+ * it runs, series handles re-insert with a seq drawn *after* the
+ * callback. */
 static int
 exec_entry(CoreSim *sim, Entry *e)
 {
-    CoreEvent *ev = (CoreEvent *)e->ev;
-    sim->live--;
     sim->now = e->time;
+    if (ENTRY_IS_ANON(e)) {
+        /* (time, fn, *args): call fn on the tail, in place. */
+        PyObject **items = ((PyTupleObject *)e->ev)->ob_item;
+        PyObject *res = PyObject_Vectorcall(
+            items[1], items + 2, (size_t)(PyTuple_GET_SIZE(e->ev) - 2), NULL);
+        Py_DECREF(e->ev);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+        sim->events_executed++;
+        return 0;
+    }
+    CoreEvent *ev = (CoreEvent *)e->ev;
     if (ev->kind == EV_SERIES) {
         ev->queued = 0;
         PyObject *res = PyObject_Call(
@@ -803,32 +581,27 @@ exec_entry(CoreSim *sim, Entry *e)
             return -1;
         }
         Py_DECREF(res);
-        if (!ev->stop_flag) {
-            Py_ssize_t index = ev->index + 1;
-            if (index < PyList_GET_SIZE(ev->times)) {
-                ev->index = index;
-                /* Items are exact floats (validated on entry); guard
-                 * anyway in case user code mutated the exposed list. */
-                PyObject *item = PyList_GET_ITEM(ev->times, index);
-                double t2 = PyFloat_CheckExact(item)
-                                ? PyFloat_AS_DOUBLE(item)
-                                : PyFloat_AsDouble(item);
-                if (t2 == -1.0 && PyErr_Occurred()) {
-                    Py_DECREF(e->ev);
-                    return -1;
-                }
-                long long seq = sim->next_seq++;
-                ev->time = t2;
-                ev->seq = seq;
-                ev->queued = 1;
-                Entry ne = {t2, e->prio, seq, e->ev};  /* ref transferred */
-                if (sim_push_entry(sim, ne) < 0)
-                    return -1;
-                sim->live++;
-            }
-            else {
-                Py_CLEAR(ev->fn);
+        Py_ssize_t index = ev->index + 1;
+        if (!ev->stop_flag && index < PyList_GET_SIZE(ev->times)) {
+            ev->index = index;
+            /* Items are exact floats (validated on entry); guard
+             * anyway in case user code mutated the exposed list. */
+            PyObject *item = PyList_GET_ITEM(ev->times, index);
+            double t2 = PyFloat_CheckExact(item)
+                            ? PyFloat_AS_DOUBLE(item)
+                            : PyFloat_AsDouble(item);
+            if (t2 == -1.0 && PyErr_Occurred()) {
                 Py_DECREF(e->ev);
+                return -1;
+            }
+            long long seq = sim->next_seq++;
+            ev->time = t2;
+            ev->seq = seq;
+            ev->queued = 1;
+            Entry ne = {t2, e->prio, seq, e->ev};  /* ref transferred */
+            if (sim_push_entry(sim, ne) < 0) {
+                Py_DECREF(e->ev);
+                return -1;
             }
         }
         else {
@@ -842,63 +615,31 @@ exec_entry(CoreSim *sim, Entry *e)
         PyObject *res = PyObject_Call(
             fn, ev->args ? ev->args : empty_tuple, NULL);
         Py_DECREF(fn);
-        if (res == NULL) {
-            Py_DECREF(e->ev);
+        Py_DECREF(e->ev);
+        if (res == NULL)
             return -1;
-        }
         Py_DECREF(res);
-        if (ev->kind == EV_POOLED) {
-            Py_CLEAR(ev->args);
-            if (sim->ev_pool != NULL && sim->ev_pool_len < EV_POOL_MAX)
-                sim->ev_pool[sim->ev_pool_len++] = e->ev;  /* keep the ref */
-            else
-                Py_DECREF(e->ev);
-        }
-        else {
-            Py_DECREF(e->ev);
-        }
     }
     sim->events_executed++;
     return 0;
 }
 
-/* ------------------------------------------------------------ run loops */
+/* ------------------------------------------------------------- run loop */
 
 static int
 heap_run(CoreSim *sim, double limit, long long cap)
 {
     long long executed = 0;
     EVec *heap = &sim->heap;
-    while (!sim->stopped) {
-        if (heap->len == 0)
-            break;
-        Entry *top = &heap->a[0];
-        CoreEvent *ev = (CoreEvent *)top->ev;
-        if (ev->fn == NULL) {
-            Entry e = eheap_pop(heap);
-            Py_DECREF(e.ev);
-            sim->dead--;
-            sim->size--;
+    while (!sim->stopped && heap->len) {
+        int settled = heap_settle_top(sim);
+        if (settled < 0)
+            return -1;
+        if (settled)
             continue;
-        }
-        if (top->seq != ev->seq) {
-            /* Stale (postponed) tuple: re-file at the true deadline
-             * without executing — live/size bookkeeping nets zero. */
-            Entry e = eheap_pop(heap);
-            e.time = ev->time;
-            e.prio = ev->priority;
-            e.seq = ev->seq;
-            if (eheap_push(heap, e) < 0) {
-                Py_DECREF(e.ev);
-                return -1;
-            }
-            sim->pushes++;
-            continue;
-        }
-        if (top->time > limit)
+        if (heap->a[0].time > limit)
             break;
         Entry e = eheap_pop(heap);
-        sim->size--;
         if (exec_entry(sim, &e) < 0)
             return -1;
         executed++;
@@ -908,203 +649,20 @@ heap_run(CoreSim *sim, double limit, long long cap)
     return 0;
 }
 
-static int
-cal_run(CoreSim *sim, double limit, long long cap)
-{
-    long long executed = 0;
-    while (!sim->stopped) {
-        /* -- dequeue: earliest live entry, or advance/stop ---------- */
-        if (sim->wheel_count == 0) {
-            EVec *over = &sim->over;
-            while (over->len &&
-                   ((CoreEvent *)over->a[0].ev)->fn == NULL) {
-                Entry e = eheap_pop(over);
-                Py_DECREF(e.ev);
-                sim->dead--;
-                sim->size--;
-            }
-            if (over->len == 0)
-                break;
-            cal_anchor(sim, over->a[0].time);
-            if (cal_migrate(sim) < 0)
-                return -1;
-            continue;
-        }
-        Py_ssize_t n = sim->nbuckets;
-        Py_ssize_t b = sim->hint;
-        int have = 0, stale = 0;
-        Entry e;
-        while (b < n) {
-            EVec *bucket = &sim->buckets[b];
-            if (bucket->len == 0) {
-                b++;
-                continue;
-            }
-            Entry *best = &bucket->a[0];
-            CoreEvent *ev = (CoreEvent *)best->ev;
-            if (ev->fn == NULL) {   /* purge dead heads lazily */
-                Entry d = eheap_pop(bucket);
-                Py_DECREF(d.ev);
-                sim->wheel_count--;
-                sim->size--;
-                sim->dead--;
-                continue;
-            }
-            if (best->seq != ev->seq) {
-                /* Stale (postponed) tuple: re-file at the true deadline;
-                 * the push may resize, so restart the scan. */
-                sim->hint = b;
-                Entry d = eheap_pop(bucket);
-                sim->wheel_count--;
-                sim->size--;
-                d.time = ev->time;
-                d.prio = ev->priority;
-                d.seq = ev->seq;
-                if (cal_push_core(sim, d) < 0)
-                    return -1;
-                stale = 1;
-                break;
-            }
-            sim->hint = b;
-            if (best->time > limit)
-                return 0;
-            e = eheap_pop(bucket);
-            sim->wheel_count--;
-            sim->size--;
-            if (sim->size - sim->dead < sim->shrink_at &&
-                n > CAL_MIN_BUCKETS) {
-                if (cal_resize(sim, n / 2) < 0) {
-                    Py_DECREF(e.ev);
-                    return -1;
-                }
-            }
-            have = 1;
-            break;
-        }
-        if (stale)
-            continue;
-        if (!have) {
-            /* Scanned the whole window: wheel is (effectively) empty. */
-            sim->hint = n;
-            if (sim->wheel_count) {   /* defensive recount */
-                long long wc = 0;
-                for (Py_ssize_t i = 0; i < sim->nbuckets; i++)
-                    wc += sim->buckets[i].len;
-                sim->wheel_count = wc;
-                if (wc)
-                    sim->hint = 0;
-            }
-            continue;
-        }
-        if (exec_entry(sim, &e) < 0)
-            return -1;
-        executed++;
-        if (executed >= cap)
-            break;
-    }
-    return 0;
-}
-
-/* ------------------------------------------------------------ peeking */
-
+/* Time of the earliest live entry, INFINITY when empty, -2.0 with an
+ * exception set on OOM. */
 static double
 heap_first_time(CoreSim *sim)
 {
     EVec *heap = &sim->heap;
     while (heap->len) {
-        Entry *top = &heap->a[0];
-        CoreEvent *ev = (CoreEvent *)top->ev;
-        if (ev->fn == NULL) {
-            Entry e = eheap_pop(heap);
-            Py_DECREF(e.ev);
-            sim->dead--;
-            sim->size--;
-        }
-        else if (top->seq != ev->seq) {
-            Entry e = eheap_pop(heap);
-            e.time = ev->time;
-            e.prio = ev->priority;
-            e.seq = ev->seq;
-            if (eheap_push(heap, e) < 0) {
-                Py_DECREF(e.ev);
-                return -2.0;   /* OOM sentinel; caller raises */
-            }
-            sim->pushes++;
-        }
-        else {
-            return top->time;
-        }
+        int settled = heap_settle_top(sim);
+        if (settled < 0)
+            return -2.0;
+        if (!settled)
+            return heap->a[0].time;
     }
     return INFINITY;
-}
-
-static double
-cal_first_time(CoreSim *sim)
-{
-    for (;;) {
-        if (sim->wheel_count == 0) {
-            EVec *over = &sim->over;
-            while (over->len &&
-                   ((CoreEvent *)over->a[0].ev)->fn == NULL) {
-                Entry e = eheap_pop(over);
-                Py_DECREF(e.ev);
-                sim->dead--;
-                sim->size--;
-            }
-            if (over->len == 0)
-                return INFINITY;
-            cal_anchor(sim, over->a[0].time);
-            if (cal_migrate(sim) < 0)
-                return -2.0;
-            continue;
-        }
-        Py_ssize_t n = sim->nbuckets;
-        Py_ssize_t b = sim->hint;
-        int stale = 0;
-        while (b < n) {
-            EVec *bucket = &sim->buckets[b];
-            if (bucket->len == 0) {
-                b++;
-                continue;
-            }
-            Entry *best = &bucket->a[0];
-            CoreEvent *ev = (CoreEvent *)best->ev;
-            if (ev->fn == NULL) {
-                Entry d = eheap_pop(bucket);
-                Py_DECREF(d.ev);
-                sim->wheel_count--;
-                sim->size--;
-                sim->dead--;
-                continue;
-            }
-            if (best->seq != ev->seq) {
-                sim->hint = b;
-                Entry d = eheap_pop(bucket);
-                sim->wheel_count--;
-                sim->size--;
-                d.time = ev->time;
-                d.prio = ev->priority;
-                d.seq = ev->seq;
-                if (cal_push_core(sim, d) < 0)
-                    return -2.0;
-                stale = 1;
-                break;
-            }
-            sim->hint = b;
-            return best->time;
-        }
-        if (stale)
-            continue;
-        sim->hint = n;
-        if (sim->wheel_count) {
-            long long wc = 0;
-            for (Py_ssize_t i = 0; i < sim->nbuckets; i++)
-                wc += sim->buckets[i].len;
-            sim->wheel_count = wc;
-            if (wc)
-                sim->hint = 0;
-        }
-    }
 }
 
 /* ----------------------------------------------------------- Simulator */
@@ -1123,23 +681,6 @@ as_double(PyObject *o, double *out)
     *out = PyFloat_AS_DOUBLE(f);
     Py_DECREF(f);
     return 0;
-}
-
-/* Lazily imported repro.perf.FLAGS (the singleton is mutated in place,
- * never rebound, so caching the object is safe). */
-static PyObject *perf_flags;
-
-static PyObject *
-get_perf_flags(void)
-{
-    if (perf_flags == NULL) {
-        PyObject *mod = PyImport_ImportModule("repro.perf");
-        if (mod == NULL)
-            return NULL;
-        perf_flags = PyObject_GetAttrString(mod, "FLAGS");
-        Py_DECREF(mod);
-    }
-    return perf_flags;
 }
 
 /* Shared time/fn validation; mirrors schedule_at exactly, including the
@@ -1172,7 +713,8 @@ check_time_fn(CoreSim *sim, double t, PyObject *fn)
     return 0;
 }
 
-/* Split (first, fn, *args, priority=0) out of a VARARGS call. */
+/* Split (first, fn, *args, priority=0) out of a VARARGS call.  With
+ * cbargs NULL the callback arguments are left where they are. */
 static int
 parse_sched(PyObject *args, PyObject *kwds, const char *name,
             PyObject **first, PyObject **fn, PyObject **cbargs, long *priority)
@@ -1197,50 +739,42 @@ parse_sched(PyObject *args, PyObject *kwds, const char *name,
     }
     *first = PyTuple_GET_ITEM(args, 0);
     *fn = PyTuple_GET_ITEM(args, 1);
+    if (cbargs == NULL)
+        return 0;
     *cbargs = PyTuple_GetSlice(args, 2, n);   /* new ref */
     return *cbargs == NULL ? -1 : 0;
 }
 
-/* The shared tail of schedule_at / schedule_anon: validate, draw ONE
- * seq, build (or recycle) the handle, insert.  `cbargs` is stolen. */
+/* The shared tail of schedule / schedule_at / postpone: validate, draw
+ * ONE seq, build the handle, insert.  `cbargs` is stolen. */
 static PyObject *
 sim_schedule_common(CoreSim *self, double t, PyObject *fn, PyObject *cbargs,
-                    long priority, int kind)
+                    long priority)
 {
     if (check_time_fn(self, t, fn) < 0) {
         Py_DECREF(cbargs);
         return NULL;
     }
     long long seq = self->next_seq++;
-    CoreEvent *ev;
-    if (kind == EV_POOLED && self->ev_pool_len > 0) {
-        ev = (CoreEvent *)self->ev_pool[--self->ev_pool_len];
-        self->ev_reused++;
+    PyTypeObject *tp = &Event_Type;
+    CoreEvent *ev = (CoreEvent *)tp->tp_alloc(tp, 0);
+    if (ev == NULL) {
+        Py_DECREF(cbargs);
+        return NULL;
     }
-    else {
-        PyTypeObject *tp = &Event_Type;
-        ev = (CoreEvent *)tp->tp_alloc(tp, 0);
-        if (ev == NULL) {
-            Py_DECREF(cbargs);
-            return NULL;
-        }
-        ev->sim = Py_NewRef((PyObject *)self);
-        ev->kind = kind;
-        if (kind == EV_POOLED)
-            self->ev_created++;
-    }
+    ev->sim = Py_NewRef((PyObject *)self);
+    ev->kind = EV_PLAIN;
     ev->time = t;
     ev->priority = priority;
     ev->seq = seq;
-    Py_XSETREF(ev->fn, Py_NewRef(fn));
-    Py_XSETREF(ev->args, cbargs);   /* stolen */
+    ev->fn = Py_NewRef(fn);
+    ev->args = cbargs;   /* stolen */
     Entry e = {t, priority, seq, Py_NewRef((PyObject *)ev)};
     if (sim_push_entry(self, e) < 0) {
         Py_DECREF((PyObject *)ev);   /* the entry's ref */
         Py_DECREF((PyObject *)ev);   /* the caller's ref */
         return NULL;
     }
-    self->live++;
     return (PyObject *)ev;
 }
 
@@ -1258,7 +792,7 @@ sim_schedule_at(PyObject *self_o, PyObject *args, PyObject *kwds)
         Py_DECREF(cbargs);
         return NULL;
     }
-    return sim_schedule_common(self, t, fn, cbargs, priority, EV_PLAIN);
+    return sim_schedule_common(self, t, fn, cbargs, priority);
 }
 
 static PyObject *
@@ -1282,53 +816,32 @@ sim_schedule(PyObject *self_o, PyObject *args, PyObject *kwds)
         return NULL;
     }
     return sim_schedule_common(self, self->now + delay, fn, cbargs,
-                               priority, EV_PLAIN);
+                               priority);
 }
 
+/* schedule_at without a handle: the entry keeps this call's argument
+ * tuple and exec_entry calls fn straight out of it.  Same validation
+ * and the same single seq draw as schedule_at; returns None. */
 static PyObject *
 sim_schedule_anon(PyObject *self_o, PyObject *args, PyObject *kwds)
 {
     CoreSim *self = (CoreSim *)self_o;
-    PyObject *time_o, *fn, *cbargs;
+    PyObject *time_o, *fn;
     long priority;
-    if (parse_sched(args, kwds, "schedule_anon", &time_o, &fn, &cbargs,
+    if (parse_sched(args, kwds, "schedule_anon", &time_o, &fn, NULL,
                     &priority) < 0)
         return NULL;
     double t;
-    if (as_double(time_o, &t) < 0) {
-        Py_DECREF(cbargs);
+    if (as_double(time_o, &t) < 0)
+        return NULL;
+    if (check_time_fn(self, t, fn) < 0)
+        return NULL;
+    Entry e = {t, priority, self->next_seq++, Py_NewRef(args)};
+    if (sim_push_entry(self, e) < 0) {
+        Py_DECREF(args);
         return NULL;
     }
-    /* Honour the runtime flag, like the pure engine (legacy_mode turns
-     * the pool off and schedule_anon degrades to schedule_at). */
-    int pooled = 1;
-    PyObject *flags = get_perf_flags();
-    if (flags == NULL) {
-        Py_DECREF(cbargs);
-        return NULL;
-    }
-    PyObject *on = PyObject_GetAttrString(flags, "event_pool");
-    if (on == NULL) {
-        Py_DECREF(cbargs);
-        return NULL;
-    }
-    pooled = PyObject_IsTrue(on);
-    Py_DECREF(on);
-    if (pooled < 0) {
-        Py_DECREF(cbargs);
-        return NULL;
-    }
-    if (pooled && self->ev_pool == NULL) {
-        self->ev_pool = (PyObject **)PyMem_Malloc(
-            EV_POOL_MAX * sizeof(PyObject *));
-        if (self->ev_pool == NULL) {
-            Py_DECREF(cbargs);
-            return PyErr_NoMemory();
-        }
-        self->ev_pool_len = 0;
-    }
-    return sim_schedule_common(self, t, fn, cbargs, priority,
-                               pooled ? EV_POOLED : EV_PLAIN);
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1351,7 +864,7 @@ sim_postpone(PyObject *self_o, PyObject *args)
     }
     if (ev->kind != EV_PLAIN) {
         PyErr_SetString(PyExc_ValueError,
-                        "cannot postpone a series or pooled event");
+                        "cannot postpone a series event");
         return NULL;
     }
     if (ev->sim != (PyObject *)self) {
@@ -1375,8 +888,7 @@ sim_postpone(PyObject *self_o, PyObject *args)
     PyObject *cbargs = ev->args ? Py_NewRef(ev->args) : Py_NewRef(empty_tuple);
     long priority = ev->priority;
     event_cancel_impl(ev);
-    PyObject *res = sim_schedule_common(self, t, fn, cbargs, priority,
-                                        EV_PLAIN);
+    PyObject *res = sim_schedule_common(self, t, fn, cbargs, priority);
     Py_DECREF(fn);
     return res;
 }
@@ -1450,7 +962,6 @@ sim_schedule_series(PyObject *self_o, PyObject *args, PyObject *kwds)
             Py_DECREF((PyObject *)ev);
             return NULL;
         }
-        self->live++;
         return (PyObject *)ev;
     }
 fail:
@@ -1490,9 +1001,7 @@ sim_run(PyObject *self_o, PyObject *args, PyObject *kwds)
     }
     self->running = 1;
     self->stopped = 0;
-    int rc = (self->backend == BACKEND_HEAP)
-                 ? heap_run(self, limit, cap)
-                 : cal_run(self, limit, cap);
+    int rc = heap_run(self, limit, cap);
     self->running = 0;
     if (rc < 0)
         return NULL;
@@ -1511,16 +1020,15 @@ sim_stop(PyObject *self_o, PyObject *Py_UNUSED(ignored))
 static PyObject *
 sim_pending(PyObject *self_o, PyObject *Py_UNUSED(ignored))
 {
-    return PyLong_FromLongLong(((CoreSim *)self_o)->live);
+    CoreSim *self = (CoreSim *)self_o;
+    return PyLong_FromLongLong(self->heap.len - self->dead);
 }
 
 static PyObject *
 sim_peek_time(PyObject *self_o, PyObject *Py_UNUSED(ignored))
 {
     CoreSim *self = (CoreSim *)self_o;
-    double t = (self->backend == BACKEND_HEAP)
-                   ? heap_first_time(self)
-                   : cal_first_time(self);
+    double t = heap_first_time(self);
     if (t == -2.0 && PyErr_Occurred())
         return NULL;
     return PyFloat_FromDouble(t);
@@ -1541,19 +1049,20 @@ sim_queue_stats(PyObject *self_o, PyObject *Py_UNUSED(ignored))
         if (v == NULL || PyDict_SetItemString(d, key, v) < 0) rc = -1; \
         Py_XDECREF(v); \
     } while (0)
-    v = PyUnicode_FromString(
-        self->backend == BACKEND_HEAP ? "heap" : "calendar");
+    v = PyUnicode_FromString("heap");
     if (v == NULL || PyDict_SetItemString(d, "backend", v) < 0)
         rc = -1;
     Py_XDECREF(v);
-    PUT_LL("queued", self->size);
-    PUT_LL("live", self->live);
+    PUT_LL("queued", self->heap.len);
+    PUT_LL("live", self->heap.len - self->dead);
     PUT_LL("peak_occupancy", self->peak);
     PUT_LL("dead", self->dead);
     PUT_LL("pushes", self->pushes);
-    PUT_LL("resizes", self->resizes);
-    PUT_LL("event_pool_created", self->ev_created);
-    PUT_LL("event_pool_reused", self->ev_reused);
+    PUT_LL("resizes", 0);
+    /* No handle, so no free list: always 0.  The keys stay because the
+     * perf ledger reads them from every build it compares. */
+    PUT_LL("event_pool_created", 0);
+    PUT_LL("event_pool_reused", 0);
 #undef PUT_LL
     if (rc < 0) {
         Py_DECREF(d);
@@ -1569,69 +1078,25 @@ sim_get_now(PyObject *self_o, void *Py_UNUSED(closure))
 }
 
 static PyObject *
-sim_get_queue_kind(PyObject *self_o, void *Py_UNUSED(closure))
-{
-    CoreSim *self = (CoreSim *)self_o;
-    return PyUnicode_FromString(
-        self->backend == BACKEND_HEAP ? "heap" : "calendar");
-}
-
-static PyObject *
 sim_repr(PyObject *self_o)
 {
     CoreSim *self = (CoreSim *)self_o;
     PyObject *now = PyFloat_FromDouble(self->now);
     PyObject *r = PyUnicode_FromFormat(
-        "Simulator(now=%S, pending=%lld, queue=%s)",
-        now, self->live,
-        self->backend == BACKEND_HEAP ? "heap" : "calendar");
+        "Simulator(now=%S, pending=%lld)",
+        now, (long long)self->heap.len - self->dead);
     Py_XDECREF(now);
     return r;
 }
 
-/* Drop every reference the queues and the pool hold. */
+/* Drop every reference the queue holds. */
 static void
 sim_drop_refs(CoreSim *self)
 {
     for (Py_ssize_t i = 0; i < self->heap.len; i++)
         Py_DECREF(self->heap.a[i].ev);
     self->heap.len = 0;
-    if (self->buckets != NULL) {
-        for (Py_ssize_t b = 0; b < self->nbuckets; b++) {
-            EVec *bucket = &self->buckets[b];
-            for (Py_ssize_t i = 0; i < bucket->len; i++)
-                Py_DECREF(bucket->a[i].ev);
-            bucket->len = 0;
-        }
-    }
-    for (Py_ssize_t i = 0; i < self->over.len; i++)
-        Py_DECREF(self->over.a[i].ev);
-    self->over.len = 0;
-    if (self->ev_pool != NULL) {
-        for (Py_ssize_t i = 0; i < self->ev_pool_len; i++)
-            Py_DECREF(self->ev_pool[i]);
-        self->ev_pool_len = 0;
-    }
-    self->wheel_count = 0;
-    self->size = 0;
     self->dead = 0;
-    self->live = 0;
-}
-
-static void
-sim_free_buffers(CoreSim *self)
-{
-    evec_free(&self->heap);
-    if (self->buckets != NULL) {
-        for (Py_ssize_t b = 0; b < self->nbuckets; b++)
-            evec_free(&self->buckets[b]);
-        PyMem_Free(self->buckets);
-        self->buckets = NULL;
-    }
-    self->nbuckets = 0;
-    evec_free(&self->over);
-    PyMem_Free(self->ev_pool);
-    self->ev_pool = NULL;
 }
 
 static int
@@ -1640,19 +1105,6 @@ sim_traverse(PyObject *self_o, visitproc visit, void *arg)
     CoreSim *self = (CoreSim *)self_o;
     for (Py_ssize_t i = 0; i < self->heap.len; i++)
         Py_VISIT(self->heap.a[i].ev);
-    if (self->buckets != NULL) {
-        for (Py_ssize_t b = 0; b < self->nbuckets; b++) {
-            EVec *bucket = &self->buckets[b];
-            for (Py_ssize_t i = 0; i < bucket->len; i++)
-                Py_VISIT(bucket->a[i].ev);
-        }
-    }
-    for (Py_ssize_t i = 0; i < self->over.len; i++)
-        Py_VISIT(self->over.a[i].ev);
-    if (self->ev_pool != NULL) {
-        for (Py_ssize_t i = 0; i < self->ev_pool_len; i++)
-            Py_VISIT(self->ev_pool[i]);
-    }
     return 0;
 }
 
@@ -1669,7 +1121,7 @@ sim_dealloc(PyObject *self_o)
     CoreSim *self = (CoreSim *)self_o;
     PyObject_GC_UnTrack(self_o);
     sim_drop_refs(self);
-    sim_free_buffers(self);
+    evec_free(&self->heap);
     Py_TYPE(self_o)->tp_free(self_o);
 }
 
@@ -1677,76 +1129,21 @@ static int
 sim_init(PyObject *self_o, PyObject *args, PyObject *kwds)
 {
     CoreSim *self = (CoreSim *)self_o;
-    static char *kwlist[] = {"queue", NULL};
-    PyObject *queue_o = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O:Simulator", kwlist,
-                                     &queue_o))
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, ":Simulator", kwlist))
         return -1;
-    PyObject *queue = queue_o;
-    if (queue == Py_None) {
-        PyObject *flags = get_perf_flags();
-        if (flags == NULL)
-            return -1;
-        queue = PyObject_GetAttrString(flags, "queue");
-        if (queue == NULL)
-            return -1;
-    }
-    else {
-        Py_INCREF(queue);
-    }
-    int backend;
-    if (PyUnicode_Check(queue) &&
-        PyUnicode_CompareWithASCIIString(queue, "heap") == 0) {
-        backend = BACKEND_HEAP;
-    }
-    else if (PyUnicode_Check(queue) &&
-             PyUnicode_CompareWithASCIIString(queue, "calendar") == 0) {
-        backend = BACKEND_CALENDAR;
-    }
-    else {
-        PyErr_Format(PyExc_ValueError,
-                     "unknown queue backend %R; expected one of "
-                     "['calendar', 'heap']", queue);
-        Py_DECREF(queue);
-        return -1;
-    }
-    Py_DECREF(queue);
 
     /* Re-init safety (Simulator.__init__ called twice). */
     sim_drop_refs(self);
-    sim_free_buffers(self);
+    evec_free(&self->heap);
 
     self->now = 0.0;
     self->next_seq = 0;
-    self->live = 0;
     self->running = 0;
     self->stopped = 0;
-    self->backend = backend;
     self->events_executed = 0;
-    self->dead = self->size = self->peak = self->pushes = self->resizes = 0;
+    self->dead = self->peak = self->pushes = 0;
     evec_init(&self->heap);
-    evec_init(&self->over);
-    self->ev_pool = NULL;
-    self->ev_pool_len = 0;
-    self->ev_created = self->ev_reused = 0;
-    self->buckets = NULL;
-    self->nbuckets = 0;
-    if (backend == BACKEND_CALENDAR) {
-        self->nbuckets = CAL_INIT_BUCKETS;
-        self->width = CAL_INIT_WIDTH;
-        self->inv_width = 1.0 / CAL_INIT_WIDTH;
-        self->buckets = (EVec *)PyMem_Calloc(CAL_INIT_BUCKETS, sizeof(EVec));
-        if (self->buckets == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        self->anchored = 0;
-        self->start = self->end = 0.0;
-        self->hint = 0;
-        self->wheel_count = 0;
-        self->grow_at = 2 * CAL_INIT_BUCKETS;
-        self->shrink_at = CAL_INIT_BUCKETS / 8;
-    }
     return 0;
 }
 
@@ -1758,8 +1155,6 @@ static PyMemberDef sim_members[] = {
 
 static PyGetSetDef sim_getset[] = {
     {"now", sim_get_now, NULL, "Current simulation time in seconds.", NULL},
-    {"queue_kind", sim_get_queue_kind, NULL,
-     "Which queue backend this simulator runs on.", NULL},
     {NULL}
 };
 
@@ -1770,7 +1165,7 @@ static PyMethodDef sim_methods[] = {
      "Schedule fn(*args) at absolute simulation time `time`."},
     {"schedule_anon", (PyCFunction)sim_schedule_anon,
      METH_VARARGS | METH_KEYWORDS,
-     "schedule_at for fire-and-forget callbacks (recycled handles)."},
+     "schedule_at for fire-and-forget callbacks: no handle, returns None."},
     {"schedule_series", (PyCFunction)sim_schedule_series,
      METH_VARARGS | METH_KEYWORDS,
      "Schedule fn(*args) at every time of an ascending schedule."},
@@ -1786,7 +1181,7 @@ static PyMethodDef sim_methods[] = {
     {"peek_time", sim_peek_time, METH_NOARGS,
      "Time of the next pending event, or inf when the queue is empty."},
     {"queue_stats", sim_queue_stats, METH_NOARGS,
-     "Occupancy counters of the queue backend (for benchmarks)."},
+     "Occupancy counters of the event queue (for benchmarks)."},
     {NULL}
 };
 
@@ -1833,7 +1228,9 @@ PyInit__corec(void)
         PyModule_AddObjectRef(mod, "SeriesEvent",
                               (PyObject *)&SeriesEvent_Type) < 0 ||
         PyModule_AddObjectRef(mod, "Simulator",
-                              (PyObject *)&Simulator_Type) < 0) {
+                              (PyObject *)&Simulator_Type) < 0 ||
+        PyModule_AddStringConstant(mod, "SOURCE_HASH",
+                                   COREC_SOURCE_HASH) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

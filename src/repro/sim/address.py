@@ -123,16 +123,12 @@ class AddressSpace:
     )
 
     def __init__(self) -> None:
-        from repro.perf import FLAGS
-
         self._subnets: list[Subnet] = []
         self._next_alloc = IPv4Address.from_string("10.0.0.0").value
         # Legality is static once the topology is built; memoize per
         # address (the PDT shortcut consults this for every examined
-        # packet).  Cleared on allocation; None in legacy benchmark mode.
-        self._legal_cache: dict[int, bool] | None = (
-            {} if FLAGS.hot_path_caches else None
-        )
+        # packet).  Cleared on allocation.
+        self._legal_cache: dict[int, bool] = {}
 
     @property
     def subnets(self) -> tuple[Subnet, ...]:
@@ -150,8 +146,7 @@ class AddressSpace:
         if self._next_alloc > IPv4Address.from_string("126.255.255.255").value:
             raise RuntimeError("address space exhausted")
         self._subnets.append(subnet)
-        if self._legal_cache is not None:
-            self._legal_cache.clear()
+        self._legal_cache.clear()
         return subnet
 
     def is_reserved(self, addr: int | IPv4Address) -> bool:
@@ -166,19 +161,18 @@ class AddressSpace:
         """
         value = int(addr)
         cache = self._legal_cache
-        legal = cache.get(value) if cache is not None else None
+        legal = cache.get(value)
         if legal is None:
             legal = not self.is_reserved(value) and any(
                 subnet.contains(value) for subnet in self._subnets
             )
-            if cache is not None:
-                if len(cache) >= self._LEGAL_CACHE_MAX:
-                    # Rotating spoofers feed one fresh random address per
-                    # packet; an unbounded memo would grow O(packets).
-                    # Dropping the whole cache keeps the stable-flow hit
-                    # rate (they repopulate immediately) with bounded memory.
-                    cache.clear()
-                cache[value] = legal
+            if len(cache) >= self._LEGAL_CACHE_MAX:
+                # Rotating spoofers feed one fresh random address per
+                # packet; an unbounded memo would grow O(packets).
+                # Dropping the whole cache keeps the stable-flow hit
+                # rate (they repopulate immediately) with bounded memory.
+                cache.clear()
+            cache[value] = legal
         return legal
 
     def random_legal_address(self, rng) -> IPv4Address:

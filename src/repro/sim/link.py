@@ -97,6 +97,9 @@ class SimplexLink:
         self._q_enqueue = queue.enqueue
         self._q_dequeue = queue.dequeue
         self._q_len = queue.__len__
+        # Asked once per assignment: may send() keep a packet that meets
+        # an empty queue, instead of passing it through enqueue/dequeue?
+        self._q_pass_idle = getattr(queue, "idle_pass_through", False)
         # A queue that arrives with a backlog gets its wake-up here, so
         # "no wake-up pending" keeps meaning "queue empty".
         if not self._drain_pending and len(queue):
@@ -153,23 +156,26 @@ class SimplexLink:
                 packet.release()
                 self._drop_event("hook")
                 return False
-        if not self._q_enqueue(packet, now):
-            packet.release()
-            self._drop_event("queue")
-            return False
-        if self._drain_pending:
-            return True  # queued behind a backlog; the wake-up will reach it
-        if self._busy_until > now:
-            self._drain_pending = True
-            # Fire-and-forget: the handle is never retained, so it
-            # rides the simulator's recycled-event free list.
-            self._schedule_anon(self._busy_until, self._drain_event)
-            return True
-        # Idle transmitter and no wake-up pending: the queue held nothing
-        # before this packet, so it hands back this one and is empty
-        # again — straight onto the wire, with no backlog to ask about.
-        # The discipline still sees the arrival and the departure.
-        packet = self._q_dequeue()
+        if self._drain_pending or self._busy_until > now or not self._q_pass_idle:
+            if not self._q_enqueue(packet, now):
+                packet.release()
+                self._drop_event("queue")
+                return False
+            if self._drain_pending:
+                return True  # queued behind a backlog; the wake-up will reach it
+            if self._busy_until > now:
+                self._drain_pending = True
+                self._schedule_anon(self._busy_until, self._drain_event)
+                return True
+            # Idle transmitter and no wake-up pending: the queue held
+            # nothing before this packet, so it hands back this one and is
+            # empty again — straight onto the wire, with no backlog to ask
+            # about.  The discipline saw the arrival and the departure.
+            packet = self._q_dequeue()
+        else:
+            # The same idle link, and a queue that declares the round trip
+            # through it would change nothing but this count.
+            self._queue.enqueued += 1
         # Inlined transmission_delay (same arithmetic, minus a call).
         depart = now + packet.size * 8.0 / self.bandwidth_bps
         self._busy_until = depart

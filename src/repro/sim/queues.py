@@ -17,7 +17,11 @@ from repro.sim.packet import Packet
 
 
 class PacketQueue(Protocol):
-    """Interface link queues implement."""
+    """Interface link queues implement.
+
+    A discipline may also declare ``idle_pass_through`` (see
+    :class:`DropTailQueue`); one that does not is offered every packet.
+    """
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Accept or drop ``packet``; return True when accepted."""
@@ -40,6 +44,24 @@ class DropTailQueue:
         self._queue: deque[Packet] = deque()
         self.drops = 0
         self.enqueued = 0
+
+    @property
+    def idle_pass_through(self) -> bool:
+        """Whether an arrival at the empty queue is always admitted and
+        handed straight back by the next ``dequeue``, changing nothing but
+        ``enqueued``.  A link that knows the queue is empty may then count
+        the packet and keep it, calling neither method.
+
+        True of drop-tail (capacity is at least one and there is no other
+        state) — but only of *this* ``enqueue``/``dequeue`` pair: a subclass
+        or an instance that replaces either one is offered every packet.
+        A discipline that must see every arrival (RED's average, DRR's
+        deficits) simply has no such attribute.
+        """
+        return (
+            getattr(self.enqueue, "__func__", None) is DropTailQueue.enqueue
+            and getattr(self.dequeue, "__func__", None) is DropTailQueue.dequeue
+        )
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         """FIFO admit unless full."""

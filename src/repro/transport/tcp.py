@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.perf import FLAGS
 from repro.sim.packet import FlowKey, Packet, PacketType
 from repro.transport.flow import FlowAgent
 
@@ -250,17 +249,16 @@ class TcpSender(FlowAgent):
     def _restart_rto(self) -> None:
         ev = self._rto_event
         if self.in_flight > 0 and not self.stopped:
-            if ev is not None and FLAGS.lazy_timers:
+            if ev is not None:
                 # Per-ACK deadline bump: postpone the pending timer in
                 # place instead of a cancel+reschedule round trip.  One
-                # seq draw either way, so this is bit-exact (the golden
-                # master and the event-churn regression test pin it).
+                # seq draw either way, so this is bit-exact (the
+                # event-churn regression test pins it against the eager
+                # formulation).
                 sim = self.sim
                 self._rto_event = sim.postpone(ev, sim.now + self.rto)
-                return
-            if ev is not None:
-                ev.cancel()
-            self._rto_event = self.sim.schedule(self.rto, self._on_timeout)
+            else:
+                self._rto_event = self.sim.schedule(self.rto, self._on_timeout)
         elif ev is not None:
             ev.cancel()
             self._rto_event = None

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.perf import FLAGS
 from repro.sim.packet import FlowKey, Packet
 from repro.transport.flow import FlowAgent
 
@@ -110,16 +109,14 @@ class CbrSender(FlowAgent):
             raise RuntimeError("sender already started")
         self.started = True
         when = self.sim.now if at is None else at
-        if FLAGS.batched_sources and (self.jitter == 0.0 or self._exclusive_rng):
+        if self.jitter == 0.0 or self._exclusive_rng:
             times = [when]
             times.extend(self._next_gaps(when, _CHUNK))
             self._series = self.sim.schedule_series(times, self._series_tick)
         else:
-            self._use_buffer = (
-                FLAGS.batched_sources
-                and self.jitter > 0
-                and self._jitter_buffer is not None
-            )
+            # Jitter on a shared stream: one event per tick, the draw
+            # served from the shared buffer when the scenario wired one.
+            self._use_buffer = self._jitter_buffer is not None
             self.sim.schedule_at(when, self._tick)
 
     def handle_packet(self, packet: Packet, now: float) -> None:
@@ -253,13 +250,10 @@ class OnOffSender(CbrSender):
         self._on = True
         now = self.sim.now
         self._phase_ends = now + self._draw_on()
-        if not FLAGS.batched_sources:
-            self._tick()
-            return
-        # Batched burst: the first emission happens inline (mirroring the
-        # unbatched direct _tick() call); subsequent departures ride a
-        # series at one nominal interval apart — no draws are moved, so
-        # this is bit-exact even on a shared RNG stream.
+        # Batched burst: the first emission happens inline (where an
+        # event-per-packet loop would make its first tick); subsequent
+        # departures ride a series at one nominal interval apart — no
+        # draws are moved, so this is bit-exact even on a shared stream.
         if now >= self._phase_ends:
             self._on = False
             self.sim.schedule(self._draw_off(), self._start_burst)
@@ -300,15 +294,3 @@ class OnOffSender(CbrSender):
         series = self._series
         if series.index + 1 >= len(series.times):
             series.extend(self._burst_chunk(series.times[-1]))
-
-    def _tick(self) -> None:
-        if self.stopped:
-            return
-        if not self._on:
-            return
-        if self.sim.now >= self._phase_ends:
-            self._on = False
-            self.sim.schedule(self._draw_off(), self._start_burst)
-            return
-        self._emit_one()
-        self.sim.schedule(self.interval, self._tick)

@@ -47,9 +47,14 @@ class TestRun:
     def test_engine_info(self, capsys):
         from repro.sim._core import ENGINE_IMPL
 
+        from repro.sim._core import source_hash
+
         assert main(["run", "--engine-info"]) == 0
         out = capsys.readouterr().out
         assert f"engine core: {ENGINE_IMPL}" in out
+        assert f"_corec.c sha256: {source_hash()}" in out
+        if ENGINE_IMPL == "compiled":
+            assert f"extension stamp: {source_hash()}" in out
 
 
 class TestFigure:

@@ -40,16 +40,16 @@ def _fingerprint(result) -> dict:
 
 
 @pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_streaming_collector_matches_buffered(queue):
+def test_streaming_collector_matches_buffered(queue, monkeypatch):
     """The bounded-memory victim collector is float-identical to the
-    arrival-hoarding one, on both scheduler backends."""
-    from repro.perf import engine_mode
+    arrival-hoarding one, on both engine cores (the ids are the two queue
+    backends' names, kept for the floor list: ``tests/sim/conftest.py``)."""
+    from tests.sim.conftest import ENGINE_CORES
 
+    monkeypatch.setattr("repro.sim.topology.Simulator", ENGINE_CORES[queue])
     config = _tiny_config()
-    with engine_mode(queue=queue):
-        buffered = run_experiment(config)
-    with engine_mode(queue=queue):
-        streaming = run_experiment(config, streaming_series=True)
+    buffered = run_experiment(config)
+    streaming = run_experiment(config, streaming_series=True)
     assert _fingerprint(buffered) == _fingerprint(streaming)
 
 
@@ -107,7 +107,7 @@ def test_bus_events_are_consistent_with_the_summary():
     snapshots = sink.of_kind("monitor.snapshot")
     stats = sink.of_kind("engine.stats")
     assert len(snapshots) == len(stats) > 0
-    assert stats[0].backend in ("heap", "calendar")
+    assert stats[0].backend == "heap"
 
     # Monotone non-decreasing times within the run's sim-time events.
     times = [e.time for e in sink.events if e.kind.startswith(("victim.",

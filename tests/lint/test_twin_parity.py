@@ -41,8 +41,8 @@ class TestParsers:
         assert "schedule" in sim.methods
         assert sim.methods["run"] == ("until", "max_events")
         assert {"stop", "pending", "peek_time", "queue_stats"} <= sim.noargs
-        assert sim.init_params == ("queue",)
-        assert sim.attrs == {"events_executed", "now", "queue_kind"}
+        assert sim.init_params == ()  # an empty kwlist, still compared
+        assert sim.attrs == {"events_executed", "now"}
 
     def test_c_base_chain_unions(self, c_text):
         series = parse_c_surface(c_text)["SeriesEvent"]
@@ -54,7 +54,7 @@ class TestParsers:
         surface = parse_pure_surface(py_text)
         sim = surface["Simulator"]
         assert sim.methods["run"] == ("until", "max_events")
-        assert sim.init_params == ("queue",)
+        assert sim.init_params == ()
         event = surface["Event"]
         assert "cancel" in event.methods
         assert {"cancelled", "times", "fn"} <= event.attrs
@@ -84,6 +84,17 @@ class TestParity:
             parse_c_surface(mutated), parse_pure_surface(py_text)
         )
         assert any("kwlist" in d and "run" in d for d in drifts)
+
+    def test_constructor_parameter_on_one_side_is_drift(self, c_text, py_text):
+        mutated = c_text.replace(
+            'static char *kwlist[] = {NULL};',
+            'static char *kwlist[] = {"queue", NULL};',
+        )
+        assert mutated != c_text
+        drifts = compare_surfaces(
+            parse_c_surface(mutated), parse_pure_surface(py_text)
+        )
+        assert any("__init__" in d and "queue" in d for d in drifts)
 
     def test_removed_pure_method_is_drift(self, c_text, py_text):
         mutated = py_text.replace("def peek_time", "def _peek_time")

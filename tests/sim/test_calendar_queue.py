@@ -1,6 +1,13 @@
-"""Calendar-queue backend: ordering parity with the heap, cancellation,
-resize behaviour under skewed schedules, series events, and the
-non-finite-time regression (NaN/inf corrupting queue order)."""
+"""Scheduler order, series events, and the non-finite-time regression
+(NaN/inf corrupting queue order), on both engine cores.
+
+The file is named for the calendar-queue backend it was written to hold
+against the heap.  That backend is gone (the heap won — README,
+"Scheduler backends"); the order, series and validation tests it came
+with test the one engine there is, so they stay, under the ids they
+always had: ``heap`` is the public :class:`Simulator` (the compiled core
+when built), ``calendar`` the pure-Python reference (see ``conftest.py``).
+"""
 
 from __future__ import annotations
 
@@ -9,12 +16,12 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator
+from tests.sim.conftest import ENGINE_CORES
 
 
-def _run_trace(queue: str, script) -> list:
+def _run_trace(core: str, script) -> list:
     """Execute ``script(sim, log)`` and return the logged execution."""
-    sim = Simulator(queue=queue)
+    sim = ENGINE_CORES[core]()
     log: list = []
     script(sim, log)
     sim.run()
@@ -49,7 +56,8 @@ class TestNonFiniteTimes:
 
 
 class TestBackendParity:
-    """Both backends must execute the exact same sequence."""
+    """Both cores must execute the exact same sequence — the one a sort
+    by ``(time, priority, scheduling order)`` gives."""
 
     def test_randomized_schedule_identical_order(self):
         def script(sim, log):
@@ -62,7 +70,9 @@ class TestBackendParity:
             for t, prio, i in events:
                 sim.schedule_at(t, log.append, (t, prio, i), priority=prio)
 
-        assert _run_trace("heap", script) == _run_trace("calendar", script)
+        order = _run_trace("heap", script)
+        assert order == _run_trace("calendar", script)
+        assert order == sorted(order)  # i is the scheduling order
 
     def test_same_time_priority_and_seq_ties(self):
         def script(sim, log):
@@ -87,80 +97,6 @@ class TestBackendParity:
                 h.cancel()
 
         assert _run_trace("heap", script) == _run_trace("calendar", script)
-
-
-class TestCalendarInternals:
-    def test_far_future_overflow_and_migration(self):
-        sim = Simulator(queue="calendar")
-        ran = []
-        # A dense near cluster plus timers far beyond any initial window.
-        for i in range(100):
-            sim.schedule_at(0.001 * i, ran.append, ("near", i))
-        for i in range(10):
-            sim.schedule_at(1000.0 + i, ran.append, ("far", i))
-        sim.schedule_at(59.9, ran.append, ("mid", 0))
-        sim.run()
-        assert ran[:100] == [("near", i) for i in range(100)]
-        assert ran[100] == ("mid", 0)
-        assert ran[101:] == [("far", i) for i in range(10)]
-
-    def test_bucket_resize_under_skewed_schedule(self):
-        """Growth under a dense burst, shrink while draining a sparse
-        tail, with ties and far-future outliers mixed in — execution
-        order must survive every rebuild."""
-        sim = Simulator(queue="calendar")
-        ran = []
-        expected = []
-        # Dense burst: thousands of events across a few milliseconds,
-        # many at identical times (zero gaps must not break width tuning).
-        for i in range(4000):
-            t = 0.001 * (i % 10)
-            sim.schedule_at(t, ran.append, (t, i))
-        expected.extend(sorted([(0.001 * (i % 10), i) for i in range(4000)]))
-        # Sparse skewed tail: exponentially spread timers.
-        t = 1.0
-        for i in range(50):
-            t *= 1.2
-            sim.schedule_at(t, ran.append, (t, 4000 + i))
-            expected.append((t, 4000 + i))
-        sim.run()
-        assert ran == expected
-        assert sim.pending() == 0
-        stats = sim.queue_stats()
-        assert stats["backend"] == "calendar"
-        assert stats["peak_occupancy"] >= 4050
-        assert stats["resizes"] > 0  # the wheel actually re-tuned itself
-
-    def test_mass_cancellation_compacts_storage(self):
-        """Cancel is O(1) bookkeeping; once dead entries outnumber live
-        ones the wheel compacts them away instead of scanning past them
-        forever."""
-        sim = Simulator(queue="calendar")
-        events = [sim.schedule_at(1.0 + i * 1e-4, lambda: None) for i in range(5000)]
-        assert sim.queue_stats()["queued"] == 5000
-        for ev in events[:4900]:
-            ev.cancel()
-        assert sim.pending() == 100
-        # Compaction bound: dead entries never linger past max(64, live)
-        # (each time they outnumber live ones the wheel rebuilds), so
-        # storage holds ~100 live + at most ~100 uncompacted dead — not
-        # the 4900 cancelled tuples.
-        stats = sim.queue_stats()
-        assert stats["queued"] - sim.pending() == stats["dead"]
-        assert stats["dead"] <= 100
-        sim.run()
-        assert sim.pending() == 0
-
-    def test_anchor_jump_skips_empty_windows(self):
-        """An empty wheel re-anchors directly at the next epoch instead
-        of stepping window by window."""
-        sim = Simulator(queue="calendar")
-        ran = []
-        sim.schedule_at(0.0, ran.append, "a")
-        sim.schedule_at(1e6 - 1.0, ran.append, "b")  # far future, finite
-        sim.run()
-        assert ran == ["a", "b"]
-        assert sim.now == 1e6 - 1.0
 
 
 class TestSeriesEvents:

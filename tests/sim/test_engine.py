@@ -208,3 +208,64 @@ class TestMassCancellation:
         for ev in events[:-1]:
             ev.cancel()
         assert sim.peek_time() == events[-1].time
+
+
+class TestHandleFreeEvents:
+    """``schedule_anon``: an entry with no handle, checked like any other."""
+
+    def test_returns_nothing_and_fires_in_order(self, sim):
+        order = []
+        assert sim.schedule_anon(2.0, order.append, "b") is None
+        sim.schedule_at(1.0, order.append, "a")
+        sim.schedule_anon(2.0, order.append, "first", priority=-1)
+        sim.schedule_anon(3, order.append, "c")  # an int time is a time
+        assert sim.pending() == 4
+        sim.run()
+        assert order == ["a", "first", "b", "c"]
+        assert sim.events_executed == 4 and sim.pending() == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5])
+    def test_rejects_what_schedule_at_rejects(self, sim, bad):
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="finite|past"):
+            sim.schedule_anon(bad, lambda: None)
+        with pytest.raises(TypeError, match="callable"):
+            sim.schedule_anon(2.0, "not callable")
+        # A refused call draws no seq and queues nothing.
+        assert sim.pending() == 0
+        assert sim.schedule_at(2.0, lambda: None).seq == 0
+
+    def test_at_the_top_under_peek_time(self, sim):
+        doomed = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_anon(2.0, lambda: None)
+        doomed.cancel()
+        assert sim.peek_time() == 2.0  # the dead handle above it is discarded
+        assert sim.queue_stats()["queued"] == 1
+        assert sim.peek_time() == 2.0 and sim.pending() == 1
+
+    def test_at_the_top_under_until_and_max_events(self, sim):
+        fired = []
+        for t in (2.0, 3.0, 4.0):
+            sim.schedule_anon(t, fired.append, t)
+        assert sim.run(until=1.0) == 1.0
+        assert fired == [] and sim.pending() == 3
+        sim.run(until=2.0)  # a cut-off at the entry's own time runs it
+        assert fired == [2.0]
+        sim.run(max_events=1)
+        assert fired == [2.0, 3.0] and sim.pending() == 1
+        sim.run()
+        assert fired == [2.0, 3.0, 4.0]
+
+    def test_survives_compaction(self, sim):
+        fired = []
+        for i in range(10):
+            sim.schedule_anon(5.0 + i, fired.append, i)
+        doomed = [sim.schedule_at(1.0 + i * 1e-3, fired.append, "dead")
+                  for i in range(300)]
+        for ev in doomed:
+            ev.cancel()
+        stats = sim.queue_stats()
+        assert stats["live"] == sim.pending() == 10
+        assert stats["queued"] < 100 and stats["peak_occupancy"] == 310
+        sim.run()
+        assert fired == list(range(10))

@@ -1,14 +1,14 @@
-"""Queue-churn regressions: lazy RTO timers and pooled event handles.
+"""Queue-churn regressions: lazy RTO timers and handle-free link events.
 
-PR 7 removed two per-event costs from the hot path: TCP's per-ACK RTO
-cancel+reschedule round trip (now an in-place ``Simulator.postpone``)
-and the allocation of a fresh Event for every fire-and-forget link
-callback (now recycled through a free list).  Both are required to be
+Two per-event costs are gone from the hot path: TCP's per-ACK RTO
+cancel+reschedule round trip (an in-place ``Simulator.postpone``) and
+the Event handle of every fire-and-forget link callback
+(``schedule_anon`` pushes a bare heap entry).  Both are required to be
 bit-exact — same results, same event counts — so the *only* observable
-difference is bookkeeping: fewer queue pushes, recycled handles.  These
-tests pin that claim with the ``pushes`` and ``event_pool_*`` counters
-so a refactor that quietly reverts to the eager formulation fails
-loudly instead of just getting slower.
+difference is bookkeeping.  Each test runs the scenario against the
+formulation it replaced, spelled out here as the reference, so a
+refactor that quietly reverts to it fails loudly instead of just
+getting slower.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import dataclasses
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.perf import engine_mode
+from repro.sim.engine import PySimulator
+from repro.transport.tcp import TcpSender
 
 
 def _small_config():
@@ -33,14 +34,30 @@ def _fingerprint(result):
     )
 
 
+def _eager_restart_rto(self):
+    """``TcpSender._restart_rto`` the eager way: cancel, then reschedule."""
+    ev = self._rto_event
+    if ev is not None:
+        ev.cancel()
+        self._rto_event = None
+    if self.in_flight > 0 and not self.stopped:
+        self._rto_event = self.sim.schedule(self.rto, self._on_timeout)
+
+
+class _HandleSimulator(PySimulator):
+    """``schedule_anon`` the handle way: a full ``schedule_at``."""
+
+    def schedule_anon(self, time, fn, *args, priority=0):
+        self.schedule_at(time, fn, *args, priority=priority)
+
+
 class TestLazyRtoTimers:
-    def test_bit_exact_and_fewer_pushes(self):
-        with engine_mode(lazy_timers=True):
-            lazy = run_experiment(_small_config())
-            lazy_stats = lazy.scenario.sim.queue_stats()
-        with engine_mode(lazy_timers=False):
-            eager = run_experiment(_small_config())
-            eager_stats = eager.scenario.sim.queue_stats()
+    def test_bit_exact_and_fewer_pushes(self, monkeypatch):
+        lazy = run_experiment(_small_config())
+        lazy_stats = lazy.scenario.sim.queue_stats()
+        monkeypatch.setattr(TcpSender, "_restart_rto", _eager_restart_rto)
+        eager = run_experiment(_small_config())
+        eager_stats = eager.scenario.sim.queue_stats()
 
         # Identical simulation: the postpone path draws exactly one seq
         # per ACK, like cancel+reschedule does.
@@ -57,23 +74,19 @@ class TestLazyRtoTimers:
         assert saved > eager_stats["pushes"] * 0.05
 
 
-class TestEventPool:
-    def test_bit_exact_and_recycles(self):
-        with engine_mode(event_pool=True):
-            pooled = run_experiment(_small_config())
-            pooled_stats = pooled.scenario.sim.queue_stats()
-        with engine_mode(event_pool=False):
-            plain = run_experiment(_small_config())
-            plain_stats = plain.scenario.sim.queue_stats()
+class TestHandleFreeEvents:
+    def test_bit_exact_and_same_counters(self, monkeypatch):
+        bare = run_experiment(_small_config())
+        bare_stats = bare.scenario.sim.queue_stats()
+        monkeypatch.setattr("repro.sim.topology.Simulator", _HandleSimulator)
+        handled = run_experiment(_small_config())
+        assert type(handled.scenario.sim) is _HandleSimulator
 
-        assert _fingerprint(pooled) == _fingerprint(plain)
-
-        # With the pool off nothing is created or reused; with it on the
-        # free list carries nearly every fire-and-forget link event.
-        assert plain_stats["event_pool_created"] == 0
-        assert plain_stats["event_pool_reused"] == 0
-        assert pooled_stats["event_pool_reused"] > 0
-        assert (
-            pooled_stats["event_pool_reused"]
-            > 10 * pooled_stats["event_pool_created"]
-        )
+        # One seq per event either way, so the same run — and the same
+        # occupancy, since an entry counts the same with or without a
+        # handle behind it.  (The event_pool_* keys are 0 on both sides:
+        # there is no free list left to count.)
+        assert _fingerprint(bare) == _fingerprint(handled)
+        assert bare_stats == handled.scenario.sim.queue_stats()
+        assert bare_stats["event_pool_reused"] == 0
+        assert bare_stats["pushes"] > bare.events_executed

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim.engine import Simulator
 from repro.sim.link import SimplexLink
 from repro.sim.packet import FlowKey, Packet
 from repro.sim.queues import DropTailQueue, DRRQueue, REDQueue
@@ -209,6 +208,8 @@ class _ReferenceLink:
 def _queue(kind):
     if kind == "droptail":
         return DropTailQueue(capacity=6)
+    if kind == "droptail-1":
+        return DropTailQueue(capacity=1)
     if kind == "red":
         return REDQueue(capacity=6, min_thresh=1.0, max_thresh=4.0, max_prob=0.5,
                         weight=0.5, rng=np.random.default_rng(7))
@@ -226,18 +227,19 @@ _SCRIPT = (
 )
 
 
-def _play(link_of, discipline, queue_kind):
-    """Run ``_SCRIPT`` through the link ``link_of(front, dst, queue)`` builds.
+def _play(link_of, discipline, sim_cls, script=None):
+    """Run ``script`` (default ``_SCRIPT``) through the link
+    ``link_of(front, dst, queue)`` builds.
 
     Returns everything the two links must agree on.
     """
-    sim = Simulator(queue=queue_kind)
+    sim = sim_cls()
     front = _LoggedSim(sim)
     dst = _Capture(sim, "dst")
     queue = _queue(discipline)
     link = link_of(front, dst, queue)
     accepted = []
-    for n, (time, size, source) in enumerate(_SCRIPT):
+    for n, (time, size, source) in enumerate(script or _SCRIPT):
         packet = Packet(flow=FlowKey(source, 9, 3, 4), size=size, seq=n)
         sim.schedule_at(time, lambda p=packet: accepted.append(link.send(p)))
     sim.run()
@@ -260,8 +262,8 @@ def test_link_matches_the_long_way_round(sim, discipline):
     def reference(front, dst, queue):
         return _ReferenceLink(front, dst, 8e6, 0.002, queue)
 
-    got = _play(real, discipline, sim.queue_kind)
-    want = _play(reference, discipline, sim.queue_kind)
+    got = _play(real, discipline, type(sim))
+    want = _play(reference, discipline, type(sim))
     assert got == want  # floats compared exactly: same arithmetic, same order
     assert want["drops"] > 0 and want["left"] == 0  # the script overflowed
 
@@ -340,3 +342,95 @@ class TestQueueAssignment:
         assert link.send(pkt(seq=2))  # and the link is not wedged
         sim.run()
         assert [p.seq for _, p in dst.received] == [0, 2]
+
+
+class TestIdlePassThrough:
+    """A drop-tail queue lets an idle link keep the packet it would only
+    hand straight back (``idle_pass_through``); anything that would notice
+    the difference is still offered every packet."""
+
+    @staticmethod
+    def _spying(base, *args):
+        class _Spy(base):
+            offers = 0
+            departures = 0
+
+            def enqueue(self, packet, now):
+                self.offers += 1
+                return super().enqueue(packet, now)
+
+            def dequeue(self):
+                self.departures += 1
+                return super().dequeue()
+
+        return _Spy(*args)
+
+    def _idle_sends(self, sim, link, n):
+        for i in range(n):
+            assert link.send(pkt(seq=i))
+            sim.run(until=sim.now + 1.0)  # idle again before the next
+
+    def test_drop_tail_counts_what_it_was_not_handed(self, sim):
+        # That neither method runs is test_hop_cost's three frames.
+        link, dst = make_link(sim)
+        queue = link.queue
+        assert queue.idle_pass_through
+        self._idle_sends(sim, link, 3)
+        assert len(dst.received) == 3
+        assert (queue.enqueued, queue.drops, len(queue)) == (3, 0, 0)
+
+    def test_subclass_overriding_the_discipline_sees_every_offer(self, sim):
+        link, dst = make_link(sim)
+        link.queue = queue = self._spying(DropTailQueue, 4)
+        assert not queue.idle_pass_through
+        self._idle_sends(sim, link, 3)
+        assert (queue.offers, queue.departures, queue.enqueued) == (3, 3, 3)
+        assert len(dst.received) == 3
+
+    def test_instance_that_replaces_enqueue_sees_every_offer(self, sim):
+        link, _ = make_link(sim)
+        queue = DropTailQueue(4)
+        seen = []
+        admit = queue.enqueue
+
+        def spy(packet, now):
+            seen.append(packet.seq)
+            return admit(packet, now)
+
+        queue.enqueue = spy
+        link.queue = queue
+        self._idle_sends(sim, link, 3)
+        assert seen == [0, 1, 2] and queue.enqueued == 3
+
+    def test_red_swapped_in_mid_run_turns_the_skip_off(self, sim):
+        link, dst = make_link(sim)
+        self._idle_sends(sim, link, 2)
+        link.queue = red = self._spying(
+            REDQueue, 6, 1.0, 4.0, 0.5, 0.5, np.random.default_rng(7)
+        )
+        self._idle_sends(sim, link, 3)
+        assert (red.offers, red.departures, red.enqueued) == (3, 3, 3)
+        link.queue = DropTailQueue(4)  # and back on again
+        self._idle_sends(sim, link, 2)
+        assert link.queue.enqueued == 2 and len(dst.received) == 7
+
+    def test_capacity_one_under_a_burst_drops_what_the_reference_drops(self, sim):
+        # Five at once into an idle link, twice; then spaced arrivals.
+        script = (
+            [(0.0, 1000, 1)] * 5 + [(0.0005, 1000, 2)]
+            + [(0.010, 500, 3)] * 5
+            + [(0.100, 1000, 1), (0.200, 1000, 2)]
+        )
+
+        def real(front, dst, queue):
+            return SimplexLink(front, _Capture(front, "src"), dst, 8e6, 0.002, queue)
+
+        def reference(front, dst, queue):
+            return _ReferenceLink(front, dst, 8e6, 0.002, queue)
+
+        got = _play(real, "droptail-1", type(sim), script)
+        want = _play(reference, "droptail-1", type(sim), script)
+        assert got == want
+        # One on the wire and one queued survive each burst of five.
+        assert want["accepted"][:5] == [True, True, False, False, False]
+        assert (want["enqueued"], want["drops"]) == (6, 7)

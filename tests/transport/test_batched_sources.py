@@ -1,8 +1,9 @@
 """Batched tick generation must be bit-identical to the unbatched loop.
 
-Each test runs the same sender twice — ``FLAGS.batched_sources`` on and
-off — and compares every departure (time, seq, claimed source) exactly.
-The batched paths differ per configuration (precomputed series for
+Each test runs the same sender twice — as shipped (batched) and as the
+event-per-packet loop it replaced, kept here as the reference — and
+compares every departure (time, seq, claimed source) exactly.  The
+batched paths differ per configuration (precomputed series for
 exclusive/jitter-free streams, shared prefetch buffer for the zombies'
 common stream), so each is pinned separately.
 """
@@ -12,11 +13,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf import engine_mode
 from repro.sim.engine import Simulator
 from repro.sim.packet import FlowKey
 from repro.transport.udp import CbrSender, OnOffSender
 from repro.util.rng import UniformBuffer
+
+
+class UnbatchedCbr(CbrSender):
+    """The reference: one self-rescheduling event and one scalar jitter
+    draw per packet (``CbrSender._tick`` with no buffer behind it)."""
+
+    def start(self, at=None):
+        if self.started:
+            raise RuntimeError("sender already started")
+        self.started = True
+        self.sim.schedule_at(self.sim.now if at is None else at, self._tick)
+
+
+class UnbatchedOnOff(OnOffSender):
+    """The reference burst: every departure its own ``_tick`` event."""
+
+    def _start_burst(self):
+        if self.stopped:
+            return
+        self._on = True
+        self._phase_ends = self.sim.now + self._draw_on()
+        self._tick()
+
+    def _tick(self):
+        if self.stopped or not self._on:
+            return
+        if self.sim.now >= self._phase_ends:
+            self._on = False
+            self.sim.schedule(self._draw_off(), self._start_burst)
+            return
+        self._emit_one()
+        self.sim.schedule(self.interval, self._tick)
 
 
 class FakeHost:
@@ -37,33 +69,32 @@ FLOW = FlowKey(0x0A000001, 0x0A010001, 1234, 9)
 def _run_cbr(batched: bool, *, jitter: float, exclusive: bool,
              shared_buffer: bool = False, until: float = 2.0,
              stop_at: float | None = None, n_senders: int = 1):
-    with engine_mode(batched_sources=batched):
-        sim = Simulator()
-        host = FakeHost(sim)
-        senders = []
-        rng = np.random.default_rng(99)
-        # ONE buffer over the shared stream — every consumer must go
-        # through it, exactly as the attack scenario wires its zombies.
-        buffer = (
-            UniformBuffer(rng)
-            if (batched and shared_buffer and jitter > 0)
-            else None
+    sim = Simulator()
+    host = FakeHost(sim)
+    senders = []
+    rng = np.random.default_rng(99)
+    # ONE buffer over the shared stream — every consumer must go
+    # through it, exactly as the attack scenario wires its zombies.
+    buffer = (
+        UniformBuffer(rng)
+        if (batched and shared_buffer and jitter > 0)
+        else None
+    )
+    for i in range(n_senders):
+        sender_rng = np.random.default_rng(99 + i) if exclusive else rng
+        sender = (CbrSender if batched else UnbatchedCbr)(
+            sim, host, FlowKey(i + 1, 0x0A010001, 1000 + i, 9),
+            rate_bps=2e6, packet_size=500, jitter=jitter,
+            rng=sender_rng if jitter > 0 else None,
+            exclusive_rng=exclusive,
+            jitter_buffer=buffer,
         )
-        for i in range(n_senders):
-            sender_rng = np.random.default_rng(99 + i) if exclusive else rng
-            sender = CbrSender(
-                sim, host, FlowKey(i + 1, 0x0A010001, 1000 + i, 9),
-                rate_bps=2e6, packet_size=500, jitter=jitter,
-                rng=sender_rng if jitter > 0 else None,
-                exclusive_rng=exclusive,
-                jitter_buffer=buffer,
-            )
-            sender.start(at=0.01 * i)
-            senders.append(sender)
-        if stop_at is not None:
-            sim.schedule_at(stop_at, senders[0].stop)
-        sim.run(until=until)
-        return host.sent, sim.events_executed
+        sender.start(at=0.01 * i)
+        senders.append(sender)
+    if stop_at is not None:
+        sim.schedule_at(stop_at, senders[0].stop)
+    sim.run(until=until)
+    return host.sent, sim.events_executed
 
 
 class TestCbrBatching:
@@ -96,18 +127,17 @@ class TestCbrBatching:
 
 def _run_onoff(batched: bool, *, deterministic: bool, until: float = 3.0,
                mean_off: float = 0.25):
-    with engine_mode(batched_sources=batched):
-        sim = Simulator()
-        host = FakeHost(sim)
-        sender = OnOffSender(
-            sim, host, FLOW, rate_bps=1e6, packet_size=500,
-            mean_on=0.3, mean_off=mean_off,
-            rng=np.random.default_rng(5),
-            deterministic=deterministic,
-        )
-        sender.start(at=0.05)
-        sim.run(until=until)
-        return host.sent, sim.events_executed
+    sim = Simulator()
+    host = FakeHost(sim)
+    sender = (OnOffSender if batched else UnbatchedOnOff)(
+        sim, host, FLOW, rate_bps=1e6, packet_size=500,
+        mean_on=0.3, mean_off=mean_off,
+        rng=np.random.default_rng(5),
+        deterministic=deterministic,
+    )
+    sender.start(at=0.05)
+    sim.run(until=until)
+    return host.sent, sim.events_executed
 
 
 class TestOnOffBatching:
