@@ -124,7 +124,7 @@ def build_flow_report(scenario: "BuiltScenario") -> FlowReport:
     # Victim arrivals require per-flow accounting from the sinks.
     sink = scenario.tcp_sink
     if sink is not None:
-        for flow_hash, next_seq in sink._next_expected.items():
+        for flow_hash, next_seq in sink.frontiers().items():
             fate = report.fates.get(flow_hash)
             if fate is not None:
                 fate.victim_arrivals = max(fate.victim_arrivals, next_seq)

@@ -47,6 +47,9 @@ class PacketType(Enum):
     CONTROL = "control"  # pushback signalling between routers
 
 
+_ACK = PacketType.ACK
+
+
 class FlowKey:
     """The 4-tuple flow label of Section III.B.
 
@@ -324,24 +327,13 @@ class Packet:
     ) -> "Packet":
         """The ACK a receiver returns for a DATA arrival on ``flow``.
 
-        Takes the data packet's fields as scalars so callers that must
-        not retain the (pooled) packet — the delayed-ACK sink — share
-        this one recipe with :meth:`make_ack`.
+        The one ACK recipe.  Takes the data packet's fields as scalars,
+        so a receiver holding a delayed ACK need not retain the (pooled)
+        packet, and hands them to :meth:`acquire` positionally.
         """
         return cls.acquire(
-            flow=flow.reversed(),
-            ptype=PacketType.ACK,
-            size=size,
-            seq=0,
-            ack=ack_seq,
-            ts_val=now,
-            ts_ecr=data_ts_val,
-            created_at=now,
+            flow.reversed(), _ACK, size, 0, ack_seq, now, data_ts_val, now
         )
-
-    def make_ack(self, ack_seq: int, now: float, size: int = 40) -> "Packet":
-        """Build the ACK a receiver returns for this packet."""
-        return Packet.build_ack(self.flow, self.ts_val, ack_seq, now, size)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

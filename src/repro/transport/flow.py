@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.sim.packet import FlowKey, Packet
+from repro.sim.packet import FlowKey, Packet, PacketType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.node import Host
+
+_DATA = PacketType.DATA
 
 
 @dataclass
@@ -39,9 +41,10 @@ class FlowAgent:
     """Common base: owns a flow key, a host, and send bookkeeping.
 
     Subclasses implement :meth:`start` / :meth:`handle_packet`; the base
-    provides packet construction and the shared counters.  ``is_attack``
-    marks every emitted packet as ground-truth malicious for the metrics
-    layer (the defence never reads it).
+    provides :meth:`_send_data`, which builds, sends and counts a packet
+    in one frame.  ``is_attack`` marks every emitted packet as
+    ground-truth malicious for the metrics layer (the defence never
+    reads it).
     """
 
     def __init__(
@@ -61,6 +64,9 @@ class FlowAgent:
         self.packet_size = int(packet_size)
         self.is_attack = bool(is_attack)
         self.keep_send_times = keep_send_times
+        #: Per-packet source rewriter, run between build and send; only
+        #: a zombie (``CbrSender(spoof=...)``) installs one.
+        self._spoof: Callable[[Packet], Packet] | None = None
         self.stats = FlowStats()
         self.started = False
         self.stopped = False
@@ -77,12 +83,19 @@ class FlowAgent:
         """Receive a packet addressed to this agent's source port."""
         raise NotImplementedError
 
-    def _emit(self, packet: Packet) -> bool:
-        """Send one packet through the host, updating counters."""
+    def _send_data(self, seq: int, ts_ecr: float = 0.0) -> bool:
+        """Build DATA segment ``seq``, send it through the host, count it.
+
+        The one place a sender makes a packet: the clock is read once and
+        stamps ``ts_val`` and ``created_at`` as the packet is acquired.
+        """
         now = self.sim.now
-        packet.created_at = now
-        packet.ts_val = now
-        packet.is_attack = self.is_attack
+        packet = Packet.acquire(
+            self.flow, _DATA, self.packet_size, seq, 0, now, ts_ecr, now,
+            self.is_attack,
+        )
+        if self._spoof is not None:
+            packet = self._spoof(packet)
         size = packet.size  # read before send: a dropped packet is recycled
         stats = self.stats
         sent = self.host.send(packet)
@@ -94,11 +107,3 @@ class FlowAgent:
         if self.keep_send_times:
             stats.send_times.append(now)
         return sent
-
-    def _make_data(self, seq: int) -> Packet:
-        return Packet.acquire(
-            flow=self.flow,
-            size=self.packet_size,
-            seq=seq,
-            is_attack=self.is_attack,
-        )

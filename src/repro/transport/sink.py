@@ -4,6 +4,11 @@
 out-of-order arrivals, timestamp echo.  :class:`CountingSink` just counts
 (the victim's view of raw arrival volume, used for UDP flows and for the
 Fig. 4 time series).
+
+The victim's :class:`AckingSink` sees every packet that survives the
+defence, attack packets included, so an arrival is handled in one frame
+(``tests/transport/test_endpoint_cost.py`` pins the chain,
+``test_sink_reference.py`` the behaviour).
 """
 
 from __future__ import annotations
@@ -58,13 +63,30 @@ class CountingSink:
         return self._rate.rate(now) if self._rate is not None else 0.0
 
 
+class _FlowState:
+    """What the receiver keeps per flow: the reassembly frontier, the
+    segments buffered beyond a gap, and a held (delayed) ACK."""
+
+    __slots__ = ("expected", "ooo", "held", "timer")
+
+    def __init__(self) -> None:
+        self.expected = 0  # next in-order seq
+        self.ooo: set[int] | None = None  # made on the flow's first gap
+        # (flow, ts_val) of the DATA arrival holding a delayed ACK.
+        # Scalars, not the packet: a delivered packet is recycled into
+        # the pool the moment the handler returns.
+        self.held: tuple | None = None
+        self.timer = None  # the held ACK's delayed-ACK timer handle
+
+
 class AckingSink(CountingSink):
     """A TCP receiver: cumulative ACK generation with dup-ACKs.
 
-    Keeps an out-of-order buffer of segment numbers; every DATA arrival
-    triggers exactly one ACK carrying the next expected segment, so a gap
+    Keeps one :class:`_FlowState` per flow; every DATA arrival triggers
+    exactly one ACK carrying the next expected segment, so a gap
     produces the duplicate-ACK train a Reno sender needs for fast
-    retransmit.
+    retransmit.  :meth:`handle_packet` counts, reassembles and hands
+    :meth:`Packet.build_ack` to the host itself.
     """
 
     def __init__(
@@ -86,78 +108,88 @@ class AckingSink(CountingSink):
         #: timer expiry; out-of-order arrivals still ACK immediately
         #: (the dup-ACK train fast retransmit depends on).
         self.delayed_ack = float(delayed_ack)
-        self._next_expected: dict[int, int] = {}  # flow_hash -> next seq
-        self._ooo: dict[int, set[int]] = {}  # flow_hash -> buffered seqs
-        # flow_hash -> (flow, ts_val) of the DATA arrival holding a
-        # delayed ACK.  Scalars, not the packet: a delivered packet is
-        # recycled into the pool the moment the handler returns.
-        self._pending_ack: dict[int, tuple] = {}
-        self._pending_events: dict[int, object] = {}
+        self._flows: dict[int, _FlowState] = {}  # flow_hash -> state
         self.acks_sent = 0
         self.dup_acks_sent = 0
         self.delayed_acks_coalesced = 0
 
+    def frontiers(self) -> dict[int, int]:
+        """Next expected segment per flow hash, for every flow seen (0
+        for one that has only arrived beyond a gap): the public read of
+        the per-flow state, whose record is private."""
+        return {key: state.expected for key, state in self._flows.items()}
+
     def handle_packet(self, packet: Packet, now: float) -> bool:
         """Count, reassemble, and ACK one DATA arrival."""
-        if not super().handle_packet(packet, now):  # the one type test
+        if packet.ptype is not _DATA:
             return False
-        key = packet.flow_hash
-        expected = self._next_expected.get(key, 0)
-        buffered = self._ooo.setdefault(key, set())
-        in_order = False
-        if packet.seq == expected:
-            in_order = True
+        # CountingSink.handle_packet, inline: one frame an arrival.
+        size = packet.size
+        self.packets_received += 1
+        self.bytes_received += size
+        if packet.is_attack:
+            self.attack_packets_received += 1
+        else:
+            self.legit_packets_received += 1
+        if self._rate is not None:
+            self._rate.record(now, size * 8.0)
+        if self._on_packet is not None:
+            self._on_packet(packet, now)
+
+        flow = packet.flow
+        key = flow._hash64
+        state = self._flows.get(key)
+        if state is None:
+            state = self._flows[key] = _FlowState()
+        seq = packet.seq
+        expected = state.expected
+        if seq == expected:
             expected += 1
-            while expected in buffered:
-                buffered.discard(expected)
-                expected += 1
-            self._next_expected[key] = expected
-        elif packet.seq > expected:
-            buffered.add(packet.seq)
+            ooo = state.ooo
+            if ooo:
+                while expected in ooo:
+                    ooo.discard(expected)
+                    expected += 1
+            state.expected = expected
+            if self.delayed_ack > 0:
+                if state.held is None:  # hold this one's ACK (RFC 1122)
+                    state.held = (flow, packet.ts_val)
+                    state.timer = self.sim.schedule(
+                        self.delayed_ack, self._release_held, state
+                    )
+                    return True
+                # Second in-order segment: one ACK for both, now.
+                state.timer.cancel()
+                state.held = state.timer = None
+                self.delayed_acks_coalesced += 1
+        elif seq > expected:
+            ooo = state.ooo
+            if ooo is None:
+                state.ooo = {seq}
+            else:
+                ooo.add(seq)
             self.dup_acks_sent += 1
         # else: stale retransmission; re-ACK the frontier.
-        frontier = self._next_expected.get(key, expected)
-        if self.delayed_ack > 0 and in_order:
-            self._delayed_ack_path(packet, key, now)
-        else:
-            self._flush_pending(key)
-            self._send_ack(packet.flow, packet.ts_val, frontier, now)
+        if state.held is not None:
+            # Release the held ACK before answering out-of-order traffic.
+            self._release_held(state)
+        self.acks_sent += 1
+        self.host.send(
+            Packet.build_ack(flow, packet.ts_val, expected, now, self.ack_size)
+        )
         return True
 
-    def _delayed_ack_path(self, packet: Packet, key: int, now: float) -> None:
-        if key in self._pending_ack:
-            # Second in-order segment: ACK immediately (RFC 1122).
-            event = self._pending_events.pop(key, None)
-            if event is not None:
-                event.cancel()
-            self._pending_ack.pop(key, None)
-            self.delayed_acks_coalesced += 1
-            self._send_ack(packet.flow, packet.ts_val, self._next_expected[key], now)
+    def _release_held(self, state: _FlowState) -> None:
+        """Send the held ACK now: its timer fired, or out-of-order
+        traffic must not overtake it."""
+        held = state.held
+        if held is None:
             return
-        self._pending_ack[key] = (packet.flow, packet.ts_val)
-        self._pending_events[key] = self.sim.schedule(
-            self.delayed_ack, self._ack_timer_fired, key
-        )
-
-    def _ack_timer_fired(self, key: int) -> None:
-        pending = self._pending_ack.pop(key, None)
-        self._pending_events.pop(key, None)
-        if pending is None:
-            return
-        flow, ts_val = pending
-        self._send_ack(flow, ts_val, self._next_expected.get(key, 0), self.sim.now)
-
-    def _flush_pending(self, key: int) -> None:
-        """Release any held ACK before answering out-of-order traffic."""
-        pending = self._pending_ack.pop(key, None)
-        event = self._pending_events.pop(key, None)
-        if event is not None:
-            event.cancel()
-        if pending is not None:
-            flow, ts_val = pending
-            self._send_ack(flow, ts_val, self._next_expected.get(key, 0), self.sim.now)
-
-    def _send_ack(self, flow, data_ts_val: float, ack_seq: int, now: float) -> None:
-        ack = Packet.build_ack(flow, data_ts_val, ack_seq, now, size=self.ack_size)
+        state.timer.cancel()  # a no-op from the timer's own callback
+        state.held = state.timer = None
         self.acks_sent += 1
-        self.host.send(ack)
+        self.host.send(
+            Packet.build_ack(
+                held[0], held[1], state.expected, self.sim.now, self.ack_size
+            )
+        )

@@ -30,6 +30,9 @@ _K = 4.0
 _MIN_RTO = 0.2  # NS-2 style floor (the RFC's 1 s is too coarse for 10 ms RTTs)
 _MAX_RTO = 60.0
 
+_ACK = PacketType.ACK
+_DUP_ACK = PacketType.DUP_ACK
+
 
 class TcpSender(FlowAgent):
     """Greedy (FTP-like) TCP sender with Reno-style congestion control.
@@ -112,11 +115,13 @@ class TcpSender(FlowAgent):
 
     def handle_packet(self, packet: Packet, now: float) -> None:
         """Process an incoming ACK (real or a forged MAFIC probe)."""
-        if packet.ptype not in (PacketType.ACK, PacketType.DUP_ACK):
+        ptype = packet.ptype
+        if ptype is not _ACK and ptype is not _DUP_ACK:
             return
         self.stats.acks_received += 1
-        if packet.ts_val > self._last_peer_ts:
-            self._last_peer_ts = packet.ts_val
+        ts_val = packet.ts_val
+        if ts_val > self._last_peer_ts:
+            self._last_peer_ts = ts_val
         if packet.ack > self.high_ack:
             self._on_new_ack(packet, now)
         else:
@@ -136,13 +141,15 @@ class TcpSender(FlowAgent):
     # ------------------------------------------------------- ACK processing
 
     def _on_new_ack(self, packet: Packet, now: float) -> None:
-        newly_acked = packet.ack - self.high_ack
-        self.high_ack = packet.ack
+        ack = packet.ack
+        first = self.high_ack  # the earliest newly-acked segment
+        newly_acked = ack - first
+        self.high_ack = ack
         self._dup_ack_count = 0
         if (
             self.total_segments is not None
             and self.completed_at is None
-            and self.high_ack >= self.total_segments
+            and ack >= self.total_segments
         ):
             self.completed_at = now
             self.stopped = True
@@ -153,24 +160,30 @@ class TcpSender(FlowAgent):
                 self.on_complete(now)
             return
 
-        # RTT sample from the earliest newly-acked, never-retransmitted seg.
-        for seq in range(packet.ack - newly_acked, packet.ack):
-            sent = self._sent_at.pop(seq, None)
-            if sent is not None and seq not in self._retransmitted:
+        # An RTT sample from every newly-acked segment that was never
+        # retransmitted (Karn); the set is only probed while it holds
+        # something, which outside loss recovery it does not.
+        sent_at = self._sent_at
+        retransmitted = self._retransmitted
+        for seq in range(first, ack):
+            sent = sent_at.pop(seq, None)
+            if retransmitted and seq in retransmitted:
+                retransmitted.discard(seq)
+            elif sent is not None:
                 self._update_rtt(now - sent)
-            self._retransmitted.discard(seq)
 
+        cwnd = self.cwnd
         if self._in_fast_recovery:
-            if packet.ack >= self._recover_seq:
+            if ack >= self._recover_seq:
                 self._in_fast_recovery = False
-                self.cwnd = self.ssthresh
+                cwnd = self.ssthresh
             # Partial ACKs keep us in recovery (NewReno-lite).
-        elif self.cwnd < self.ssthresh:
-            self.cwnd = min(self.max_cwnd, self.cwnd + newly_acked)  # slow start
+        elif cwnd < self.ssthresh:
+            cwnd = min(self.max_cwnd, cwnd + newly_acked)  # slow start
         else:
-            self.cwnd = min(self.max_cwnd, self.cwnd + newly_acked / self.cwnd)
-
-        self._record_cwnd(now)
+            cwnd = min(self.max_cwnd, cwnd + newly_acked / cwnd)
+        self.cwnd = cwnd
+        self.cwnd_history.append((now, cwnd))
         self._restart_rto()
 
     def _on_dup_ack(self, packet: Packet, now: float) -> None:
@@ -178,7 +191,7 @@ class TcpSender(FlowAgent):
         self._dup_ack_count += 1
         if self._in_fast_recovery:
             self.cwnd = min(self.max_cwnd, self.cwnd + 1)  # window inflation
-            self._record_cwnd(now)
+            self.cwnd_history.append((now, self.cwnd))
             return
         if self._dup_ack_count >= self.DUP_ACK_THRESHOLD:
             # Fast retransmit + fast recovery.
@@ -187,7 +200,7 @@ class TcpSender(FlowAgent):
             self._in_fast_recovery = True
             self._recover_seq = self.next_seq
             self._retransmit(self.high_ack)
-            self._record_cwnd(now)
+            self.cwnd_history.append((now, self.cwnd))
             self._restart_rto()
 
     # ------------------------------------------------------------- sending
@@ -195,43 +208,45 @@ class TcpSender(FlowAgent):
     def _try_send(self) -> None:
         if self.stopped:
             return
-        if self.app_limit_bps is not None and not self._app_gate_open:
+        app_limit = self.app_limit_bps
+        if app_limit is not None and not self._app_gate_open:
             return
-        window = int(self.cwnd)
-        while self.next_seq < self.high_ack + window:
-            if (
-                self.total_segments is not None
-                and self.next_seq >= self.total_segments
-            ):
-                return
-            if self.app_limit_bps is not None:
-                self._send_segment(self.next_seq)
-                self.next_seq += 1
+        # Sending changes neither the window nor the frontier, so the
+        # first seq that may not go out is fixed before the loop.
+        limit = self.high_ack + int(self.cwnd)
+        total = self.total_segments
+        if total is not None and total < limit:
+            limit = total
+        seq = self.next_seq
+        if app_limit is not None:
+            if seq < limit:  # one segment, then wait out its pacing gap
+                self._send_segment(seq)
+                self.next_seq = seq + 1
                 self._app_gate_open = False
-                gap = self.packet_size * 8.0 / self.app_limit_bps
+                gap = self.packet_size * 8.0 / app_limit
                 self.sim.schedule(gap, self._open_app_gate)
-                return
-            self._send_segment(self.next_seq)
-            self.next_seq += 1
+            return
+        while seq < limit:
+            # next_seq moves after the send: _send_segment reads it to
+            # decide whether anything is in flight yet.
+            self._send_segment(seq)
+            seq += 1
+            self.next_seq = seq
 
     def _open_app_gate(self) -> None:
         self._app_gate_open = True
         self._try_send()
 
     def _send_segment(self, seq: int) -> None:
-        packet = self._make_data(seq)
-        packet.ts_ecr = self._last_peer_ts
         self._sent_at[seq] = self.sim.now
-        self._emit(packet)
+        self._send_data(seq, self._last_peer_ts)
         if self._rto_event is None:
             self._restart_rto()
 
     def _retransmit(self, seq: int) -> None:
         self.stats.retransmissions += 1
         self._retransmitted.add(seq)
-        packet = self._make_data(seq)
-        packet.ts_ecr = self._last_peer_ts
-        self._emit(packet)
+        self._send_data(seq, self._last_peer_ts)
 
     # ----------------------------------------------------------- RTO logic
 
@@ -248,7 +263,7 @@ class TcpSender(FlowAgent):
 
     def _restart_rto(self) -> None:
         ev = self._rto_event
-        if self.in_flight > 0 and not self.stopped:
+        if self.next_seq > self.high_ack and not self.stopped:  # in flight
             if ev is not None:
                 # Per-ACK deadline bump: postpone the pending timer in
                 # place instead of a cancel+reschedule round trip.  One
@@ -274,13 +289,10 @@ class TcpSender(FlowAgent):
         self._dup_ack_count = 0
         self.rto = min(_MAX_RTO, self.rto * 2.0)  # exponential backoff
         self.next_seq = self.high_ack  # go-back-N resend from the hole
-        self._record_cwnd(self.sim.now)
+        self.cwnd_history.append((self.sim.now, self.cwnd))
         self._retransmit_after_timeout()
 
     def _retransmit_after_timeout(self) -> None:
         self._retransmit(self.high_ack)
         self.next_seq = self.high_ack + 1
         self._restart_rto()
-
-    def _record_cwnd(self, now: float) -> None:
-        self.cwnd_history.append((now, self.cwnd))

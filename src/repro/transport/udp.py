@@ -24,7 +24,9 @@ because the draws come from the same streams in the same order:
   ``"attack"`` stream, interleaved in event order) — departures cannot
   be precomputed per sender, but the scalar draw is served from a shared
   :class:`~repro.util.rng.UniformBuffer` that prefetches the stream and
-  hands out values in the same global tick order.
+  hands out values in the same global tick order, and the next tick is a
+  handle-free ``schedule_anon`` entry (nothing ever cancels a tick;
+  ``stop()`` is a flag the tick reads).
 
 On-off bursts batch unconditionally: the burst's departure times depend
 only on the on-duration drawn at burst start, and the off/on draws keep
@@ -126,11 +128,9 @@ class CbrSender(FlowAgent):
     # ------------------------------------------------------------ emission
 
     def _emit_one(self) -> None:
-        packet = self._make_data(self._seq)
-        self._seq += 1
-        if self._spoof is not None:
-            packet = self._spoof(packet)
-        self._emit(packet)
+        seq = self._seq
+        self._seq = seq + 1
+        self._send_data(seq)
 
     def _next_gaps(self, last_time: float, count: int) -> list[float]:
         """The next ``count`` departure times after ``last_time``.
@@ -169,19 +169,17 @@ class CbrSender(FlowAgent):
         if self.stopped:
             return
         self._emit_one()
-        gap = self.interval
+        gap = self.packet_size * 8.0 / self.rate_bps  # interval, minus a call
         if self.jitter > 0:
             if self._use_buffer:
                 u = self._jitter_buffer.next()
             else:
                 u = float(self._rng.random())
             gap *= 1.0 + self.jitter * (2.0 * u - 1.0)
-        self.sim.schedule(gap, self._tick)
-
-    def _emit(self, packet: Packet) -> bool:
-        # CbrSender may replace the packet's flow via spoofing, so stats
-        # are tracked here rather than via _make_data's flow.
-        return super()._emit(packet)
+        # Nobody keeps a tick's handle: the same ``now + gap`` and the
+        # same one seq draw as ``schedule(gap, ...)``, minus the Event.
+        sim = self.sim
+        sim.schedule_anon(sim.now + gap, self._tick)
 
 
 class OnOffSender(CbrSender):

@@ -79,14 +79,16 @@ class TestPacket:
         assert Packet(flow=FlowKey(1, 2, 3, 4)).ptype is PacketType.DATA
 
     def test_make_ack_reverses_flow_and_echoes_timestamp(self):
+        """``Packet.build_ack`` is the one ACK recipe (``make_ack``, the
+        instance spelling this test is named for, had no caller)."""
         p = Packet(flow=FlowKey(1, 2, 3, 4), seq=7, ts_val=1.25)
-        ack = p.make_ack(ack_seq=8, now=1.5)
+        ack = Packet.build_ack(p.flow, p.ts_val, 8, 1.5)
         assert ack.ptype is PacketType.ACK
         assert ack.flow == p.flow.reversed()
         assert ack.ack == 8
         assert ack.ts_ecr == 1.25
-        assert ack.ts_val == 1.5
-        assert ack.size == 40
+        assert ack.ts_val == ack.created_at == 1.5
+        assert (ack.seq, ack.size, ack.is_attack) == (0, 40, False)
 
     def test_attack_flag_defaults_false(self):
         assert not Packet(flow=FlowKey(1, 2, 3, 4)).is_attack

@@ -84,7 +84,7 @@ class TestAckingSink:
         sink.handle_packet(data(flow, 0), 0.0)
         sink.handle_packet(data(flow, 2), 0.1)
         sink.handle_packet(data(flow, 1), 0.2)  # fills the hole
-        assert sink._next_expected[flow.hashed()] == 3
+        assert sink.frontiers()[flow.hashed()] == 3
 
     def test_flows_tracked_independently(self, sim):
         host, _ = _host_with_uplink(sim)
@@ -94,7 +94,7 @@ class TestAckingSink:
         sink.handle_packet(data(f1, 0), 0.0)
         sink.handle_packet(data(f2, 5), 0.0)  # gap only in f2
         assert sink.dup_acks_sent == 1
-        assert sink._next_expected[f1.hashed()] == 1
+        assert sink.frontiers()[f1.hashed()] == 1
 
     def test_ack_echoes_timestamp(self, sim):
         host, link = _host_with_uplink(sim)
@@ -133,4 +133,21 @@ class TestAckingSink:
         sink.handle_packet(data(flow, 0), 0.0)
         sink.handle_packet(data(flow, 0), 0.1)  # duplicate delivery
         assert sink.acks_sent == 2
-        assert sink._next_expected[flow.hashed()] == 1
+        assert sink.frontiers()[flow.hashed()] == 1
+
+    def test_a_flow_that_never_saw_a_gap_holds_no_reorder_set(self, sim):
+        """Per-flow state is never freed, and under source rotation every
+        attack packet that reaches the victim is a new flow: such a flow
+        costs one slotted record, and a set only once it has a gap."""
+        host, _ = _host_with_uplink(sim)
+        sink = AckingSink(sim, host)
+        flows = [FlowKey(src, host.address, 9, 80) for src in range(1, 1001)]
+        for flow in flows:
+            sink.handle_packet(data(flow, 0), 0.0)
+        assert sink.frontiers() == {flow.hashed(): 1 for flow in flows}
+        states = list(sink._flows.values())
+        assert len(states) == 1000
+        assert all(state.ooo is None for state in states)
+        assert not hasattr(states[0], "__dict__")
+        sink.handle_packet(data(flows[0], 5), 0.0)  # the first gap
+        assert [s.ooo for s in states if s.ooo is not None] == [{5}]
