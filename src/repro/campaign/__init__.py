@@ -3,9 +3,10 @@
 The paper's results are campaigns — multi-seed sweeps over attack
 intensity, topology shape, and defence parameters — not single runs.
 This package turns a TOML/JSON :class:`CampaignSpec` into a
-content-addressed plan of configs, executes it through the parallel
-batch runner with one JSON artifact per run, and makes the whole thing
-resumable, extensible, and queryable:
+content-addressed plan of configs, executes it through one lease-pull
+cell executor (:mod:`repro.campaign.worker` — in-process or as N worker
+processes on the same store) with one JSON artifact per run, and makes
+the whole thing resumable, crash-tolerant, extensible, and queryable:
 
     from repro.campaign import CampaignSpec, run_campaign, campaign_report
 
@@ -46,7 +47,6 @@ from repro.campaign.store import (
     CampaignStore,
     GCReport,
     MigrationReport,
-    StoreCache,
     StoredRun,
     StoreError,
     migrate_store,
@@ -66,7 +66,6 @@ __all__ = [
     "READ_SCHEMAS",
     "REPORT_METRICS",
     "STORE_SCHEMA",
-    "StoreCache",
     "StoreError",
     "StoredRun",
     "aggregate_by_point",

@@ -3,7 +3,7 @@
 ::
 
     python -m repro campaign run     spec.toml [--root DIR] [--jobs N]
-                                     [--distributed] [--retry-failed] ...
+                                     [--retry-failed] [--max-attempts K] ...
     python -m repro campaign resume  spec.toml [--root DIR] [--jobs N]
     python -m repro campaign status  spec.toml [--root DIR]
     python -m repro campaign workers spec.toml [--root DIR]
@@ -16,11 +16,14 @@
 ``run`` and ``resume`` are the same operation — plan, skip every run
 whose artifact exists, execute the rest — except that ``resume`` insists
 the store already exists (catching a mistyped ``--root`` before it
-silently recomputes everything).  ``--distributed`` swaps the in-process
-wave executor for the worker-pull pool (:mod:`repro.campaign.pool`):
-``--jobs`` lease-coordinated worker processes that survive any of them
-dying, with per-cell timeouts, retry/backoff, and quarantine;
-``--retry-failed`` clears the quarantine ledger first.  ``status``
+silently recomputes everything).  Cells execute through the lease-pull
+loop of :mod:`repro.campaign.worker` — in this process at ``--jobs 1``,
+else in ``--jobs`` worker subprocesses that survive any of them dying
+(:mod:`repro.campaign.pool`).  One failure behaviour either way: a cell
+that raises is charged to the store's failure ledger with its
+traceback, retried after backoff, quarantined after ``--max-attempts``,
+and the command exits 1 with the campaign incomplete;
+``--retry-failed`` clears the ledger first.  ``status``
 exits 0 only when the campaign is complete, so CI can gate on it;
 ``workers`` shows the live leases and the failure ledger.  ``figures``
 regenerates the campaign's figure set from stored artifacts without
@@ -79,24 +82,30 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
         ("run", "execute the campaign (skipping completed runs)"),
         ("resume", "like run, but the store must already exist"),
     ):
-        p = csub.add_parser(verb, help=help_text)
+        p = csub.add_parser(
+            verb, help=help_text,
+            description="Cells run through one lease-pull loop: in this "
+            "process at --jobs 1, else in N worker subprocesses on the "
+            "same store.  A cell that raises never aborts the run: "
+            "it is recorded in the store's failure ledger with its "
+            "traceback, retried after exponential backoff, quarantined "
+            "after --max-attempts, and the command exits 1 (campaign "
+            "incomplete) with the error on stderr.",
+        )
         common(p)
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
-            help="worker processes (default: CPU count)",
+            help="workers (default: CPU count); 1 runs the loop in this "
+            "process, N > 1 spawns N worker subprocesses",
         )
         p.add_argument(
             "--max-runs", type=int, default=None, metavar="K",
-            help="execute at most K new runs this invocation",
-        )
-        p.add_argument(
-            "--wave", type=int, default=None, metavar="W",
-            help="artifacts are written after every W runs "
-            "(default: 4 x jobs)",
+            help="attempt at most K cells this invocation, in this "
+            "process (implies --jobs 1)",
         )
         p.add_argument(
             "--profile", default=None, metavar="FILE",
-            help="cProfile ONE missing cell (forces --jobs 1 "
+            help="cProfile ONE missing cell (implies --jobs 1 "
             "--max-runs 1) and dump pstats to FILE; the REPRO_PROFILE "
             "env var is the same switch for Makefile/CI invocations",
         )
@@ -107,24 +116,22 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
             "recording for 'python -m repro replay'",
         )
         p.add_argument(
-            "--distributed", action="store_true",
-            help="execute via the worker-pull pool (lease files, "
-            "retry/backoff, quarantine) instead of in-process waves",
-        )
-        p.add_argument(
-            "--lease-ttl", type=float, default=None, metavar="S",
-            help="distributed: heartbeat TTL before a worker's lease "
-            "counts as dead (default: 15s)",
+            "--lease-ttl", type=float, default=DEFAULT_LEASE_TTL,
+            metavar="S",
+            help="heartbeat TTL before a worker's lease counts as dead "
+            f"(default: {DEFAULT_LEASE_TTL:g}s)",
         )
         p.add_argument(
             "--cell-timeout", type=float, default=None, metavar="S",
-            help="distributed: kill a worker whose cell runs longer "
-            "than S seconds (the attempt is charged to the ledger)",
+            help="kill a worker whose cell runs longer than S seconds "
+            "(the attempt is charged to the ledger); cells then run in "
+            "worker subprocesses even at --jobs 1",
         )
         p.add_argument(
-            "--max-attempts", type=int, default=None, metavar="K",
-            help="distributed: failed attempts before a cell is "
-            "quarantined (default: 3)",
+            "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
+            metavar="K",
+            help="failed attempts before a cell is quarantined "
+            f"(default: {DEFAULT_MAX_ATTEMPTS})",
         )
         p.add_argument(
             "--retry-failed", action="store_true",
@@ -258,7 +265,7 @@ def cmd(args: argparse.Namespace) -> int:
         return _cmd_report(spec, args)
     except (ValueError, TypeError, UnknownComponentError, StoreError) as exc:
         # ValueError covers CampaignSpecError plus orchestrator argument
-        # validation (bad --wave/--max-runs); TypeError fires when a
+        # validation (bad --max-runs); TypeError fires when a
         # ``*_args`` axis names a kwarg its builder doesn't accept;
         # UnknownComponentError (a KeyError) fires when a spec names a
         # missing registry component.
@@ -280,9 +287,6 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
         return 2
 
     profile_path = args.profile or os.environ.get(PROFILE_ENV_VAR) or None
-
-    def progress(done: int, total: int) -> None:
-        print(f"  {done}/{total} new runs complete", flush=True)
 
     def on_run(event) -> None:
         point = ", ".join(f"{k}={v}" for k, v in event.point.items()) or "-"
@@ -322,68 +326,19 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
         bus.subscribe(recorder)
 
     try:
-        if args.distributed:
-            from repro.campaign.pool import run_distributed
-
-            if profile_path is not None:
-                print(
-                    "error: --profile is a serial-mode switch (it "
-                    "profiles one in-process cell); drop --distributed",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.max_runs is not None or args.wave is not None:
-                print(
-                    "error: --max-runs/--wave shape in-process waves; "
-                    "workers pull cells one at a time — drop them or "
-                    "drop --distributed",
-                    file=sys.stderr,
-                )
-                return 2
-            report = run_distributed(
-                spec,
-                root=args.root,
-                jobs=args.jobs,
-                compress_series=args.compress_series or None,
-                retry_failed=args.retry_failed,
-                lease_ttl=(
-                    args.lease_ttl if args.lease_ttl is not None
-                    else DEFAULT_LEASE_TTL
-                ),
-                cell_timeout=args.cell_timeout,
-                max_attempts=(
-                    args.max_attempts if args.max_attempts is not None
-                    else DEFAULT_MAX_ATTEMPTS
-                ),
-                bus=bus,
-            )
-        else:
-            for flag, value in (
-                ("--lease-ttl", args.lease_ttl),
-                ("--cell-timeout", args.cell_timeout),
-                ("--max-attempts", args.max_attempts),
-            ):
-                if value is not None:
-                    print(
-                        f"error: {flag} only applies with --distributed",
-                        file=sys.stderr,
-                    )
-                    return 2
-            if args.retry_failed:
-                cleared = open_store(spec, args.root).ensure().clear_failures()
-                if cleared:
-                    print(f"  cleared {cleared} failure records")
-            report = run_campaign(
-                spec,
-                root=args.root,
-                jobs=args.jobs,
-                max_runs=args.max_runs,
-                wave_size=args.wave,
-                progress=progress,
-                bus=bus,
-                profile_path=profile_path,
-                compress_series=args.compress_series or None,
-            )
+        report = run_campaign(
+            spec,
+            root=args.root,
+            jobs=args.jobs,
+            max_runs=args.max_runs,
+            bus=bus,
+            profile_path=profile_path,
+            compress_series=args.compress_series or None,
+            retry_failed=args.retry_failed,
+            lease_ttl=args.lease_ttl,
+            cell_timeout=args.cell_timeout,
+            max_attempts=args.max_attempts,
+        )
     finally:
         if recorder is not None:
             recorder.close()
@@ -418,8 +373,9 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 130
-    if args.distributed and not report.complete:
-        return 1
+    if args.max_runs is None and profile_path is None \
+            and not report.complete:
+        return 1  # nothing capped the run, yet cells are missing
     return 0
 
 

@@ -1,27 +1,35 @@
-"""Campaign execution: plan -> skip cached -> run waves -> file artifacts.
+"""Campaign execution: plan -> skip what is filed -> hand the rest to workers.
 
-:func:`run_campaign` is deliberately dumb about parallelism — it feeds
-waves of missing configs to :func:`repro.experiments.parallel.run_batch`
-(the existing ProcessPoolExecutor fan-out) and files each wave's
-artifacts before starting the next.  Waves bound the work lost to a
-crash: a campaign killed mid-grid keeps every artifact from completed
-waves, and ``resume`` (the same call again) re-plans, skips every hash
-already on disk, and executes only the remainder.  Because each run is
-fully determined by its config, the union of artifacts from any
-interleaving of partial executions is bit-identical to one uninterrupted
-pass.
+:func:`run_campaign` is the parent of the one cell executor, the
+lease-pull loop :func:`repro.campaign.worker.run_worker`.  It prepares
+the store (:func:`prepare_store`), returns at once when a single readdir
+shows nothing missing, and otherwise runs the loop *in this process*
+(``jobs == 1``) or as worker subprocesses
+(:func:`repro.campaign.pool.run_pool`) — the same claims, retries and
+quarantine either way, so a second ``run_campaign`` on the same store
+splits the grid with the first.  Each run is fully determined by its
+config and artifacts are written atomically, so the union of artifacts
+from any interleaving of partial executions is bit-identical to one
+uninterrupted pass.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.campaign.spec import CampaignSpec, PlannedRun
-from repro.campaign.store import CampaignStore, GCReport, StoreError
-from repro.experiments.parallel import default_jobs, run_batch
+from repro.campaign.store import (
+    DEFAULT_LEASE_TTL,
+    DEFAULT_MAX_ATTEMPTS,
+    CampaignStore,
+    GCReport,
+    StoreError,
+)
+from repro.experiments.parallel import default_jobs
 
 #: Default artifact root, relative to the working directory.
 DEFAULT_ROOT = "campaigns"
@@ -35,22 +43,28 @@ class CampaignRunReport:
     store_dir: Path
     planned: int
     cached: int
-    executed: int
-    jobs: int
-    wall_seconds: float
+    #: Cells this invocation's workers filed (with worker subprocesses:
+    #: planned artifacts that appeared while they ran).
+    executed: int = 0
+    jobs: int = 1
+    wall_seconds: float = 0.0
     #: True when Ctrl-C cut the invocation short.  Artifacts filed
     #: before the interrupt are on disk; ``resume`` picks up the rest.
     interrupted: bool = False
-    #: Distributed mode only: cells quarantined by the failure ledger
-    #: (attempts exhausted) and abnormal worker deaths observed.  Serial
-    #: execution raises on the first failure instead, so both stay 0.
+    #: Planned cells still without an artifact at exit, and how many of
+    #: those the failure ledger has quarantined (attempts exhausted).
+    remaining: int = 0
     quarantined: int = 0
+    #: Worker subprocesses only: abnormal exits survived, replacements
+    #: spawned, every worker's final state.
     deaths: int = 0
+    respawns: int = 0
+    exits: list = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
         """True when every planned run now has an artifact."""
-        return self.cached + self.executed == self.planned
+        return self.remaining == 0
 
 
 @dataclass
@@ -127,46 +141,19 @@ def campaign_gc(
     )
 
 
-def run_campaign(
+def prepare_store(
     spec: CampaignSpec,
     root: str | Path = DEFAULT_ROOT,
-    jobs: int | None = None,
     series_bin_width: float = 0.05,
-    max_runs: int | None = None,
-    wave_size: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    bus=None,
-    profile_path: str | None = None,
     compress_series: bool | None = None,
-) -> CampaignRunReport:
-    """Execute (or resume) a campaign; returns what happened.
-
-    ``max_runs`` caps how many *new* runs execute this invocation (the
-    rest stay missing for a later resume — also the hook the tests use
-    to kill a campaign mid-grid deterministically).  ``wave_size``
-    bounds crash loss: artifacts are filed after every wave (default
-    4 x the worker count).  ``progress`` is called with (done, total)
-    missing-run counts after each wave.  ``series_bin_width`` is pinned
-    by the store's manifest on first execution; resuming with a
-    different value raises rather than mixing series resolutions.
-
-    ``bus`` (an :class:`~repro.obs.bus.EventBus`) receives one
-    ``campaign.run`` event per freshly executed cell and a
-    ``campaign.progress`` event per filed wave, so callers can stream
-    status without re-reading the store.  (Runs execute in worker
-    processes; per-run events are forwarded from the parent as each
-    wave's artifacts are filed.)
-
-    A ``KeyboardInterrupt`` (Ctrl-C) stops cleanly between artifacts:
-    every fully executed wave is already filed, the report comes back
-    with ``interrupted=True``, and ``resume`` re-plans only the
-    remainder.  ``profile_path`` profiles exactly one missing cell
-    (forcing ``jobs=1, max_runs=1``) under cProfile — see
-    :mod:`repro.experiments.profiling`.
+    retry_failed: bool = False,
+) -> CampaignStore:
+    """Make ``root/<name>`` ready for workers: skeleton, spec snapshot,
+    and the series resolution pinned (a store prepared at another
+    ``series_bin_width`` raises rather than mix resolutions);
+    ``retry_failed`` clears the failure ledger so quarantined cells are
+    attempted again.
     """
-    started = time.perf_counter()
-    if profile_path is not None:
-        jobs, max_runs = 1, 1
     store = open_store(spec, root).ensure()
     store.pin_series_bin_width(series_bin_width)
     store.write_manifest(
@@ -174,95 +161,152 @@ def run_campaign(
         series_bin_width=series_bin_width,
         compress_series=compress_series,
     )
+    if retry_failed:
+        store.clear_failures()
+    return store
 
-    plan = spec.plan()
-    on_disk = store.run_ids()  # one readdir, not one stat() per run
-    missing = [run for run in plan if run.run_id not in on_disk]
-    cached = len(plan) - len(missing)
+
+def run_campaign(
+    spec: CampaignSpec,
+    root: str | Path = DEFAULT_ROOT,
+    jobs: int | None = None,
+    series_bin_width: float = 0.05,
+    max_runs: int | None = None,
+    progress: Callable[[int, int], None] | None = None,
+    bus=None,
+    profile_path: str | None = None,
+    compress_series: bool | None = None,
+    *,
+    retry_failed: bool = False,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    cell_timeout: float | None = None,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    sim_events: bool = False,
+    run_cell: Callable | None = None,
+) -> CampaignRunReport:
+    """Execute (or resume) a campaign; returns what happened.
+
+    Cells run through :func:`~repro.campaign.worker.run_worker` in this
+    process when one worker is enough (``jobs == 1``, or one cell
+    missing) and no ``cell_timeout`` is set, else in worker subprocesses
+    — that watchdog can only stop a wedged simulation by ``os._exit``,
+    which must not take the caller with it.  Either way a failing cell
+    is charged to the store's failure ledger (traceback included),
+    retried after backoff and quarantined after ``max_attempts``: the
+    report comes back incomplete, no exception escapes.
+
+    ``max_runs`` caps how many cells this invocation attempts (the rest
+    stay missing for a later resume — the hook tests use to stop a
+    campaign mid-grid) and ``profile_path`` cProfiles exactly one
+    missing cell (:mod:`repro.experiments.profiling`); both run in this
+    process.  ``progress`` is called with (done, total) per filed cell.
+
+    ``bus`` (an :class:`~repro.obs.bus.EventBus`) receives the workers'
+    ``worker.*`` events, one ``campaign.run`` then ``campaign.progress``
+    per filed cell, and with ``sim_events`` every cell's simulation
+    events.  ``run_cell`` replaces how a config becomes a result when
+    the loop runs in this process (see ``run_worker``); worker
+    subprocesses always call ``run_experiment``.
+
+    Ctrl-C stops cleanly: the in-flight cell's lease is released, every
+    earlier cell is filed, the report says ``interrupted=True``, and
+    ``resume`` re-plans only the remainder.
+    """
+    started = time.perf_counter()
+    if max_runs is not None and max_runs < 0:
+        raise ValueError("max_runs must be >= 0")
+    if profile_path is not None:
+        from repro.experiments.profiling import profiled_call
+        from repro.experiments.runner import run_experiment
+
+        max_runs = 1
+
+        def run_cell(config, **kwargs):
+            return profiled_call(
+                lambda: run_experiment(config, **kwargs), profile_path
+            )
+
     if max_runs is not None:
-        if max_runs < 0:
-            raise ValueError("max_runs must be >= 0")
-        missing = missing[:max_runs]
-
-    jobs = default_jobs() if jobs is None else int(jobs)
-    wave = wave_size if wave_size is not None else max(1, jobs * 4)
-    if wave < 1:
-        raise ValueError("wave_size must be >= 1")
-
-    executed = 0
-    interrupted = False
-    try:
-        for start in range(0, len(missing), wave):
-            wave_runs = missing[start : start + wave]
-            if profile_path is not None:
-                from repro.experiments.profiling import profiled_call
-                from repro.experiments.runner import run_experiment
-
-                batch_results = [profiled_call(
-                    lambda: run_experiment(
-                        wave_runs[0].config,
-                        series_bin_width=series_bin_width,
-                    ).detached(),
-                    profile_path,
-                )]
-            else:
-                batch_results = run_batch(
-                    [run.config for run in wave_runs],
-                    jobs=jobs,
-                    series_bin_width=series_bin_width,
-                ).results
-            for planned, result in zip(wave_runs, batch_results):
-                store.write_result(
-                    result, point=planned.point,
-                    series_bin_width=series_bin_width,
-                )
-                executed += 1
-                if bus:
-                    _emit_campaign_run(bus, planned, result)
-            if progress is not None:
-                progress(executed, len(missing))
-            if bus:
-                _emit_campaign_progress(
-                    bus, spec.name, executed, len(missing), cached
-                )
-    except KeyboardInterrupt:
-        # Waves already filed stay on disk; the in-flight wave's results
-        # are abandoned whole (never half-written — write_result is
-        # atomic and runs after the wave completes).
-        interrupted = True
-
-    return CampaignRunReport(
-        name=spec.name,
-        store_dir=store.directory,
-        planned=len(plan),
-        cached=cached,
-        executed=executed,
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - started,
-        interrupted=interrupted,
+        if cell_timeout is not None:
+            raise ValueError(
+                "max_runs and profile_path execute in the calling process, "
+                "which a cell_timeout exit would take down; drop one"
+            )
+        jobs = 1
+    store = prepare_store(
+        spec, root, series_bin_width, compress_series, retry_failed
     )
 
+    planned_ids = {run.run_id for run in spec.plan()}
+    # One readdir, not one stat() per run: a warm resume ends here.
+    cached = len(planned_ids & store.run_ids())
+    total = len(planned_ids) - cached
+    if max_runs is not None:
+        total = min(total, max_runs)
+    jobs = default_jobs() if jobs is None else int(jobs)
+    jobs = max(1, min(jobs, total))  # no worker for a cell that isn't there
+    report = CampaignRunReport(
+        name=spec.name,
+        store_dir=store.directory,
+        planned=len(planned_ids),
+        cached=cached,
+        jobs=jobs,
+        remaining=len(planned_ids) - cached,
+    )
+    if total == 0:
+        report.wall_seconds = time.perf_counter() - started
+        return report
 
-def _emit_campaign_run(bus, planned: PlannedRun, result) -> None:
-    from repro.obs.events import CampaignRun
-
-    pct = result.summary.as_percent()
-    bus.emit(CampaignRun(
-        time=0.0,
-        run_id=planned.run_id,
-        seed=planned.seed,
-        point=dict(planned.point),
-        alpha=pct["alpha"],
-        beta=pct["beta"],
-        wall_seconds=result.wall_seconds,
-    ))
-
-
-def _emit_campaign_progress(
-    bus, name: str, done: int, total: int, cached: int
-) -> None:
     from repro.obs.events import CampaignProgress
 
-    bus.emit(CampaignProgress(
-        time=0.0, name=name, done=done, total=total, cached=cached
-    ))
+    done = 0
+    done_lock = threading.Lock()  # pool readers file from N threads
+
+    def filed() -> None:
+        nonlocal done
+        with done_lock:
+            done += 1
+            if progress is not None:
+                progress(done, total)
+            if bus:
+                bus.emit(CampaignProgress(
+                    time=0.0, name=spec.name, done=done, total=total,
+                    cached=cached,
+                ))
+
+    # Both imported here: ``python -m repro.campaign.worker`` imports
+    # this package first, and the pool module builds on this one.
+    if jobs == 1 and cell_timeout is None:
+        from repro.campaign.worker import run_worker
+
+        try:
+            run_worker(
+                store.directory,
+                lease_ttl=lease_ttl,
+                max_attempts=max_attempts,
+                max_cells=max_runs,
+                bus=bus,
+                sim_events=sim_events,
+                run_cell=run_cell,
+                on_filed=filed,
+            )
+        except KeyboardInterrupt:
+            report.interrupted = True
+        missing = planned_ids - store.run_ids()
+        report.executed = done
+        report.remaining = len(missing)
+        report.quarantined = len(missing & store.quarantined_ids())
+        report.wall_seconds = time.perf_counter() - started
+        return report
+    from repro.campaign.pool import run_pool
+
+    return run_pool(
+        store.directory,
+        jobs=jobs,
+        lease_ttl=lease_ttl,
+        cell_timeout=cell_timeout,
+        max_attempts=max_attempts,
+        bus=bus,
+        sim_events=sim_events,
+        on_filed=filed,
+    )

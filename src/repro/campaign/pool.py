@@ -1,28 +1,24 @@
 """The worker pool: N ``repro.campaign.worker`` processes, one store.
 
-:func:`run_pool` spawns ``jobs`` worker subprocesses against a prepared
-campaign store and babysits them: each worker pulls cells by lease
+:func:`run_pool` spawns worker subprocesses against a prepared campaign
+store and babysits them: each worker pulls cells by lease
 (:mod:`repro.campaign.worker`), streams its events as JSON lines on
-stdout (decoded back onto the parent's bus, so ``serve --campaign``
-shows the whole fleet), and exits 0 when nothing claimable remains.  A
-worker that dies any other way — SIGKILLed, OOMed, cell-timeout
-``os._exit``, crashed — is *respawned* (up to a bounded budget) after
-a ``worker.died`` event; its lease expires and the replacement reclaims
-the cell.  The pool never re-executes finished work: claims and resume
-both key on the content-addressed artifacts.
+stdout (decoded back onto the parent's bus, so ``campaign run`` prints
+and ``serve --campaign`` shows the whole fleet), and exits 0 when
+nothing claimable remains.  A worker that dies any other way —
+SIGKILLed, OOMed, cell-timeout ``os._exit``, crashed — is *respawned*
+(up to a bounded budget) after a ``worker.died`` event; its lease
+expires and the replacement reclaims the cell.  The pool never
+re-executes finished work: claims and resume both key on the
+content-addressed artifacts.
 
-With ``jobs=1`` this degrades gracefully to serial execution with one
-worker — same artifacts, same report, just no overlap.  The same
-degradation covers N *hosts* on a shared filesystem: every host runs
-``python -m repro.campaign.worker <store>`` and the leases coordinate
-them with no parent at all; :func:`run_pool` is just the single-host
-convenience wrapper.
-
-:func:`run_distributed` is the ``campaign run --distributed`` entry:
-prepare the store (manifest, series-bin pin, optional ``--retry-failed``
-ledger clear), run the pool, and fold the outcome into the same
-:class:`~repro.campaign.orchestrator.CampaignRunReport` the serial
-orchestrator returns.
+It is the single-host convenience, not a coordinator: N *hosts* on a
+shared filesystem each run ``python -m repro.campaign.worker <store>``
+and the leases coordinate them with no parent at all.
+:func:`repro.campaign.orchestrator.run_campaign` calls :func:`run_pool`
+whenever more than one worker (or a ``cell_timeout``) is asked for;
+:func:`run_distributed` is "prepare the store, then the pool" under
+the name the perf ledger and multi-host recipes call.
 """
 
 from __future__ import annotations
@@ -33,10 +29,14 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.campaign.chaos import WORKER_ENV_VAR
+from repro.campaign.orchestrator import (
+    DEFAULT_ROOT,
+    CampaignRunReport,
+    prepare_store,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import (
     DEFAULT_LEASE_TTL,
@@ -45,6 +45,7 @@ from repro.campaign.store import (
     StoreError,
 )
 from repro.campaign.worker import EXIT_CELL_TIMEOUT
+from repro.experiments.parallel import default_jobs
 
 #: Poll cadence of the babysitting loop (worker exits, respawn checks).
 _POLL = 0.05
@@ -59,27 +60,6 @@ class WorkerExit:
     reason: str  # "drained" | "signal" | "timeout" | "error"
 
 
-@dataclass
-class PoolReport:
-    """What one :func:`run_pool` invocation did."""
-
-    store_dir: Path
-    jobs: int
-    planned: int
-    cached: int        # artifacts that already existed when the pool started
-    executed: int = 0  # new artifacts on disk when the pool finished
-    quarantined: int = 0
-    deaths: int = 0    # abnormal worker exits observed
-    respawns: int = 0
-    wall_seconds: float = 0.0
-    interrupted: bool = False
-    exits: list[WorkerExit] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return self.cached + self.executed == self.planned
-
-
 def run_pool(
     store_dir,
     jobs: int | None = None,
@@ -89,11 +69,17 @@ def run_pool(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     respawn_limit: int | None = None,
     bus=None,
+    sim_events: bool = False,
+    on_filed=None,
     env: dict | None = None,
-) -> PoolReport:
+) -> CampaignRunReport:
     """Run worker subprocesses until the campaign drains; returns what
-    happened.
+    happened (``executed``: planned artifacts that appeared meanwhile).
 
+    At most ``jobs`` workers start, and never more than there are
+    claimable cells.  ``sim_events`` has them stream their cells'
+    simulation events onto ``bus`` as well; ``on_filed`` is called once
+    per ``campaign.run`` a worker reports (from the reader threads).
     ``respawn_limit`` bounds replacements for abnormally dead workers
     (default ``max(4, 2 * jobs)``) — with the chaos harness armed at
     probability 1.0 every replacement dies too, and the bound turns
@@ -110,26 +96,24 @@ def run_pool(
     planned_ids = {run.run_id for run in spec.plan()}
     cached = len(store.run_ids() & planned_ids)
 
-    from repro.experiments.parallel import default_jobs
-
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    if respawn_limit is None:
-        respawn_limit = max(4, 2 * jobs)
-
-    report = PoolReport(
-        store_dir=store.directory,
-        jobs=jobs,
-        planned=len(planned_ids),
-        cached=cached,
-    )
-    if cached == len(planned_ids):  # nothing to do; don't spawn anything
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
     def remaining_claimable() -> int:
         missing = planned_ids - store.run_ids()
         return len(missing - store.quarantined_ids())
 
+    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    # A worker costs ~0.35 s of imports: none for cells that don't exist
+    # (so none at all on a complete or all-quarantined store).
+    jobs = min(jobs, remaining_claimable())
+    if respawn_limit is None:
+        respawn_limit = max(4, 2 * jobs)
+
+    report = CampaignRunReport(
+        name=spec.name,
+        store_dir=store.directory,
+        planned=len(planned_ids),
+        cached=cached,
+        jobs=jobs,
+    )
     def spawn(name: str) -> tuple[str, subprocess.Popen, threading.Thread]:
         cmd = [
             sys.executable, "-m", "repro.campaign.worker",
@@ -141,6 +125,8 @@ def run_pool(
         ]
         if cell_timeout is not None:
             cmd += ["--cell-timeout", str(cell_timeout)]
+        if sim_events:
+            cmd.append("--sim-events")
         worker_env = dict(os.environ)
         if env:
             worker_env.update(env)
@@ -149,7 +135,7 @@ def run_pool(
             cmd, stdout=subprocess.PIPE, text=True, env=worker_env
         )
         reader = threading.Thread(
-            target=_drain_events, args=(proc.stdout, bus),
+            target=_drain_events, args=(proc.stdout, bus, on_filed),
             name=f"pool-reader-{name}", daemon=True,
         )
         reader.start()
@@ -191,76 +177,30 @@ def run_pool(
                 proc.kill()
             reader.join(timeout=5.0)
 
-    report.executed = len(store.run_ids() & planned_ids) - cached
-    report.quarantined = len(
-        (planned_ids - store.run_ids()) & store.quarantined_ids()
-    )
+    missing = planned_ids - store.run_ids()
+    report.remaining = len(missing)
+    report.executed = len(planned_ids) - cached - len(missing)
+    report.quarantined = len(missing & store.quarantined_ids())
     report.wall_seconds = time.perf_counter() - started
     return report
 
 
 def run_distributed(
-    spec: CampaignSpec,
-    root=None,
-    jobs: int | None = None,
-    series_bin_width: float = 0.05,
-    *,
-    compress_series: bool | None = None,
-    retry_failed: bool = False,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    cell_timeout: float | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    respawn_limit: int | None = None,
-    bus=None,
-):
-    """``campaign run --distributed``: prepare the store, run the pool.
-
-    Returns the same :class:`CampaignRunReport` shape as the serial
-    :func:`~repro.campaign.orchestrator.run_campaign`, so the CLI (and
-    anything scripting it) treats the two modes interchangeably.
+    spec: CampaignSpec, root=DEFAULT_ROOT, jobs: int | None = None,
+    **pool_options,
+) -> CampaignRunReport:
+    """Prepare the store, then :func:`run_pool` with ``pool_options`` —
+    always subprocesses, even for ``jobs=1`` (which
+    :func:`~repro.campaign.orchestrator.run_campaign` runs in-process).
     """
-    from repro.campaign.orchestrator import (
-        DEFAULT_ROOT,
-        CampaignRunReport,
-        open_store,
-    )
-
-    store = open_store(spec, DEFAULT_ROOT if root is None else root).ensure()
-    store.pin_series_bin_width(series_bin_width)
-    store.write_manifest(
-        spec.to_dict(),
-        series_bin_width=series_bin_width,
-        compress_series=compress_series,
-    )
-    if retry_failed:
-        store.clear_failures()
-    pool = run_pool(
-        store.directory,
-        jobs=jobs,
-        lease_ttl=lease_ttl,
-        cell_timeout=cell_timeout,
-        max_attempts=max_attempts,
-        respawn_limit=respawn_limit,
-        bus=bus,
-    )
-    return CampaignRunReport(
-        name=spec.name,
-        store_dir=store.directory,
-        planned=pool.planned,
-        cached=pool.cached,
-        executed=pool.executed,
-        jobs=pool.jobs,
-        wall_seconds=pool.wall_seconds,
-        interrupted=pool.interrupted,
-        quarantined=pool.quarantined,
-        deaths=pool.deaths,
-    )
+    store = prepare_store(spec, root)
+    return run_pool(store.directory, jobs=jobs, **pool_options)
 
 
-def _drain_events(stream, bus) -> None:
+def _drain_events(stream, bus, on_filed=None) -> None:
     """Decode one worker's stdout protocol back onto the parent bus.
 
-    Always runs to EOF even with no bus attached: the workers block on
+    Always runs to EOF even with nobody listening: the workers block on
     a full pipe otherwise.  Undecodable lines are dropped — a worker
     SIGKILLed mid-line (the chaos harness guarantees some) leaves a
     torn fragment, and losing one advisory event is the correct cost.
@@ -269,14 +209,18 @@ def _drain_events(stream, bus) -> None:
 
     try:
         for line in stream:
-            if not bus:
+            if not bus and on_filed is None:
                 continue
             try:
                 event = event_from_dict(json.loads(line))
             except (json.JSONDecodeError, TypeError):
                 continue
-            if event is not None:
+            if event is None:
+                continue
+            if bus:
                 bus.emit(event)
+            if on_filed is not None and event.kind == "campaign.run":
+                on_filed()
     finally:
         try:
             stream.close()

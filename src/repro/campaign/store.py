@@ -26,10 +26,9 @@ campaign produced it.  That single property buys everything else:
 * **resume** — a run whose artifact exists is never re-executed;
 * **extension** — adding seeds or axis values to the spec leaves
   existing artifacts valid and only the new hashes missing;
-* **dedup** — every spec revision of a campaign, and any ad-hoc batch
-  pointed at its store via :meth:`CampaignStore.as_cache`, reuses the
-  artifacts instead of recomputing (one store = one artifact per
-  distinct config, ever).
+* **dedup** — every spec revision of a campaign reuses the artifacts
+  instead of recomputing (one store = one artifact per distinct
+  config, ever).
 
 **Schema-1 stores** (flat ``runs/<run_id>.json`` with the series inline)
 remain readable transparently: the reader falls back to the flat path
@@ -132,7 +131,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> Path:
 
     The temp name comes from :func:`tempfile.mkstemp`, so two
     processes filing the same ``run_id`` concurrently (two resumed
-    campaigns, ``jobs=N`` workers sharing a :class:`StoreCache`)
+    campaigns, ``jobs=N`` workers on one store)
     each write their own file and the last rename wins whole — a
     fixed ``<path>.tmp`` name would interleave their writes into
     one file and rename a torn artifact into place.
@@ -447,10 +446,10 @@ class CampaignStore:
     def pin_series_bin_width(self, width: float) -> None:
         """Claim (or verify) the store-wide series resolution.
 
-        Every writer — campaign orchestrator or ad-hoc cache — goes
-        through this before filing artifacts, so one store can never
-        hold series at mixed resolutions: the first writer records the
-        width in the manifest and every later writer must match it.
+        Every parent goes through this (``prepare_store``) before its
+        workers file artifacts, so one store can never hold series at
+        mixed resolutions: the first records the width in the manifest
+        and every later one must match it.
         """
         recorded = self.series_bin_width()
         if recorded is not None:
@@ -548,10 +547,9 @@ class CampaignStore:
 
         ``point`` is advisory provenance (which grid cell produced the
         artifact); query paths recompute cell membership from the
-        current spec's plan, so an artifact written without a point —
-        e.g. through :class:`StoreCache` — aggregates correctly anyway.
-        ``series_bin_width`` records the resolution the bandwidth series
-        was binned at, letting cache reads refuse mismatched hits.
+        current spec's plan, so an artifact written without a point
+        aggregates correctly anyway.  ``series_bin_width`` records the
+        resolution the bandwidth series was binned at.
         """
         run_id = result.config.config_hash()
         series = result.series
@@ -686,17 +684,6 @@ class CampaignStore:
         """
         for run_id in sorted(self.run_ids()):
             yield self.read_run(run_id, load_series=load_series)
-
-    def as_cache(self, series_bin_width: float = 0.05) -> "StoreCache":
-        """Adapter for :func:`repro.experiments.parallel.run_batch`'s
-        ``cache`` protocol — store-backed sweeps/batches for free.
-
-        ``series_bin_width`` must match the batch's: artifacts recorded
-        at a different bin width (or with no record of one) are treated
-        as misses and re-run, so a cache-hit batch never mixes series
-        resolutions.
-        """
-        return StoreCache(self, series_bin_width=series_bin_width)
 
     # --------------------------------------------------------------- index
 
@@ -1238,36 +1225,3 @@ def migrate_store(directory: str | Path) -> MigrationReport:
     if not store.exists():
         raise StoreError(f"no campaign store at {store.directory}")
     return store.migrate()
-
-
-class StoreCache:
-    """``run_batch(cache=...)`` protocol over a :class:`CampaignStore`.
-
-    ``get`` returns the rehydrated result for a config whose artifact
-    exists *and* was recorded at this cache's series bin width (else
-    None — a mismatched-resolution artifact re-runs rather than mixing
-    time resolutions into one batch); ``put`` files a freshly computed
-    result.
-    """
-
-    def __init__(
-        self, store: CampaignStore, series_bin_width: float = 0.05
-    ) -> None:
-        self.store = store.ensure()
-        # Refuses a width the store's manifest already pins differently,
-        # so an ad-hoc batch can't silently rewrite a campaign's
-        # artifacts at another resolution.
-        self.store.pin_series_bin_width(series_bin_width)
-        self.series_bin_width = series_bin_width
-
-    def get(self, config: ExperimentConfig) -> ExperimentResult | None:
-        run_id = config.config_hash()
-        if not self.store.has(run_id):
-            return None
-        run = self.store.read_run(run_id)
-        if run.series_bin_width != self.series_bin_width:
-            return None
-        return run.to_result()
-
-    def put(self, result: ExperimentResult) -> None:
-        self.store.write_result(result, series_bin_width=self.series_bin_width)

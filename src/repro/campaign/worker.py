@@ -1,7 +1,9 @@
-"""Worker-pull campaign execution: ``python -m repro.campaign.worker``.
+"""The cell executor: ``run_worker`` / ``python -m repro.campaign.worker``.
 
-One worker process, pointed at a campaign store directory, pulls plan
-cells until nothing claimable remains::
+This loop is the only code that turns a planned cell into an artifact.
+``campaign run --jobs 1`` and in-process ``serve --campaign`` call
+:func:`run_worker` directly; every ``--jobs N`` parent
+(:mod:`repro.campaign.pool`) spawns N of::
 
     python -m repro.campaign.worker campaigns/<name> [--events] ...
 
@@ -35,8 +37,10 @@ that) costs at most the re-execution of its in-flight cell.
 
 With ``--events`` the worker streams ``worker.started`` /
 ``worker.heartbeat`` / ``campaign.run`` events as JSON lines on stdout
-(the same protocol as :mod:`repro.obs.worker`); the pool parent decodes
-them back onto its own bus.  Anything human-readable goes to stderr.
+and the pool parent decodes them back onto its own bus; ``--sim-events``
+adds each cell's simulation events to that stream (what a dashboard
+parent wants and a batch parent must not pay for).  Anything
+human-readable goes to stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.campaign.chaos import chaos_active, chaos_point
 from repro.campaign.spec import CampaignSpec, PlannedRun
@@ -96,6 +101,27 @@ def worker_name() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
+class StdoutJsonSink:
+    """Stream every bus event as one JSON line on stdout (``--events``).
+
+    High-frequency per-packet kinds ride the pipe's block buffering;
+    every other event flushes, so the parent's live view lags by at
+    most a buffer of packet-level lines.
+    """
+
+    _BUFFERED_KINDS = frozenset({"victim.arrival", "defense.decision"})
+
+    def emit(self, event) -> None:
+        from repro.obs.events import encode_line
+
+        sys.stdout.write(encode_line(event))
+        if event.kind not in self._BUFFERED_KINDS:
+            sys.stdout.flush()
+
+    def close(self) -> None:
+        sys.stdout.flush()
+
+
 def run_worker(
     store_dir,
     worker: str | None = None,
@@ -105,16 +131,26 @@ def run_worker(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     max_cells: int | None = None,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
-    emit_events: bool = False,
+    sim_events: bool = False,
     bus=None,
+    run_cell: Callable | None = None,
+    on_filed: Callable[[], None] | None = None,
 ) -> WorkerReport:
     """Pull and execute plan cells until nothing claimable remains.
 
     ``max_cells`` bounds how many cells this invocation *attempts*
     (executed + failed) — the hook tests use to stop a worker at an
-    exact store state.  ``emit_events`` streams the worker protocol on
-    stdout; ``bus`` attaches an in-process
-    :class:`~repro.obs.bus.EventBus` instead (the two compose).
+    exact store state.  ``bus`` (an :class:`~repro.obs.bus.EventBus`,
+    the caller's to close) receives ``worker.started`` /
+    ``worker.heartbeat`` / ``campaign.run``, and with ``sim_events``
+    each cell's simulation events as well.
+
+    ``run_cell`` is the one seam: how a config becomes a result.  It is
+    called as ``run_cell(config, series_bin_width=..., bus=...)`` and
+    defaults to :func:`~repro.experiments.runner.run_experiment`;
+    everything around it — claim, heartbeat, chaos points, artifact,
+    release, ledger — is the same for every caller.  ``on_filed`` is
+    called once per cell this worker files, after its artifact landed.
     """
     store = CampaignStore(store_dir)
     if not store.exists():
@@ -125,15 +161,7 @@ def run_worker(
         series_bin_width = 0.05
     name = worker or worker_name()
 
-    from repro.obs.bus import EventBus
     from repro.obs.events import WorkerStarted
-
-    if emit_events:
-        from repro.obs.worker import StdoutJsonSink
-
-        if bus is None:
-            bus = EventBus()
-        bus.subscribe(StdoutJsonSink())
 
     plan = spec.plan()
     # Start each worker's sweep at a name-derived offset so a fleet
@@ -176,17 +204,20 @@ def run_worker(
                 continue  # someone live holds it; sweep on
             chaos_point("claim")  # crash harness: lease filed, cell not run
             ok = _execute_cell(
-                store, planned, lease,
+                store, planned, lease, run_cell,
                 series_bin_width=series_bin_width,
                 cell_timeout=cell_timeout,
                 max_attempts=max_attempts,
                 bus=bus,
+                sim_events=sim_events,
                 worker=name,
                 cells_done=report.executed,
             )
             progress = True
             if ok:
                 report.executed += 1
+                if on_filed is not None:
+                    on_filed()
             else:
                 report.failed += 1
 
@@ -213,9 +244,6 @@ def run_worker(
                     max(poll_interval, lease_ttl),
                 )
             time.sleep(max(0.05, delay))
-
-    if bus:
-        bus.close()
     return report
 
 
@@ -223,11 +251,13 @@ def _execute_cell(
     store: CampaignStore,
     planned: PlannedRun,
     lease: Lease,
+    run_cell: Callable | None,
     *,
     series_bin_width: float,
     cell_timeout: float | None,
     max_attempts: int,
     bus,
+    sim_events: bool,
     worker: str,
     cells_done: int,
 ) -> bool:
@@ -241,9 +271,15 @@ def _execute_cell(
     harness delivers; dying whole keeps "worker gone" the *only*
     failure shape the recovery machinery must handle.  The ledger write
     lands (atomically) before the exit, so the wedge is never silent.
+    (Which is why a parent that must survive — a CLI, a dashboard —
+    only sets ``cell_timeout`` on worker subprocesses.)
     """
-    from repro.experiments.runner import run_experiment
-    from repro.obs.events import WorkerHeartbeat
+    from repro.obs.events import CampaignRun, WorkerHeartbeat
+
+    if run_cell is None:
+        # Looked up per cell, not bound at import: tests swap the
+        # simulation out through the module attribute.
+        from repro.experiments.runner import run_experiment as run_cell
 
     start = time.monotonic()
     stop = threading.Event()
@@ -280,20 +316,23 @@ def _execute_cell(
         target=watchdog, name=f"watchdog-{planned.run_id[:8]}", daemon=True
     )
     thread.start()
-    run_bus = None
+    run_bus = bus if sim_events else None
     if chaos_active("run"):
         # Arm the mid-run death: monitor epochs fire throughout the
         # simulation, so a subscriber that rolls the chaos dice on each
         # one can kill the worker with the cell half-executed.
         from repro.obs.bus import CallbackSink, EventBus
 
+        observed = run_bus
         run_bus = EventBus()
         run_bus.subscribe(
             CallbackSink(lambda event: chaos_point("run")),
             kinds=("monitor.snapshot",),
         )
+        if observed:
+            run_bus.subscribe(CallbackSink(observed.emit))
     try:
-        result = run_experiment(
+        result = run_cell(
             planned.config,
             series_bin_width=series_bin_width,
             bus=run_bus,
@@ -304,8 +343,6 @@ def _execute_cell(
         )
         store.release_lease(lease)
         if bus:
-            from repro.obs.events import CampaignRun
-
             pct = result.summary.as_percent()
             bus.emit(CampaignRun(
                 time=0.0, run_id=planned.run_id, seed=planned.seed,
@@ -377,7 +414,18 @@ def main(argv: list[str] | None = None) -> int:
         help="stream worker/campaign events as JSON lines on stdout "
         "(the pool parent's protocol)",
     )
+    parser.add_argument(
+        "--sim-events", action="store_true",
+        help="with --events: stream each cell's simulation events too "
+        "(a dashboard parent's view of its workers)",
+    )
     args = parser.parse_args(argv)
+    bus = None
+    if args.events:
+        from repro.obs.bus import EventBus
+
+        bus = EventBus()
+        bus.subscribe(StdoutJsonSink())
     try:
         report = run_worker(
             args.store_dir,
@@ -386,13 +434,17 @@ def main(argv: list[str] | None = None) -> int:
             cell_timeout=args.cell_timeout,
             max_attempts=args.max_attempts,
             max_cells=args.max_cells,
-            emit_events=args.events,
+            sim_events=args.sim_events,
+            bus=bus,
         )
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         return 130
+    finally:
+        if bus:
+            bus.close()
     print(
         f"worker {report.worker}: {report.executed} executed, "
         f"{report.failed} failed attempts, {report.remaining} remaining "

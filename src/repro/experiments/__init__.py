@@ -22,7 +22,6 @@ from repro.sim.topology import TOPOLOGIES
 from repro.util.registry import Registry, UnknownComponentError
 from repro.experiments.parallel import (
     BatchResult,
-    ResultCache,
     run_batch,
     run_seeds_parallel,
     seed_configs,
@@ -72,7 +71,6 @@ __all__ = [
     "ExperimentResult",
     "FigureResult",
     "Registry",
-    "ResultCache",
     "SweepResult",
     "TopologyKind",
     "UnknownComponentError",

@@ -153,8 +153,8 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--campaign", default=None, metavar="SPEC",
         help="serve a campaign instead of a single run: execute the "
-        "spec's missing cells in-process, streaming per-run events "
-        "(artifacts are filed exactly as 'campaign run' would)",
+        "spec's missing cells as 'campaign run' would (same leases, "
+        "retries and artifacts), streaming every cell's events",
     )
     serve_p.add_argument(
         "--root", default=None, metavar="DIR",
@@ -185,9 +185,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="with --campaign: fan the missing cells across N worker "
-        "processes, multiplexing their event streams into this "
-        "server (default 1 = in-process)",
+        help="with --campaign: N lease-pull worker processes, their "
+        "event streams multiplexed into this server and dead ones "
+        "respawned (default 1 = in-process)",
     )
 
     replay_p = sub.add_parser(

@@ -33,26 +33,12 @@ import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.util.stats import RunningStats
 
-class ResultCache(Protocol):
-    """What :func:`run_batch`'s ``cache`` argument must provide.
-
-    :meth:`repro.campaign.store.CampaignStore.as_cache` is the canonical
-    implementation; any get/put pair with these shapes works.
-    """
-
-    def get(self, config: ExperimentConfig) -> ExperimentResult | None:
-        """The stored result for ``config``, or None to run it."""
-        ...
-
-    def put(self, result: ExperimentResult) -> None:
-        """Persist a freshly computed result."""
-        ...
 
 #: MetricsSummary fields folded into per-chunk partials (the paper's five
 #: headline rates).
@@ -69,7 +55,6 @@ METRIC_NAMES: tuple[str, ...] = (
 class _ChunkOutput:
     """What one worker chunk sends back (everything picklable)."""
 
-    index: int
     results: list[ExperimentResult]
     partials: dict[str, RunningStats]
     wall_seconds: float
@@ -108,7 +93,7 @@ def seed_configs(
 
 
 def _run_chunk(
-    index: int, configs: list[ExperimentConfig], series_bin_width: float
+    configs: list[ExperimentConfig], series_bin_width: float
 ) -> _ChunkOutput:
     """Worker entry: run a contiguous slice of the batch.
 
@@ -123,7 +108,6 @@ def _run_chunk(
             stats.update(getattr(result.summary, name))
         results.append(result.detached())
     return _ChunkOutput(
-        index=index,
         results=results,
         partials=partials,
         wall_seconds=time.perf_counter() - started,
@@ -161,7 +145,6 @@ def run_batch(
     jobs: int | None = None,
     series_bin_width: float = 0.05,
     chunks_per_job: int = 2,
-    cache: "ResultCache | None" = None,
 ) -> BatchResult:
     """Run every config and fold the headline metrics.
 
@@ -171,97 +154,50 @@ def run_batch(
     run times at slightly higher pickling overhead.  Results come back in
     input order and are identical to a serial run of the same configs.
 
-    ``cache`` makes the batch store-aware: any object with
-    ``get(config) -> ExperimentResult | None`` and ``put(result)`` —
-    e.g. ``CampaignStore.as_cache()`` — is consulted before running and
-    fed every fresh result.  Cached configs never reach a worker, and
-    because a run is fully determined by its config, a cache-hit batch
-    is bit-identical (summaries, series, counters) to a cold one; with a
-    cache present the metric stats are folded sequentially in input
-    order, so they don't depend on which runs happened to be cached.
+    Results live in memory only; runs that should persist, resume and
+    survive a dying worker are a campaign (:mod:`repro.campaign`).
     """
     if not configs:
         raise ValueError("configs must be non-empty")
     jobs = default_jobs() if jobs is None else int(jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if cache is not None:
-        cache_width = getattr(cache, "series_bin_width", None)
-        if cache_width is not None and cache_width != series_bin_width:
-            raise ValueError(
-                f"cache records series at bin width {cache_width} but this "
-                f"batch bins at {series_bin_width}; build the cache with "
-                "as_cache(series_bin_width=...) to match"
-            )
-
     started = time.perf_counter()
 
-    cached: dict[int, ExperimentResult] = {}
-    if cache is not None:
-        for i, config in enumerate(configs):
-            hit = cache.get(config)
-            if hit is not None:
-                cached[i] = hit
-    fresh_indices = [i for i in range(len(configs)) if i not in cached]
-    fresh_configs = [configs[i] for i in fresh_indices]
-
-    outputs: list[_ChunkOutput] = []
-    slices: list[tuple[int, int]] = []
-    if fresh_configs:
-        jobs = min(jobs, len(fresh_configs))
-        slices = _chunk_slices(len(fresh_configs), jobs * max(1, chunks_per_job))
-        if jobs == 1:
-            outputs = [
-                _run_chunk(i, list(fresh_configs[start:stop]), series_bin_width)
-                for i, (start, stop) in enumerate(slices)
-            ]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _run_chunk, i, list(fresh_configs[start:stop]),
-                        series_bin_width,
-                    )
-                    for i, (start, stop) in enumerate(slices)
-                ]
-                try:
-                    outputs = [future.result() for future in futures]
-                except KeyboardInterrupt:
-                    # Undispatched chunks are cancelled; chunks already
-                    # on a worker run to completion (workers ignore
-                    # SIGINT) but their results are abandoned — the
-                    # caller decides what "interrupted" means.
-                    for future in futures:
-                        future.cancel()
-                    raise
-        outputs.sort(key=lambda out: out.index)
-
-    fresh_results: list[ExperimentResult] = []
-    for out in outputs:
-        fresh_results.extend(out.results)
-    if cache is not None:
-        for result in fresh_results:
-            cache.put(result)
-
-    results: list[ExperimentResult] = [None] * len(configs)  # type: ignore[list-item]
-    for i, result in cached.items():
-        results[i] = result
-    for i, result in zip(fresh_indices, fresh_results):
-        results[i] = result
-
-    merged = {name: RunningStats() for name in METRIC_NAMES}
-    if cache is None:
-        for out in outputs:
-            for name, partial in out.partials.items():
-                merged[name] = merged[name].merge(partial)
+    jobs = min(jobs, len(configs))
+    slices = _chunk_slices(len(configs), jobs * max(1, chunks_per_job))
+    if jobs == 1:
+        outputs = [
+            _run_chunk(list(configs[start:stop]), series_bin_width)
+            for start, stop in slices
+        ]
     else:
-        # Fold sequentially in input order: the same float-op order no
-        # matter which subset came from the cache.
-        for result in results:
-            for name in METRIC_NAMES:
-                merged[name].update(getattr(result.summary, name))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_worker_init
+        ) as pool:
+            futures = [
+                pool.submit(
+                    _run_chunk, list(configs[start:stop]), series_bin_width
+                )
+                for start, stop in slices
+            ]
+            try:
+                outputs = [future.result() for future in futures]
+            except KeyboardInterrupt:
+                # Undispatched chunks are cancelled; chunks already
+                # on a worker run to completion (workers ignore
+                # SIGINT) but their results are abandoned — the
+                # caller decides what "interrupted" means.
+                for future in futures:
+                    future.cancel()
+                raise
+
+    results: list[ExperimentResult] = []
+    merged = {name: RunningStats() for name in METRIC_NAMES}
+    for out in outputs:
+        results.extend(out.results)
+        for name, partial in out.partials.items():
+            merged[name] = merged[name].merge(partial)
     return BatchResult(
         results=results,
         stats=merged,
@@ -276,12 +212,10 @@ def run_seeds_parallel(
     seeds: Iterable[int],
     jobs: int | None = None,
     series_bin_width: float = 0.05,
-    cache: ResultCache | None = None,
 ) -> BatchResult:
     """Multi-seed batch: ``config`` once per seed, fanned across workers."""
     return run_batch(
         seed_configs(config, seeds),
         jobs=jobs,
         series_bin_width=series_bin_width,
-        cache=cache,
     )

@@ -4,10 +4,11 @@ Future perf work starts from data: both CLIs capture exactly the
 single-run hot path (scenario build plus the event loop), dump pstats
 to a file (inspect with ``python -m pstats FILE``), and print the
 hottest functions.  The campaign variant profiles *one grid cell* —
-profiling a whole grid would smear unrelated cells together, and the
-worker processes of a parallel wave can't be profiled from the parent
-anyway — which is why :func:`repro.campaign.orchestrator.run_campaign`
-forces ``jobs=1, max_runs=1`` while a profile is requested.
+profiling a whole grid would smear unrelated cells together, and worker
+subprocesses can't be profiled from the parent anyway — so
+:func:`repro.campaign.orchestrator.run_campaign` wraps the in-process
+worker's ``run_cell`` seam in :func:`profiled_call` and caps the
+invocation at one cell while a profile is requested.
 """
 
 from __future__ import annotations

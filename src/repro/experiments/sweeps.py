@@ -42,7 +42,6 @@ def sweep(
     seeds_per_point: int = 1,
     reduce: Callable[[list[ExperimentResult]], ExperimentResult] | None = None,
     jobs: int | None = None,
-    cache=None,
 ) -> SweepResult:
     """Run ``base`` once per x value (optionally averaging over seeds).
 
@@ -59,13 +58,6 @@ def sweep(
     ``result.scenario`` is ``None`` (the live object graph cannot cross
     the process boundary), so a ``reduce`` hook must not rely on it when
     ``jobs > 1``.  ``jobs=None`` or ``1`` keeps the classic serial loop.
-
-    ``cache`` makes the sweep store-aware (see
-    :func:`repro.experiments.parallel.run_batch`): pass
-    ``CampaignStore.as_cache()`` and points whose configs already have
-    artifacts load from disk instead of re-running — repeating a sweep
-    is then free, and interrupted sweeps resume.  A cache implies the
-    batched path even for ``jobs=1`` (results are detached).
     """
     if not x_values:
         raise ValueError("x_values must be non-empty")
@@ -73,7 +65,7 @@ def sweep(
         raise ValueError("seeds_per_point must be >= 1")
     result = SweepResult(name=name, x_values=list(x_values))
 
-    if cache is not None or (jobs is not None and jobs > 1):
+    if jobs is not None and jobs > 1:
         from repro.experiments.parallel import run_batch
 
         grid = []
@@ -83,7 +75,7 @@ def sweep(
                 config.with_overrides(seed=config.seed + offset)
                 for offset in range(seeds_per_point)
             )
-        batch = run_batch(grid, jobs=jobs if jobs is not None else 1, cache=cache)
+        batch = run_batch(grid, jobs=jobs)
         for i, x in enumerate(x_values):
             runs = batch.results[i * seeds_per_point : (i + 1) * seeds_per_point]
             chosen = reduce(runs) if reduce is not None else runs[0]

@@ -24,10 +24,10 @@ link.drop           a link-head hook, queue, or failed link ate a packet
 link.stats          periodic per-link counter snapshot (serve layer)
 run.started         run_experiment, after scenario build
 run.completed       run_experiment, with the headline summary
-campaign.run        orchestrator, one per freshly executed cell
-campaign.progress   orchestrator, after every filed wave
-worker.started      pool worker, once per process after store open
-worker.heartbeat    pool worker, alongside each lease re-stamp
+campaign.run        cell worker, one per cell it filed
+campaign.progress   campaign parent, after every filed cell
+worker.started      cell worker, once per run_worker after store open
+worker.heartbeat    cell worker, alongside each lease re-stamp
 worker.died         pool parent, when a worker exits abnormally
 ==================  ====================================================
 """
@@ -204,7 +204,7 @@ class RunCompleted(MetricEvent):
 
 @dataclass(slots=True)
 class CampaignRun(MetricEvent):
-    """The orchestrator executed (not cache-hit) one grid cell."""
+    """A worker executed (not cache-hit) and filed one grid cell."""
 
     kind = "campaign.run"
 
@@ -218,7 +218,7 @@ class CampaignRun(MetricEvent):
 
 @dataclass(slots=True)
 class CampaignProgress(MetricEvent):
-    """Wave-granular campaign progress: ``done`` of ``total`` new runs."""
+    """Per-cell campaign progress: ``done`` of ``total`` new runs filed."""
 
     kind = "campaign.progress"
 

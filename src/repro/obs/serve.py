@@ -505,220 +505,60 @@ def _serve_single(args, bus, live, broker, status) -> int:
 
 
 def _serve_campaign(args, bus, live, broker, status) -> int:
-    """Execute a campaign's missing cells in-process, streaming as we go.
+    """``campaign run`` with a dashboard on the bus.
 
-    Artifacts are bit-identical to ``campaign run``: same
-    ``run_experiment``, same ``write_result`` — the only difference is
-    cells run one at a time on this thread so their sim events reach
-    the bus.  Ctrl-C abandons only the in-flight cell;
+    The same :func:`~repro.campaign.orchestrator.run_campaign` — leases,
+    retry, quarantine, respawned workers at ``--jobs N`` — so artifacts
+    are bit-identical to the batch CLI's.  What differs is what reaches
+    the bus: workers add their cells' simulation events, and an
+    in-process cell runs in clock slices so snapshots pump and Ctrl-C
+    lands promptly.  Ctrl-C abandons only in-flight cells;
     ``campaign resume`` (or serve again) picks up the rest.
     """
-    from repro.campaign.orchestrator import DEFAULT_ROOT, open_store
+    import functools
+
+    from repro.campaign.orchestrator import DEFAULT_ROOT, run_campaign
     from repro.campaign.spec import CampaignSpec
     from repro.experiments.runner import run_experiment
-    from repro.obs.events import CampaignProgress, CampaignRun
+    from repro.obs.bus import CallbackSink
 
-    series_bin_width = 0.05
     spec = CampaignSpec.load(args.campaign)
-    root = args.root if args.root is not None else DEFAULT_ROOT
-    store = open_store(spec, root).ensure()
-    store.pin_series_bin_width(series_bin_width)
-    store.write_manifest(spec.to_dict(), series_bin_width=series_bin_width)
-
-    plan = spec.plan()
-    on_disk = store.run_ids()
-    missing = [run for run in plan if run.run_id not in on_disk]
-    status.update(
-        mode="campaign", phase="running", campaign=spec.name,
-        planned=len(plan), cached=len(plan) - len(missing),
-    )
-    print(
-        f"campaign {spec.name}: {len(plan)} planned, "
-        f"{len(plan) - len(missing)} cached, {len(missing)} to run",
-        flush=True,
-    )
-
+    status.update(mode="campaign", phase="running", campaign=spec.name)
     pump = _snapshot_pump(live, broker, interval=0.25)
-    executed = 0
-    try:
-        for planned in missing:
-            result = run_experiment(
-                planned.config,
-                bus=bus,
-                slice_seconds=0.25,
-                on_slice=pump,
-            )
-            store.write_result(
-                result, point=planned.point,
-                series_bin_width=series_bin_width,
-            )
-            executed += 1
-            if bus:
-                pct = result.summary.as_percent()
-                bus.emit(CampaignRun(
-                    time=0.0, run_id=planned.run_id, seed=planned.seed,
-                    point=dict(planned.point), alpha=pct["alpha"],
-                    beta=pct["beta"], wall_seconds=result.wall_seconds,
-                ))
-                bus.emit(CampaignProgress(
-                    time=0.0, name=spec.name, done=executed,
-                    total=len(missing), cached=len(plan) - len(missing),
-                ))
-    except KeyboardInterrupt:
-        status.update(phase="interrupted", executed=executed)
+    # Worker subprocesses have no slices to pump from: pump per cell.
+    bus.subscribe(
+        CallbackSink(lambda event: pump(0.0)), kinds=("campaign.run",)
+    )
+    report = run_campaign(
+        spec,
+        root=args.root if args.root is not None else DEFAULT_ROOT,
+        jobs=args.jobs, bus=bus, sim_events=True,
+        run_cell=functools.partial(
+            run_experiment, slice_seconds=0.25, on_slice=pump
+        ),
+    )
+    status.update(
+        planned=report.planned, cached=report.cached,
+        executed=report.executed, jobs=report.jobs,
+        deaths=report.deaths, quarantined=report.quarantined,
+    )
+    if report.interrupted:
+        status.update(phase="interrupted")
         print(
-            f"\ninterrupted: {executed} new artifacts are on disk; finish "
-            f"with 'python -m repro campaign resume {args.campaign}'",
+            f"\ninterrupted: {report.executed} new artifacts are on disk; "
+            f"finish with 'python -m repro campaign resume {args.campaign}'",
             flush=True,
         )
         return 130
-    status.update(phase="done", executed=executed)
     print(
-        f"campaign {spec.name}: executed {executed} of {len(missing)} "
-        "missing runs",
+        f"campaign {spec.name}: {report.planned} planned, {report.cached} "
+        f"cached, {report.executed} executed (jobs={report.jobs}, "
+        f"{report.deaths} deaths survived, {report.quarantined} cells "
+        "quarantined)",
         flush=True,
     )
-    return 0
-
-
-def _serve_campaign_parallel(args, bus, live, broker, status) -> int:
-    """Fan a campaign's missing cells across worker processes.
-
-    The parent plans, splits the missing run_ids round-robin into
-    ``--jobs`` shards, and spawns one ``python -m repro.obs.worker``
-    per shard.  Each worker executes its assignment with the exact
-    batch-mode ``run_experiment`` + ``store.write_result`` (the store
-    is multi-writer safe, so artifacts are byte-identical to a serial
-    serve, timing key aside) while streaming its full bus as JSON
-    lines on stdout.  One reader thread per worker decodes those lines
-    back into typed events and emits them into the parent's single
-    bus, so ``/``, ``/state``, ``/flows``, ``/metrics`` show the merged
-    view of all workers.
-
-    The parent owns campaign-level progress: it counts ``campaign.run``
-    events from all workers and emits the unified
-    ``campaign.progress`` stream itself.
-    """
-    import subprocess
-    import sys
-
-    from repro.campaign.orchestrator import DEFAULT_ROOT, open_store
-    from repro.campaign.spec import CampaignSpec
-    from repro.obs.events import CampaignProgress, event_from_dict
-
-    series_bin_width = 0.05
-    spec = CampaignSpec.load(args.campaign)
-    root = args.root if args.root is not None else DEFAULT_ROOT
-    store = open_store(spec, root).ensure()
-    store.pin_series_bin_width(series_bin_width)
-    store.write_manifest(spec.to_dict(), series_bin_width=series_bin_width)
-
-    plan = spec.plan()
-    on_disk = store.run_ids()
-    missing = [run for run in plan if run.run_id not in on_disk]
-    jobs = max(1, min(args.jobs, len(missing) or 1))
-    status.update(
-        mode="campaign", phase="running", campaign=spec.name,
-        planned=len(plan), cached=len(plan) - len(missing), jobs=jobs,
-    )
-    print(
-        f"campaign {spec.name}: {len(plan)} planned, "
-        f"{len(plan) - len(missing)} cached, {len(missing)} to run "
-        f"across {jobs} workers",
-        flush=True,
-    )
-    if not missing:
-        status.update(phase="done", executed=0)
-        return 0
-
-    shards = [missing[i::jobs] for i in range(jobs)]
-    done_lock = threading.Lock()
-    done = [0]
-    pump = _snapshot_pump(live, broker, interval=0.25)
-
-    def on_line(payload: dict) -> None:
-        event = event_from_dict(payload)
-        if event is None:
-            return
-        if bus:
-            bus.emit(event)
-        if event.kind == "campaign.run":
-            with done_lock:
-                done[0] += 1
-                progress = done[0]
-            if bus:
-                bus.emit(CampaignProgress(
-                    time=0.0, name=spec.name, done=progress,
-                    total=len(missing), cached=len(plan) - len(missing),
-                ))
-            pump(0.0)
-
-    procs: list[subprocess.Popen] = []
-    readers: list[threading.Thread] = []
-    try:
-        for shard in shards:
-            assignment = json.dumps({
-                "spec_path": args.campaign,
-                "root": root,
-                "series_bin_width": series_bin_width,
-                "run_ids": [run.run_id for run in shard],
-            })
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.obs.worker"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            )
-            proc.stdin.write(assignment)
-            proc.stdin.close()
-            procs.append(proc)
-            reader = threading.Thread(
-                target=_drain_worker, args=(proc.stdout, on_line),
-                name=f"repro-worker-reader-{len(readers)}", daemon=True,
-            )
-            reader.start()
-            readers.append(reader)
-        failed = 0
-        for proc in procs:
-            if proc.wait() != 0:
-                failed += 1
-        for reader in readers:
-            reader.join(timeout=5.0)
-    except KeyboardInterrupt:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait()
-        status.update(phase="interrupted", executed=done[0])
-        print(
-            f"\ninterrupted: {done[0]} new artifacts are on disk; finish "
-            f"with 'python -m repro campaign resume {args.campaign}'",
-            flush=True,
-        )
-        return 130
-    if failed:
-        status.update(phase="failed", executed=done[0])
-        print(f"error: {failed} of {jobs} workers failed", flush=True)
-        return 1
-    status.update(phase="done", executed=done[0])
-    print(
-        f"campaign {spec.name}: executed {done[0]} of {len(missing)} "
-        f"missing runs across {jobs} workers",
-        flush=True,
-    )
-    return 0
-
-
-def _drain_worker(stdout, on_line) -> None:
-    """Decode one worker's JSON-line event stream into callbacks."""
-    for line in stdout:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # partial line from a dying worker
-        on_line(payload)
-    stdout.close()
+    status.update(phase="done" if report.complete else "incomplete")
+    return 0 if report.complete else 1
 
 
 def _replay_feed(args, bus, live, broker, status) -> int:
@@ -868,8 +708,6 @@ def _serve_common(args, work) -> int:
 def cmd_serve(args) -> int:
     """The ``python -m repro serve`` entry point."""
     def work(bus, live, broker, status):
-        if args.campaign and getattr(args, "jobs", 1) and args.jobs > 1:
-            return _serve_campaign_parallel(args, bus, live, broker, status)
         if args.campaign:
             return _serve_campaign(args, bus, live, broker, status)
         return _serve_single(args, bus, live, broker, status)

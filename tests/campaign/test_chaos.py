@@ -26,10 +26,14 @@ from repro.campaign.chaos import (
     reload_chaos,
 )
 from repro.campaign.diff import diff_stores
-from repro.campaign.orchestrator import open_store, run_campaign
+from repro.campaign.orchestrator import (
+    open_store,
+    prepare_store,
+    run_campaign,
+)
 from repro.campaign.pool import run_pool
 from repro.campaign.query import campaign_report
-from repro.campaign.store import CampaignStore, SERIES_SUFFIX
+from repro.campaign.store import SERIES_SUFFIX
 from repro.campaign.worker import run_worker
 from repro.obs.bus import CallbackSink, EventBus
 
@@ -86,13 +90,6 @@ class TestSpecParsing:
         assert "chaos: SIGKILL at point 'x'" in proc.stderr
 
 
-def _prepared(spec, root) -> CampaignStore:
-    store = open_store(spec, root).ensure()
-    store.pin_series_bin_width(0.05)
-    store.write_manifest(spec.to_dict(), series_bin_width=0.05)
-    return store
-
-
 @pytest.fixture(scope="module")
 def serial_store(tmp_path_factory):
     """The reference: the tiny campaign executed serially, once."""
@@ -145,7 +142,7 @@ class TestTargetedDeaths:
 
     def test_death_mid_claim(self, tmp_path, serial_store):
         spec, _ = serial_store
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         _kill_worker_at(store, "claim")
         # Torn state: a lease filed by a now-dead worker, nothing else.
         assert len(store.iter_leases()) == 1
@@ -155,7 +152,7 @@ class TestTargetedDeaths:
 
     def test_death_mid_run(self, tmp_path, serial_store):
         spec, _ = serial_store
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         _kill_worker_at(store, "run")
         assert len(store.iter_leases()) == 1
         assert store.run_ids() == set()
@@ -164,7 +161,7 @@ class TestTargetedDeaths:
 
     def test_death_after_run_before_write(self, tmp_path, serial_store):
         spec, _ = serial_store
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         _kill_worker_at(store, "result")
         assert store.run_ids() == set()  # the whole run's work is lost
         time.sleep(0.6)
@@ -172,7 +169,7 @@ class TestTargetedDeaths:
 
     def test_death_mid_artifact_write(self, tmp_path, serial_store):
         spec, _ = serial_store
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         _kill_worker_at(store, "write")
         # Torn state: the series sidecar landed, the summary did not —
         # an orphan sidecar resume simply overwrites.
@@ -184,7 +181,7 @@ class TestTargetedDeaths:
 
     def test_death_before_index_append(self, tmp_path, serial_store):
         spec, _ = serial_store
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         _kill_worker_at(store, "index")
         # Torn state: the artifact committed but its index row did not —
         # readers fall back to the artifact, nothing re-executes.
@@ -205,7 +202,7 @@ class TestRandomizedPool:
         respawns included), then a clean resume; the store and report
         must match serial execution exactly."""
         spec, _ = serial_store
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         deaths: list = []
         bus = EventBus()
         bus.subscribe(
@@ -229,7 +226,7 @@ class TestRandomizedPool:
     def test_certain_death_exhausts_respawn_budget(self, tmp_path, spec):
         """With every claim fatal the pool must give up (bounded
         respawns), not fork-bomb — and report honestly."""
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         report = run_pool(
             store.directory, jobs=1, lease_ttl=0.5, respawn_limit=2,
             env={"REPRO_CHAOS": "claim:1.0"},
@@ -239,3 +236,35 @@ class TestRandomizedPool:
         assert report.respawns == 2
         assert report.deaths == 3  # the original worker + both respawns
         assert {e.reason for e in report.exits} == {"signal"}
+
+
+class TestChaosAgainstTheCli:
+    """The harness against a parent, not just the pool: ``campaign run
+    --jobs 2`` is the same lease-pull workers, so it must survive them
+    dying.  (``serve --campaign --jobs 2`` has the twin of this test in
+    ``tests/obs/test_serve.py``.)"""
+
+    def test_campaign_run_survives_dying_workers(
+        self, tmp_path, serial_store, monkeypatch, capsys
+    ):
+        from repro.experiments.cli import main
+
+        spec, _ = serial_store
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        argv = [str(spec_path), "--root", str(tmp_path),
+                "--jobs", "2", "--lease-ttl", "0.5"]
+        # Workers inherit the environment; under this seed w0 and w1
+        # both die after their first cell ran, before it is written.
+        monkeypatch.setenv("REPRO_CHAOS", "result:0.5")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "every-parent-28")
+        code = main(["campaign", "run", *argv])
+        out = capsys.readouterr().out
+        assert code in (0, 1)  # complete, or honestly incomplete
+        assert "died (signal, exit -9)" in out
+        assert "worker deaths survived" in out
+
+        monkeypatch.delenv("REPRO_CHAOS")
+        time.sleep(0.6)  # let orphaned leases expire
+        assert main(["campaign", "resume", *argv]) == 0
+        _assert_converges(spec, tmp_path, serial_store)

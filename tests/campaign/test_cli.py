@@ -126,24 +126,60 @@ def test_unknown_component_exits_2(tmp_path, capsys):
     assert "error:" in err and "moebius" in err
 
 
-def test_unknown_builder_arg_exits_2(tmp_path, capsys):
+def test_failing_cell_is_quarantined_and_exits_1(tmp_path, capsys):
+    """One failure behaviour at every --jobs: a cell that raises at run
+    time (a kwarg its builder rejects) goes to the failure ledger with
+    its traceback, is retried, quarantined after --max-attempts, and
+    the command exits 1 with the error on stderr."""
+    from repro.campaign.store import CampaignStore
+
     bad = tmp_path / "badarg.toml"
     bad.write_text(
         'name = "x"\nseeds = [1]\n\n[base]\ntotal_flows = 8\n'
         'n_routers = 6\nduration = 1.4\ntopology = "star"\n\n'
         '[[axes]]\nfield = "topology_args.warp_factor"\nvalues = [9]\n'
     )
-    code = main(["campaign", "run", str(bad),
-                 "--root", str(tmp_path / "s"), "--jobs", "1"])
-    assert code == 2
-    assert "warp_factor" in capsys.readouterr().err
+    code = main(["campaign", "run", str(bad), "--root", str(tmp_path / "s"),
+                 "--jobs", "1", "--max-attempts", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "warp_factor" in captured.err
+    assert "quarantined" in captured.err
+    assert "-> incomplete" in captured.out
+    (record,) = CampaignStore(tmp_path / "s" / "x").iter_failures()
+    assert record.quarantined and record.attempts == 2
+    assert "warp_factor" in record.error
+    assert "Traceback" in record.traceback
 
 
-def test_bad_wave_exits_2(tmp_path, spec_path, capsys):
-    code = main(["campaign", "run", str(spec_path),
-                 "--root", str(tmp_path / "s"), "--wave", "0"])
-    assert code == 2
-    assert "wave_size" in capsys.readouterr().err
+def test_run_help_states_the_failure_behaviour(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "run", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "failure ledger" in text and "exits 1" in text
+    assert "--distributed" not in text and "--wave" not in text
+
+
+def test_record_at_jobs_1_writes_one_whole_recording(
+    tmp_path, spec_path, capsys
+):
+    """The in-process worker must not close the CLI's recorder under it:
+    every event of the run is in the file, which is one gzip member."""
+    import gzip
+
+    from repro.obs.recorder import open_recording
+
+    recording = tmp_path / "run.jsonl.gz"
+    assert main(["campaign", "run", str(spec_path), "--jobs", "1",
+                 "--root", str(tmp_path / "s"),
+                 "--record", str(recording)]) == 0
+    assert "recorded 3 events" in capsys.readouterr().out
+    kinds = [event.kind for event in open_recording(str(recording)).events()]
+    assert kinds == ["worker.started", "campaign.run", "campaign.progress"]
+    raw = recording.read_bytes()
+    assert gzip.decompress(raw).count(b'"schema"') == 1
+    assert raw.count(b"\x1f\x8b\x08") == 1
 
 
 def test_figures_verb_writes_figure_files(tmp_path, spec_path, capsys):

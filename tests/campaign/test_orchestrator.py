@@ -7,6 +7,12 @@ campaign executes zero runs.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -41,13 +47,21 @@ class TestRunCampaign:
         assert status.complete == 3
         assert len(status.missing) == 1
 
-    def test_progress_callback_sees_waves(self, tmp_path, spec):
+    def test_progress_callback_fires_once_per_filed_cell(
+        self, tmp_path, spec
+    ):
         seen = []
         run_campaign(
-            spec, root=tmp_path, jobs=1, wave_size=1,
+            spec, root=tmp_path, jobs=1,
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+    def test_max_runs_with_cell_timeout_rejected(self, tmp_path, spec):
+        """max_runs executes in this process; cell_timeout's watchdog
+        would ``os._exit`` it."""
+        with pytest.raises(ValueError, match="cell_timeout"):
+            run_campaign(spec, root=tmp_path, max_runs=1, cell_timeout=5.0)
 
     def test_bad_max_runs_rejected(self, tmp_path, spec):
         with pytest.raises(ValueError, match="max_runs"):
@@ -165,9 +179,7 @@ class TestObservability:
 
         bus = EventBus()
         sink = bus.subscribe(BufferedSink())
-        report = run_campaign(
-            spec, root=tmp_path, jobs=1, wave_size=2, bus=bus
-        )
+        report = run_campaign(spec, root=tmp_path, jobs=1, bus=bus)
         assert report.executed == 4
 
         runs = sink.of_kind("campaign.run")
@@ -177,8 +189,12 @@ class TestObservability:
         assert {e.point["attack_fraction"] for e in runs} == {0.25, 0.5}
 
         progress = sink.of_kind("campaign.progress")
-        assert [(e.done, e.total) for e in progress] == [(2, 4), (4, 4)]
+        assert [(e.done, e.total) for e in progress] \
+            == [(1, 4), (2, 4), (3, 4), (4, 4)]
         assert all(e.name == spec.name for e in progress)
+        # One progress per filed cell, right behind its campaign.run.
+        filed = [e.kind for e in sink.events if e.kind.startswith("campaign.")]
+        assert filed == ["campaign.run", "campaign.progress"] * 4
 
     def test_cached_cells_emit_nothing(self, tmp_path, spec):
         from repro.obs import BufferedSink, EventBus
@@ -190,30 +206,35 @@ class TestObservability:
         assert report.executed == 0
         assert sink.of_kind("campaign.run") == []
 
-    def test_interrupt_mid_grid_keeps_filed_waves(self, tmp_path, spec,
-                                                  monkeypatch):
-        """Ctrl-C between waves: no exception escapes, the report says
-        interrupted, and the filed artifacts resume cleanly."""
-        import repro.campaign.orchestrator as orchestrator
+    def test_interrupt_mid_cell_releases_the_lease(self, tmp_path, spec,
+                                                   monkeypatch):
+        """Ctrl-C mid-cell: no exception escapes, the report says
+        interrupted, the in-flight cell's lease is released, and every
+        earlier cell is filed and resumes cleanly."""
+        import repro.experiments.runner as runner
 
         calls = {"n": 0}
-        real_run_batch = orchestrator.run_batch
+        real_run_experiment = runner.run_experiment
 
-        def interrupting_run_batch(*args, **kwargs):
+        def interrupting_run_experiment(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 2:
+            if calls["n"] == 3:
                 raise KeyboardInterrupt
-            return real_run_batch(*args, **kwargs)
+            return real_run_experiment(*args, **kwargs)
 
         monkeypatch.setattr(
-            orchestrator, "run_batch", interrupting_run_batch
+            runner, "run_experiment", interrupting_run_experiment
         )
-        report = run_campaign(spec, root=tmp_path, jobs=1, wave_size=2)
+        report = run_campaign(spec, root=tmp_path, jobs=1)
         assert report.interrupted
         assert report.executed == 2
+        assert report.remaining == 2
         assert not report.complete
+        store = open_store(spec, tmp_path)
+        assert len(store.run_ids()) == 2
+        assert store.iter_leases() == []
 
-        monkeypatch.setattr(orchestrator, "run_batch", real_run_batch)
+        monkeypatch.setattr(runner, "run_experiment", real_run_experiment)
         resumed = run_campaign(spec, root=tmp_path, jobs=1)
         assert not resumed.interrupted
         assert resumed.complete
@@ -233,3 +254,71 @@ class TestObservability:
         assert resumed.cached == 1
         assert resumed.executed == 3
         assert resumed.complete
+
+
+class TestConcurrentParents:
+    def test_two_campaign_runs_split_the_grid(self, tmp_path):
+        """Two ``run_campaign(jobs=1)`` processes released onto one
+        fresh store at the same instant: leases split the grid, so the
+        executed counts sum to the plan (waves ran all of it twice) and
+        the store equals a single pass."""
+        from repro.campaign.diff import diff_stores
+
+        spec = tiny_spec(name="shared", seeds=(1, 2, 3, 4))
+        planned = len(spec.plan())
+        run_campaign(spec, root=tmp_path / "ref", jobs=1)
+
+        script = textwrap.dedent(
+            """
+            import json, pathlib, sys, time
+            from repro.campaign.orchestrator import run_campaign
+            from repro.campaign.spec import CampaignSpec
+
+            spec = CampaignSpec.from_dict(json.loads(sys.argv[1]))
+            root, me = pathlib.Path(sys.argv[2]), sys.argv[3]
+            (root / f"ready-{me}").touch()
+            deadline = time.monotonic() + 60
+            while not (root / "go").exists():
+                assert time.monotonic() < deadline, "never released"
+                time.sleep(0.005)
+            report = run_campaign(spec, root=root / "store", jobs=1)
+            print(json.dumps([report.executed, report.complete]))
+            """
+        )
+        root = tmp_path / "both"
+        root.mkdir()
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, json.dumps(spec.to_dict()),
+                 str(root), me],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env,
+            )
+            for me in ("a", "b")
+        ]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((root / f"ready-{me}").exists() for me in "ab"):
+                assert time.monotonic() < deadline, "a parent never started"
+                time.sleep(0.01)
+            (root / "go").touch()
+            outs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+        results = []
+        for proc, (out, err) in zip(procs, outs):
+            assert proc.returncode == 0, err
+            results.append(json.loads(out))
+        assert sum(executed for executed, _ in results) == planned
+        assert all(executed > 0 for executed, _ in results), results
+        assert all(complete for _, complete in results)
+        result = diff_stores(
+            open_store(spec, tmp_path / "ref").directory,
+            open_store(spec, root / "store").directory,
+        )
+        assert result.identical, result.differing

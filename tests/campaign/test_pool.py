@@ -1,9 +1,9 @@
 """Worker-pull execution: ``run_worker``, ``run_pool``, equivalence.
 
-The tentpole contract: distributed execution produces the *same store*
-serial execution does.  Fast paths monkeypatch ``run_experiment`` or
-stay in-process; only a handful of tests pay for real subprocess
-workers on the 4-cell tiny grid.
+The contract: worker subprocesses produce the *same store* the
+in-process loop does.  Fast paths monkeypatch ``run_experiment`` or stay
+in-process; only a handful of tests pay for real subprocess workers on
+the 4-cell tiny grid.
 """
 
 from __future__ import annotations
@@ -17,25 +17,23 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro.campaign.diff import diff_stores
-from repro.campaign.orchestrator import open_store, run_campaign
+from repro.campaign.orchestrator import (
+    open_store,
+    prepare_store,
+    run_campaign,
+)
 from repro.campaign.pool import run_distributed, run_pool
-from repro.campaign.store import CampaignStore, StoreError
+from repro.campaign.store import StoreError
 from repro.campaign.worker import (
     EXIT_CELL_TIMEOUT,
     EXIT_DRAINED_QUARANTINE,
     run_worker,
 )
 from repro.obs.bus import CallbackSink, EventBus
+from repro.obs.events import WorkerDied
 
 from tests.campaign.conftest import fabricate_result
 
-
-def _prepared(spec, root) -> CampaignStore:
-    """An empty store with the manifest a worker needs to self-plan."""
-    store = open_store(spec, root).ensure()
-    store.pin_series_bin_width(0.05)
-    store.write_manifest(spec.to_dict(), series_bin_width=0.05)
-    return store
 
 
 def _fabricating(monkeypatch, delay: float = 0.0, fail=None):
@@ -66,7 +64,7 @@ def _fabricating(monkeypatch, delay: float = 0.0, fail=None):
 class TestRunWorker:
     def test_drains_the_whole_plan(self, tmp_path, spec, monkeypatch):
         _fabricating(monkeypatch)
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         report = run_worker(store.directory, worker="w0")
         assert report.executed == len(spec.plan())
         assert report.remaining == 0
@@ -75,13 +73,11 @@ class TestRunWorker:
         assert store.iter_leases() == []  # every claim released
 
     def test_store_matches_serial_execution(self, tmp_path, spec):
-        """The acceptance criterion at its smallest: a worker-pull store
-        diffs identical against ``run_campaign``'s (real simulations on
-        both sides — the serial path binds ``run_experiment`` at import,
-        so fabrication cannot stand in here)."""
+        """A bare worker on a hand-prepared store lands on the bytes
+        ``run_campaign`` (``prepare_store`` + the same loop) files."""
         serial = run_campaign(spec, tmp_path / "serial", jobs=1)
         assert serial.complete
-        store = _prepared(spec, tmp_path / "pull")
+        store = prepare_store(spec, tmp_path / "pull")
         run_worker(store.directory, worker="w0")
         result = diff_stores(
             open_store(spec, tmp_path / "serial").directory, store.directory
@@ -90,7 +86,7 @@ class TestRunWorker:
 
     def test_resumes_a_partial_store(self, tmp_path, spec, monkeypatch):
         _fabricating(monkeypatch)
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         done = spec.plan()[0]
         store.write_result(
             fabricate_result(done.config),
@@ -101,7 +97,7 @@ class TestRunWorker:
 
     def test_max_cells_stops_early(self, tmp_path, spec, monkeypatch):
         _fabricating(monkeypatch)
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         report = run_worker(store.directory, worker="w0", max_cells=2)
         assert report.executed == 2
         assert report.remaining == len(spec.plan()) - 2
@@ -110,13 +106,37 @@ class TestRunWorker:
         with pytest.raises(StoreError, match="no campaign store"):
             run_worker(tmp_path / "nope")
 
+    def test_leaves_the_callers_bus_open(self, tmp_path, spec, monkeypatch):
+        """The bus is the caller's (a CLI recorder, a dashboard): the
+        worker emits on it and must not close it on the way out."""
+        _fabricating(monkeypatch)
+        store = prepare_store(spec, tmp_path)
+
+        class Sink:
+            def __init__(self):
+                self.kinds, self.closed = [], False
+
+            def emit(self, event):
+                self.kinds.append(event.kind)
+
+            def close(self):
+                self.closed = True
+
+        bus = EventBus()
+        sink = bus.subscribe(Sink())
+        run_worker(store.directory, worker="w0", max_cells=1, bus=bus)
+        assert sink.kinds == ["worker.started", "campaign.run"]
+        assert not sink.closed
+        bus.emit(WorkerDied(time=0.0, worker="w0", reason="test", exitcode=1))
+        assert sink.kinds[-1] == "worker.died"
+
 
 class TestFailures:
     def test_flaky_cell_retries_after_backoff(
         self, tmp_path, spec, monkeypatch
     ):
         attempts = _fabricating(monkeypatch, fail={1: 1})
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         report = run_worker(store.directory, worker="w0")
         assert report.executed == len(spec.plan())
         assert report.failed == 1  # the injected fault fired exactly once
@@ -128,7 +148,7 @@ class TestFailures:
         self, tmp_path, spec, monkeypatch, capsys
     ):
         _fabricating(monkeypatch, fail={1: 99})
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         report = run_worker(
             store.directory, worker="w0", max_attempts=1
         )
@@ -150,7 +170,7 @@ class TestFailures:
         again, converge."""
         faults = {run.seed: 99 for run in spec.plan()}
         _fabricating(monkeypatch, fail=faults)
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         report = run_worker(store.directory, worker="w0", max_attempts=1)
         assert report.executed == 0
         assert report.quarantined == len(spec.plan())
@@ -164,7 +184,7 @@ class TestFailures:
 class TestEvents:
     def test_worker_lifecycle_events(self, tmp_path, spec, monkeypatch):
         _fabricating(monkeypatch, delay=0.25)
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         kinds: list[str] = []
         by_kind: dict[str, list] = {}
         bus = EventBus()
@@ -194,7 +214,7 @@ class TestPool:
         byte-matches the serial one (real simulations both sides)."""
         serial = run_campaign(spec, tmp_path / "serial", jobs=1)
         assert serial.complete
-        store = _prepared(spec, tmp_path / "pool")
+        store = prepare_store(spec, tmp_path / "pool")
         report = run_pool(store.directory, jobs=2, lease_ttl=5.0)
         assert report.complete, report.exits
         assert report.executed == len(spec.plan())
@@ -209,13 +229,28 @@ class TestPool:
         self, tmp_path, spec, monkeypatch
     ):
         _fabricating(monkeypatch)
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         run_worker(store.directory, worker="w0")
         report = run_pool(store.directory, jobs=2)
         assert report.complete
         assert report.cached == len(spec.plan())
         assert report.executed == 0
         assert report.exits == []  # nothing was spawned
+
+    def test_no_workers_for_cells_that_do_not_exist(
+        self, tmp_path, spec, monkeypatch
+    ):
+        """jobs=4 with one cell missing starts one worker, not four."""
+        _fabricating(monkeypatch)
+        store = prepare_store(spec, tmp_path)
+        run_worker(store.directory, worker="w0", max_cells=3)
+        started: list = []
+        bus = EventBus()
+        bus.subscribe(CallbackSink(started.append), kinds=("worker.started",))
+        report = run_pool(store.directory, jobs=4, lease_ttl=5.0, bus=bus)
+        assert report.complete and report.executed == 1
+        assert [event.worker for event in started] == ["w0"]
+        assert report.jobs == 1 and len(report.exits) == 1
 
     def test_run_distributed_returns_campaign_report(self, tmp_path, spec):
         report = run_distributed(spec, tmp_path, jobs=1, lease_ttl=5.0)
@@ -236,7 +271,7 @@ class TestCellTimeout:
         """A subprocess (the watchdog ``os._exit``\\ s the whole
         process) wedges its first cell; it must die with
         :data:`EXIT_CELL_TIMEOUT` *after* filing the failure."""
-        store = _prepared(spec, tmp_path)
+        store = prepare_store(spec, tmp_path)
         script = textwrap.dedent(
             """
             import sys, time

@@ -58,12 +58,12 @@ class TestLoadRuns:
         assert len(load_runs(spec, root)) == 4
 
     def test_points_come_from_the_plan_not_the_artifact(self, tmp_path):
-        """Artifacts written without axis metadata (ad-hoc cached
-        batches, older spec revisions) still aggregate by grid cell."""
+        """Artifacts written without axis metadata (older spec
+        revisions) still aggregate by grid cell."""
         spec = tiny_spec(name="pointless")
         store = open_store(spec, tmp_path).ensure()
         for planned in spec.plan():
-            # What StoreCache.put writes: no point at all.
+            # No point at all.
             store.write_result(fabricate_result(planned.config))
         runs = load_runs(spec, tmp_path)
         assert all(run.point.keys() == {"attack_fraction"} for run in runs)

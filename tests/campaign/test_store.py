@@ -1,4 +1,4 @@
-"""Tests for repro.campaign.store: artifacts, atomicity, cache adapter,
+"""Tests for repro.campaign.store: artifacts, atomicity,
 the schema-2 sharded sidecar layout, and schema-1 back-compat."""
 
 import json
@@ -281,71 +281,12 @@ class TestAtomicWrites:
 
 
 class TestStoreCache:
-    def test_get_miss_then_hit(self, store):
-        cache = store.as_cache()
-        config = config_for()
-        assert cache.get(config) is None
-        cache.put(fabricate_result(config))
-        hit = cache.get(config)
-        assert hit is not None
-        assert hit.summary == fabricate_result(config).summary
-
-    def test_cache_pins_the_store_series_bin_width(self, store):
-        """The first writer pins the store's resolution; a cache asking
-        for a different width is refused outright."""
-        config = config_for()
-        store.as_cache(series_bin_width=0.05).put(fabricate_result(config))
-        assert store.read_run(config.config_hash()).series_bin_width == 0.05
-        assert store.series_bin_width() == 0.05
-        with pytest.raises(StoreError, match="bin width"):
-            store.as_cache(series_bin_width=0.2)
-        assert store.as_cache(series_bin_width=0.05).get(config) is not None
-
-    def test_unpinned_artifact_is_a_cache_miss(self, store):
-        """Artifacts with no recorded width (written directly) re-run
-        rather than passing for any requested resolution."""
-        config = config_for()
-        store.write_result(fabricate_result(config))  # width unrecorded
-        assert store.as_cache(series_bin_width=0.05).get(config) is None
-
-    def test_run_batch_rejects_mismatched_cache_width(self, store):
-        from repro.experiments.parallel import run_batch
-
-        with pytest.raises(ValueError, match="bin width"):
-            run_batch(
-                [config_for()], jobs=1, series_bin_width=0.2,
-                cache=store.as_cache(series_bin_width=0.05),
-            )
-
     def test_read_run_without_series(self, store):
         config = config_for()
         store.write_result(fabricate_result(config))
         run = store.read_run(config.config_hash(), load_series=False)
         assert run.series.times == []
         assert run.summary == fabricate_result(config).summary
-
-    def test_cache_feeds_run_batch(self, store):
-        """run_batch(cache=...) skips stored configs entirely."""
-        from repro.experiments.parallel import run_batch
-
-        cache = store.as_cache()
-        configs = [config_for(seed) for seed in (1, 2)]
-        cache.put(fabricate_result(configs[0]))
-
-        calls = []
-        real_get = cache.get
-
-        def counting_get(config):
-            calls.append(config.seed)
-            return real_get(config)
-
-        cache.get = counting_get
-        batch = run_batch(configs, jobs=1, cache=cache)
-        assert calls == [1, 2]
-        # Seed 1 came from the store (fabricated), seed 2 really ran.
-        assert batch.results[0].summary == fabricate_result(configs[0]).summary
-        assert batch.results[1].events_executed > 0
-        assert store.has(configs[1].config_hash())
 
 
 class TestAtomicWriteHelpers:

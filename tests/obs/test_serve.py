@@ -341,41 +341,26 @@ class TestRecordReplayEndToEnd:
 
 @pytest.mark.slow
 class TestWorkerMultiplexing:
-    """The multi-worker serve protocol, one layer below HTTP."""
-
-    def _spec_file(self, tmp_path):
-        from tests.campaign.conftest import tiny_spec
-
-        spec = tiny_spec(name="worker-mux", seeds=(1, 2))
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
-        return spec, path
-
-    def _prepare_store(self, spec, root):
-        from repro.campaign.orchestrator import open_store
-
-        store = open_store(spec, root).ensure()
-        store.pin_series_bin_width(0.05)
-        store.write_manifest(spec.to_dict(), series_bin_width=0.05)
-        return store
+    """What a dashboard parent reads from its workers, one layer below
+    HTTP: ``repro.campaign.worker --events --sim-events``."""
 
     def test_worker_artifacts_match_batch_except_timing(self, tmp_path):
-        from repro.campaign.orchestrator import run_campaign
+        from repro.campaign.orchestrator import prepare_store, run_campaign
         from repro.obs.events import event_from_dict
+        from tests.campaign.conftest import tiny_spec
 
-        spec, spec_path = self._spec_file(tmp_path)
+        # Activation forced so the stream carries the defence's kinds.
+        spec = tiny_spec(
+            name="worker-mux", seeds=(1, 2),
+            base={"duration": 1.6, "force_activation_at": 1.1},
+        )
         run_campaign(spec, root=tmp_path / "batch", jobs=1)
 
-        store = self._prepare_store(spec, tmp_path / "mux")
-        run_ids = [run.run_id for run in spec.plan()]
+        store = prepare_store(spec, tmp_path / "mux")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs.worker"],
-            input=json.dumps({
-                "spec_path": str(spec_path),
-                "root": str(tmp_path / "mux"),
-                "series_bin_width": 0.05,
-                "run_ids": run_ids,
-            }),
+            [sys.executable, "-m", "repro.campaign.worker",
+             str(store.directory), "--worker", "w0",
+             "--events", "--sim-events"],
             capture_output=True, text=True, env=_cli_env(),
             cwd=tmp_path, timeout=120,
         )
@@ -388,10 +373,10 @@ class TestWorkerMultiplexing:
         ]
         assert all(event is not None for event in events)
         kinds = {event.kind for event in events}
-        assert "campaign.run" in kinds
-        assert "run.completed" in kinds
+        assert {"worker.started", "campaign.run", "run.completed",
+                "defense.verdict"} <= kinds
         done = [e for e in events if e.kind == "campaign.run"]
-        assert {e.run_id for e in done} == set(run_ids)
+        assert {e.run_id for e in done} == {r.run_id for r in spec.plan()}
 
         # Artifacts byte-identical to batch mode, timing key aside.
         batch_store = (tmp_path / "batch" / spec.name).rglob("*.json")
@@ -406,18 +391,62 @@ class TestWorkerMultiplexing:
             b.pop("timing", None)
             assert a == b, batch_file
 
-    def test_worker_rejects_run_ids_outside_the_plan(self, tmp_path):
-        spec, spec_path = self._spec_file(tmp_path)
-        self._prepare_store(spec, tmp_path / "mux")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs.worker"],
-            input=json.dumps({
-                "spec_path": str(spec_path),
-                "root": str(tmp_path / "mux"),
-                "run_ids": ["not-a-real-run-id"],
-            }),
-            capture_output=True, text=True, env=_cli_env(),
-            cwd=tmp_path, timeout=60,
+
+@pytest.mark.slow
+class TestServeCampaign:
+    def test_dying_workers_are_deaths_in_state_not_a_failed_phase(
+        self, tmp_path, server, monkeypatch
+    ):
+        """``serve --campaign --jobs 2`` under the crash harness: the
+        work half survives SIGKILLed workers (respawn, lease reclaim),
+        ``/state`` counts the deaths, and after a clean second serve the
+        store equals an in-process pass."""
+        import argparse
+        import functools
+
+        import repro.campaign.orchestrator as orchestrator
+        from repro.campaign.diff import diff_stores
+        from repro.obs.serve import _serve_campaign
+        from tests.campaign.conftest import tiny_spec
+
+        spec = tiny_spec(name="serve-chaos")
+        orchestrator.run_campaign(spec, root=tmp_path / "ref", jobs=1)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        args = argparse.Namespace(
+            campaign=str(spec_path), root=str(tmp_path / "served"), jobs=2
         )
-        assert proc.returncode == 2
-        assert "not in the plan" in proc.stderr
+        bus = EventBus()
+        bus.subscribe(server.live)
+        bus.subscribe(server.broker, kinds=STREAMED_KINDS)
+
+        def serve() -> int:
+            return _serve_campaign(
+                args, bus, server.live, server.broker, server.status
+            )
+
+        # serve has no --lease-ttl; 15 s per orphaned lease is too slow
+        # for a test, so shorten it under the one call serve makes.
+        monkeypatch.setattr(
+            orchestrator, "run_campaign",
+            functools.partial(orchestrator.run_campaign, lease_ttl=0.5),
+        )
+        # Workers inherit the environment; under this seed w0 and w1
+        # both die after their first cell ran, before it is written.
+        monkeypatch.setenv("REPRO_CHAOS", "result:0.5")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "every-parent-28")
+        code = serve()
+        state = json.loads(_get(server, "/state")[2])
+        assert state["deaths"] >= 2
+        assert (code, state["phase"]) in ((0, "done"), (1, "incomplete"))
+        assert state["live"]["runs_completed"] >= state["executed"]
+
+        monkeypatch.delenv("REPRO_CHAOS")
+        time.sleep(0.6)  # let orphaned leases expire
+        assert serve() == 0
+        state = json.loads(_get(server, "/state")[2])
+        assert (state["phase"], state["deaths"]) == ("done", 0)
+        result = diff_stores(
+            tmp_path / "ref" / spec.name, tmp_path / "served" / spec.name
+        )
+        assert result.identical, result.differing
