@@ -42,14 +42,11 @@ from repro.campaign.spec import (
     PlannedRun,
 )
 from repro.campaign.store import (
-    READ_SCHEMAS,
     STORE_SCHEMA,
     CampaignStore,
     GCReport,
-    MigrationReport,
     StoredRun,
     StoreError,
-    migrate_store,
 )
 
 __all__ = [
@@ -61,9 +58,7 @@ __all__ = [
     "CampaignStore",
     "DEFAULT_ROOT",
     "GCReport",
-    "MigrationReport",
     "PlannedRun",
-    "READ_SCHEMAS",
     "REPORT_METRICS",
     "STORE_SCHEMA",
     "StoreError",
@@ -75,7 +70,6 @@ __all__ = [
     "campaign_status",
     "group_by_point",
     "load_runs",
-    "migrate_store",
     "open_store",
     "report_rows",
     "run_campaign",

@@ -10,7 +10,6 @@
     python -m repro campaign report  spec.toml [--json F] [--csv F]
     python -m repro campaign figures spec.toml [--root DIR] [--out DIR]
     python -m repro campaign gc      spec.toml [--root DIR] [--apply]
-    python -m repro campaign migrate <store-dir>
     python -m repro campaign diff    <store-A> <store-B> [--tolerance X]
 
 ``run`` and ``resume`` are the same operation — plan, skip every run
@@ -29,18 +28,15 @@ exits 0 only when the campaign is complete, so CI can gate on it;
 regenerates the campaign's figure set from stored artifacts without
 re-simulating; ``gc`` prunes unplanned artifacts, orphaned sidecars,
 stale leases, resolved failure records, and leftover temp files
-(dry-run unless ``--apply``); ``migrate`` rewrites a schema-1 store
-into the sharded sidecar layout (and rebuilds ``index.jsonl``) in
-place — it takes the store *directory*, not a spec, since old stores
-may outlive their spec files.  ``diff`` compares two stores cell by
-cell and exits 1 on any difference — the CI teeth behind "chaos +
-resume is byte-identical to serial".
+(dry-run unless ``--apply``, which also rebuilds ``index.jsonl`` from
+the artifacts).  ``diff`` takes two store *directories*, not a spec,
+compares them cell by cell and exits 1 on any difference — the CI
+teeth behind "chaos + resume is byte-identical to serial".
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -58,7 +54,6 @@ from repro.campaign.store import (
     DEFAULT_MAX_ATTEMPTS,
     StoreError,
     atomic_write_text,
-    migrate_store,
 )
 from repro.util.registry import UnknownComponentError
 
@@ -106,8 +101,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
         p.add_argument(
             "--profile", default=None, metavar="FILE",
             help="cProfile ONE missing cell (implies --jobs 1 "
-            "--max-runs 1) and dump pstats to FILE; the REPRO_PROFILE "
-            "env var is the same switch for Makefile/CI invocations",
+            "--max-runs 1) and dump pstats to FILE",
         )
         p.add_argument(
             "--record", default=None, metavar="FILE",
@@ -191,17 +185,8 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     common(p)
     p.add_argument(
         "--apply", action="store_true",
-        help="actually delete (default: dry run, print what would go)",
-    )
-
-    p = csub.add_parser(
-        "migrate",
-        help="rewrite a schema-1 store into the sharded sidecar layout "
-        "(and rebuild index.jsonl)",
-    )
-    p.add_argument(
-        "store_dir",
-        help="campaign store directory (e.g. campaigns/<name>)",
+        help="actually delete, then rebuild index.jsonl from the "
+        "artifacts (default: dry run, print what would go)",
     )
 
     p = csub.add_parser(
@@ -223,11 +208,9 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def cmd(args: argparse.Namespace) -> int:
     """Dispatch a parsed ``campaign`` invocation; returns the exit code."""
-    if args.campaign_command in ("migrate", "diff"):
-        # The spec-less verbs: they operate on store directories.
+    if args.campaign_command == "diff":
+        # The spec-less verb: it operates on store directories.
         try:
-            if args.campaign_command == "migrate":
-                return _cmd_migrate(args)
             return _cmd_diff(args)
         except StoreError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -275,7 +258,6 @@ def cmd(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
-    from repro.experiments.profiling import PROFILE_ENV_VAR
     from repro.obs.bus import CallbackSink, EventBus
 
     if args.campaign_command == "resume" and not open_store(spec, args.root).exists():
@@ -285,8 +267,6 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-
-    profile_path = args.profile or os.environ.get(PROFILE_ENV_VAR) or None
 
     def on_run(event) -> None:
         point = ", ".join(f"{k}={v}" for k, v in event.point.items()) or "-"
@@ -332,7 +312,7 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             jobs=args.jobs,
             max_runs=args.max_runs,
             bus=bus,
-            profile_path=profile_path,
+            profile_path=args.profile,
             compress_series=args.compress_series or None,
             retry_failed=args.retry_failed,
             lease_ttl=args.lease_ttl,
@@ -373,7 +353,7 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 130
-    if args.max_runs is None and profile_path is None \
+    if args.max_runs is None and args.profile is None \
             and not report.complete:
         return 1  # nothing capped the run, yet cells are missing
     return 0
@@ -580,17 +560,6 @@ def _cmd_gc(spec: CampaignSpec, args: argparse.Namespace) -> int:
             f"gc: dry run, {n} files would be deleted from {store_dir} "
             "(pass --apply to delete)"
         )
-    return 0
-
-
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    report = migrate_store(args.store_dir)
-    print(
-        f"migrated {report.migrated} artifacts to the schema-2 sharded "
-        f"sidecar layout ({report.already_current} already current) "
-        f"in {report.store_dir}; index.jsonl rebuilt "
-        f"({report.index_rows} rows)"
-    )
     return 0
 
 

@@ -15,13 +15,10 @@ same cell files under the same name in both):
 Ignored by design: ``timing`` (wall clock is quarantined there exactly
 so stores stay comparable), ``point`` (advisory provenance — a cache
 write and a campaign write of the same config must compare equal),
-``config`` (equal run_ids imply equal configs) and ``schema`` (a
-migrated store must diff clean against its pre-migration copy).
+``config`` (equal run_ids imply equal configs) and ``schema`` (the
+store's readers check it; it is not a result).
 Series samples are *not* compared — reports never read them; byte-diff
 the sidecars directly if that level of paranoia is needed.
-
-Schema-tolerant on purpose: artifacts are loaded as raw JSON documents,
-so a schema-1 store diffs cleanly against a schema-2 one.
 """
 
 from __future__ import annotations
@@ -105,7 +102,6 @@ def _comparable(store: CampaignStore, run_id: str) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StoreError(f"corrupt artifact {path}: {exc}") from exc
-    payload.pop("series", None)  # schema-1 inline series: never compared
     return {k: v for k, v in payload.items() if k not in IGNORED_KEYS}
 
 

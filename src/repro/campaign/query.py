@@ -256,8 +256,8 @@ def runs_where(
     ``runs_where(store, defense="mafic", seed=3)`` — answers "which
     completed runs do I already have for config X?" without a spec.
     ``load_series=False`` makes the scan summary-only: the store never
-    materializes a bandwidth series (and, schema 2, never opens a
-    sidecar), so filtering a huge store on config fields stays cheap.
+    materializes a bandwidth series and never opens a sidecar, so
+    filtering a huge store on config fields stays cheap.
     """
     matches = []
     for run in store.iter_runs(load_series=load_series):

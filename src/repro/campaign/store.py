@@ -30,15 +30,10 @@ campaign produced it.  That single property buys everything else:
   instead of recomputing (one store = one artifact per distinct
   config, ever).
 
-**Schema-1 stores** (flat ``runs/<run_id>.json`` with the series inline)
-remain readable transparently: the reader falls back to the flat path
-and the inline ``"series"`` key, and :meth:`CampaignStore.migrate`
-(CLI: ``python -m repro campaign migrate <dir>``) rewrites them in place
-atomically, with byte-identical reports before and after.  Readers
-accept any schema in :data:`READ_SCHEMAS` and reject everything else;
-the major bumps only when existing readers could misinterpret the bytes
-(a new sidecar or shard location is a *minor*, read-compatible change —
-moving or renaming summary fields is not).
+This is the only layout read or written.  A manifest, artifact or
+sidecar whose ``"schema"`` is not :data:`STORE_SCHEMA`, and a flat
+``runs/<run_id>.json`` left by a pre-shard writer, raise
+:class:`StoreError` naming the file — never served, never skipped.
 
 Artifacts are written atomically (unique temp file + fsync +
 ``os.replace``), so a campaign killed mid-write never leaves a torn
@@ -55,8 +50,9 @@ gracefully when absent or stale:
   newline-framed) after each summary write, so ``status``/``report`` on
   a >10k-run grid parse one sequential file instead of one JSON
   document per artifact.  The index is a *cache*: a missing or torn row
-  falls back to reading that run's artifact, and ``campaign migrate``
-  (or :meth:`CampaignStore.rebuild_index`) regenerates the whole file.
+  falls back to reading that run's artifact, and ``campaign gc
+  --apply`` (:meth:`CampaignStore.rebuild_index`) regenerates the whole
+  file.
 * ``leases/<run_id>.json`` — worker-pull claims for distributed
   execution (see :mod:`repro.campaign.pool`).  A lease is advisory:
   it keeps two *live* workers off the same cell, but correctness never
@@ -90,12 +86,16 @@ from repro.experiments.runner import ExperimentResult
 from repro.metrics.rates import MetricsSummary
 from repro.metrics.timeseries import BandwidthSeries
 
-#: The layout this code writes: hash-prefix shards + series sidecars.
+#: The one layout this code reads and writes: hash-prefix shards +
+#: series sidecars.
 STORE_SCHEMA = 2
 
-#: Schemas this code reads.  1 is the flat, inline-series layout every
-#: pre-sidecar store used; readers reject anything outside this set.
-READ_SCHEMAS = frozenset({1, STORE_SCHEMA})
+#: The tail of every layout error: where an older store can still go.
+_MIGRATE_HINT = (
+    f"this code reads only schema {STORE_SCHEMA} — the last commit that "
+    "can rewrite an older store is 46de839 (PR 22): run its "
+    "`campaign migrate`, then read the store here"
+)
 
 #: Suffix of the series sidecar next to each summary artifact.
 SERIES_SUFFIX = ".series.json"
@@ -311,20 +311,6 @@ class StoredRun:
 
 
 @dataclass
-class MigrationReport:
-    """What :meth:`CampaignStore.migrate` did."""
-
-    store_dir: Path
-    migrated: int = 0      # artifacts rewritten into the schema-2 layout
-    already_current: int = 0
-    index_rows: int = 0    # rows in the rebuilt index.jsonl
-
-    @property
-    def total(self) -> int:
-        return self.migrated + self.already_current
-
-
-@dataclass
 class GCReport:
     """What :meth:`CampaignStore.gc` deleted (or would delete)."""
 
@@ -473,28 +459,17 @@ class CampaignStore:
     # --------------------------------------------------------------- runs
 
     def run_path(self, run_id: str) -> Path:
-        """Where the run's summary artifact lives.
-
-        Prefers an existing file — the sharded schema-2 location first,
-        then the flat schema-1 one — and falls back to the canonical
-        sharded path for new writes, so readers see schema-1 stores
-        transparently and writers never fork a second copy of a run.
-        """
-        sharded = self.runs_dir / run_id[:2] / f"{run_id}.json"
-        if sharded.is_file():
-            return sharded
-        flat = self.runs_dir / f"{run_id}.json"
-        if flat.is_file():
-            return flat
-        return sharded
+        """Where the run's summary artifact lives: a pure function of
+        ``run_id``, whether or not the file exists."""
+        return self.runs_dir / run_id[:2] / f"{run_id}.json"
 
     def series_path(self, run_path: Path) -> Path:
-        """The sidecar next to a summary artifact (schema 2).
+        """The sidecar next to a summary artifact.
 
         Prefers whichever variant exists — plain first, then ``.gz`` —
         and falls back to the manifest's ``compress_series`` preference
         for new writes, so readers see both transparently and a store
-        migrated to compression keeps its old plain sidecars readable.
+        switched to compression keeps its old plain sidecars readable.
         """
         plain = run_path.with_name(run_path.stem + SERIES_SUFFIX)
         if plain.is_file():
@@ -519,16 +494,32 @@ class CampaignStore:
         return self.run_path(run_id).is_file()
 
     def _artifact_paths(self) -> Iterator[Path]:
-        """Every summary artifact on disk — flat and sharded, no sidecars."""
+        """Every summary artifact on disk, no sidecars.
+
+        A summary at ``runs/`` top level is a pre-shard artifact this
+        code would neither serve nor prune: it raises before anything
+        is yielded, so no caller acts on a store it half sees.
+        """
         if not self.runs_dir.is_dir():
             return
-        for pattern in ("*.json", "*/*.json"):
-            for path in self.runs_dir.glob(pattern):
+        shards = []
+        for entry in self.runs_dir.iterdir():
+            if entry.is_dir():
+                shards.append(entry)
+            elif entry.suffix == ".json" and not entry.name.endswith(
+                SERIES_SUFFIX
+            ):
+                raise StoreError(
+                    f"{entry}: flat artifact outside its runs/<hh>/ shard "
+                    f"(the schema-1 layout); {_MIGRATE_HINT}"
+                )
+        for shard in shards:
+            for path in shard.glob("*.json"):
                 if not path.name.endswith(SERIES_SUFFIX):
                     yield path
 
     def run_ids(self) -> set[str]:
-        """Hashes of every artifact on disk (both layouts)."""
+        """Hashes of every artifact on disk."""
         return {path.stem for path in self._artifact_paths()}
 
     def write_result(
@@ -553,7 +544,7 @@ class CampaignStore:
         """
         run_id = result.config.config_hash()
         series = result.series
-        path = self.run_path(run_id)  # existing location, else sharded
+        path = self.run_path(run_id)
         payload = {
             "schema": STORE_SCHEMA,
             "run_id": run_id,
@@ -594,13 +585,10 @@ class CampaignStore:
     def read_run(self, run_id: str, load_series: bool = True) -> StoredRun:
         """Load one artifact back into a :class:`StoredRun`.
 
-        ``load_series=False`` skips the series.  On schema 2 that means
-        the sidecar is never opened, so summary-only consumers like
+        ``load_series=False`` skips the series: the sidecar is never
+        opened, so summary-only consumers like
         :func:`repro.campaign.query.campaign_report` pay per artifact,
-        not per series sample.  On schema 1 the inline series is still
-        *parsed* (the JSON document is read whole) — only the Python
-        lists are skipped; migrate the store to get length-independent
-        summary reads.
+        not per series sample.
         """
         path = self.run_path(run_id)
         try:
@@ -619,10 +607,7 @@ class CampaignStore:
                 "(edited by hand, or written by an incompatible version?)"
             )
         if load_series:
-            # Schema 1 carries the series inline; schema 2 sidecars it.
-            series_payload = payload.get("series")
-            if series_payload is None:
-                series_payload = self._read_series_payload(path, run_id)
+            series_payload = self._read_series_payload(path, run_id)
             series = BandwidthSeries(
                 times=list(series_payload["times"]),
                 total_kbps=list(series_payload["total_kbps"]),
@@ -677,10 +662,7 @@ class CampaignStore:
         """Every artifact, in run-id order (deterministic).
 
         ``load_series=False`` skips the series exactly like
-        :meth:`read_run`: summary-only scans over a schema-2 store
-        never open a sidecar (schema-1 artifacts still parse their
-        inline series as part of the document — migrate for the full
-        win).
+        :meth:`read_run`: summary-only scans never open a sidecar.
         """
         for run_id in sorted(self.run_ids()):
             yield self.read_run(run_id, load_series=load_series)
@@ -770,8 +752,8 @@ class CampaignStore:
     def rebuild_index(self) -> int:
         """Regenerate ``index.jsonl`` from the artifacts (atomic).
 
-        Drops stale and duplicate rows; returns the row count.  Run by
-        ``campaign migrate`` and after ``gc --apply``.
+        Drops stale, torn and duplicate rows; returns the row count.
+        Run by every ``campaign gc --apply``.
         """
         rows: dict[str, dict] = {}
         for path in sorted(self._artifact_paths()):
@@ -800,7 +782,7 @@ class CampaignStore:
         hand-edited artifact changes size, so the reader falls back to
         :meth:`read_run`, which surfaces corruption instead of letting
         the index mask it.  Rows without a recorded size (older index
-        versions) are never trusted — ``campaign migrate`` rebuilds
+        versions) are never trusted — ``campaign gc --apply`` rebuilds
         the index and records sizes.
         """
         expected = row.get("artifact_bytes")
@@ -1033,59 +1015,6 @@ class CampaignStore:
 
     # -------------------------------------------------------- maintenance
 
-    def migrate(self) -> MigrationReport:
-        """Rewrite a schema-1 store into the sharded sidecar layout.
-
-        In place and atomic per artifact: the sidecar and the sharded
-        summary are fully written (tmp + fsync + rename) before the old
-        flat file is unlinked, so a crash mid-migration leaves every
-        run readable — at worst both copies exist and the reader
-        prefers the sharded one.  Idempotent: a second invocation finds
-        nothing left to do.  Reports are byte-identical before and
-        after (the summary fields are untouched).
-        """
-        report = MigrationReport(store_dir=self.directory)
-        for old_path in sorted(self._artifact_paths()):
-            try:
-                payload = json.loads(old_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise StoreError(
-                    f"corrupt artifact {old_path}: {exc} — delete it (or "
-                    "let resume rewrite it), then re-run migrate"
-                ) from exc
-            self._check_schema(payload, old_path)
-            run_id = payload.get("run_id")
-            if not isinstance(run_id, str) or not run_id:
-                raise StoreError(
-                    f"{old_path} carries no run_id — not a campaign "
-                    "artifact? move it out of runs/ and re-run migrate"
-                )
-            target = self.runs_dir / run_id[:2] / f"{run_id}.json"
-            inline = "series" in payload
-            if not inline and old_path == target:
-                report.already_current += 1
-                continue
-            if inline:
-                series = payload.pop("series")
-            else:  # sharded-but-misplaced: carry the sidecar along
-                series = self._read_series_payload(old_path, run_id)
-            payload["schema"] = STORE_SCHEMA
-            self._write_json(
-                self.series_path(target),
-                {"schema": STORE_SCHEMA, "run_id": run_id, "series": series},
-            )
-            self._write_json(target, payload)
-            if old_path != target:
-                old_path.unlink()
-                for old_sidecar in self._existing_sidecars(old_path):
-                    old_sidecar.unlink()
-            report.migrated += 1
-        if self.manifest_path.is_file():
-            # Re-stamp schema 2, preserving the spec and any pin.
-            self.write_manifest(self.read_manifest())
-        report.index_rows = self.rebuild_index()
-        return report
-
     def gc(
         self,
         planned_ids: set[str],
@@ -1104,7 +1033,8 @@ class CampaignStore:
         quarantined records for cells *without* artifacts always
         survive — gc never silently drops a failure.  With
         ``apply=False`` (the default) nothing is deleted — the report
-        lists what *would* go.
+        lists what *would* go; with ``apply=True`` an existing
+        ``index.jsonl`` is also rebuilt from the artifacts.
 
         Orphan sidecars and temp files younger than
         ``min_debris_age_seconds`` are spared: a *live* writer holds an
@@ -1161,8 +1091,8 @@ class CampaignStore:
                     shard.rmdir()
                 except OSError:
                     pass
-            if report.unplanned and self.index_path.is_file():
-                self.rebuild_index()  # drop the pruned runs' rows
+            if self.index_path.is_file():
+                self.rebuild_index()  # drop pruned, stale and torn rows
         return report
 
     # ------------------------------------------------------------ helpers
@@ -1193,10 +1123,9 @@ class CampaignStore:
     @staticmethod
     def _check_schema(payload: dict, path: Path) -> None:
         schema = payload.get("schema")
-        if schema not in READ_SCHEMAS:
+        if schema != STORE_SCHEMA:
             raise StoreError(
-                f"{path}: store schema {schema!r} not in supported "
-                f"{sorted(READ_SCHEMAS)}"
+                f"{path}: store schema {schema!r}; {_MIGRATE_HINT}"
             )
 
 
@@ -1217,11 +1146,3 @@ def _open_text_sniffed(path: Path) -> IO[str]:
     except BaseException:
         handle.close()
         raise
-
-
-def migrate_store(directory: str | Path) -> MigrationReport:
-    """Module-level convenience for ``campaign migrate <dir>``."""
-    store = CampaignStore(directory)
-    if not store.exists():
-        raise StoreError(f"no campaign store at {store.directory}")
-    return store.migrate()

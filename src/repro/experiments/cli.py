@@ -377,8 +377,8 @@ def _run_profiled(config: ExperimentConfig, out_path: str, bus=None):
     """Run one experiment under cProfile; write stats, print the top.
 
     Thin wrapper over :func:`repro.experiments.profiling.profiled_call`
-    — the same machinery behind ``campaign run --profile`` (and its
-    ``REPRO_PROFILE`` env-var form), which profiles one grid cell.
+    — the same machinery behind ``campaign run --profile``, which
+    profiles one grid cell.
     """
     from repro.experiments.profiling import profiled_call
 

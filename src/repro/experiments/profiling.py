@@ -19,10 +19,6 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-#: Environment variable equivalent of ``--profile`` for campaign runs
-#: (handy when the invocation is buried in a Makefile or CI job).
-PROFILE_ENV_VAR = "REPRO_PROFILE"
-
 
 def profiled_call(
     fn: Callable[[], T], out_path: str, top: int = 15

@@ -6,6 +6,7 @@ rates, very fast legitimate TCP in small domains) can silently put a
 configuration below detection sensitivity, producing all-zero metrics
 that look like a broken defence.  :func:`validate_config` estimates the
 attack-to-baseline ratio up front and reports actionable findings.
+Argument range checks that raise are :mod:`repro.util.validation`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Argument validation helpers.
 
 Raise early with a message naming the offending parameter; all public
-constructors in :mod:`repro` validate through these.
+constructors in :mod:`repro` validate through these.  Whether a whole
+config is *plausible* is :mod:`repro.experiments.validation`'s question.
 """
 
 from __future__ import annotations

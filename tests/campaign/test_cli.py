@@ -241,33 +241,11 @@ def test_gc_verb_without_store_exits_2(tmp_path, spec_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_migrate_verb_round_trips_reports(tmp_path, spec_path, capsys):
-    from repro.campaign.query import campaign_report
-    from repro.campaign.spec import CampaignSpec
-
-    from tests.campaign.schema1 import downgrade_store
-
-    root = str(tmp_path / "s")
-    assert main(["campaign", "run", str(spec_path), "--root", root,
-                 "--jobs", "1"]) == 0
-    spec = CampaignSpec.load(spec_path)
-    before = json.dumps(campaign_report(spec, root), sort_keys=True)
-    store_dir = tmp_path / "s" / "cli-tiny"
-    assert downgrade_store(store_dir) == 1
-    assert json.dumps(campaign_report(spec, root), sort_keys=True) == before
-    capsys.readouterr()
-
-    assert main(["campaign", "migrate", str(store_dir)]) == 0
-    assert "migrated 1 artifacts" in capsys.readouterr().out
-    assert json.dumps(campaign_report(spec, root), sort_keys=True) == before
-    # Sharded now: no flat artifacts left under runs/.
-    assert not list((store_dir / "runs").glob("*.json"))
-
-
-def test_migrate_verb_missing_store_exits_2(tmp_path, capsys):
-    code = main(["campaign", "migrate", str(tmp_path / "nope")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+def test_migrate_is_not_a_verb(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", "migrate", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
 
 class TestWorkersWatch:

@@ -2,8 +2,8 @@
 
 The contract: ``compress_series`` in the manifest only changes how new
 sidecars are *written*.  Reading always sniffs the gzip magic bytes —
-never the suffix — so mixed stores (migrated mid-campaign), renamed
-files, and cross-compression diffs all behave.
+never the suffix — so mixed stores (the flag flipped mid-campaign),
+renamed files, and cross-compression diffs all behave.
 """
 
 from __future__ import annotations

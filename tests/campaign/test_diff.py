@@ -2,9 +2,9 @@
 
 This is the checker behind the chaos harness's convergence claim: a
 resumed store must diff *identical* against a serial one.  Tests here
-fabricate the divergences (missing cells, perturbed metrics, schema
-skew) and assert they are reported — and that byte-irrelevant noise
-(timing, point provenance, schema version, compression) is not.
+fabricate the divergences (missing cells, perturbed metrics) and
+assert they are reported — and that byte-irrelevant noise (timing,
+point provenance, compression) is not.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.campaign.store import CampaignStore, StoreError
 from repro.experiments.cli import main
 
 from tests.campaign.conftest import fabricate_result
-from tests.campaign.schema1 import downgrade_store, write_schema1_manifest
 
 
 def _fill(spec, root, skip=(), perturb=None) -> CampaignStore:
@@ -81,18 +80,6 @@ class TestDiffStores:
         assert diff_stores(
             a.directory, b.directory, tolerance=1e-6
         ).identical
-
-    def test_schema1_store_diffs_clean_against_schema2(
-        self, tmp_path, spec
-    ):
-        a = _fill(spec, tmp_path / "a")
-        b = _fill(spec, tmp_path / "b")
-        downgrade_store(b.directory)
-        write_schema1_manifest(
-            CampaignStore(b.directory), spec.to_dict(), 0.05
-        )
-        result = diff_stores(a.directory, b.directory)
-        assert result.identical, result.differing
 
     def test_missing_store_raises(self, tmp_path, spec):
         a = _fill(spec, tmp_path / "a")

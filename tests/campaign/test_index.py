@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign.orchestrator import open_store
 from repro.campaign.query import campaign_report, load_runs
+from repro.experiments.cli import main
 
 from tests.campaign.conftest import fabricate_result
 
@@ -144,11 +145,35 @@ class TestRebuild:
         assert text.count(planned.run_id) == 1
         assert "gone" not in text
 
-    def test_migrate_rebuilds_the_index(self, filled, spec):
-        filled.index_path.unlink()
-        report = filled.migrate()
-        assert report.index_rows == len(spec.plan())
-        assert set(filled.read_index()) == {r.run_id for r in spec.plan()}
+    def test_gc_apply_repairs_the_index_with_nothing_unplanned(
+        self, filled, spec, tmp_path
+    ):
+        """``campaign gc --apply`` is the verb that rebuilds the index:
+        a torn tail and a stale row go even when gc prunes no file."""
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        root = ["--root", str(tmp_path)]
+        report_file = tmp_path / "report.json"
+
+        def report_bytes() -> bytes:
+            assert main(["campaign", "report", str(spec_file), *root,
+                         "--json", str(report_file)]) == 0
+            return report_file.read_bytes()
+
+        with open(filled.index_path, "a", encoding="utf-8") as handle:
+            handle.write('\n{"run_id": "gone", "artifact_bytes": 1}\n')
+            handle.write('{"run_id": "torn", "summ')
+        before = report_bytes()
+
+        assert main(["campaign", "gc", str(spec_file), *root, "--apply"]) == 0
+        rows = [
+            json.loads(line)  # every line parses: no torn fragment left
+            for line in filled.index_path.read_text().splitlines()
+        ]
+        assert sorted(row["run_id"] for row in rows) \
+            == sorted(r.run_id for r in spec.plan())
+        assert all(filled.index_row_fresh(row) for row in rows)
+        assert report_bytes() == before
 
     def test_gc_apply_drops_pruned_rows(self, filled, spec, tmp_path):
         victim = spec.plan()[0]

@@ -1,10 +1,7 @@
-"""Migration and gc round-trips over the campaign store.
+"""gc round-trips over the campaign store.
 
-The acceptance property: a schema-1 store reads transparently through
-the v2 reader, ``migrate`` rewrites it in place with byte-identical
-reports at every step, and ``gc`` removes exactly the unplanned
-artifacts and debris — after which a resume re-executes only what gc
-removed.
+The acceptance property: ``gc`` removes exactly the unplanned artifacts
+and debris — after which a resume re-executes only what gc removed.
 """
 
 import json
@@ -19,133 +16,15 @@ from repro.campaign.orchestrator import (
     run_campaign,
 )
 from repro.campaign.query import campaign_report
-from repro.campaign.store import CampaignStore, StoreError, migrate_store
+from repro.campaign.store import CampaignStore, StoreError
 
 from tests.campaign.conftest import fabricate_result, tiny_spec
-from tests.campaign.schema1 import (
-    downgrade_store,
-    write_schema1_manifest,
-    write_schema1_result,
-)
 
 WIDE_AXES = [{"field": "attack_fraction", "values": (0.25, 0.5, 0.75)}]
 
 
-def build_schema1_store(spec, root) -> CampaignStore:
-    """A fully fabricated legacy store: flat artifacts, inline series,
-    schema-1 manifest."""
-    store = open_store(spec, root).ensure()
-    for planned in spec.plan():
-        write_schema1_result(
-            store, fabricate_result(planned.config), point=planned.point,
-            series_bin_width=0.05,
-        )
-    write_schema1_manifest(store, spec.to_dict(), series_bin_width=0.05)
-    return store
-
-
 def report_bytes(spec, root) -> str:
     return json.dumps(campaign_report(spec, root), sort_keys=True)
-
-
-class TestMigration:
-    def test_schema1_reads_without_migration(self, tmp_path):
-        spec = tiny_spec(name="legacy")
-        build_schema1_store(spec, tmp_path)
-        report = campaign_report(spec, tmp_path)
-        assert report["complete"] == report["planned"] == 4
-        assert campaign_status(spec, tmp_path).is_complete
-
-    def test_migrate_is_in_place_atomic_and_report_preserving(
-        self, tmp_path
-    ):
-        spec = tiny_spec(name="legacy")
-        store = build_schema1_store(spec, tmp_path)
-        before = report_bytes(spec, tmp_path)
-        ids_before = store.run_ids()
-
-        result = store.migrate()
-        assert result.migrated == 4
-        assert result.already_current == 0
-
-        # Byte-identical report, identical id set, fully sharded layout.
-        assert report_bytes(spec, tmp_path) == before
-        assert store.run_ids() == ids_before
-        assert not list(store.runs_dir.glob("*.json"))  # no flat files left
-        for run_id in ids_before:
-            path = store.run_path(run_id)
-            assert path.parent.name == run_id[:2]
-            assert store.series_path(path).is_file()
-            assert "series" not in json.loads(path.read_text())
-        # Series content survived the move to the sidecars.
-        run = store.read_run(sorted(ids_before)[0])
-        assert run.series.times == [0.5, 1.5]
-        # Manifest re-stamped schema 2, spec and pin preserved.
-        manifest = json.loads(store.manifest_path.read_text())
-        assert manifest["schema"] == 2
-        assert manifest["spec"] == spec.to_dict()
-        assert store.series_bin_width() == 0.05
-        assert not list(store.directory.glob("**/*.tmp"))
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        spec = tiny_spec(name="legacy")
-        store = build_schema1_store(spec, tmp_path)
-        store.migrate()
-        again = store.migrate()
-        assert again.migrated == 0
-        assert again.already_current == 4
-
-    def test_migrated_store_resumes_with_zero_executions(self, tmp_path):
-        spec = tiny_spec(name="legacy")
-        build_schema1_store(spec, tmp_path)
-        migrate_store(open_store(spec, tmp_path).directory)
-        resumed = run_campaign(spec, root=tmp_path, jobs=1)
-        assert resumed.executed == 0
-        assert resumed.cached == 4
-
-    def test_migrate_missing_store_raises(self, tmp_path):
-        with pytest.raises(StoreError, match="no campaign store"):
-            migrate_store(tmp_path / "nothing-here")
-
-    def test_migrate_wraps_corrupt_artifacts_in_store_error(self, tmp_path):
-        """A torn artifact (what the old fixed-tmp-name race could
-        leave) must fail migration with the StoreError contract, not a
-        raw json traceback."""
-        spec = tiny_spec(name="torn")
-        store = build_schema1_store(spec, tmp_path)
-        (store.runs_dir / "0000000000000000.json").write_text("{torn")
-        with pytest.raises(StoreError, match="corrupt artifact"):
-            store.migrate()
-        (store.runs_dir / "0000000000000000.json").write_text('{"schema": 1}')
-        with pytest.raises(StoreError, match="no run_id"):
-            store.migrate()
-
-    def test_downgrade_then_migrate_round_trips_a_real_store(self, tmp_path):
-        """Full cycle on a store the current writer produced: schema-2
-        -> downgrade (fixture builder) -> v2 read -> migrate -> reports
-        byte-identical at every step."""
-        spec = tiny_spec(name="cycle")
-        store = open_store(spec, tmp_path).ensure()
-        for planned in spec.plan():
-            store.write_result(
-                fabricate_result(planned.config), point=planned.point,
-                series_bin_width=0.05,
-            )
-        store.write_manifest(spec.to_dict(), series_bin_width=0.05)
-        original = report_bytes(spec, tmp_path)
-        series_before = [
-            run.series.total_kbps for run in store.iter_runs()
-        ]
-
-        assert downgrade_store(store.directory) == 4
-        assert len(list(store.runs_dir.glob("*.json"))) == 4  # flat again
-        assert report_bytes(spec, tmp_path) == original  # v2 reader, v1 store
-
-        assert store.migrate().migrated == 4
-        assert report_bytes(spec, tmp_path) == original
-        assert [
-            run.series.total_kbps for run in store.iter_runs()
-        ] == series_before
 
 
 class TestGC:

@@ -1,7 +1,6 @@
 """Tests for repro.campaign.query over fabricated (simulation-free) stores."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -180,6 +179,26 @@ class TestReport:
         spec, root = populated
         assert campaign_report(spec, root) == campaign_report(spec, root)
 
+    def test_report_bytes_do_not_depend_on_series_length(
+        self, populated, tmp_path
+    ):
+        """Same summaries, 512x the samples in every sidecar: the
+        summary-only report is the same bytes."""
+        spec, root = populated
+        long_root = tmp_path / "long"
+        store = open_store(spec, long_root).ensure()
+        for planned in spec.plan():
+            result = fabricate_result(planned.config)
+            for column in ("times", "total_kbps", "attack_kbps", "legit_kbps"):
+                setattr(
+                    result.series, column,
+                    getattr(result.series, column) * 512,
+                )
+            store.write_result(result, point=planned.point)
+        assert len(store.read_run(spec.plan()[0].run_id).series.times) == 1024
+        assert json.dumps(campaign_report(spec, long_root), sort_keys=True) \
+            == json.dumps(campaign_report(spec, root), sort_keys=True)
+
 
 class TestRunsWhere:
     def test_config_field_query(self, populated):
@@ -191,8 +210,7 @@ class TestRunsWhere:
 
     def test_summary_only_scan_skips_series(self, populated, monkeypatch):
         """runs_where(load_series=False) must never materialize a
-        bandwidth series — on a schema-2 store it never even opens a
-        sidecar."""
+        bandwidth series — it never even opens a sidecar."""
         from repro.campaign.store import CampaignStore
 
         spec, root = populated
@@ -205,15 +223,6 @@ class TestRunsWhere:
         runs = runs_where(store, load_series=False, seed=2)
         assert len(runs) == 2
         assert all(run.series.times == [] for run in runs)
-        # Schema-1 stores honor the flag too (inline series skipped).
-        from tests.campaign.schema1 import write_schema1_result
-
-        legacy = CampaignStore(Path(root) / "legacy-q").ensure()
-        config = spec.plan()[0].config
-        write_schema1_result(legacy, fabricate_result(config))
-        lite = runs_where(legacy, load_series=False, seed=config.seed)
-        assert len(lite) == 1
-        assert lite[0].series.times == []
 
 
 class TestCampaignFigures:

@@ -1,16 +1,20 @@
-"""Tests for repro.campaign.store: artifacts, atomicity,
-the schema-2 sharded sidecar layout, and schema-1 back-compat."""
+"""Tests for repro.campaign.store: artifacts, atomicity, the sharded
+sidecar layout, and the refusal of every other layout."""
 
 import json
+import re
 import threading
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+from repro.campaign.orchestrator import open_store
 from repro.campaign.store import CampaignStore, StoreError
+from repro.experiments.cli import main
 from repro.experiments.config import ExperimentConfig
 
-from tests.campaign.conftest import fabricate_result
-from tests.campaign.schema1 import write_schema1_result
+from tests.campaign.conftest import fabricate_result, tiny_spec
 
 
 @pytest.fixture
@@ -195,42 +199,101 @@ class TestSchema2Layout:
             store.read_run(a.config_hash())
 
 
-class TestSchema1BackCompat:
-    def test_flat_inline_artifact_reads_transparently(self, store):
-        config = config_for()
-        result = fabricate_result(config)
-        path = write_schema1_result(
-            store, result, point={"attack_fraction": 0.4},
-            series_bin_width=0.05,
-        )
-        assert path == store.runs_dir / f"{config.config_hash()}.json"
-        assert store.has(config.config_hash())
-        assert store.run_ids() == {config.config_hash()}
-        run = store.read_run(config.config_hash())
-        assert run.series.times == result.series.times
-        assert run.summary == result.summary
-        assert run.series_bin_width == 0.05
-        # Summary-only reads skip the inline series on schema 1 too.
-        lite = store.read_run(config.config_hash(), load_series=False)
-        assert lite.series.times == []
-        assert [r.run_id for r in store.iter_runs(load_series=False)] == [
-            config.config_hash()
-        ]
+RUN_ID = "0123456789abcdef"
+SERIES = '"series": {"times": [], "total_kbps": [], "attack_kbps": [], ' \
+    '"legit_kbps": []}'
 
-    def test_rewrite_keeps_one_copy_at_the_existing_location(self, store):
-        """Overwriting a schema-1 run must not fork a second, sharded
-        copy — the store would otherwise serve whichever it found
-        first."""
-        config = config_for()
-        write_schema1_result(store, fabricate_result(config))
-        store.write_result(fabricate_result(config))
-        flat = store.runs_dir / f"{config.config_hash()}.json"
-        assert flat.is_file()
-        assert store.series_path(flat).is_file()
-        sharded_dir = store.runs_dir / config.config_hash()[:2]
-        assert not (sharded_dir / f"{config.config_hash()}.json").exists()
-        assert store.run_ids() == {config.config_hash()}
-        assert store.read_run(config.config_hash()).series.times == [0.5, 1.5]
+
+class TestOneLayout:
+    """Schema 2 is the only layout: anything else is refused by name."""
+
+    @pytest.mark.parametrize(
+        "schema_field, found",
+        [('"schema": 1, ', "1"), ('"schema": 3, ', "3"), ("", "None")],
+        ids=["schema-1", "schema-3", "no-schema"],
+    )
+    @pytest.mark.parametrize("kind", ["manifest", "artifact", "sidecar"])
+    def test_other_schema_raises_with_path_and_schema(
+        self, store, kind, schema_field, found
+    ):
+        if kind == "manifest":
+            path = store.manifest_path
+            path.write_text('{%s"spec": {"name": "x"}}' % schema_field)
+            read = store.read_manifest
+        elif kind == "artifact":
+            path = store.run_path(RUN_ID)
+            path.parent.mkdir()
+            path.write_text('{%s"run_id": "%s"}' % (schema_field, RUN_ID))
+            read = partial(store.read_run, RUN_ID)
+        else:
+            config = config_for()
+            store.write_result(fabricate_result(config))
+            path = store.series_path(store.run_path(config.config_hash()))
+            path.write_text(
+                '{%s"run_id": "%s", %s}'
+                % (schema_field, config.config_hash(), SERIES)
+            )
+            read = partial(store.read_run, config.config_hash())
+        with pytest.raises(StoreError) as excinfo:
+            read()
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"schema {found};" in message
+        assert "46de839" in message  # where an old store can still go
+
+    def test_flat_artifact_fails_every_verb_and_touches_nothing(
+        self, tmp_path, capsys
+    ):
+        """A pre-shard ``runs/<id>.json`` is neither served nor
+        invisible: every store scan stops on it, before any cell runs
+        or any file goes."""
+        spec = tiny_spec(name="stray")
+        store = open_store(spec, tmp_path).ensure()
+        store.write_manifest(spec.to_dict(), series_bin_width=0.05)
+        for planned in spec.plan():
+            store.write_result(
+                fabricate_result(planned.config), series_bin_width=0.05
+            )
+        # One cell's artifact sits where schema 1 filed it: served at
+        # the parent commit, re-executed unseen by a naive deletion.
+        victim = spec.plan()[0].run_id
+        flat = store.runs_dir / f"{victim}.json"
+        store.run_path(victim).rename(flat)
+        spec_file = tmp_path / "stray.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+
+        def files():
+            return {
+                p: p.read_bytes()
+                for p in store.directory.rglob("*") if p.is_file()
+            }
+
+        before = files()
+        with pytest.raises(StoreError, match=re.escape(str(flat))):
+            store.run_ids()
+        for argv in (
+            ["status"], ["resume", "--jobs", "1"], ["resume", "--jobs", "2"],
+            ["report"], ["gc"], ["gc", "--apply"],
+        ):
+            code = main(["campaign", argv[0], str(spec_file),
+                         "--root", str(tmp_path), *argv[1:]])
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+            assert str(flat) in err
+            assert files() == before, argv
+
+    def test_run_path_is_pure(self, tmp_path, monkeypatch):
+        def touched(self, *args, **kwargs):
+            raise AssertionError(f"filesystem call on {self}")
+
+        store = CampaignStore(tmp_path / "never-created")
+        with monkeypatch.context() as patch:  # undone before any report
+            for name in ("stat", "is_file", "exists", "is_dir"):
+                patch.setattr(Path, name, touched)
+            path = store.run_path(RUN_ID)
+        assert path == store.runs_dir / "01" / f"{RUN_ID}.json"
+        assert not store.directory.exists()
 
 
 class TestAtomicWrites:
