@@ -70,9 +70,14 @@ def run_experiment(
     the golden master pins every combination bit-exact):
 
     ``bus``
-        An :class:`~repro.obs.bus.EventBus`; the scenario's collectors,
-        monitor, and victim-side links publish onto it, and the runner
-        brackets the run with ``run.started``/``run.completed`` events.
+        An :class:`~repro.obs.bus.EventBus` (or a bare sink); the
+        scenario's collectors, monitor, and victim-side links publish
+        onto it, and the runner brackets the run with
+        ``run.started``/``run.completed`` events — all through one
+        :class:`~repro.obs.bus.RunBatch`, flushed before every
+        ``on_slice``, when the simulation stops (also by raising) and
+        after ``run.completed``.  A caller-built ``scenario`` publishes
+        unbatched on the bus it was built with.
     ``streaming_series``
         Replace the buffered victim collector (which hoards one tuple
         per arrival) with the bounded-memory streaming one; the summary
@@ -86,6 +91,11 @@ def run_experiment(
     """
     from repro.sim.packet import enable_packet_pool, reset_packet_ids
 
+    batch = None
+    if bus and scenario is None:
+        from repro.obs.bus import RunBatch
+
+        batch = bus = RunBatch(bus)
     reduction_window = config.mafic.probe_window(None)
     victim_collector = None
     # The config can request streaming collection too (huge-topology
@@ -123,10 +133,14 @@ def run_experiment(
         if slice_seconds is None and on_slice is None:
             scenario.sim.run(until=config.duration)
         else:
-            _run_sliced(scenario.sim, config.duration, slice_seconds, on_slice)
+            _run_sliced(
+                scenario.sim, config.duration, slice_seconds, on_slice, batch
+            )
         wall = time.perf_counter() - started
     finally:
         enable_packet_pool(False)
+        if batch is not None:
+            batch.flush()
 
     summary = summarize(
         scenario.defense_collector,
@@ -161,15 +175,19 @@ def run_experiment(
     )
     if bus:
         _emit_run_completed(bus, result)
+        if batch is not None:
+            batch.flush()
     return result
 
 
-def _run_sliced(sim, duration: float, slice_seconds, on_slice) -> None:
+def _run_sliced(sim, duration: float, slice_seconds, on_slice, batch) -> None:
     """Advance the clock in bounded slices, pausing between them.
 
     ``sim.run(until=t)`` executes every event with time <= t and leaves
     the queue untouched otherwise, so repeated calls execute exactly the
     events a single ``run(until=duration)`` would, in the same order.
+    ``batch`` is flushed first at each pause, so what ``on_slice`` reads
+    from a sink is current to ``sim.now``.
     """
     step = 0.05 if slice_seconds is None else float(slice_seconds)
     if step <= 0:
@@ -179,6 +197,8 @@ def _run_sliced(sim, duration: float, slice_seconds, on_slice) -> None:
         t = min(t + step, duration)
         sim.run(until=t)
         if on_slice is not None:
+            if batch is not None:
+                batch.flush()
             on_slice(sim.now)
 
 

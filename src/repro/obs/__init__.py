@@ -4,7 +4,8 @@ The package every layer publishes into:
 
 * :mod:`repro.obs.events` — the event taxonomy (slotted dataclasses).
 * :mod:`repro.obs.bus` — :class:`MetricSink` protocol, :class:`EventBus`
-  fan-out, :class:`NullSink`/:class:`BufferedSink`/:class:`CallbackSink`.
+  fan-out, :class:`NullSink`/:class:`BufferedSink`/:class:`CallbackSink`,
+  and the :class:`~repro.obs.bus.RunBatch` a run's producers publish into.
 * :mod:`repro.obs.aggregators` — :class:`LiveMetrics`, the windowed
   bounded-memory aggregator behind ``repro serve``.
 * :mod:`repro.obs.exposition` — Prometheus text rendering.

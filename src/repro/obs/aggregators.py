@@ -67,74 +67,83 @@ class LiveMetrics:
     # ------------------------------------------------------------ sink API
 
     def emit(self, event: MetricEvent) -> None:
-        kind = event.kind
+        self.emit_many((event,))
+
+    def emit_many(self, events) -> None:
+        """Fold ``events`` in order under one lock; snapshots taken
+        between batches are what per-event folding would have shown."""
         with self._lock:
-            # Nothing expires unless the clock moved -- or this event is
-            # itself older than the window (a later run's clock restarting
-            # under the same aggregator) and may land at the head of an
-            # empty deque.
-            time = event.time
-            if time > self.sim_time:
-                self.sim_time = time
-                prune = True
-            else:
-                prune = time < self.sim_time - self.window
-            if kind == "victim.arrival":
-                self.arrivals_total += 1
-                self.arrival_bytes_total += event.size
-                if event.is_attack:
-                    self.attack_arrivals_total += 1
+            window = self.window
+            arrivals = self._arrival_window
+            drops = self._drop_window
+            decisions = self.decisions_total
+            by_truth = self.decisions_by_truth
+            drops_by_reason = self.drops_by_reason
+            link_drops = self.link_drops
+            for event in events:
+                kind = event.kind
+                # Nothing expires unless the clock moved -- or this event
+                # is itself older than the window (a later run's clock
+                # restarting under the same aggregator) and may land at
+                # the head of an empty deque.
+                time = event.time
+                if time > self.sim_time:
+                    self.sim_time = time
+                    prune = True
                 else:
-                    self.legit_arrivals_total += 1
-                self._arrival_window.append(
-                    (event.time, event.size, event.is_attack)
-                )
-            elif kind == "defense.decision":
-                self.decisions_total[event.action] = (
-                    self.decisions_total.get(event.action, 0) + 1
-                )
-                key = (event.truth, event.action)
-                self.decisions_by_truth[key] = (
-                    self.decisions_by_truth.get(key, 0) + 1
-                )
-                if event.action == "drop":
-                    self.drops_by_reason[event.reason] = (
-                        self.drops_by_reason.get(event.reason, 0) + 1
+                    prune = time < self.sim_time - window
+                if kind == "victim.arrival":
+                    self.arrivals_total += 1
+                    self.arrival_bytes_total += event.size
+                    if event.is_attack:
+                        self.attack_arrivals_total += 1
+                    else:
+                        self.legit_arrivals_total += 1
+                    arrivals.append((time, event.size, event.is_attack))
+                elif kind == "defense.decision":
+                    action = event.action
+                    decisions[action] = decisions.get(action, 0) + 1
+                    key = (event.truth, action)
+                    by_truth[key] = by_truth.get(key, 0) + 1
+                    if action == "drop":
+                        reason = event.reason
+                        drops_by_reason[reason] = (
+                            drops_by_reason.get(reason, 0) + 1
+                        )
+                        drops.append(time)
+                elif kind == "defense.verdict":
+                    self.verdicts_total[event.verdict] = (
+                        self.verdicts_total.get(event.verdict, 0) + 1
                     )
-                    self._drop_window.append(event.time)
-            elif kind == "defense.verdict":
-                self.verdicts_total[event.verdict] = (
-                    self.verdicts_total.get(event.verdict, 0) + 1
-                )
-                key = (event.truth, event.verdict)
-                self.verdict_confusion[key] = (
-                    self.verdict_confusion.get(key, 0) + 1
-                )
-                self._verdict_window.append(event.time)
-            elif kind == "defense.activation":
-                if self.activation_time is None:
-                    self.activation_time = event.time
-            elif kind == "monitor.snapshot":
-                self.epochs = event.epoch
-            elif kind == "engine.stats":
-                self.events_executed = event.events_executed
-                self.pending_events = event.pending
-                self.queue_backend = event.backend
-            elif kind == "link.drop":
-                key = (event.link, event.reason)
-                self.link_drops[key] = self.link_drops.get(key, 0) + 1
-            elif kind == "run.started":
-                self.runs_started += 1
-                engine = getattr(event, "engine", "")
-                if engine:
-                    self.engine_build = engine
-            elif kind == "run.completed":
-                self.runs_completed += 1
-                self.last_run = event.to_dict()
-            elif kind == "campaign.progress":
-                self.campaign = event.to_dict()
-            if prune:
-                self._prune(self.sim_time)
+                    key = (event.truth, event.verdict)
+                    self.verdict_confusion[key] = (
+                        self.verdict_confusion.get(key, 0) + 1
+                    )
+                    self._verdict_window.append(time)
+                elif kind == "defense.activation":
+                    if self.activation_time is None:
+                        self.activation_time = time
+                elif kind == "monitor.snapshot":
+                    self.epochs = event.epoch
+                elif kind == "engine.stats":
+                    self.events_executed = event.events_executed
+                    self.pending_events = event.pending
+                    self.queue_backend = event.backend
+                elif kind == "link.drop":
+                    key = (event.link, event.reason)
+                    link_drops[key] = link_drops.get(key, 0) + 1
+                elif kind == "run.started":
+                    self.runs_started += 1
+                    engine = getattr(event, "engine", "")
+                    if engine:
+                        self.engine_build = engine
+                elif kind == "run.completed":
+                    self.runs_completed += 1
+                    self.last_run = event.to_dict()
+                elif kind == "campaign.progress":
+                    self.campaign = event.to_dict()
+                if prune:
+                    self._prune(self.sim_time)
 
     def close(self) -> None:
         """Nothing to flush; the last snapshot stays readable."""

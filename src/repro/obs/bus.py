@@ -1,20 +1,25 @@
-"""The metric sink protocol and the fan-out event bus.
+"""The metric sink protocol, the fan-out event bus and the run batch.
 
 Design constraints, in order:
 
 1. **Zero cost when idle.**  Producers hold a bus reference and guard
    every emit site with a truthiness check (``if bus: bus.emit(...)``).
-   :class:`EventBus` is falsy while it has no subscribers and
-   :data:`NULL_BUS` is always falsy, so the batch hot path pays one
-   pointer test and never allocates an event.
-2. **Deterministic fan-out.**  Subscribers receive events strictly in
-   attachment order; a sink never observes an event out of order with
-   respect to another sink.  (The ordering test in ``tests/obs``
-   pins this.)
+   Only :data:`NULL_BUS` and an :class:`EventBus` nobody subscribed to
+   are falsy; anything that can receive an event is truthy, so the
+   unobserved hot path pays one pointer test and never allocates.
+2. **Deterministic fan-out.**  Every sink sees events in emission order
+   and sinks are served in attachment order.  ``emit`` delivers one
+   event to all sinks before it returns; inside a run the
+   :class:`RunBatch` delivers ``BATCH_EVENTS`` at a time, so sink B sees
+   event 1 after sink A has seen the whole batch (no cross-sink
+   lockstep), a raising sink aborts the run at the next flush rather
+   than at its emit, and a live sink lags the simulation by at most one
+   batch or one slice.  (``tests/obs`` pins all of this.)
 3. **No threading opinions.**  The bus itself is plain synchronous
-   call fan-out on the simulation thread; thread-safe consumers (the
+   call fan-out on the calling thread; thread-safe consumers (the
    serve layer's windowed aggregators and SSE broker) do their own
-   locking inside ``emit``.
+   locking inside ``emit``.  The run batch belongs to the simulation
+   thread: other threads publish through ``EventBus.emit``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from __future__ import annotations
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from repro.obs.events import MetricEvent
+
+#: Events a run's batch holds before one delivery, and so the lines the
+#: recorder writes at once: a gzip write per event costs more than
+#: encoding it, and sink code run between two simulation events runs
+#: cold; a few hundred events (~50 KiB of lines) amortise both away.
+BATCH_EVENTS = 512
 
 
 @runtime_checkable
@@ -32,7 +43,8 @@ class MetricSink(Protocol):
     (the simulation thread during a run).  ``close`` is called once when
     the producing context ends; sinks that buffer or hold sockets flush
     there.  Sinks must never raise from ``emit`` — a failing sink would
-    abort the simulation it observes.
+    abort the simulation it observes.  A sink that also defines
+    ``emit_many(events)`` is handed a run's batches whole.
     """
 
     def emit(self, event: MetricEvent) -> None: ...
@@ -94,6 +106,11 @@ class BufferedSink:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def __bool__(self) -> bool:
+        # Without this ``__len__`` makes an empty buffer falsy, producers
+        # skip the first event, and it stays empty for ever.
+        return True
 
 
 class CallbackSink:
@@ -161,6 +178,15 @@ class EventBus:
             if sub.kinds is None or kind in sub.kinds:
                 sub.sink.emit(event)
 
+    def emit_many(self, events: list[MetricEvent]) -> None:
+        """Deliver a batch: each matching subscriber, in attachment
+        order, sees its share of ``events`` in emission order."""
+        for sub in self._subs:
+            kinds = sub.kinds
+            _deliver(sub.sink, events if kinds is None else [
+                event for event in events if event.kind in kinds
+            ])
+
     def close(self) -> None:
         """Close every subscriber (each at most once, attachment order)."""
         seen: list[int] = []
@@ -168,6 +194,51 @@ class EventBus:
             if id(sub.sink) not in seen:
                 seen.append(id(sub.sink))
                 sub.sink.close()
+
+
+def _deliver(sink: MetricSink, events: list[MetricEvent]) -> None:
+    """Hand ``events`` to ``sink`` whole if it folds batches, else singly."""
+    emit_many = getattr(sink, "emit_many", None)
+    if emit_many is not None:
+        emit_many(events)
+    else:
+        emit = sink.emit
+        for event in events:
+            emit(event)
+
+
+class RunBatch:
+    """What a run's producers hold in place of the caller's bus or sink.
+
+    ``emit`` only appends; every ``BATCH_EVENTS`` events, and whenever
+    the runner calls :meth:`flush`, the pending events go to the wrapped
+    target in one delivery.  Always truthy, and by identity rather than
+    through ``__bool__``, so a producer's ``if bus:`` costs no Python
+    call.  Touched by the simulation thread only.
+    """
+
+    __slots__ = ("_target", "_pending")
+
+    def __init__(self, target: MetricSink) -> None:
+        self._target = target
+        self._pending: list[MetricEvent] = []
+
+    def emit(self, event: MetricEvent) -> None:
+        pending = self._pending
+        pending.append(event)
+        if len(pending) >= BATCH_EVENTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Deliver what is pending (a delivery that raises loses it)."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            _deliver(self._target, pending)
+
+    def close(self) -> None:
+        """Flush; the wrapped target stays open, it is the caller's."""
+        self.flush()
 
 
 #: Shared falsy bus stand-in for "no observability attached".

@@ -27,6 +27,7 @@ import os
 import threading
 from typing import IO, Iterator
 
+from repro.obs.bus import BATCH_EVENTS
 from repro.obs.events import MetricEvent, encode_line, event_from_dict
 
 #: Bumped when the header shape or event envelope changes incompatibly.
@@ -36,11 +37,6 @@ SCHEMA_VERSION = 1
 SCHEMA_NAME = "repro.obs.recording"
 
 _GZIP_MAGIC = b"\x1f\x8b"
-
-#: Lines held before one write.  A gzip write per event costs more than
-#: encoding the event; a few hundred lines (~50 KiB) amortise it away
-#: and keep the pending tail small.
-_BATCH_LINES = 512
 
 
 class RecordingError(ValueError):
@@ -61,9 +57,10 @@ class JsonlSink:
         see without scanning events).
 
     The sink is thread-safe (campaign demux threads may emit
-    concurrently) and holds up to ``_BATCH_LINES`` encoded lines before
-    each write; call :meth:`close` (or use it as a context manager) to
-    write the tail.  ``emit`` after ``close`` is a no-op.
+    concurrently) and holds fewer than ``BATCH_EVENTS`` encoded lines
+    between writes — none between a run's full batches; call
+    :meth:`close` (or use it as a context manager) to write the tail.
+    ``emit`` after ``close`` is a no-op.
     """
 
     def __init__(self, path: str, metadata: dict | None = None) -> None:
@@ -90,19 +87,25 @@ class JsonlSink:
 
     def emit(self, event: MetricEvent) -> None:
         """Append one event as a JSON line."""
-        line = encode_line(event)
+        self._append([encode_line(event)])
+
+    def emit_many(self, events: list[MetricEvent]) -> None:
+        """Append a batch of events, one JSON line each."""
+        self._append([encode_line(event) for event in events])
+
+    def _append(self, encoded: list[str]) -> None:
         with self._lock:
             if self._file is None:
                 return
             lines = self._lines
-            lines.append(line)
-            self.events_written += 1
-            if len(lines) >= _BATCH_LINES:
+            lines += encoded
+            self.events_written += len(encoded)
+            if len(lines) >= BATCH_EVENTS:
                 try:
                     self._file.write("".join(lines).encode("utf-8"))
                 finally:
-                    # A failed write (ENOSPC, EIO) loses its batch: kept,
-                    # it would be re-joined and re-written on every emit.
+                    # A failed write (ENOSPC, EIO) loses its lines: kept,
+                    # they would be re-joined and re-written every time.
                     lines.clear()
 
     def close(self) -> None:

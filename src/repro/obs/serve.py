@@ -43,7 +43,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.aggregators import AtrDrilldown, FlowDrilldown, LiveMetrics
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, RunBatch
 from repro.obs.events import MetricEvent, encode_line
 from repro.obs.exposition import render_prometheus
 
@@ -584,16 +584,18 @@ def _replay_feed(args, bus, live, broker, status) -> int:
     pace = args.pace
     start = time.monotonic()
     events = 0
+    batch = RunBatch(bus)
     try:
         for event in recording.events():
             if pace > 0 and event.time > 0:
                 delay = (start + event.time / pace) - time.monotonic()
                 if delay > 0:
+                    batch.flush()  # the view is current while we wait
                     time.sleep(delay)
-            if bus:
-                bus.emit(event)
+            batch.emit(event)
             events += 1
             if events % 1024 == 0:
+                batch.flush()
                 pump(event.time)
     except KeyboardInterrupt:
         status.update(phase="interrupted", events_replayed=events)
@@ -603,6 +605,8 @@ def _replay_feed(args, bus, live, broker, status) -> int:
         status.update(phase="failed", events_replayed=events)
         print(f"error: {exc}")
         return 2
+    finally:
+        batch.flush()
     pump_final = _snapshot_pump(live, broker, interval=0.0)
     pump_final(0.0)
     status.update(phase="done", events_replayed=events,

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.config import DefenseKind, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.collectors import FlowTruth
+from repro.obs import BufferedSink, EventBus, LiveMetrics
 
 
 def small_config(**overrides):
@@ -111,3 +112,97 @@ class TestAtrMetrics:
         assert run.activation_time is None
         assert run.identified_atrs == set()
         assert run.atr_recall == 1.0  # vacuous
+
+
+class _Built(list):
+    """The scenarios the runner built, each passed to every ``arm`` hook."""
+
+    def __init__(self):
+        super().__init__()
+        self.arm = []
+
+
+@pytest.fixture
+def built(monkeypatch):
+    from repro.experiments import runner
+
+    scenarios = _Built()
+    build = runner.build_scenario
+
+    def build_and_keep(*args, **kwargs):
+        scenario = build(*args, **kwargs)
+        scenarios.append(scenario)
+        for arm in scenarios.arm:
+            arm(scenario)
+        return scenario
+
+    monkeypatch.setattr(runner, "build_scenario", build_and_keep)
+    return scenarios
+
+
+class TestRunBatchFlushPoints:
+    """A run's events reach the sinks in batches; these are the moments
+    at which nothing may still be waiting in the batch."""
+
+    def test_every_slice_reads_a_view_current_to_the_clock(self, built):
+        live = LiveMetrics(window=1.0)
+        bus = EventBus()
+        bus.subscribe(live)
+        seen = []
+
+        def on_slice(now):
+            collected = len(built[-1].victim_collector.arrivals)
+            seen.append((live.arrivals_total, collected, live.sim_time, now))
+
+        run_experiment(
+            small_config(), bus=bus, slice_seconds=0.1, on_slice=on_slice
+        )
+        assert len(seen) == 30
+        for folded, collected, sim_time, now in seen:
+            assert folded == collected
+            assert sim_time <= now
+        assert seen[-1][0] > 500  # slices far shorter than a batch
+
+    def test_started_first_completed_last_nothing_left_behind(self):
+        sink = BufferedSink()
+        result = run_experiment(small_config(), bus=sink)
+        assert sink.events[0].kind == "run.started"
+        assert sink.events[-1].kind == "run.completed"
+        assert [e.kind for e in sink.events].count("run.completed") == 1
+        assert len(sink.of_kind("victim.arrival")) == len(
+            result.scenario.victim_collector.arrivals
+        )
+
+    def test_a_run_that_raises_has_delivered_all_it_emitted(self, built):
+        def boom():
+            raise RuntimeError("boom")
+
+        built.arm.append(lambda scenario: scenario.sim.schedule_at(1.0, boom))
+        sink = BufferedSink()
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(small_config(), bus=sink)
+        arrivals = built[-1].victim_collector.arrivals
+        assert 0 < len(arrivals) == len(sink.of_kind("victim.arrival"))
+        assert sink.events[0].kind == "run.started"
+
+    def test_a_caller_built_scenario_is_not_batched(self):
+        """Its producers hold the caller's bus; only the runner's two
+        bracket events could be batched, and they go straight through."""
+        from repro.experiments.scenario import build_scenario
+
+        config = small_config(duration=1.5)
+        calls = []
+
+        class Spy(BufferedSink):
+            def emit(self, event):
+                calls.append(scenario.sim.now)
+                super().emit(event)
+
+        bus = EventBus()
+        sink = bus.subscribe(Spy())
+        scenario = build_scenario(config, bus=bus)
+        run_experiment(config, scenario=scenario, bus=bus)
+        assert sink.events[0].kind == "run.started"
+        assert sink.events[-1].kind == "run.completed"
+        # Delivered at the instant of emission, not at a flush.
+        assert calls[1:-1] == [event.time for event in sink.events[1:-1]]

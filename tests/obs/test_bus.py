@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.obs import (
     NULL_BUS,
     NULL_SINK,
@@ -12,6 +14,7 @@ from repro.obs import (
     NullSink,
     VictimArrival,
 )
+from repro.obs.bus import BATCH_EVENTS, RunBatch
 
 
 def _arrival(t: float = 0.0) -> VictimArrival:
@@ -161,6 +164,70 @@ class TestBufferedSink:
     def test_max_events_must_be_positive(self):
         with pytest.raises(ValueError):
             BufferedSink(max_events=0)
+
+    def test_an_empty_buffer_passed_as_the_bus_observes_the_run(self):
+        """``__len__`` alone made an empty buffer falsy: every producer's
+        ``if bus:`` skipped it, and it stayed empty for ever."""
+        sink = BufferedSink()
+        assert sink and len(sink) == 0
+        run_experiment(
+            ExperimentConfig(
+                total_flows=8, n_routers=6, duration=1.4, topology="star"
+            ),
+            bus=sink,
+        )
+        assert sink.events[0].kind == "run.started"
+        assert sink.events[-1].kind == "run.completed"
+        assert sink.of_kind("victim.arrival")
+
+
+class TestRunBatch:
+    def test_holds_events_until_full_then_delivers_them_in_order(self):
+        sink = BufferedSink()
+        batch = RunBatch(sink)
+        for i in range(BATCH_EVENTS - 1):
+            batch.emit(_arrival(float(i)))
+        assert len(sink) == 0
+        batch.emit(_arrival(float(BATCH_EVENTS - 1)))
+        assert [e.time for e in sink.events] == [
+            float(i) for i in range(BATCH_EVENTS)
+        ]
+        batch.emit(_arrival(-1.0))
+        assert len(sink) == BATCH_EVENTS
+        batch.close()
+        assert sink.events[-1].time == -1.0
+        batch.flush()  # nothing pending: delivers nothing twice
+        assert len(sink) == BATCH_EVENTS + 1
+
+    def test_truthy_by_identity_whatever_it_wraps(self):
+        """Producers' ``if bus:`` on a batch must not call into Python:
+        no ``__bool__``, no ``__len__`` — and the runner, not the batch,
+        decides whether the wrapped bus is worth wrapping."""
+        assert RunBatch(EventBus())
+        assert not hasattr(RunBatch, "__bool__")
+        assert not hasattr(RunBatch, "__len__")
+        assert not hasattr(RunBatch(NULL_SINK), "__dict__")  # slotted
+
+    def test_is_a_sink(self):
+        assert isinstance(RunBatch(NULL_SINK), MetricSink)
+
+    def test_a_delivery_that_raises_loses_its_batch_not_the_next(self):
+        seen = []
+
+        def fussy(event):
+            if event.time < 0:
+                raise RuntimeError("no")
+            seen.append(event.time)
+
+        batch = RunBatch(CallbackSink(fussy))
+        batch.emit(_arrival(1.0))
+        batch.emit(_arrival(-1.0))
+        batch.emit(_arrival(2.0))
+        with pytest.raises(RuntimeError):
+            batch.flush()
+        batch.emit(_arrival(3.0))
+        batch.flush()
+        assert seen == [1.0, 3.0]
 
 
 class TestEventPayloads:

@@ -10,7 +10,8 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.obs import EventBus, LiveMetrics
+from repro.obs import BufferedSink, EventBus, LiveMetrics
+from repro.obs.bus import BATCH_EVENTS as BATCH_LINES
 from repro.obs.events import (
     DefenseDecision,
     RunStarted,
@@ -20,7 +21,6 @@ from repro.obs.events import (
     event_from_dict,
 )
 from repro.obs.recorder import (
-    _BATCH_LINES as BATCH_LINES,
     SCHEMA_NAME,
     SCHEMA_VERSION,
     JsonlSink,
@@ -340,45 +340,109 @@ class TestRecordingARun:
         assert refolded.snapshot() == live.snapshot()
 
 
-class _Bomb:
-    """A sink that kills the run it observes after ``fuse`` events."""
+def _tiny_cli_run(path):
+    from repro.experiments import cli
 
-    def __init__(self, fuse: int) -> None:
-        self.fuse = fuse
-
-    def emit(self, event) -> None:
-        self.fuse -= 1
-        if self.fuse <= 0:
-            raise RuntimeError("boom mid-simulation")
-
-    def close(self) -> None:
-        pass
+    return cli.main([
+        "run", "--flows", "8", "--routers", "6", "--seed", "3",
+        "--record", str(path),
+    ])
 
 
-@pytest.mark.parametrize("fuse", [40, 700])
+def _whole_recording(path):
+    text = gzip.open(path, "rt").read()  # raises unless closed properly
+    assert text.endswith("}\n")
+    recording = open_recording(str(path))
+    assert recording.metadata["command"] == "run"
+    events = list(recording.events())
+    assert len(events) == text.count("\n") - 1
+    assert events[0].kind == "run.started"
+    return events
+
+
+@pytest.mark.parametrize("fuse", [40, 700, 2000])
 def test_a_run_that_dies_mid_simulation_leaves_a_whole_recording(
     tmp_path, monkeypatch, fuse
 ):
-    """``repro run --record`` closes the recorder in ``finally``: the
-    events emitted before the crash are all on disk, last line whole,
-    whether or not a batch had been written yet."""
-    from repro.experiments import cli
+    """The simulation raises once ``fuse`` events are out — before the
+    run batch's first flush, after one, after several.  ``run_experiment``
+    flushes on the way out and ``repro run --record`` closes the recorder
+    in ``finally``: every event emitted before the crash is on disk, last
+    line whole, and it is what a sink beside the recorder saw."""
+    from repro.experiments import cli, runner
+
+    beside = BufferedSink()
+    window = []
 
     def exploding_run(config, bus=None):
-        bus.subscribe(_Bomb(fuse))
+        rehearsal = BufferedSink()
+        run_experiment(config, bus=rehearsal)
+        times = [event.time for event in rehearsal.events[:-1]]
+        crash_at = times[fuse]
+        window[:] = [
+            sum(t < crash_at for t in times), sum(t <= crash_at for t in times)
+        ]
+
+        def boom():
+            raise RuntimeError("boom mid-simulation")
+
+        def build_then_arm(*args, **kwargs):
+            scenario = build_scenario(*args, **kwargs)
+            scenario.sim.schedule_at(crash_at, boom)
+            return scenario
+
+        build_scenario = runner.build_scenario
+        monkeypatch.setattr(runner, "build_scenario", build_then_arm)
+        bus.subscribe(beside)
         return run_experiment(config, bus=bus)
 
     monkeypatch.setattr(cli, "run_experiment", exploding_run)
     path = tmp_path / "crash.jsonl.gz"
     with pytest.raises(RuntimeError, match="boom"):
-        cli.main([
-            "run", "--flows", "8", "--routers", "6", "--seed", "3",
-            "--record", str(path),
-        ])
-    text = gzip.open(path, "rt").read()
-    assert text.endswith("}\n")
-    recording = open_recording(str(path))
-    assert recording.metadata["command"] == "run"
-    events = list(recording.events())
-    assert len(events) == fuse == text.count("\n") - 1
-    assert events[0].kind == "run.started"
+        _tiny_cli_run(path)
+    events = _whole_recording(path)
+    assert events == beside.events
+    assert window[0] <= len(events) <= window[1]
+    assert len(events) // BATCH_LINES == fuse // BATCH_LINES  # flushes before
+    assert events[-1].kind != "run.completed"
+
+
+class _BatchBomb:
+    """A sink that kills the run it observes at its ``fuse``-th batch."""
+
+    def __init__(self, fuse: int) -> None:
+        self.fuse = fuse
+
+    def emit(self, event) -> None:
+        self.emit_many([event])
+
+    def emit_many(self, events) -> None:
+        self.fuse -= 1
+        if self.fuse <= 0:
+            raise RuntimeError("boom inside a sink")
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fuse", [1, 3])
+def test_a_later_sink_that_raises_leaves_the_recorder_its_batches(
+    tmp_path, monkeypatch, fuse
+):
+    """Sinks are served in attachment order: the recorder has the batch
+    before the sink after it can raise on it, the run aborts there, and
+    ``repro run``'s ``finally`` still closes a whole file."""
+    from repro.experiments import cli
+
+    clean = BufferedSink()
+
+    def exploding_run(config, bus=None):
+        run_experiment(config, bus=clean)
+        bus.subscribe(_BatchBomb(fuse))
+        return run_experiment(config, bus=bus)
+
+    monkeypatch.setattr(cli, "run_experiment", exploding_run)
+    path = tmp_path / "crash.jsonl.gz"
+    with pytest.raises(RuntimeError, match="boom inside a sink"):
+        _tiny_cli_run(path)
+    assert _whole_recording(path) == clean.events[:fuse * BATCH_LINES]

@@ -269,6 +269,74 @@ class TestServeEndToEnd:
         assert "shutting down" in out
 
 
+class TestReplayThroughTheBatch:
+    def test_replay_serves_what_the_live_run_served(self, tmp_path):
+        """Live, the runner's batch feeds the serve stack; replayed, the
+        recording goes through the same batch object.  ``/state``'s live
+        block, ``/flows`` and ``/atrs`` come out identical."""
+        import argparse
+
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_experiment
+        from repro.obs.aggregators import AtrDrilldown, FlowDrilldown
+        from repro.obs.recorder import JsonlSink
+        from repro.obs.serve import DRILLDOWN_KINDS, _replay_feed
+
+        def stack():
+            live = LiveMetrics(window=1.0)
+            flows, atrs, broker = FlowDrilldown(), AtrDrilldown(), SSEBroker()
+            bus = EventBus()
+            bus.subscribe(live)
+            bus.subscribe(flows, kinds=DRILLDOWN_KINDS)
+            bus.subscribe(atrs, kinds=DRILLDOWN_KINDS)
+            bus.subscribe(broker, kinds=STREAMED_KINDS)
+            srv = _Server(("127.0.0.1", 0), live, broker, flows, atrs)
+            thread = threading.Thread(target=srv.serve_forever, daemon=True)
+            thread.start()
+            return bus, srv, thread
+
+        def served(srv):
+            state = json.loads(_get(srv, "/state")[2])
+            return (
+                state["live"],
+                json.loads(_get(srv, "/flows")[2]),
+                json.loads(_get(srv, "/atrs")[2]),
+            )
+
+        path = tmp_path / "flight.jsonl.gz"
+        live_bus, live_srv, live_thread = stack()
+        replay_bus, replay_srv, replay_thread = stack()
+        try:
+            with JsonlSink(str(path)) as recorder:
+                live_bus.subscribe(recorder)
+                run_experiment(
+                    ExperimentConfig(total_flows=10, n_routers=8,
+                                     duration=2.0, seed=3),
+                    bus=live_bus, slice_seconds=0.25,
+                    on_slice=lambda now: None,
+                )
+            assert recorder.events_written > 1024  # several batches
+            code = _replay_feed(
+                argparse.Namespace(recording=str(path), pace=0.0),
+                replay_bus, replay_srv.live, replay_srv.broker,
+                replay_srv.status,
+            )
+            assert code == 0
+            assert replay_srv.status["events_replayed"] == recorder.events_written
+            live_view, replay_view = served(live_srv), served(replay_srv)
+            assert live_view[0]["runs_completed"] == 1
+            assert live_view[1]["tracked_flows"] > 0 and live_view[2]["atrs"]
+            assert replay_view == live_view
+        finally:
+            for srv, thread in (
+                (live_srv, live_thread), (replay_srv, replay_thread),
+            ):
+                srv.broker.close()
+                srv.shutdown()
+                srv.server_close()
+                thread.join(timeout=5)
+
+
 def _cli_env():
     env = dict(os.environ)
     src = Path(__file__).resolve().parents[2] / "src"
