@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping
 
 from repro.sim.address import Subnet
 
@@ -46,16 +46,33 @@ class RoutingTable:
 
         A subnet installed twice keeps its first next hop.
         """
-        self._entries.append((subnet, next_hop_name))
-        mask = subnet.netmask
-        hops = self._hops_by_mask.get(mask)
-        if hops is None:
-            self._hops_by_mask[mask] = hops = {}
+        self.add_routes(((subnet, next_hop_name),))
+
+    def add_routes(self, routes: Iterable[tuple[Subnet, str]]) -> None:
+        """Install every ``(subnet, next hop name)`` of ``routes``, in order.
+
+        A subnet installed twice keeps its first next hop.  The prefix
+        lengths are re-sorted at most once per call, and watchers hear
+        of a call once (not at all of an empty one).
+        """
+        routes = list(routes)
+        if not routes:
+            return
+        self._entries += routes
+        hops_by_mask = self._hops_by_mask
+        new_mask = False
+        prefix_len = None
+        for subnet, hop in routes:
+            if subnet.prefix_len != prefix_len:
+                prefix_len = subnet.prefix_len
+                hops = hops_by_mask.get(subnet.netmask)
+                if hops is None:
+                    hops_by_mask[subnet.netmask] = hops = {}
+                    new_mask = True
+            hops.setdefault(subnet.base, hop)
+        if new_mask:
             # A longer prefix is a numerically larger mask.
-            self._hops_by_mask = dict(
-                sorted(self._hops_by_mask.items(), reverse=True)
-            )
-        hops.setdefault(subnet.base, next_hop_name)
+            self._hops_by_mask = dict(sorted(hops_by_mask.items(), reverse=True))
         self._changed()
 
     def set_default(self, next_hop_name: str) -> None:
@@ -92,7 +109,7 @@ class RoutingTable:
 
 
 def shortest_path_tree(
-    adjacency: Adjacency, source: str
+    adjacency: Adjacency, source: str, skip: Container[str] = ()
 ) -> tuple[dict[str, float], dict[str, str]]:
     """Dijkstra from ``source``: ``(distance, predecessor)`` per reachable node.
 
@@ -102,6 +119,12 @@ def shortest_path_tree(
     adjacency order, a predecessor replaced only by a strictly shorter
     path — so equal-delay ties resolve to the path networkx would
     return (``tests/sim/test_route_parity.py`` holds the two together).
+
+    Nodes in ``skip`` are never relaxed into, so they and everything
+    reachable only through them are absent.  In a symmetric adjacency,
+    skipping a node with one neighbour leaves every other node's
+    distance, predecessor and settling order as they were: it is pushed
+    from that neighbour alone and relaxes nothing once settled.
     """
     dist: dict[str, float] = {}
     pred: dict[str, str] = {}
@@ -114,7 +137,7 @@ def shortest_path_tree(
             continue
         dist[v] = dist_v
         for u, delay in adjacency.get(v, {}).items():
-            if u in dist:
+            if u in dist or u in skip:
                 continue
             vu_dist = dist_v + delay
             if u not in seen or vu_dist < seen[u]:
@@ -137,26 +160,67 @@ def build_static_routes(
     the router each allocated subnet hangs off (a ``dict.items()`` view
     of a router-name -> subnet map works directly).  Every router gets
     a route to every subnet attached elsewhere, via the first hop of
-    its shortest path there.
+    its shortest path there, in ``subnet_attachments`` order.
+
+    Only *branching* routers run a Dijkstra.  A *leaf* — a router with
+    one neighbour, its anchor — forwards everything it reaches through
+    the anchor, so it reads that reach off the anchor's tree; when the
+    anchor is a leaf too (a two-router island, or a lone self-loop), the
+    anchor is the whole reach.  Leaves are skipped inside the trees and
+    get their first hop from their anchor's.  This relies on the
+    adjacency being symmetric, as :data:`Adjacency` says it is.
     """
     attachments = list(subnet_attachments)
     for attach_name, subnet in attachments:
         if attach_name not in routers:
             raise ValueError(f"subnet {subnet} attached to unknown router {attach_name}")
+    anchor_of = {
+        name: next(iter(neighbours))
+        for name, neighbours in adjacency.items()
+        if len(neighbours) == 1
+    }
+    leaves_of: dict[str, list[str]] = {}
+    for leaf, anchor in anchor_of.items():
+        leaves_of.setdefault(anchor, []).append(leaf)
+    first_hops: dict[str, dict[str, str]] = {}  # source -> {node: first hop}
+    # anchor -> [(attach name, route)]: built once, so the anchor's leaves
+    # share the route tuples (a third less table memory on huge domains).
+    via_anchor: dict[str, list[tuple[str, tuple[Subnet, str]]]] = {}
+
+    def first_hops_from(source: str) -> dict[str, str]:
+        hops = first_hops.get(source)
+        if hops is None:
+            dist, pred = shortest_path_tree(adjacency, source, anchor_of)
+            hops = first_hops[source] = {
+                leaf: leaf for leaf in leaves_of.get(source, ())
+            }
+            # Settling order puts every predecessor before its successors,
+            # so one pass carries each node's first hop down the tree.
+            for node in islice(dist, 1, None):
+                via = pred[node]
+                hop = hops[node] = node if via == source else hops[via]
+                for leaf in leaves_of.get(node, ()):
+                    hops[leaf] = hop
+        return hops
+
     for name, router in routers.items():
-        dist, pred = shortest_path_tree(adjacency, name)
-        # Settling order puts every predecessor before its successors,
-        # so one pass carries each node's first hop down the tree.
-        first_hop: dict[str, str] = {}
-        for node in islice(dist, 1, None):
-            via = pred[node]
-            first_hop[node] = node if via == name else first_hop[via]
+        anchor = anchor_of.get(name)
+        if anchor is None:
+            hops = first_hops_from(name)
+            # Absent from hops: local (no hop) or unreachable.
+            routes = [(subnet, hops[at]) for at, subnet in attachments if at in hops]
+        else:
+            via = via_anchor.get(anchor)
+            if via is None:
+                hops = {} if anchor in anchor_of else first_hops_from(anchor)
+                via = via_anchor[anchor] = [
+                    (at, (subnet, anchor)) for at, subnet in attachments
+                    if at == anchor or at in hops
+                ]
+            routes = [route for at, route in via if at != name]
         table = router.routing_table
         if table is None:
             table = RoutingTable()
-        for attach_name, subnet in attachments:
-            hop = first_hop.get(attach_name)
-            if hop is not None:  # neither local (no hop) nor unreachable
-                table.add_route(subnet, hop)
+        table.add_routes(routes)
         # Assigned last: a fresh table fills before any router watches it.
         router.routing_table = table

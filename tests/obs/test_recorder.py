@@ -3,6 +3,7 @@
 import dataclasses
 import gzip
 import json
+import random
 import sys
 import threading
 
@@ -262,7 +263,11 @@ class TestOpenRecording:
     ):
         """Whatever byte a dying recorder stopped at, a reader gets whole
         events in order and then ``truncated`` — never half a line parsed
-        as an event, never a bare ``EOFError``."""
+        as an event, never a bare ``EOFError``.
+
+        Cuts are taken at every offset of the gzip header and trailer and
+        within 64 bytes of each batch write, and at a seeded sample of
+        the offsets in between."""
         events = [
             DefenseDecision(
                 time=i * 0.37, action="drop", reason="probe", truth="attack",
@@ -274,9 +279,18 @@ class TestOpenRecording:
         _record(whole, events)
         data = whole.read_bytes()
         assert list(open_recording(str(whole)).events()) == events
+        # One batch (the header line and 400 events), written at close:
+        # its deflate bytes run from the end of the gzip header (10 bytes
+        # and the NUL-terminated file name) to the 8-byte trailer.
+        assert len(events) + 1 < BATCH_LINES and data[3] == 0x08  # FNAME only
+        body_start, body_end = data.index(0, 10) + 1, len(data) - 8
+        offsets = {*range(body_start + 64), *range(body_end - 64, len(data))}
+        offsets.update(
+            random.Random(0).sample(range(body_start + 64, body_end - 64), 256)
+        )
         cut = tmp_path / "cut.jsonl.gz"
         longest = 0
-        for offset in range(len(data)):
+        for offset in sorted(offsets):
             cut.write_bytes(data[:offset])
             seen = []
             with pytest.raises(RecordingError) as failure:

@@ -35,6 +35,39 @@ class TestRoutingTable:
         t.add_route(Subnet(0x0A000000, 24), "x")
         assert len(t) == 1
 
+    def test_a_subnet_installed_twice_keeps_its_first_hop(self):
+        t = RoutingTable()
+        t.add_route(Subnet(0x0A000000, 24), "first")
+        t.add_routes([(Subnet(0x0A000000, 24), "second"),
+                      (Subnet(0x0A010000, 24), "a"), (Subnet(0x0A010000, 24), "b")])
+        assert t.next_hop(0x0A000001) == "first"
+        assert t.next_hop(0x0A010001) == "a"
+        assert len(t) == 4  # every installed route is kept and listed
+
+    def test_add_routes_is_add_route_per_route(self):
+        routes = [(Subnet(0x0A000000, 8), "coarse"), (Subnet(0x0A010000, 16), "fine"),
+                  (Subnet(0x0A010200, 24), "finer"), (Subnet(0x0A000000, 8), "again")]
+        one_by_one, batched = RoutingTable(), RoutingTable()
+        for subnet, hop in routes:
+            one_by_one.add_route(subnet, hop)
+        batched.add_routes(iter(routes))
+        assert batched.routes() == one_by_one.routes()
+        assert [p.prefix_len for p, _ in batched.routes()] == [24, 16, 8, 8]
+        for address in (0x0A010203, 0x0A010303, 0x0A990203, 0x0B000000):
+            assert batched.next_hop(address) == one_by_one.next_hop(address)
+        assert batched.next_hop(0x0A010203) == "finer"
+
+    def test_watchers_hear_a_batch_once_and_an_empty_one_never(self):
+        t = RoutingTable()
+        heard = []
+        t.watch(lambda: heard.append(len(t)))
+        t.add_routes([(Subnet(0x0A000000, 24), "a"), (Subnet(0x0A010000, 16), "b")])
+        assert heard == [2]
+        t.add_routes([])
+        assert heard == [2]
+        t.add_route(Subnet(0x0A020000, 24), "c")
+        assert heard == [2, 3]
+
 
 def _build_line(sim):
     """a - b - c with one subnet at each end."""
