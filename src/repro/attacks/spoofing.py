@@ -56,13 +56,13 @@ def _draw_address(
     if model.mode is SpoofMode.NONE:
         return true_address
     if model.mode is SpoofMode.LEGIT_SUBNET:
-        return int(space.random_legal_address(rng))
+        return space.random_legal_int(rng)
     if model.mode is SpoofMode.ILLEGAL:
-        return int(space.random_illegal_address(rng))
+        return space.random_illegal_int(rng)
     # MIXED
     if float(rng.random()) < model.illegal_fraction:
-        return int(space.random_illegal_address(rng))
-    return int(space.random_legal_address(rng))
+        return space.random_illegal_int(rng)
+    return space.random_legal_int(rng)
 
 
 def make_spoofer(

@@ -54,13 +54,18 @@ class DupAckProber:
 
         The fields the forged ACKs need are captured *now*: the dropped
         packet is recycled into the pool the moment the hook's drop
-        returns, so the scheduled sends must not retain it.
+        returns, so the scheduled sends must not retain it.  Nothing
+        cancels a probe, so the train goes out handle-free.
         """
         flow = dropped_packet.flow.reversed()
         seq = dropped_packet.seq
         ts_val = dropped_packet.ts_val
+        sim = self.sim
+        now = sim.now
         for i in range(self.dup_acks_per_probe):
-            self.sim.schedule(i * self.spacing, self._send_one, flow, seq, ts_val)
+            sim.schedule_anon(
+                now + i * self.spacing, self._send_one, flow, seq, ts_val
+            )
 
     def _send_one(self, flow, dropped_seq: int, dropped_ts_val: float) -> None:
         now = self.sim.now

@@ -9,6 +9,7 @@ host cluster), plus reserved ranges that are never legal sources.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 _MAX_ADDR = 0xFFFFFFFF
@@ -101,6 +102,12 @@ class Subnet:
         return f"{IPv4Address(self.base)}/{self.prefix_len}"
 
 
+#: Where illegal sources are drawn: 192.0.0.0 - 223.255.255.255, above
+#: every allocation (which stops below 127.0.0.0) and below 224/4.
+_ILLEGAL_LO = IPv4Address.from_string("192.0.0.0").value
+_ILLEGAL_HI = IPv4Address.from_string("223.255.255.255").value
+
+
 class AddressSpace:
     """The set of subnets allocated in (and routable from) the domain.
 
@@ -109,10 +116,6 @@ class AddressSpace:
     subnets model the "illegal or unreachable" sources MAFIC sends
     straight to the PDT.
     """
-
-    #: Legality-memo bound: rotating spoofers mint fresh addresses per
-    #: packet, so the cache is cleared (not grown) past this many entries.
-    _LEGAL_CACHE_MAX = 1 << 16
 
     #: Reserved blocks that can never be legitimate unicast sources.
     RESERVED = (
@@ -125,10 +128,12 @@ class AddressSpace:
     def __init__(self) -> None:
         self._subnets: list[Subnet] = []
         self._next_alloc = IPv4Address.from_string("10.0.0.0").value
-        # Legality is static once the topology is built; memoize per
-        # address (the PDT shortcut consults this for every examined
-        # packet).  Cleared on allocation.
-        self._legal_cache: dict[int, bool] = {}
+        # Every subnet's [base, base + size) as a flat sorted list
+        # [base0, end0, base1, end1, ...]: allocation only moves upward,
+        # so the blocks are disjoint and in order, and an address is
+        # inside one iff bisect_right lands on an odd index.  Written by
+        # allocate_subnet alone.
+        self._bounds: list[int] = []
 
     @property
     def subnets(self) -> tuple[Subnet, ...]:
@@ -146,7 +151,7 @@ class AddressSpace:
         if self._next_alloc > IPv4Address.from_string("126.255.255.255").value:
             raise RuntimeError("address space exhausted")
         self._subnets.append(subnet)
-        self._legal_cache.clear()
+        self._bounds += (base, base + size)
         return subnet
 
     def is_reserved(self, addr: int | IPv4Address) -> bool:
@@ -157,44 +162,43 @@ class AddressSpace:
         """True when ``addr`` could be a real host of some allocated subnet.
 
         "Legal" in the paper's sense: a valid address of a certain subnet
-        within a certain AS — NOT necessarily the true sender.
+        within a certain AS — NOT necessarily the true sender.  A value
+        outside 32 bits is never legal.
         """
         value = int(addr)
-        cache = self._legal_cache
-        legal = cache.get(value)
-        if legal is None:
-            legal = not self.is_reserved(value) and any(
-                subnet.contains(value) for subnet in self._subnets
-            )
-            if len(cache) >= self._LEGAL_CACHE_MAX:
-                # Rotating spoofers feed one fresh random address per
-                # packet; an unbounded memo would grow O(packets).
-                # Dropping the whole cache keeps the stable-flow hit
-                # rate (they repopulate immediately) with bounded memory.
-                cache.clear()
-            cache[value] = legal
-        return legal
+        # RESERVED, as arithmetic: 224/4 and 240/4 are everything from
+        # 224.0.0.0 up (and so every value past 32 bits); then 0/8, 127/8.
+        # A negative value is below every subnet, so the bisect says no.
+        if value >= 0xE0000000 or (value >> 24) in (0, 127):
+            return False
+        return bisect_right(self._bounds, value) & 1 == 1
 
-    def random_legal_address(self, rng) -> IPv4Address:
-        """Draw a uniformly random address from the allocated subnets."""
+    def random_legal_int(self, rng) -> int:
+        """Draw a uniformly random address from the allocated subnets:
+        a subnet, then a host in it, one ``rng.integers`` each."""
         if not self._subnets:
             raise RuntimeError("no subnets allocated")
-        subnet = self._subnets[int(rng.integers(len(self._subnets)))]
-        return subnet.host(int(rng.integers(subnet.size)))
+        i = 2 * int(rng.integers(len(self._subnets)))
+        base = self._bounds[i]
+        return base + int(rng.integers(self._bounds[i + 1] - base))
 
-    def random_illegal_address(self, rng, max_tries: int = 64) -> IPv4Address:
+    def random_legal_address(self, rng) -> IPv4Address:
+        """:meth:`random_legal_int` as an :class:`IPv4Address`."""
+        return IPv4Address(self.random_legal_int(rng))
+
+    def random_illegal_int(self, rng, max_tries: int = 64) -> int:
         """Draw an address that fails :meth:`is_legal_source`.
 
         Samples from the unallocated space above the allocation cursor and
         from reserved ranges; with a fresh space this always succeeds fast.
         """
-        lo = IPv4Address.from_string("192.0.0.0").value
-        hi = IPv4Address.from_string("223.255.255.255").value
         for _ in range(max_tries):
-            candidate = int(rng.integers(lo, hi + 1))
+            candidate = int(rng.integers(_ILLEGAL_LO, _ILLEGAL_HI + 1))
             if not self.is_legal_source(candidate):
-                return IPv4Address(candidate)
+                return candidate
         # Reserved ranges are guaranteed illegal.
-        return IPv4Address(
-            self.RESERVED[1].base + int(rng.integers(self.RESERVED[1].size))
-        )
+        return self.RESERVED[1].base + int(rng.integers(self.RESERVED[1].size))
+
+    def random_illegal_address(self, rng, max_tries: int = 64) -> IPv4Address:
+        """:meth:`random_illegal_int` as an :class:`IPv4Address`."""
+        return IPv4Address(self.random_illegal_int(rng, max_tries))

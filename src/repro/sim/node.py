@@ -73,7 +73,9 @@ class Router(Node):
     nowhere — is resolved once and memoized per destination address, so
     a forwarded packet costs one dict probe.  Everything the resolution
     reads invalidates the memo when it changes: the local-delivery
-    list, the outgoing links, the routing table and its routes.
+    list, the outgoing links, the routing table and its routes.  Memo
+    entries share their action tuple — one per local handler and one per
+    outgoing link — so a miss toward a known target allocates nothing.
     """
 
     #: Memo bound: probes routed toward rotating spoofed sources can
@@ -85,13 +87,20 @@ class Router(Node):
     def __init__(self, sim: "Simulator", name: str, address: int | None = None) -> None:
         super().__init__(sim, name, address)
         self._routing_table: "RoutingTable | None" = None
-        self._local_subnet_handlers: list[tuple[Callable[[int], bool], PacketHandler]] = []
+        # (matches, (handler.handle_packet, None)): the action is built here.
+        self._local_subnet_handlers: list[tuple[Callable[[int], bool], tuple]] = []
         self._control_handlers: list[PacketHandler] = []
         # dst_ip -> (handle_packet of a local handler, None)
         #         | (None, send of the next link)
         #         | (None, None) when there is no route.
         self._memo: dict[int, tuple] = {}
-        self._forget = self._memo.clear
+        # out-link -> its (None, link.send), built on the first miss to it.
+        self._link_actions: dict["SimplexLink", tuple] = {}
+
+    def _forget(self) -> None:
+        """Drop every memoized route and link action (an input changed)."""
+        self._memo.clear()
+        self._link_actions.clear()
 
     @property
     def routing_table(self) -> "RoutingTable | None":
@@ -121,7 +130,7 @@ class Router(Node):
         same address for as long as it is installed — because its verdict
         is memoized per destination.
         """
-        self._local_subnet_handlers.append((matches, handler))
+        self._local_subnet_handlers.append((matches, (handler.handle_packet, None)))
         self._forget()
 
     def add_control_handler(self, handler: PacketHandler) -> None:
@@ -159,16 +168,19 @@ class Router(Node):
     def _resolve(self, dst_ip: int) -> tuple:
         """Work out and memoize where ``dst_ip`` goes (a memo miss)."""
         action: tuple = (None, None)
-        for matches, handler in self._local_subnet_handlers:
+        for matches, deliver in self._local_subnet_handlers:
             if matches(dst_ip):
-                action = (handler.handle_packet, None)
+                action = deliver
                 break
         else:
             table = self._routing_table
             next_hop = table.next_hop(dst_ip) if table is not None else None
             link = self._links_out.get(next_hop) if next_hop is not None else None
             if link is not None:
-                action = (None, link.send)
+                try:
+                    action = self._link_actions[link]
+                except KeyError:  # the first miss toward this link
+                    action = self._link_actions[link] = (None, link.send)
         memo = self._memo
         if len(memo) >= self._MEMO_MAX:
             memo.clear()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from repro.util.hashing import stable_hash64
+from repro.util.hashing import hash_int4
 
 _packet_ids = itertools.count(1)
 
@@ -63,6 +63,10 @@ class FlowKey:
                  "_reversed", "_label")
 
     def __init__(self, src_ip: int, dst_ip: int, src_port: int, dst_port: int) -> None:
+        if not 0 <= src_ip <= 0xFFFFFFFF:
+            raise ValueError(f"src_ip out of range: {src_ip}")
+        if not 0 <= dst_ip <= 0xFFFFFFFF:
+            raise ValueError(f"dst_ip out of range: {dst_ip}")
         if not 0 <= src_port <= 0xFFFF:
             raise ValueError(f"src_port out of range: {src_port}")
         if not 0 <= dst_port <= 0xFFFF:
@@ -72,7 +76,7 @@ class FlowKey:
         set_attr(self, "dst_ip", dst_ip)
         set_attr(self, "src_port", src_port)
         set_attr(self, "dst_port", dst_port)
-        set_attr(self, "_hash64", stable_hash64(src_ip, dst_ip, src_port, dst_port))
+        set_attr(self, "_hash64", hash_int4(src_ip, dst_ip, src_port, dst_port))
         set_attr(self, "_reversed", None)
         set_attr(self, "_label", None)  # FlowLabel cache (see core.labels)
 

@@ -17,6 +17,10 @@ _FNV_OFFSET_BASIS_64 = 0xCBF29CE484222325
 _FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
 
+#: ``PRIME**n mod 2**64``: FNV-1a over ``n`` zero bytes is one multiply
+#: by ``_PRIME_POWERS[n]``, because xor with a zero byte is a no-op.
+_PRIME_POWERS = tuple(pow(_FNV_PRIME_64, n, 1 << 64) for n in range(10))
+
 
 def fnv1a_64(data: bytes, h: int = _FNV_OFFSET_BASIS_64) -> int:
     """Return the 64-bit FNV-1a hash of ``data``.
@@ -98,9 +102,7 @@ def int_hasher(*prefix: int | str | bytes) -> Callable[[int], int]:
     sketches that copy and merge every epoch ask for the same one.
     """
     tagged = fnv1a_64(_encode(prefix) + b"\x01")
-    after_zeros = tuple(
-        tagged * pow(_FNV_PRIME_64, n, 1 << 64) & _MASK_64 for n in range(9)
-    )
+    after_zeros = tuple(tagged * _PRIME_POWERS[n] & _MASK_64 for n in range(9))
 
     def hash_int(item: int) -> int:
         item &= _MASK_64
@@ -113,3 +115,26 @@ def int_hasher(*prefix: int | str | bytes) -> Callable[[int], int]:
         return fmix64((h * _FNV_PRIME_64) & _MASK_64)
 
     return hash_int
+
+
+def hash_int4(a: int, b: int, c: int, d: int) -> int:
+    """``stable_hash64(a, b, c, d)`` for four ``int`` parts, bufferless.
+
+    The flow hash (:class:`~repro.sim.packet.FlowKey` builds one per new
+    4-tuple).  Each part goes straight into the FNV-1a state, with no
+    byte string: its tag byte and its leading zero bytes are one multiply
+    (as in :func:`int_hasher`), then come its significant bytes.  The
+    state is masked once per part, not per byte: xor with a byte and a
+    multiply both leave the low 64 bits depending only on the low 64
+    bits.  Bit-identical to :func:`stable_hash64` for non-``bool`` ints.
+    """
+    h = _FNV_OFFSET_BASIS_64
+    for part in (a, b, c, d):
+        part &= _MASK_64
+        width = (part.bit_length() + 7) >> 3
+        # The tag byte, then 8 - width zero bytes: 9 - width multiplies.
+        h = (h ^ 0x01) * _PRIME_POWERS[9 - width]
+        for byte in part.to_bytes(width, "big"):
+            h = (h ^ byte) * _FNV_PRIME_64
+        h = (h ^ 0x1F) * _FNV_PRIME_64 & _MASK_64
+    return fmix64(h)

@@ -90,6 +90,16 @@ class TestAddressSpace:
         assert not space.is_legal_source(IPv4Address.from_string("224.0.0.1"))
         assert space.is_reserved(IPv4Address.from_string("0.1.2.3"))
 
+    @pytest.mark.parametrize("high", [1 << 32, 1 << 40, 1 << 64])
+    def test_out_of_range_is_never_legal(self, high):
+        # A /24 mask keeps only 24 bits: masking would land these inside.
+        space = AddressSpace()
+        subnet = space.allocate_subnet(24)
+        assert space.is_legal_source(subnet.base + 5)
+        assert not space.is_legal_source(subnet.base + 5 + high)
+        assert not space.is_legal_source(subnet.base + 5 - high)
+        assert not space.is_legal_source(-1)
+
     def test_random_legal_address_is_legal(self):
         space = AddressSpace()
         for _ in range(4):

@@ -40,6 +40,13 @@ class TestFlowKey:
         with pytest.raises(ValueError):
             FlowKey(1, 2, 80, -1)
 
+    @pytest.mark.parametrize("bad", [-1, 1 << 32, 0x0A000005 + (1 << 32)])
+    def test_ip_range_enforced(self, bad):
+        with pytest.raises(ValueError, match="src_ip"):
+            FlowKey(bad, 2, 3, 4)
+        with pytest.raises(ValueError, match="dst_ip"):
+            FlowKey(1, bad, 3, 4)
+
     @given(ips, ips, ports, ports)
     def test_hash_in_64_bit_range(self, a, b, c, d):
         assert 0 <= FlowKey(a, b, c, d).hashed() < (1 << 64)
