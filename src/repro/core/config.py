@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.util.validation import (
@@ -78,6 +79,9 @@ class MaficConfig:
         check_positive("default_rtt", self.default_rtt)
         check_probability("response_ratio", self.response_ratio)
         check_positive("rate_window", self.rate_window)
+        if not math.isfinite(self.rate_window):
+            # An infinite window reads every baseline rate as 0.0.
+            raise ValueError(f"rate_window must be finite, got {self.rate_window!r}")
         if self.min_packets_for_verdict < 1:
             raise ValueError("min_packets_for_verdict must be >= 1")
         if self.dup_acks_per_probe < 0:

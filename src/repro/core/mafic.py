@@ -35,7 +35,7 @@ from repro.core.policy import AdaptiveMaficPolicy, DropDecision, DropPolicy
 from repro.core.probe import DupAckProber
 from repro.core.tables import FlowTables, SftEntry, TableName
 from repro.sim.packet import Packet, PacketType
-from repro.util.stats import WindowedRate
+from repro.util.stats import WindowedCount
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.address import AddressSpace
@@ -43,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.link import SimplexLink
     from repro.sim.node import Router
     from repro.sim.trace import EventTrace
+
+
+#: Smallest monitor count that triggers a sweep of idle monitors.
+_MIN_SWEEP = 64
 
 
 class DefenseObserver(Protocol):
@@ -175,7 +179,9 @@ class MaficAgent:
         self.stats = MaficStats()
         # Arrival-rate monitors for every victim-bound flow seen while
         # active: "Calculate Arriving Rate" needs a pre-admission baseline.
-        self._monitors: dict[FlowLabel, WindowedRate] = {}
+        # Idle ones are swept once the dict doubles (see _sweep_monitors).
+        self._monitors: dict[FlowLabel, WindowedCount] = {}
+        self._sweep_at = _MIN_SWEEP
         self._verdict_events: dict[FlowLabel, object] = {}
         #: Monitored packets required before SFT admission.  One suffices:
         #: a cold baseline cannot condemn a responsive flow because the
@@ -300,10 +306,12 @@ class MaficAgent:
         return True
 
     def _handle_unknown(self, packet: Packet, label: FlowLabel, now: float) -> bool:
-        monitor = self._monitors.get(label)
+        monitors = self._monitors
+        monitor = monitors.get(label)
         if monitor is None:
-            monitor = WindowedRate(self.config.rate_window)
-            self._monitors[label] = monitor
+            if len(monitors) >= self._sweep_at:
+                monitors = self._sweep_monitors(now)
+            monitor = monitors[label] = WindowedCount(self.config.rate_window)
         monitor.record(now)
 
         decision = self.policy.decide(packet, now)
@@ -328,7 +336,7 @@ class MaficAgent:
         return self._drop(packet, "probe", now)
 
     def _admit_suspicious(
-        self, packet: Packet, label: FlowLabel, monitor: WindowedRate, now: float
+        self, packet: Packet, label: FlowLabel, monitor: WindowedCount, now: float
     ) -> None:
         cap = self.config.max_sft_entries
         if cap and len(self.tables.sft) >= cap:
@@ -353,13 +361,31 @@ class MaficAgent:
             rtt_estimate=rtt,
             packets_seen=1,
             packets_dropped=1,
-            monitor=WindowedRate(window / 2.0),
+            monitor=WindowedCount(window / 2.0),
         )
         entry.monitor.record(now)
         self.tables.admit_suspicious(entry)
         self._verdict_events[label] = self.sim.schedule_at(
             entry.deadline, self._verdict, label
         )
+
+    def _sweep_monitors(self, now: float) -> dict[FlowLabel, WindowedCount]:
+        """Drop the monitors with no arrival inside the window at ``now``.
+
+        An idle monitor reads exactly like the fresh one a flow's next
+        unknown packet would create, so dropping it changes nothing.  SFT
+        flows keep theirs: _handle_suspicious records into the monitor it
+        finds and never creates one.  Sweeping when the dict has doubled
+        since the last sweep keeps the cost amortised O(1) per new flow.
+        """
+        sft = self.tables.sft
+        monitors = self._monitors = {
+            label: monitor
+            for label, monitor in self._monitors.items()
+            if label in sft or not monitor.idle(now)
+        }
+        self._sweep_at = max(_MIN_SWEEP, 2 * len(monitors))
+        return monitors
 
     # -------------------------------------------------------------- verdict
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.core.labels import FlowLabel
-from repro.util.stats import WindowedRate
+from repro.util.stats import WindowedCount
 
 
 class TableName(Enum):
@@ -28,7 +28,7 @@ class TableName(Enum):
     PDT = "pdt"
 
 
-@dataclass
+@dataclass(slots=True)
 class SftEntry:
     """Probe state of one suspicious flow."""
 
@@ -39,11 +39,11 @@ class SftEntry:
     rtt_estimate: float | None = None
     packets_seen: int = 0
     packets_dropped: int = 0
-    monitor: WindowedRate | None = None
+    monitor: WindowedCount | None = None
     last_arrival: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NftEntry:
     """A flow judged nice (TCP-friendly)."""
 
@@ -53,7 +53,7 @@ class NftEntry:
     packets_passed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PdtEntry:
     """A flow condemned to permanent drop."""
 

@@ -1,8 +1,10 @@
-"""Rule ``slots-on-hotpath``: per-packet classes stay slotted.
+"""Rule ``slots-on-hotpath``: per-packet and per-flow classes stay slotted.
 
 The engine allocates one :class:`Packet` per generated packet and one
 :class:`Event` handle per scheduled callback — millions per campaign
-cell.  ``__slots__`` on those classes is worth ~30-40% of their memory
+cell.  MAFIC allocates a table entry and an arrival-rate monitor per
+flow, and under source rotation every attack packet is a new flow.
+``__slots__`` on those classes is worth ~30-40% of their memory
 and a measurable allocation-rate win, and it is exactly the kind of
 property that vanishes silently: drop the declaration during a
 refactor and every test still passes, only the perf-smoke gate drifts.
@@ -31,17 +33,20 @@ HOT_CLASSES: dict[str, tuple[str, ...]] = {
     "repro.sim.packet": ("FlowKey", "Packet", "_PacketPool"),
     "repro.sim.engine": ("Event", "SeriesEvent"),
     "repro.obs.bus": ("_Subscription",),
+    "repro.core.tables": ("SftEntry", "NftEntry", "PdtEntry"),
+    "repro.util.stats": ("WindowedCount",),
 }
 
 
 @register_rule
 class SlotsOnHotpathRule(LintRule):
     id = "slots-on-hotpath"
-    title = "per-packet/per-event classes declare __slots__"
+    title = "per-packet and per-flow classes declare __slots__"
     rationale = (
-        "packets and event handles are allocated millions of times per "
-        "cell; losing __slots__ regresses memory and allocation rate "
-        "without failing any functional test"
+        "packets, event handles, flow-table entries and rate monitors "
+        "are allocated up to millions of times per cell; losing "
+        "__slots__ regresses memory and allocation rate without failing "
+        "any functional test"
     )
     scope = tuple(HOT_CLASSES) + ("repro.obs.events",)
 

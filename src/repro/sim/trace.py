@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One traced event."""
 

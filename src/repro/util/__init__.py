@@ -7,7 +7,7 @@ small, deterministic building block used throughout :mod:`repro`.
 
 from repro.util.hashing import fnv1a_64, stable_hash64
 from repro.util.rng import RngRegistry, derive_seed
-from repro.util.stats import Ewma, RunningStats, WindowedRate
+from repro.util.stats import Ewma, RunningStats, WindowedCount, WindowedRate
 from repro.util.units import (
     BITS_PER_BYTE,
     bits_to_bytes,
@@ -30,6 +30,7 @@ __all__ = [
     "Ewma",
     "RngRegistry",
     "RunningStats",
+    "WindowedCount",
     "WindowedRate",
     "bits_to_bytes",
     "bytes_to_bits",

@@ -106,20 +106,27 @@ class RunningStats:
         return merged
 
 
-class WindowedRate:
-    """Event rate over a sliding time window.
+def _check_window(window: float) -> float:
+    # The chained compare also rejects NaN; an infinite window would
+    # make every rate read 0.0.
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window!r}")
+    return float(window)
 
-    Used by MAFIC's per-flow arrival-rate monitor: the ATR records packet
-    arrival timestamps and asks for the arrival rate over the last
-    ``window`` seconds.
+
+class WindowedRate:
+    """Weighted event rate over a sliding time window.
+
+    Used by the sinks' arrival bit-rate monitor: each record carries a
+    weight (the packet's bits) and the rate is the weight sum over the
+    last ``window`` seconds.  Unit-weight monitors use
+    :class:`WindowedCount`.
     """
 
     __slots__ = ("window", "_times", "_weights", "_weight_sum", "_next_expiry")
 
     def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = float(window)
+        self.window = _check_window(window)
         self._times: deque[float] = deque()
         self._weights: deque[float] = deque()
         self._weight_sum = 0.0
@@ -161,3 +168,55 @@ class WindowedRate:
         else:
             self._weight_sum = 0.0
             self._next_expiry = now + 2.0 * self.window
+
+
+class WindowedCount:
+    """Arrival count and rate over a sliding time window.
+
+    MAFIC's per-flow arrival-rate monitor: the ATR records packet arrival
+    timestamps and asks for the arrival rate over the last ``window``
+    seconds.  It is :class:`WindowedRate` with unit weights minus the
+    weights deque: a sum of 1.0s is an exactly counted float, so
+    ``len(times) / window`` is the same value bit for bit.
+    """
+
+    __slots__ = ("window", "_times", "_next_expiry")
+
+    def __init__(self, window: float) -> None:
+        self.window = _check_window(window)
+        self._times: deque[float] = deque()
+        # Same prune watermark as WindowedRate: record() prunes one batch
+        # per window, reads always prune fully.
+        self._next_expiry = -math.inf
+
+    def record(self, now: float) -> None:
+        """Record one arrival at time ``now``."""
+        self._times.append(now)
+        if now >= self._next_expiry:
+            self._expire(now)
+
+    def rate(self, now: float) -> float:
+        """Arrivals per second over the trailing window."""
+        self._expire(now)
+        return len(self._times) / self.window
+
+    def count(self, now: float) -> int:
+        """Number of arrivals currently inside the window."""
+        self._expire(now)
+        return len(self._times)
+
+    def idle(self, now: float) -> bool:
+        """True when no arrival is inside the window at ``now``.
+
+        Reads expire arrivals ``<= now - window``, so an idle monitor
+        reads exactly like a fresh one at ``now`` and every later time.
+        """
+        times = self._times
+        return not times or times[-1] <= now - self.window
+
+    def _expire(self, now: float) -> None:
+        cutoff = now - self.window
+        times = self._times
+        while times and times[0] <= cutoff:
+            times.popleft()
+        self._next_expiry = (times[0] if times else now) + 2.0 * self.window

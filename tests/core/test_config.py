@@ -45,6 +45,8 @@ class TestValidation:
             {"dup_acks_per_probe": -1},
             {"probe_ack_size": 0},
             {"renotice_interval": -1},
+            {"rate_window": float("inf")},
+            {"rate_window": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -10,7 +10,7 @@ from repro.core.tables import FlowTables, SftEntry
 from repro.sim.address import AddressSpace
 from repro.sim.node import Router
 from repro.sim.packet import FlowKey, Packet
-from repro.util.stats import WindowedRate
+from repro.util.stats import WindowedCount
 
 VICTIM_IP = 0x0A630001
 
@@ -43,7 +43,7 @@ class TestTableEviction:
                 SftEntry(
                     label=FlowLabel(i), probe_started=float(i),
                     deadline=float(i) + 1, baseline_rate=1.0,
-                    monitor=WindowedRate(0.5),
+                    monitor=WindowedCount(0.5),
                 )
             )
         evicted = t.evict_oldest_sft()

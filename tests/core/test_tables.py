@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.labels import FlowLabel
 from repro.core.tables import FlowTables, SftEntry, TableName
-from repro.util.stats import WindowedRate
+from repro.util.stats import WindowedCount
 
 labels = st.builds(FlowLabel, st.integers(min_value=0, max_value=2**64 - 1))
 
@@ -17,7 +17,7 @@ def sft_entry(label, start=1.0, deadline=1.5, baseline=100.0):
         probe_started=start,
         deadline=deadline,
         baseline_rate=baseline,
-        monitor=WindowedRate(0.25),
+        monitor=WindowedCount(0.25),
     )
 
 

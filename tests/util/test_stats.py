@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import Ewma, RunningStats, WindowedRate
+from repro.util.stats import Ewma, RunningStats, WindowedCount, WindowedRate
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -138,6 +138,14 @@ class TestWindowedRate:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             WindowedRate(0.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("cls", [WindowedRate, WindowedCount])
+    def test_non_positive_or_non_finite_window_rejected(self, cls, window):
+        # Non-finite windows used to slip through: NaN read every rate
+        # as nan and an infinite window every rate as 0.0.
+        with pytest.raises(ValueError):
+            cls(window)
 
     @given(st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=50))
     def test_rate_never_negative(self, times):
