@@ -48,6 +48,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Smallest monitor count that triggers a sweep of idle monitors.
 _MIN_SWEEP = 64
 
+#: Trace category per drop reason (the four ``_drop`` is called with) and
+#: per verdict: shared strings, so a traced record builds none.
+_DROP_CATEGORY = {
+    reason: f"drop.{reason}" for reason in ("illegal", "pdt", "probe", "policy")
+}
+_VERDICT_CATEGORY = {
+    "nice": "flow.nice", "cut": "flow.cut", "illegal_source": "flow.cut"
+}
+
 
 class DefenseObserver(Protocol):
     """Metrics seam: the agent reports every decision it takes.
@@ -171,7 +180,7 @@ class MaficAgent:
         )
         self.observer = observer
         self.trace = trace
-        # Cached for the observer calls on the per-packet path.
+        # Cached for the observer and trace calls on the per-packet path.
         self._atr = router.name
 
         self.active = False
@@ -199,7 +208,7 @@ class MaficAgent:
         self.active = True
         self.stats.activations += 1
         if self.trace is not None:
-            self.trace.record(self._now(now), "pushback.start", atr=self.router.name)
+            self.trace.record(self._now(now), "pushback.start", atr=self._atr)
 
     def refresh(self, now: float | None = None) -> None:
         """Pushback refresh: keep going (no state change needed)."""
@@ -221,7 +230,7 @@ class MaficAgent:
         self.tables.flush()
         self.policy.reset()
         if self.trace is not None:
-            self.trace.record(self._now(now), "pushback.stop", atr=self.router.name)
+            self.trace.record(self._now(now), "pushback.stop", atr=self._atr)
 
     # ----------------------------------------------------------- data path
 
@@ -330,7 +339,7 @@ class MaficAgent:
         self.prober.probe(packet)
         self.stats.probes_initiated += 1
         if self.trace is not None:
-            self.trace.record(now, "probe.sent", flow=int(label), atr=self.router.name)
+            self.trace.record(now, "probe.sent", flow=label.value, atr=self._atr)
         if monitor.count(now) >= self.min_baseline_packets:
             self._admit_suspicious(packet, label, monitor, now)
         return self._drop(packet, "probe", now)
@@ -431,12 +440,9 @@ class MaficAgent:
 
     def _notify_verdict(self, label: FlowLabel, verdict: str, now: float) -> None:
         if self.trace is not None:
-            category = {
-                "nice": "flow.nice",
-                "cut": "flow.cut",
-                "illegal_source": "flow.cut",
-            }[verdict]
-            self.trace.record(now, category, flow=int(label), atr=self.router.name)
+            self.trace.record(
+                now, _VERDICT_CATEGORY[verdict], flow=label.value, atr=self._atr
+            )
         if self.observer is not None:
             self.observer.on_verdict(label, verdict, now, self._atr)
 
@@ -484,7 +490,7 @@ class MaficAgent:
             stats.packets_dropped_probe += 1
         if self.trace is not None:
             self.trace.record(
-                now, f"drop.{reason}", flow=packet.flow_hash, atr=self.router.name
+                now, _DROP_CATEGORY[reason], flow=packet.flow_hash, atr=self._atr
             )
         if self.observer is not None:
             self.observer.on_defense_drop(packet, reason, now, self._atr)

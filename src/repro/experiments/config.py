@@ -219,6 +219,13 @@ class ExperimentConfig:
             0.0 <= self.force_activation_at < self.duration
         ):
             raise ValueError("force_activation_at must fall inside the run")
+        if not isinstance(self.trace_enabled, bool):
+            raise ValueError("trace_enabled must be a bool")
+        cap = self.trace_max_records
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, int) or cap < 0
+        ):
+            raise ValueError("trace_max_records must be None or an int >= 0")
 
     # ---- Derived workload counts ----------------------------------------
 

@@ -187,3 +187,66 @@ class TestComponentArgsValidation:
     def test_arg_keys_must_be_strings(self):
         with pytest.raises(ValueError, match="attack_args"):
             ExperimentConfig(attack_args={1: "x"})
+
+
+class TestTraceFieldValidation:
+    @pytest.mark.parametrize("value", [-5, -1, 2.5, 1.0, True, False, "10"])
+    def test_rejects_a_bad_record_cap(self, value):
+        with pytest.raises(ValueError, match="trace_max_records"):
+            ExperimentConfig().with_overrides(trace_max_records=value)
+
+    @pytest.mark.parametrize("value", [1, 0, None, "yes", 1.0])
+    def test_rejects_a_non_bool_switch(self, value):
+        with pytest.raises(ValueError, match="trace_enabled"):
+            ExperimentConfig().with_overrides(trace_enabled=value)
+
+    @pytest.mark.parametrize("value", [None, 0, 1, 200_000])
+    def test_accepts_a_valid_record_cap(self, value):
+        assert ExperimentConfig(trace_max_records=value).trace_max_records == value
+
+    def test_from_dict_is_checked_too(self):
+        tree = ExperimentConfig().to_dict()
+        tree["trace_max_records"] = -5
+        with pytest.raises(ValueError, match="trace_max_records"):
+            ExperimentConfig.from_dict(tree)
+
+
+#: config_hash of every preset, and of paper-default under the overrides
+#: below, as they were before the trace fields were validated: checking
+#: a field must not re-key a valid config.
+PRESET_HASHES = {
+    "all-illegal-sources": "0653c3fdd3877bcf",
+    "all-legal-spoofing": "18c78111b6c8d2e5",
+    "filtered-domain": "60f3e8c1294cd455",
+    "heavy-attack": "5848c8d7a35153b0",
+    "huge-topology": "05655da4519b6e98",
+    "low-rate-probe": "47d6902cfbf2de2e",
+    "multi-tier-domain": "a478225ad7a7a3a6",
+    "paper-default": "b88489a46be87b4c",
+    "proportional-baseline": "6f58330d34adf2fd",
+    "pulse-train": "f13a36cebab8d4d4",
+    "pulsing-stress": "6255b77fb1ffe9ab",
+    "realistic-control-plane": "7ca3488d68d5ba53",
+    "red-ratelimit": "2356a62b3cba7400",
+    "rotation-stress": "0368fb2710a2ed43",
+}
+OVERRIDE_HASHES = [
+    ({"seed": 2}, "2cbc19a2d0aa42b0"),
+    ({"trace_max_records": None}, "827869c519650d6c"),
+    ({"trace_max_records": 0}, "89312d3faa93fb59"),
+    ({"trace_max_records": 50}, "2ccc128f8d4387bf"),
+    ({"trace_enabled": False}, "3ec9e71c038c80bf"),
+]
+
+
+class TestPinnedHashes:
+    def test_every_preset_keeps_its_hash(self):
+        from repro.experiments.presets import PRESETS, get_preset
+
+        assert {name: get_preset(name).config_hash() for name in PRESETS} == (
+            PRESET_HASHES
+        )
+
+    @pytest.mark.parametrize("overrides,digest", OVERRIDE_HASHES)
+    def test_paper_default_overrides_keep_their_hash(self, overrides, digest):
+        assert ExperimentConfig().with_overrides(**overrides).config_hash() == digest

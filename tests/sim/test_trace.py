@@ -1,5 +1,7 @@
 """Tests for repro.sim.trace."""
 
+import pytest
+
 from repro.sim.trace import EventTrace, TraceRecord
 
 
@@ -64,3 +66,42 @@ class TestEventTrace:
         trace.record(1.0, "a")
         trace.record(2.0, "b")
         assert [r.category for r in trace] == ["a", "b"]
+
+    def test_extend_into_disabled_trace_is_noop(self):
+        trace = EventTrace(enabled=False)
+        trace.extend([TraceRecord(1.0, "x"), TraceRecord(2.0, "y", {"flow": 3})])
+        assert len(trace) == 0
+        assert trace.dropped_records == 0
+
+    def test_extend_keeps_records(self):
+        trace = EventTrace()
+        records = [
+            TraceRecord(1.0, "probe.sent", {"flow": 7, "atr": "ingress0"}),
+            TraceRecord(2.0, "pushback.stop", {"atr": "ingress0"}),
+            TraceRecord(3.0, "x"),
+        ]
+        trace.extend(records)
+        assert list(trace) == records
+
+    def test_view_detail_holds_only_given_keys(self):
+        trace = EventTrace()
+        trace.record(1.0, "pushback.start", atr="ingress0")
+        trace.record(2.0, "drop.pdt", flow=0)
+        trace.record(3.0, "x")
+        assert [r.detail for r in trace] == [{"atr": "ingress0"}, {"flow": 0}, {}]
+
+    def test_reads_agree_on_prefix_and_exact_categories(self):
+        trace = EventTrace()
+        for i, category in enumerate(
+            ("drop.probe", "probe.sent", "drop.pdt", "drop.probe", "dropped")
+        ):
+            trace.record(float(i), category, flow=i)
+        assert trace.count("drop.") == len(trace.select("drop.")) == 3
+        assert trace.count("drop.probe") == 2
+        assert [r.time for r in trace.select("drop.probe")] == [0.0, 3.0]
+        assert trace.count("drop") == 0
+        assert trace.count("absent.") == 0 and trace.select("absent.") == []
+
+    def test_unknown_detail_key_is_rejected(self):
+        with pytest.raises(TypeError):
+            EventTrace().record(1.0, "x", reason="probe")
