@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Observability overhead guard: the sink layer must be free when idle.
 
-Runs the standard Table-II scenario (``paper_default``) five ways in one
+Runs the standard Table-II scenario (``paper_default``) four ways in one
 process and proves they are **bit-identical** before measuring anything:
 
-* ``baseline``   — ``run_experiment(config)``: no bus argument at all.
+* ``baseline``   — ``run_experiment(config)``: no bus argument at all
+  (the victim collector streams; there is no other).
 * ``nullsink``   — ``bus=NULL_BUS``: every producer holds a sink
   reference and pays its truthiness guard, nothing is ever emitted.
   This is the shape every batch/campaign run has after the refactor.
-* ``streaming``  — the bounded-memory streaming victim collector
-  (``streaming_series=True``), still no subscribers.
 * ``live-sink``  — a bus with :class:`~repro.obs.aggregators.LiveMetrics`
   subscribed: every event is constructed and folded, the serve-mode
   worst case.
@@ -17,7 +16,7 @@ process and proves they are **bit-identical** before measuring anything:
   :class:`~repro.obs.recorder.JsonlSink` recording every event to a
   gzip flight recording, the ``--record`` worst case.
 
-The **gates**: ``nullsink`` (and ``streaming``) must be within 2% of
+The **gates**: ``nullsink`` must be within 2% of
 ``baseline`` measured in the same process, as the minimum paired
 per-round ratio (see ``_measure``) — observability that taxes the
 batch hot path fails the build.  ``live-sink`` and
@@ -62,7 +61,7 @@ MAX_LIVE_OVERHEAD = 0.45
 #: JSONEncoder rebuilt per event puts it above this.
 MAX_RECORDING_OVERHEAD = 0.75
 
-MODES = ("baseline", "nullsink", "streaming", "live-sink", "recording")
+MODES = ("baseline", "nullsink", "live-sink", "recording")
 
 
 def _run_mode(name: str, config, record_path: str):
@@ -71,8 +70,6 @@ def _run_mode(name: str, config, record_path: str):
         return run_experiment(config), None
     if name == "nullsink":
         return run_experiment(config, bus=NULL_BUS), None
-    if name == "streaming":
-        return run_experiment(config, streaming_series=True), None
     if name == "recording":
         sink = JsonlSink(record_path, metadata={"benchmark": "obs_overhead"})
         bus = EventBus()
@@ -257,7 +254,6 @@ def main() -> int:
 
     budgets = {
         "nullsink": MAX_IDLE_OVERHEAD,
-        "streaming": MAX_IDLE_OVERHEAD,
         "live-sink": MAX_LIVE_OVERHEAD,
         "recording": MAX_RECORDING_OVERHEAD,
     }
@@ -286,7 +282,7 @@ def main() -> int:
         "live_sink_arrivals_folded": snap.get("arrivals_total"),
         "recording_roundtrip_ok": not roundtrip_failures,
         "note": (
-            "nullsink/streaming are the idle modes: producers pay only a "
+            "nullsink is the idle mode: producers pay only a "
             "falsy-bus pointer test, so the batch path must stay within "
             f"{MAX_IDLE_OVERHEAD:.0%} of a bus-free run measured in the "
             "same process (min paired per-round ratio, so shared-host "

@@ -31,15 +31,23 @@ def _run_grid():
     return results
 
 
+def attack_at_victim(run):
+    """Attack packets the victim's sinks received (none can arrive
+    before the attack starts)."""
+    scenario = run.scenario
+    return (
+        scenario.tcp_sink.attack_packets_received
+        + scenario.udp_sink.attack_packets_received
+    )
+
+
 class TestFilteringAblation:
     def test_filtering_grid(self, benchmark):
         results = run_once(benchmark, _run_grid)
         print()
         print(f"{'filtering':>10} {'defence':>8} {'atk@victim':>11} {'alpha%':>8}")
         for (filtering, defense), run in results.items():
-            attack, _ = run.scenario.victim_collector.arrivals_in(
-                run.config.attack_start, run.config.duration
-            )
+            attack = attack_at_victim(run)
             print(
                 f"{str(filtering):>10} {defense.value:>8} {attack:>11} "
                 f"{100 * run.summary.accuracy:>8.2f}"
@@ -48,12 +56,6 @@ class TestFilteringAblation:
         undefended = results[(False, DefenseKind.NONE)]
         filtered_only = results[(True, DefenseKind.NONE)]
         mafic_only = results[(False, DefenseKind.MAFIC)]
-
-        def attack_at_victim(run):
-            attack, _ = run.scenario.victim_collector.arrivals_in(
-                run.config.attack_start, run.config.duration
-            )
-            return attack
 
         # Cross-subnet spoofing: filtering alone kills most of the flood
         # at the edge (the paper's "if only it were deployed" case).

@@ -16,6 +16,21 @@ Run:  python examples/policy_comparison.py
 
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.config import DefenseKind
+from repro.obs import CallbackSink, EventBus
+
+
+def arrivals_at_victim(start: float, end: float):
+    """A bus and the (attack, legit) victim arrivals with
+    ``start <= t < end`` it counts while a run publishes onto it."""
+    counts = {True: 0, False: 0}
+
+    def count(event) -> None:
+        if start <= event.time < end:
+            counts[event.is_attack] += 1
+
+    bus = EventBus()
+    bus.subscribe(CallbackSink(count), kinds=("victim.arrival",))
+    return bus, counts
 
 
 def main() -> None:
@@ -30,12 +45,10 @@ def main() -> None:
         config = ExperimentConfig(
             total_flows=30, n_routers=16, seed=19, defense=defense
         )
-        result = run_experiment(config)
+        bus, late = arrivals_at_victim(config.duration - 1.0, config.duration)
+        result = run_experiment(config, bus=bus)
         s = result.summary
-        vc = result.scenario.victim_collector
-        late_attack, late_legit = vc.arrivals_in(
-            config.duration - 1.0, config.duration
-        )
+        late_attack, late_legit = late[True], late[False]
         rows.append(
             (
                 defense.value,

@@ -75,13 +75,13 @@ class MaficConfig:
 
     def __post_init__(self) -> None:
         check_probability("drop_probability", self.drop_probability)
-        check_positive("probe_timer_rtt_multiplier", self.probe_timer_rtt_multiplier)
-        check_positive("default_rtt", self.default_rtt)
         check_probability("response_ratio", self.response_ratio)
-        check_positive("rate_window", self.rate_window)
-        if not math.isfinite(self.rate_window):
-            # An infinite window reads every baseline rate as 0.0.
-            raise ValueError(f"rate_window must be finite, got {self.rate_window!r}")
+        # An infinite RTT or timer multiplier makes every probe window
+        # infinite; an infinite rate window reads every baseline as 0.0.
+        for name in ("probe_timer_rtt_multiplier", "default_rtt", "rate_window"):
+            value = check_positive(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.min_packets_for_verdict < 1:
             raise ValueError("min_packets_for_verdict must be >= 1")
         if self.dup_acks_per_probe < 0:

@@ -102,6 +102,7 @@ class PushbackCoordinator:
         self.on_request = on_request
         self.active = False
         self.active_atrs: set[str] = set()
+        # repro: allow[write-only-state] one per overload epoch, for callers
         self.reports: list[AtrReport] = []
         self.requests: list[PushbackRequest] = []
         self._baseline = self.config.baseline_rate

@@ -178,11 +178,10 @@ class ExperimentConfig:
     seed: int = 1
     trace_enabled: bool = True
     trace_max_records: int | None = 200_000
-    # Use the bounded-memory streaming victim collector instead of the
-    # buffered one (float-identical summary/series, O(bins) memory).
-    # Presets whose populations would hoard millions of arrival tuples —
-    # huge-topology — turn this on by default; run_experiment's own
-    # ``streaming_series`` argument also forces it on for one call.
+    # No effect: the victim collector always streams.  This field once
+    # chose that collector; it stays only because it is hashed into run
+    # identity (every preset's config_hash is pinned), and goes when run
+    # identity stops hashing result-neutral fields (ROADMAP item 12).
     streaming_series: bool = False
 
     def __post_init__(self) -> None:
@@ -215,10 +214,11 @@ class ExperimentConfig:
         if self.pulsing_attack:
             check_positive("pulse_on", self.pulse_on)
             check_non_negative("pulse_off", self.pulse_off)
-        if self.force_activation_at is not None and not (
-            0.0 <= self.force_activation_at < self.duration
-        ):
-            raise ValueError("force_activation_at must fall inside the run")
+        if self.force_activation_at is not None:
+            # At t = 0 the β before-window [0, 0) is empty.
+            check_positive("force_activation_at", self.force_activation_at)
+            if not self.force_activation_at < self.duration:
+                raise ValueError("force_activation_at must fall inside the run")
         if not isinstance(self.trace_enabled, bool):
             raise ValueError("trace_enabled must be a bool")
         cap = self.trace_max_records

@@ -111,10 +111,10 @@ def huge_topology(scale: int = 8) -> ExperimentConfig:
     ``scale`` multiplies the host/zombie population (``total_flows``)
     and widens the domain; the attack mix, rates, and MAFIC parameters
     stay at their Table-II values so per-flow behaviour is unchanged —
-    only the aggregate grows.  Defaults are chosen so the run *finishes
-    in bounded memory*: the streaming victim collector replaces the
-    buffered one (O(bins) instead of one tuple per arrival) and packet
-    tracing is off (the trace would otherwise hoard 200k records).
+    only the aggregate grows.  Packet tracing is off, so the run
+    *finishes in bounded memory* (the trace would otherwise hoard 200k
+    records); ``streaming_series`` has no effect and stays set only
+    because it is part of the pinned config hash.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")

@@ -8,7 +8,7 @@ from typing import Callable
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import BuiltScenario, build_scenario
-from repro.metrics.rates import DEFAULT_PRE_WINDOW, MetricsSummary, summarize
+from repro.metrics.rates import MetricsSummary, summarize
 from repro.metrics.timeseries import BandwidthSeries
 
 
@@ -55,7 +55,6 @@ def run_experiment(
     scenario: BuiltScenario | None = None,
     series_bin_width: float = 0.05,
     bus=None,
-    streaming_series: bool = False,
     slice_seconds: float | None = None,
     on_slice: Callable[[float], None] | None = None,
 ) -> ExperimentResult:
@@ -65,6 +64,10 @@ def run_experiment(
     the simulation never retains a delivered or dropped packet, so
     recycling is safe here, while unit tests that hold raw packets run
     with the pool off.
+
+    ``series_bin_width`` is the Fig. 4(b) bin the scenario's victim
+    collector streams into; a caller-built ``scenario`` already owns its
+    collector, and with it the bin width.
 
     Observability (all off by default, and provably free when off —
     the golden master pins every combination bit-exact):
@@ -78,10 +81,6 @@ def run_experiment(
         ``on_slice``, when the simulation stops (also by raising) and
         after ``run.completed``.  A caller-built ``scenario`` publishes
         unbatched on the bus it was built with.
-    ``streaming_series``
-        Replace the buffered victim collector (which hoards one tuple
-        per arrival) with the bounded-memory streaming one; the summary
-        and series are float-identical, the memory is O(bins).
     ``slice_seconds`` / ``on_slice``
         Execute the run in clock slices of at most ``slice_seconds``
         simulated seconds, invoking ``on_slice(sim_now)`` between
@@ -96,36 +95,13 @@ def run_experiment(
         from repro.obs.bus import RunBatch
 
         batch = bus = RunBatch(bus)
-    reduction_window = config.mafic.probe_window(None)
-    victim_collector = None
-    # The config can request streaming collection too (huge-topology
-    # presets default to it); either switch turns it on.
-    streaming_series = streaming_series or getattr(
-        config, "streaming_series", False
-    )
-    if streaming_series:
-        from repro.metrics.collectors import StreamingVictimCollector
-
-        victim_collector = StreamingVictimCollector(
-            duration=config.duration,
-            series_bin_width=series_bin_width,
-            reduction_window=reduction_window,
-            pre_window=DEFAULT_PRE_WINDOW,
-            bus=bus,
-        )
-
-    if scenario is not None and victim_collector is not None:
-        raise ValueError(
-            "streaming_series only applies when the runner builds the "
-            "scenario; a pre-built scenario already owns its collector"
-        )
 
     reset_packet_ids()
     enable_packet_pool(True)
     try:
         if scenario is None:
             scenario = build_scenario(
-                config, bus=bus, victim_collector=victim_collector
+                config, bus=bus, series_bin_width=series_bin_width
             )
         if bus:
             _emit_run_started(bus, config)
@@ -142,21 +118,8 @@ def run_experiment(
         if batch is not None:
             batch.flush()
 
-    summary = summarize(
-        scenario.defense_collector,
-        scenario.victim_collector,
-        reduction_window=reduction_window,
-    )
     victim = scenario.victim_collector
-    if hasattr(victim, "series"):
-        series = victim.series.finish()
-    else:
-        series = BandwidthSeries.from_arrivals(
-            victim.arrivals,
-            start=0.0,
-            end=config.duration,
-            bin_width=series_bin_width,
-        )
+    summary = summarize(scenario.defense_collector, victim)
     identified = {
         request.atr_name
         for request in scenario.coordinator.requests
@@ -165,9 +128,9 @@ def run_experiment(
     result = ExperimentResult(
         config=config,
         summary=summary,
-        series=series,
+        series=victim.series.finish(),
         scenario=scenario,
-        activation_time=scenario.victim_collector.defense_activated_at,
+        activation_time=victim.defense_activated_at,
         identified_atrs=identified,
         true_atrs=scenario.attack.atr_ground_truth,
         events_executed=scenario.sim.events_executed,

@@ -35,7 +35,7 @@ from repro.experiments.workload import WORKLOADS, WorkloadContext
 from repro.metrics.collectors import (
     DefenseMetricsCollector,
     FlowTruth,
-    VictimMetricsCollector,
+    StreamingVictimCollector,
 )
 from repro.sim.monitor import TrafficMonitor
 from repro.sim.topology import TOPOLOGIES, Topology
@@ -44,6 +44,10 @@ from repro.transport.sink import AckingSink, CountingSink
 from repro.transport.tcp import TcpSender
 from repro.transport.udp import CbrSender
 from repro.util.rng import RngRegistry
+
+#: The β peak-measurement window ending at defence activation (seconds);
+#: the after window is one probe timer (``MaficConfig.probe_window``).
+DEFAULT_PRE_WINDOW = 0.2
 
 
 @dataclass
@@ -60,7 +64,7 @@ class BuiltScenario:
     monitor: TrafficMonitor
     coordinator: PushbackCoordinator
     defense_collector: DefenseMetricsCollector
-    victim_collector: VictimMetricsCollector
+    victim_collector: StreamingVictimCollector
     trace: EventTrace
     flow_truth: dict[int, FlowTruth] = field(default_factory=dict)
     tcp_sink: AckingSink | None = None
@@ -83,16 +87,19 @@ def build_scenario(
     config: ExperimentConfig,
     bus=None,
     victim_collector=None,
+    series_bin_width: float = 0.05,
 ) -> BuiltScenario:
     """Assemble a full scenario from one config (does not run it).
 
     ``bus`` (an :class:`~repro.obs.bus.EventBus`) threads streaming
     observability through every layer: the collectors, the monitor, and
-    the victim-side links all publish onto it.  ``victim_collector``
-    overrides the arrival accountant — :func:`run_experiment` passes a
-    :class:`~repro.metrics.collectors.StreamingVictimCollector` here in
-    streaming-series mode.  Both default to off, which is the bit-exact
-    zero-overhead batch path.
+    the victim-side links all publish onto it; it defaults to off, the
+    bit-exact zero-overhead batch path.  The victim's arrivals go to a
+    :class:`~repro.metrics.collectors.StreamingVictimCollector` that
+    streams the Fig. 4(b) series in ``series_bin_width`` bins and the β
+    windows (:data:`DEFAULT_PRE_WINDOW` before activation, one probe
+    timer after it); ``victim_collector`` puts another accountant with
+    the same surface in its place.
     """
     rngs = RngRegistry(config.seed)
     topology = TOPOLOGIES.get(config.topology)(config, **config.topology_args)
@@ -101,7 +108,13 @@ def build_scenario(
         enabled=config.trace_enabled, max_records=config.trace_max_records
     )
     if victim_collector is None:
-        victim_collector = VictimMetricsCollector(bus=bus)
+        victim_collector = StreamingVictimCollector(
+            duration=config.duration,
+            series_bin_width=series_bin_width,
+            reduction_window=config.mafic.probe_window(None),
+            pre_window=DEFAULT_PRE_WINDOW,
+            bus=bus,
+        )
 
     # ------------------------------------------------------------- sinks
     victim_host = topology.victim_host

@@ -209,7 +209,6 @@ class DynamicWorkload:
         self.config = config
         self._rng = rng
         self.records: list[TransferRecord] = []
-        self.senders: list[TcpSender] = []
         self._next_port = config.base_port
         self._installed = False
         self._scenario: "BuiltScenario | None" = None
@@ -271,7 +270,6 @@ class DynamicWorkload:
         )
         host.bind_port(port, sender)
         sender.start()
-        self.senders.append(sender)
 
         scenario.flow_truth[flow.hashed()] = FlowTruth.TCP_LEGIT
         scenario.defense_collector.flow_truth[flow.hashed()] = FlowTruth.TCP_LEGIT

@@ -12,4 +12,5 @@ from repro.lint.rules import (  # noqa: F401  (import-for-side-effect)
     slots,
     twin,
     wallclock,
+    writeonly,
 )

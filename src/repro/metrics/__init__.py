@@ -15,7 +15,7 @@ rates.
 from repro.metrics.collectors import (
     DefenseMetricsCollector,
     FlowTruth,
-    VictimMetricsCollector,
+    StreamingVictimCollector,
 )
 from repro.metrics.flowreport import FlowFate, FlowReport, build_flow_report
 from repro.metrics.rates import MetricsSummary, summarize
@@ -28,7 +28,7 @@ __all__ = [
     "FlowReport",
     "FlowTruth",
     "MetricsSummary",
-    "VictimMetricsCollector",
+    "StreamingVictimCollector",
     "build_flow_report",
     "summarize",
 ]

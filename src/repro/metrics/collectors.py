@@ -12,17 +12,19 @@ With no bus attached (the default), the only added cost is one falsy
 check per call — the counters and summaries are bit-identical either
 way, which the golden-master suite pins.
 
-For bounded-memory runs, :class:`StreamingVictimCollector` replaces the
-raw-arrival hoard with a windowed series aggregator plus just enough
-recent history for the β windows (see :meth:`beta_rates`).
+The victim collector keeps no per-arrival history: a windowed series
+aggregator plus just enough recent history for the β windows (see
+:meth:`StreamingVictimCollector.beta_rates`), so its memory is bounded
+by the series' bin count, not by the run's length.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.metrics.timeseries import StreamingBandwidthSeries
 from repro.obs.bus import NULL_BUS, MetricSink
 from repro.obs.events import (
     DefenseActivation,
@@ -154,101 +156,23 @@ class DefenseMetricsCollector:
         return table
 
 
-class VictimMetricsCollector:
-    """Arrival accounting at the victim host.
-
-    Wire its :meth:`on_packet` into the victim sinks.  Keeps raw arrival
-    events (time, size, is_attack) so β windows and the Fig. 4b series can
-    be computed after the run with any bucketing.
-    """
-
-    def __init__(self, bus: MetricSink | None = None) -> None:
-        self.bus = bus if bus is not None else NULL_BUS
-        self.arrivals: list[tuple[float, int, bool]] = []
-        self.attack_packets = 0
-        self.legit_packets = 0
-        self.defense_activated_at: float | None = None
-
-    def on_packet(self, packet: Packet, now: float) -> None:
-        """Record one arrival at the victim."""
-        is_attack = packet.is_attack
-        self.arrivals.append((now, packet.size, is_attack))
-        if is_attack:
-            self.attack_packets += 1
-        else:
-            self.legit_packets += 1
-        if self.bus:
-            self.bus.emit(VictimArrival(now, packet.size, is_attack))
-
-    def mark_defense_activation(self, now: float) -> None:
-        """Stamp the first pushback-start instant (for β and θn windows)."""
-        if self.defense_activated_at is None:
-            self.defense_activated_at = now
-            if self.bus:
-                self.bus.emit(DefenseActivation(now))
-
-    def arrivals_in(self, start: float, end: float) -> tuple[int, int]:
-        """(attack, legit) packet counts with ``start <= t < end``."""
-        attack = legit = 0
-        for t, _, is_attack in self.arrivals:
-            if start <= t < end:
-                if is_attack:
-                    attack += 1
-                else:
-                    legit += 1
-        return attack, legit
-
-    def bytes_in(self, start: float, end: float) -> int:
-        """Total bytes arriving with ``start <= t < end``."""
-        return sum(size for t, size, _ in self.arrivals if start <= t < end)
-
-    def rate_bps_in(self, start: float, end: float) -> float:
-        """Mean arrival rate in bits/s over [start, end)."""
-        if end <= start:
-            raise ValueError("end must exceed start")
-        return self.bytes_in(start, end) * 8.0 / (end - start)
-
-    def beta_rates(
-        self, reduction_window: float, pre_window: float
-    ) -> tuple[float, float]:
-        """(rate_before, rate_after) bits/s around defence activation.
-
-        ``rate_before`` spans the ``pre_window`` ending at activation;
-        ``rate_after`` spans one ``reduction_window`` offset a quarter
-        window past activation (letting queued packets flush) — the β
-        definition documented in :mod:`repro.metrics.rates`.  Returns
-        (0.0, 0.0) when the defence never activated.
-        """
-        t0 = self.defense_activated_at
-        if t0 is None:
-            return 0.0, 0.0
-        w = max(1e-6, reduction_window)
-        rate_before = self.rate_bps_in(max(0.0, t0 - pre_window), t0)
-        rate_after = self.rate_bps_in(t0 + 0.25 * w, t0 + 1.25 * w)
-        return rate_before, rate_after
-
-
 class StreamingVictimCollector:
-    """Bounded-memory drop-in for :class:`VictimMetricsCollector`.
+    """Arrival accounting at the victim host, in bounded memory.
 
-    Instead of hoarding every arrival, it
+    Wire its :meth:`on_packet` into the victim sinks (they count the
+    arrivals).  An arrival is appended to a short list, and every
+    :data:`FOLD_EVERY` arrivals the list is folded into a
+    :class:`~repro.metrics.timeseries.StreamingBandwidthSeries` (Fig. 4b)
+    and then cut: before defence activation, to the arrivals of the last
+    ``pre_window`` (all the β *before* window can still need); after it,
+    to nothing, once the β *after* window has summed its bytes.
 
-    * streams arrivals into a
-      :class:`~repro.metrics.timeseries.StreamingBandwidthSeries`
-      (memory bounded by the bin count),
-    * keeps a deque of only the most recent ``pre_window`` seconds of
-      arrivals — enough to compute the β *before* window exactly when
-      activation strikes — and discards it afterwards, and
-    * accumulates the β *after* window as its arrivals stream past.
-
-    Every retained quantity uses the same arithmetic, on the same
-    arrival subsequence, as the buffered collector's post-hoc
-    computation, so :meth:`beta_rates` and the finished series are
-    float-identical to the buffered path (pinned by the identity tests
-    and the golden master's streaming parametrization).
-
-    The β windows are fixed at construction; :func:`summarize` must be
-    called with the same values (it asserts so via :meth:`beta_rates`).
+    Each quantity is the same arithmetic on the same arrivals as a
+    post-hoc fold over the whole arrival list, so :meth:`beta_rates` and
+    the series are float-identical to it: the identity tests and the
+    golden master's ``collector`` axis pin this collector to that
+    reference (``tests/metrics/victim_reference.py``).  The β windows are
+    fixed at construction.
     """
 
     def __init__(
@@ -259,92 +183,101 @@ class StreamingVictimCollector:
         pre_window: float = 0.2,
         bus: MetricSink | None = None,
     ) -> None:
-        from repro.metrics.timeseries import StreamingBandwidthSeries
-
         if pre_window <= 0:
             raise ValueError("pre_window must be positive")
         self.bus = bus if bus is not None else NULL_BUS
-        self.series = StreamingBandwidthSeries(
+        self._series = StreamingBandwidthSeries(
             start=0.0, end=duration, bin_width=series_bin_width
         )
         self.reduction_window = float(reduction_window)
         self.pre_window = float(pre_window)
-        self.attack_packets = 0
-        self.legit_packets = 0
         self.defense_activated_at: float | None = None
-        # (time, size) of arrivals within pre_window of the newest one;
-        # cleared the moment activation fixes the before-window rate.
-        self._recent: deque[tuple[float, int]] | None = deque()
+        # (time, size, is_attack) in arrival (so time) order: the first
+        # ``_folded`` are in the series already and kept only for the β
+        # before-window; the rest wait for the next fold.
+        self._pending: list[tuple[float, int, bool]] = []
+        self._folded = 0
+        self._fold_at = FOLD_EVERY
         self._rate_before = 0.0
         # The after window [t0 + w/4, t0 + 5w/4): bounds set at
-        # activation, bytes accumulated as covered arrivals stream by.
+        # activation, bytes accumulated as covered arrivals are folded.
         self._after_start = 0.0
         self._after_end = 0.0
         self._after_span = 0.0
         self._after_bytes = 0
 
+    @property
+    def series(self) -> StreamingBandwidthSeries:
+        """The Fig. 4(b) series aggregator, every arrival so far in it."""
+        self._fold()
+        return self._series
+
     def on_packet(self, packet: Packet, now: float) -> None:
-        """Record one arrival (stream it; retain only the β windows)."""
-        is_attack = packet.is_attack
-        size = packet.size
-        if is_attack:
-            self.attack_packets += 1
-        else:
-            self.legit_packets += 1
-        self.series.observe(now, size, is_attack)
-        recent = self._recent
-        if recent is not None:
-            recent.append((now, size))
-            cutoff = now - self.pre_window
-            while recent and recent[0][0] < cutoff:
-                recent.popleft()
-        elif self._after_start <= now < self._after_end:
-            self._after_bytes += size
+        """Record one arrival at the victim."""
+        pending = self._pending
+        pending.append((now, packet.size, packet.is_attack))
+        if len(pending) >= self._fold_at:
+            self._fold()
         if self.bus:
-            self.bus.emit(VictimArrival(now, size, is_attack))
+            self.bus.emit(VictimArrival(now, packet.size, packet.is_attack))
+
+    def _fold(self) -> None:
+        pending = self._pending
+        self._series.observe_many(pending[self._folded:])
+        if self.defense_activated_at is None:
+            # Older arrivals can never fall in the before window, since
+            # activation comes at the newest arrival's time or later.
+            if pending:
+                cutoff = pending[-1][0] - self.pre_window
+                del pending[:bisect_left(pending, (cutoff,))]
+        else:
+            start, end = self._after_start, self._after_end
+            if pending and pending[0][0] < end:
+                self._after_bytes += sum(
+                    size for t, size, _ in pending if start <= t < end
+                )
+            pending.clear()
+        self._folded = len(pending)
+        self._fold_at = len(pending) + FOLD_EVERY
 
     def mark_defense_activation(self, now: float) -> None:
         """Stamp activation; fix the β before-window rate exactly."""
         if self.defense_activated_at is not None:
             return
-        self.defense_activated_at = now
         t0 = now
         start = max(0.0, t0 - self.pre_window)
-        # Same predicate, operand order, and integer sum as the buffered
-        # collector's bytes_in(start, t0) over the full arrival list:
-        # arrivals older than `start` were pruned, newer ones filtered.
+        # The predicate, operand order and integer sum of a post-hoc
+        # bytes-in-[start, t0) over the full arrival list: arrivals
+        # older than `start` were dropped at a fold or are filtered here.
         total = sum(
-            size for t, size in self._recent if start <= t < t0
+            size for t, size, _ in self._pending if start <= t < t0
         )
         self._rate_before = total * 8.0 / (t0 - start)
-        self._recent = None  # β before fixed; stop retaining history
         w = max(1e-6, self.reduction_window)
         self._after_start = t0 + 0.25 * w
         self._after_end = t0 + 1.25 * w
         self._after_span = self._after_end - self._after_start
+        self.defense_activated_at = now
+        self._fold()  # nothing pending is in the after window: t <= t0
         if self.bus:
             self.bus.emit(DefenseActivation(now))
 
-    def beta_rates(
-        self, reduction_window: float, pre_window: float
-    ) -> tuple[float, float]:
-        """(rate_before, rate_after) — see the buffered counterpart.
+    def beta_rates(self) -> tuple[float, float]:
+        """(rate_before, rate_after) bits/s around defence activation.
 
-        Raises if asked for different windows than it was built to
-        stream, since those can no longer be recomputed.
+        ``rate_before`` spans the ``pre_window`` ending at activation;
+        ``rate_after`` spans one ``reduction_window`` offset a quarter
+        window past activation (letting queued packets flush) — the β
+        definition documented in :mod:`repro.metrics.rates`, over the
+        windows fixed at construction.  Returns (0.0, 0.0) when the
+        defence never activated.
         """
         if self.defense_activated_at is None:
             return 0.0, 0.0
-        if (
-            reduction_window != self.reduction_window
-            or pre_window != self.pre_window
-        ):
-            raise ValueError(
-                "StreamingVictimCollector accumulated "
-                f"(reduction_window={self.reduction_window}, "
-                f"pre_window={self.pre_window}) but beta_rates asked for "
-                f"({reduction_window}, {pre_window}); construct the "
-                "collector with the windows summarize will use"
-            )
+        self._fold()
         rate_after = self._after_bytes * 8.0 / self._after_span
         return self._rate_before, rate_after
+
+
+#: Arrivals the victim collector appends between two folds.
+FOLD_EVERY = 512

@@ -37,14 +37,7 @@ from repro.metrics.collectors import (
     DefenseMetricsCollector,
     FlowTruth,
     StreamingVictimCollector,
-    VictimMetricsCollector,
 )
-
-
-#: Default β peak-measurement window ending at activation (seconds).
-#: Shared with the runner so a streaming victim collector accumulates
-#: exactly the windows :func:`summarize` will ask for.
-DEFAULT_PRE_WINDOW = 0.2
 
 
 @dataclass
@@ -79,15 +72,12 @@ class MetricsSummary:
 
 def summarize(
     defense: DefenseMetricsCollector,
-    victim: VictimMetricsCollector | StreamingVictimCollector | None = None,
-    reduction_window: float = 0.12,
-    pre_window: float = DEFAULT_PRE_WINDOW,
+    victim: StreamingVictimCollector | None = None,
 ) -> MetricsSummary:
     """Fold collectors into a :class:`MetricsSummary`.
 
-    ``reduction_window`` is the probing-phase length for β (callers pass
-    the configured probe timer, 2 x RTT); ``pre_window`` is the
-    peak-measurement window ending at activation.
+    β comes from ``victim``'s own windows (see
+    :meth:`~repro.metrics.collectors.StreamingVictimCollector.beta_rates`).
     """
     attack = defense.of(FlowTruth.ATTACK)
     nice = defense.of(FlowTruth.TCP_LEGIT)
@@ -102,9 +92,7 @@ def summarize(
     beta = 0.0
     rate_before = rate_after = 0.0
     if victim is not None and victim.defense_activated_at is not None:
-        # Both the buffered and the streaming victim collector expose
-        # beta_rates with identical arithmetic; see their docstrings.
-        rate_before, rate_after = victim.beta_rates(reduction_window, pre_window)
+        rate_before, rate_after = victim.beta_rates()
         if rate_before > 0:
             beta = max(0.0, 1.0 - rate_after / rate_before)
 

@@ -18,46 +18,6 @@ class BandwidthSeries:
     attack_kbps: list[float]
     legit_kbps: list[float]
 
-    @classmethod
-    def from_arrivals(
-        cls,
-        arrivals: list[tuple[float, int, bool]],
-        start: float,
-        end: float,
-        bin_width: float = 0.05,
-    ) -> "BandwidthSeries":
-        """Bucket raw (time, size, is_attack) arrival events.
-
-        Events outside [start, end) are ignored.
-        """
-        if end <= start:
-            raise ValueError("end must exceed start")
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        n_bins = max(1, int(math.ceil((end - start) / bin_width)))
-        total = [0.0] * n_bins
-        attack = [0.0] * n_bins
-        legit = [0.0] * n_bins
-        for t, size, is_attack in arrivals:
-            if not start <= t < end:
-                continue
-            idx = min(n_bins - 1, int((t - start) / bin_width))
-            kbits = size * 8.0 / 1e3
-            total[idx] += kbits
-            if is_attack:
-                attack[idx] += kbits
-            else:
-                legit[idx] += kbits
-        # kbits per bin -> kbps.
-        scale = 1.0 / bin_width
-        times = [start + (i + 0.5) * bin_width for i in range(n_bins)]
-        return cls(
-            times=times,
-            total_kbps=[v * scale for v in total],
-            attack_kbps=[v * scale for v in attack],
-            legit_kbps=[v * scale for v in legit],
-        )
-
     def peak_total_kbps(self) -> float:
         """Largest total-rate bin."""
         return max(self.total_kbps) if self.total_kbps else 0.0
@@ -78,16 +38,17 @@ class BandwidthSeries:
 class StreamingBandwidthSeries:
     """Windowed streaming construction of a :class:`BandwidthSeries`.
 
-    Feed arrival events one at a time with :meth:`observe`; call
+    Feed arrival events as they come with :meth:`observe_many`; call
     :meth:`finish` once for the finished series.  Memory is bounded by
     the bin count (three float lists), never by the arrival count — the
-    whole point of the sink refactor for long runs.
+    whole point for long runs.
 
     **Bit-exactness contract:** the per-event arithmetic (bin index,
     kbit conversion, accumulation order) and the final kbps scaling are
-    the *same operations in the same order* as
-    :meth:`BandwidthSeries.from_arrivals` applied to the same arrival
-    sequence, so the two paths produce float-identical series.  The
+    the *same operations in the same order* as bucketing the whole
+    arrival list after the run (``series_from_arrivals`` in
+    ``tests/metrics/victim_reference.py``), so the two produce
+    float-identical series however the stream is cut into calls.  The
     equivalence test in ``tests/obs`` pins this against randomized
     arrival streams, and the golden master pins it end-to-end.
     """
@@ -106,18 +67,27 @@ class StreamingBandwidthSeries:
         self._legit = [0.0] * self.n_bins
         self.observed = 0
 
-    def observe(self, t: float, size: int, is_attack: bool) -> None:
-        """Fold one (time, size, is_attack) arrival into its bin."""
-        if not self.start <= t < self.end:
-            return
-        idx = min(self.n_bins - 1, int((t - self.start) / self.bin_width))
-        kbits = size * 8.0 / 1e3
-        self._total[idx] += kbits
-        if is_attack:
-            self._attack[idx] += kbits
-        else:
-            self._legit[idx] += kbits
-        self.observed += 1
+    def observe_many(self, arrivals) -> None:
+        """Fold (time, size, is_attack) arrivals into their bins, in order.
+
+        Arrivals outside [start, end) are ignored.
+        """
+        start, end, width = self.start, self.end, self.bin_width
+        last = self.n_bins - 1
+        total, attack, legit = self._total, self._attack, self._legit
+        observed = 0
+        for t, size, is_attack in arrivals:
+            if not start <= t < end:
+                continue
+            idx = min(last, int((t - start) / width))
+            kbits = size * 8.0 / 1e3
+            total[idx] += kbits
+            if is_attack:
+                attack[idx] += kbits
+            else:
+                legit[idx] += kbits
+            observed += 1
+        self.observed += observed
 
     def finish(self) -> BandwidthSeries:
         """The completed series (kbits per bin scaled to kbps)."""

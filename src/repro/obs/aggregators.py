@@ -8,9 +8,9 @@ the window, pruned as time advances, and everything else is O(1)
 counters.  It is thread-safe: the simulation thread ``emit``\\ s while
 HTTP handler threads read snapshots.
 
-The *series* streaming aggregator (bit-exact replacement for
-``BandwidthSeries.from_arrivals``) lives with the series type itself in
-:mod:`repro.metrics.timeseries`; this module is only about live views.
+The *series* streaming aggregator (the Fig. 4b series of every run)
+lives with the series type itself in :mod:`repro.metrics.timeseries`;
+this module is only about live views.
 """
 
 from __future__ import annotations

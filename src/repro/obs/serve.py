@@ -486,7 +486,6 @@ def _serve_single(args, bus, live, broker, status) -> int:
         result = run_experiment(
             config,
             bus=bus,
-            streaming_series=True,
             slice_seconds=slice_seconds,
             on_slice=on_slice,
         )

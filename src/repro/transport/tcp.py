@@ -99,7 +99,6 @@ class TcpSender(FlowAgent):
         self.on_complete = on_complete
         self.completed_at: float | None = None
 
-        self.cwnd_history: list[tuple[float, float]] = []
         self._app_gate_open = True
         self._last_peer_ts = 0.0  # timestamp echo (ts_ecr) for data we send
 
@@ -183,7 +182,6 @@ class TcpSender(FlowAgent):
         else:
             cwnd = min(self.max_cwnd, cwnd + newly_acked / cwnd)
         self.cwnd = cwnd
-        self.cwnd_history.append((now, cwnd))
         self._restart_rto()
 
     def _on_dup_ack(self, packet: Packet, now: float) -> None:
@@ -191,7 +189,6 @@ class TcpSender(FlowAgent):
         self._dup_ack_count += 1
         if self._in_fast_recovery:
             self.cwnd = min(self.max_cwnd, self.cwnd + 1)  # window inflation
-            self.cwnd_history.append((now, self.cwnd))
             return
         if self._dup_ack_count >= self.DUP_ACK_THRESHOLD:
             # Fast retransmit + fast recovery.
@@ -200,7 +197,6 @@ class TcpSender(FlowAgent):
             self._in_fast_recovery = True
             self._recover_seq = self.next_seq
             self._retransmit(self.high_ack)
-            self.cwnd_history.append((now, self.cwnd))
             self._restart_rto()
 
     # ------------------------------------------------------------- sending
@@ -289,7 +285,6 @@ class TcpSender(FlowAgent):
         self._dup_ack_count = 0
         self.rto = min(_MAX_RTO, self.rto * 2.0)  # exponential backoff
         self.next_seq = self.high_ack  # go-back-N resend from the hole
-        self.cwnd_history.append((self.sim.now, self.cwnd))
         self._retransmit_after_timeout()
 
     def _retransmit_after_timeout(self) -> None:

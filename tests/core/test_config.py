@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             MaficConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["default_rtt", "probe_timer_rtt_multiplier", "rate_window"]
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_a_non_finite_timer_field_by_name(self, name, value):
+        # An infinite RTT or multiplier made every probe window inf.
+        with pytest.raises(ValueError, match=name):
+            MaficConfig(**{name: value})
+
     def test_accepts_boundary_probability(self):
         assert MaficConfig(drop_probability=1.0).drop_probability == 1.0
         assert MaficConfig(drop_probability=0.0).drop_probability == 0.0

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.filters import IngressFilter
+from repro.obs import BufferedSink, EventBus
 from repro.sim.address import Subnet
 from repro.sim.packet import FlowKey, Packet, PacketType
+from tests.metrics.victim_reference import count_arrivals
 
 SUBNET = Subnet(0x0A000000, 24)
 
@@ -54,6 +56,8 @@ class TestScenarioIntegration:
         from repro.experiments.config import ExperimentConfig, TopologyKind
         from repro.experiments.runner import run_experiment
 
+        bus = EventBus()
+        arrivals = bus.subscribe(BufferedSink(), kinds=("victim.arrival",))
         run = run_experiment(
             ExperimentConfig(
                 total_flows=10, n_routers=8, duration=3.0,
@@ -63,7 +67,8 @@ class TestScenarioIntegration:
                 defense=__import__(
                     "repro.experiments.config", fromlist=["DefenseKind"]
                 ).DefenseKind.NONE,
-            )
+            ),
+            bus=bus,
         )
         filters = run.scenario.ingress_filters
         assert filters
@@ -71,9 +76,7 @@ class TestScenarioIntegration:
         total_dropped = sum(f.packets_dropped for f in filters.values())
         assert total_dropped > 100
         # Legit TCP (true sources) passes the filter.
-        _, legit = run.scenario.victim_collector.arrivals_in(
-            0.0, run.config.duration
-        )
+        _, legit = count_arrivals(arrivals.events, 0.0, run.config.duration)
         assert legit > 100
 
     def test_no_filters_by_default(self):

@@ -92,6 +92,28 @@ class TestValidation:
             ExperimentConfig(**kwargs)
 
 
+class TestForcedActivationValidation:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_a_non_positive_instant_by_name(self, value):
+        # At t = 0 β's before-window is empty: every run crashed in
+        # summarize instead of the config failing here.
+        with pytest.raises(ValueError, match="force_activation_at"):
+            ExperimentConfig(force_activation_at=value)
+
+    def test_rejects_an_instant_past_the_run(self):
+        with pytest.raises(ValueError, match="force_activation_at"):
+            ExperimentConfig(duration=5.0, force_activation_at=5.0)
+
+    def test_an_early_forced_activation_runs(self):
+        from repro.experiments.runner import run_experiment
+
+        config = ExperimentConfig(
+            total_flows=6, n_routers=6, duration=0.5, attack_start=0.1,
+            force_activation_at=0.01,
+        )
+        assert run_experiment(config).activation_time == 0.01
+
+
 class TestCanonicalSerialization:
     def test_to_dict_round_trips(self):
         config = ExperimentConfig(

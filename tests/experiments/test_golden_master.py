@@ -21,6 +21,7 @@ import pytest
 
 from repro.experiments.presets import paper_default
 from repro.experiments.runner import run_experiment
+from tests.metrics.victim_reference import run_with_reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_paper_default.json"
 
@@ -43,21 +44,27 @@ def test_paper_default_matches_recorded_summary(seed, queue, collector, monkeypa
     now pick the core — see ``tests/sim/conftest.py`` — and are kept
     because the test-floor list pins ids.)
 
-    The ``collector`` axis pins the observability refactor the same
-    way: the streaming victim collector (bounded memory, windowed
-    series aggregation) must match the fixture recorded from the
-    buffered one, with **no re-record** — same floats, same order.
+    The ``collector`` axis pins the victim collector the same way: the
+    streaming one (bounded memory, windowed series aggregation; the
+    runner's only collector) and the arrival-hoarding reference it
+    replaced (``tests/metrics/victim_reference.py``, put in through
+    ``build_scenario(victim_collector=...)``) must both match the
+    fixture recorded from the latter, with **no re-record** — same
+    floats, same order.
     """
     from tests.sim.conftest import ENGINE_CORES
 
     core = ENGINE_CORES[queue]
     monkeypatch.setattr("repro.sim.topology.Simulator", core)
     golden = json.loads(FIXTURE.read_text())[str(seed)]
-    result = run_experiment(
-        paper_default().with_overrides(seed=seed),
-        streaming_series=(collector == "streaming"),
-    )
+    config = paper_default().with_overrides(seed=seed)
+    if collector == "streaming":
+        result = run_experiment(config)
+    else:
+        result = run_with_reference(config, monkeypatch)
     assert type(result.scenario.sim) is core
+    hoards = hasattr(result.scenario.victim_collector, "arrivals")
+    assert hoards == (collector == "buffered")
     assert _hexed_summary(result) == golden["summary"]
     assert result.events_executed == golden["events_executed"]
     assert sorted(result.identified_atrs) == golden["identified_atrs"]

@@ -2,7 +2,7 @@
 
 The golden master pins ``paper_default`` against the recorded fixture;
 these tests pin the *pairwise* identities on a small fast config so a
-violation localizes to the mode that broke (streaming collector, run
+violation localizes to the mode that broke (victim collector, run
 slicing, attached bus) rather than "the fixture failed".
 """
 
@@ -13,6 +13,7 @@ import pytest
 from repro.experiments.presets import paper_default
 from repro.experiments.runner import run_experiment
 from repro.obs import BufferedSink, EventBus
+from tests.metrics.victim_reference import run_with_reference
 
 
 def _tiny_config(seed: int = 3):
@@ -42,14 +43,15 @@ def _fingerprint(result) -> dict:
 @pytest.mark.parametrize("queue", ["heap", "calendar"])
 def test_streaming_collector_matches_buffered(queue, monkeypatch):
     """The bounded-memory victim collector is float-identical to the
-    arrival-hoarding one, on both engine cores (the ids are the two queue
-    backends' names, kept for the floor list: ``tests/sim/conftest.py``)."""
+    arrival-hoarding reference, series included, on both engine cores
+    (the ids are the two queue backends' names, kept for the floor list:
+    ``tests/sim/conftest.py``)."""
     from tests.sim.conftest import ENGINE_CORES
 
     monkeypatch.setattr("repro.sim.topology.Simulator", ENGINE_CORES[queue])
     config = _tiny_config()
-    buffered = run_experiment(config)
-    streaming = run_experiment(config, streaming_series=True)
+    streaming = run_experiment(config)
+    buffered = run_with_reference(config, monkeypatch)
     assert _fingerprint(buffered) == _fingerprint(streaming)
 
 
@@ -87,10 +89,16 @@ def test_bus_events_are_consistent_with_the_summary():
     result = run_experiment(config, bus=bus)
 
     arrivals = sink.of_kind("victim.arrival")
-    victim = result.scenario.victim_collector
-    assert len(arrivals) == len(victim.arrivals)
-    assert sum(e.size for e in arrivals) == sum(
-        size for _, size, _ in victim.arrivals
+    tcp, udp = result.scenario.tcp_sink, result.scenario.udp_sink
+    assert len(arrivals) == tcp.packets_received + udp.packets_received
+    assert sum(e.size for e in arrivals) == (
+        tcp.bytes_received + udp.bytes_received
+    )
+    assert sum(e.is_attack for e in arrivals) == (
+        tcp.attack_packets_received + udp.attack_packets_received
+    )
+    assert result.scenario.victim_collector.series.observed == sum(
+        e.time < config.duration for e in arrivals
     )
 
     activations = sink.of_kind("defense.activation")
@@ -113,15 +121,6 @@ def test_bus_events_are_consistent_with_the_summary():
     times = [e.time for e in sink.events if e.kind.startswith(("victim.",
                                                                "defense."))]
     assert times == sorted(times)
-
-
-def test_streaming_and_scenario_are_mutually_exclusive():
-    from repro.experiments.scenario import build_scenario
-
-    config = _tiny_config()
-    scenario = build_scenario(config)
-    with pytest.raises(ValueError):
-        run_experiment(config, scenario=scenario, streaming_series=True)
 
 
 def test_slice_seconds_must_be_positive():

@@ -6,6 +6,7 @@ from repro.experiments.config import DefenseKind, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.collectors import FlowTruth
 from repro.obs import BufferedSink, EventBus, LiveMetrics
+from tests.metrics.victim_reference import count_arrivals
 
 
 def small_config(**overrides):
@@ -58,12 +59,14 @@ class TestDefaultRun:
 
 class TestUndefendedControl:
     def test_no_defense_no_drops(self):
-        run = run_experiment(small_config(defense=DefenseKind.NONE))
+        bus = EventBus()
+        arrivals = bus.subscribe(BufferedSink(), kinds=("victim.arrival",))
+        run = run_experiment(small_config(defense=DefenseKind.NONE), bus=bus)
         assert run.summary.total_examined == 0
         assert run.activation_time is None
         # Attack keeps hitting the victim for the whole run.
-        attack, _ = run.scenario.victim_collector.arrivals_in(
-            run.config.attack_start + 0.5, run.config.duration
+        attack, _ = count_arrivals(
+            arrivals.events, run.config.attack_start + 0.5, run.config.duration
         )
         assert attack > 100
 
@@ -84,22 +87,24 @@ class TestReproducibility:
 
 class TestStreamingConfigField:
     def test_config_field_selects_streaming_collector(self):
-        """``config.streaming_series`` alone (no runner argument) must
-        switch to the bounded-memory collector — huge-topology relies
-        on it."""
+        """Every run streams — with ``config.streaming_series`` or
+        without it (the field is inert, kept for the config hash)."""
         from repro.metrics.collectors import StreamingVictimCollector
 
-        run = run_experiment(small_config(streaming_series=True))
-        assert isinstance(
-            run.scenario.victim_collector, StreamingVictimCollector
-        )
+        for streaming_series in (True, False):
+            run = run_experiment(
+                small_config(streaming_series=streaming_series)
+            )
+            assert isinstance(
+                run.scenario.victim_collector, StreamingVictimCollector
+            )
 
     def test_config_field_matches_buffered_results(self):
-        streaming = run_experiment(small_config(streaming_series=True))
-        buffered = run_experiment(small_config())
-        assert streaming.events_executed == buffered.events_executed
-        assert streaming.summary.accuracy == buffered.summary.accuracy
-        assert streaming.series.times == buffered.series.times
+        on = run_experiment(small_config(streaming_series=True))
+        off = run_experiment(small_config())
+        assert on.events_executed == off.events_executed
+        assert on.summary == off.summary
+        assert on.series == off.series
 
 
 class TestAtrMetrics:
@@ -112,6 +117,11 @@ class TestAtrMetrics:
         assert run.activation_time is None
         assert run.identified_atrs == set()
         assert run.atr_recall == 1.0  # vacuous
+
+
+def _arrivals(scenario):
+    """Packets the victim's two sinks have received."""
+    return scenario.tcp_sink.packets_received + scenario.udp_sink.packets_received
 
 
 class _Built(list):
@@ -151,7 +161,7 @@ class TestRunBatchFlushPoints:
         seen = []
 
         def on_slice(now):
-            collected = len(built[-1].victim_collector.arrivals)
+            collected = _arrivals(built[-1])
             seen.append((live.arrivals_total, collected, live.sim_time, now))
 
         run_experiment(
@@ -169,9 +179,7 @@ class TestRunBatchFlushPoints:
         assert sink.events[0].kind == "run.started"
         assert sink.events[-1].kind == "run.completed"
         assert [e.kind for e in sink.events].count("run.completed") == 1
-        assert len(sink.of_kind("victim.arrival")) == len(
-            result.scenario.victim_collector.arrivals
-        )
+        assert len(sink.of_kind("victim.arrival")) == _arrivals(result.scenario)
 
     def test_a_run_that_raises_has_delivered_all_it_emitted(self, built):
         def boom():
@@ -181,8 +189,7 @@ class TestRunBatchFlushPoints:
         sink = BufferedSink()
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment(small_config(), bus=sink)
-        arrivals = built[-1].victim_collector.arrivals
-        assert 0 < len(arrivals) == len(sink.of_kind("victim.arrival"))
+        assert 0 < _arrivals(built[-1]) == len(sink.of_kind("victim.arrival"))
         assert sink.events[0].kind == "run.started"
 
     def test_a_caller_built_scenario_is_not_batched(self):

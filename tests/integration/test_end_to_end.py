@@ -12,6 +12,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.collectors import FlowTruth
 from repro.metrics.timeseries import BandwidthSeries
+from repro.obs import BufferedSink, EventBus
+from tests.metrics.victim_reference import count_arrivals
 
 
 def config(**overrides):
@@ -21,8 +23,16 @@ def config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def run():
-    return run_experiment(config())
+def observed():
+    """The run, and every victim arrival it published."""
+    bus = EventBus()
+    arrivals = bus.subscribe(BufferedSink(), kinds=("victim.arrival",))
+    return run_experiment(config(), bus=bus), arrivals.events
+
+
+@pytest.fixture(scope="module")
+def run(observed):
+    return observed[0]
 
 
 class TestDefenseLifecycle:
@@ -64,23 +74,23 @@ class TestPaperClaims:
     def test_victim_arrival_collapses_after_activation(self, run):
         assert run.summary.traffic_reduction > 0.5
 
-    def test_attack_suppressed_at_steady_state(self, run):
+    def test_attack_suppressed_at_steady_state(self, observed):
         """Well after the probing phase, almost no attack packets arrive."""
-        vc = run.scenario.victim_collector
+        run, arrivals = observed
         t0 = run.activation_time
-        attack_late, _ = vc.arrivals_in(t0 + 1.0, run.config.duration)
-        attack_peak, _ = vc.arrivals_in(t0 - 0.25, t0)
+        attack_late, _ = count_arrivals(arrivals, t0 + 1.0, run.config.duration)
+        attack_peak, _ = count_arrivals(arrivals, t0 - 0.25, t0)
         assert attack_late < 0.15 * attack_peak * (
             (run.config.duration - t0 - 1.0) / 0.25
         )
 
-    def test_tcp_flows_recover_bandwidth(self, run):
+    def test_tcp_flows_recover_bandwidth(self, observed):
         """Fig 4(b): nice flows regain their share after the probe."""
-        vc = run.scenario.victim_collector
+        run, arrivals = observed
         t0 = run.activation_time
-        _, legit_before = vc.arrivals_in(t0 - 0.5, t0)
-        _, legit_after = vc.arrivals_in(
-            run.config.duration - 0.5, run.config.duration
+        _, legit_before = count_arrivals(arrivals, t0 - 0.5, t0)
+        _, legit_after = count_arrivals(
+            arrivals, run.config.duration - 0.5, run.config.duration
         )
         assert legit_after > 0.4 * legit_before
 

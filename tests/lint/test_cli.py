@@ -65,6 +65,7 @@ class TestLintCommand:
         for rule_id in (
             "no-wallclock-in-sim", "bus-guard", "atomic-write",
             "event-kind-registry", "slots-on-hotpath", "twin-parity",
+            "write-only-state",
         ):
             assert rule_id in out
 

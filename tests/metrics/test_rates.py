@@ -5,7 +5,7 @@ import pytest
 from repro.metrics.collectors import (
     DefenseMetricsCollector,
     FlowTruth,
-    VictimMetricsCollector,
+    StreamingVictimCollector,
 )
 from repro.metrics.rates import summarize
 from repro.sim.packet import FlowKey, Packet
@@ -81,40 +81,44 @@ class TestFalsePositiveAndLr:
 
 class TestTrafficReduction:
     def _victim_with_cut(self, before_rate=100, after_rate=10):
-        vc = VictimMetricsCollector()
+        vc = StreamingVictimCollector(
+            duration=5.0, reduction_window=0.4, pre_window=0.4
+        )
         # Arrivals at constant spacing before t=2 and sparse after.
         t = 1.0
         while t < 2.0:
             vc.on_packet(Packet(flow=ATTACK_FLOW), t)
             t += 1.0 / before_rate
+        vc.mark_defense_activation(2.0)
         t = 2.0
         while t < 4.0:
             vc.on_packet(Packet(flow=ATTACK_FLOW), t)
             t += 1.0 / after_rate
-        vc.mark_defense_activation(2.0)
         return vc
 
     def test_beta_measures_rate_collapse(self):
         vc = self._victim_with_cut()
-        s = summarize(_collector(), vc, reduction_window=0.4, pre_window=0.4)
+        s = summarize(_collector(), vc)
         assert s.traffic_reduction == pytest.approx(0.9, abs=0.05)
         assert s.victim_rate_before_bps > 0
 
     def test_beta_zero_without_activation(self):
-        vc = VictimMetricsCollector()
+        vc = StreamingVictimCollector(duration=5.0)
         vc.on_packet(Packet(flow=ATTACK_FLOW), 1.0)
         s = summarize(_collector(), vc)
         assert s.traffic_reduction == 0.0
 
     def test_beta_clamped_non_negative(self):
-        vc = VictimMetricsCollector()
+        vc = StreamingVictimCollector(
+            duration=5.0, reduction_window=0.2, pre_window=1.0
+        )
         # Traffic grows after activation.
         for i in range(10):
             vc.on_packet(Packet(flow=ATTACK_FLOW), 1.0 + i * 0.01)
+        vc.mark_defense_activation(2.0)
         for i in range(100):
             vc.on_packet(Packet(flow=ATTACK_FLOW), 2.1 + i * 0.001)
-        vc.mark_defense_activation(2.0)
-        s = summarize(_collector(), vc, reduction_window=0.2, pre_window=1.0)
+        s = summarize(_collector(), vc)
         assert s.traffic_reduction == 0.0
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.timeseries import BandwidthSeries, StreamingBandwidthSeries
+from repro.metrics.timeseries import StreamingBandwidthSeries
 from repro.obs import (
     DefenseActivation,
     DefenseDecision,
@@ -21,6 +21,7 @@ from repro.obs import (
 from repro.obs.aggregators import AtrDrilldown, FlowDrilldown
 from repro.obs.events import RunStarted
 from repro.obs.exposition import render_prometheus
+from tests.metrics.victim_reference import series_from_arrivals
 
 
 def _drop(time, flow, reason="probe", truth="attack", atr="ingress0"):
@@ -34,7 +35,8 @@ def _verdict(time, label, verdict, truth="attack", atr="ingress0"):
 
 
 class TestStreamingBandwidthSeries:
-    """The streaming builder's contract: **bit-exact** vs from_arrivals."""
+    """The streaming builder's contract: **bit-exact** vs bucketing the
+    whole arrival list after the run (the reference fold)."""
 
     def _random_arrivals(self, seed, n, end):
         rng = random.Random(seed)
@@ -51,13 +53,11 @@ class TestStreamingBandwidthSeries:
         streaming = StreamingBandwidthSeries(
             start=0.0, end=end, bin_width=width
         )
-        for t, size, is_attack in arrivals:
-            if 0.0 <= t <= end:
-                streaming.observe(t, size, is_attack)
-        batch = BandwidthSeries.from_arrivals(
-            [(t, s, a) for t, s, a in arrivals if 0.0 <= t <= end],
-            start=0.0, end=end, bin_width=width,
-        )
+        # In uneven pieces: where the stream is cut must not matter.
+        kept = [(t, s, a) for t, s, a in arrivals if 0.0 <= t <= end]
+        for cut in range(0, len(kept), 97):
+            streaming.observe_many(kept[cut:cut + 97])
+        batch = series_from_arrivals(kept, start=0.0, end=end, bin_width=width)
         got = streaming.finish()
         assert [x.hex() for x in got.total_kbps] == [
             x.hex() for x in batch.total_kbps
@@ -73,9 +73,8 @@ class TestStreamingBandwidthSeries:
         edge_cases = [(0.0, 1000, False), (0.999999, 600, True),
                       (1.0, 400, False), (-0.01, 300, False)]
         streaming = StreamingBandwidthSeries(start=0.0, end=1.0, bin_width=0.1)
-        for t, size, is_attack in edge_cases:
-            streaming.observe(t, size, is_attack)
-        batch = BandwidthSeries.from_arrivals(
+        streaming.observe_many(edge_cases)
+        batch = series_from_arrivals(
             edge_cases, start=0.0, end=1.0, bin_width=0.1
         )
         got = streaming.finish()
@@ -85,8 +84,9 @@ class TestStreamingBandwidthSeries:
 
     def test_memory_is_bins_not_arrivals(self):
         streaming = StreamingBandwidthSeries(start=0.0, end=1.0, bin_width=0.1)
-        for i in range(10_000):
-            streaming.observe((i % 100) / 100.0, 500, False)
+        streaming.observe_many(
+            ((i % 100) / 100.0, 500, False) for i in range(10_000)
+        )
         # The aggregator holds only its bin arrays — no per-arrival state.
         assert len(streaming._total) == streaming.n_bins == 10
 

@@ -20,7 +20,7 @@ from collections import Counter
 
 from repro.metrics.collectors import (
     DefenseMetricsCollector,
-    VictimMetricsCollector,
+    StreamingVictimCollector,
 )
 from repro.obs import EventBus, LiveMetrics
 from repro.obs.bus import BATCH_EVENTS, RunBatch
@@ -78,7 +78,10 @@ def _producers(bus):
             DefenseMetricsCollector(bus=bus).on_defense_drop,
             packet, "probe", 1.0, "atr0",
         ),
-        "on_packet": (VictimMetricsCollector(bus=bus).on_packet, packet, 1.0),
+        "on_packet": (
+            StreamingVictimCollector(duration=5.0, bus=bus).on_packet,
+            packet, 1.0,
+        ),
         "_drop_event": (link._drop_event, "hook"),
     }
 
@@ -136,7 +139,7 @@ def test_a_full_batch_is_one_lock_and_one_write(tmp_path):
     batch, live, recorder = _watched(tmp_path)
     lock = live._lock = _CountingLock(live._lock)
     file = recorder._file = _CountingFile(recorder._file)
-    on_packet = VictimMetricsCollector(bus=batch).on_packet
+    on_packet = StreamingVictimCollector(duration=5.0, bus=batch).on_packet
     packet = Packet(flow=FlowKey(1, 2, 3, 80), seq=0)
     for window in (1, 2, 3):
         for i in range(BATCH_EVENTS):

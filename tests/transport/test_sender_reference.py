@@ -6,12 +6,13 @@ had just written, and — for a zombie — pass through a ``CbrSender._emit``
 that only called ``super()``; a shared-stream tick asked ``schedule()``
 for an ``Event`` nobody kept; ``TcpSender`` tested ``ptype`` against a
 tuple built per ACK, probed the retransmit set per acked segment and
-went through ``_record_cwnd`` and the ``in_flight`` property.  Those
-formulations are spelled out here as the references.  Each test runs the
-same scenario against both and compares every packet put on the wire
-(time, seq, *uid*, both timestamps, ground-truth flag), the sender's
-whole state, and the simulator's push and event counts — so a draw that
-moves (a uid, a ``seq``, a jitter or spoof value) fails here.
+went through the ``in_flight`` property.  Those formulations are spelled
+out here as the references.  Each test runs the same scenario against
+both and compares every packet put on the wire (time, seq, *uid*, both
+timestamps, ground-truth flag), the window after every ACK, duplicate
+ACK and timeout (recorded by ``cwnd_recorder``), the sender's whole
+state, and the simulator's push and event counts — so a draw that moves
+(a uid, a ``seq``, a jitter or spoof value) fails here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.transport.sink import AckingSink
 from repro.transport.tcp import _MAX_RTO, TcpSender
 from repro.transport.udp import CbrSender
 from repro.util.rng import UniformBuffer
+from tests.transport.cwnd_recorder import record_cwnd
 
 
 class _ParentEmit:
@@ -102,7 +104,6 @@ class ParentTcpSender(_ParentEmit, TcpSender):
             self.cwnd = min(self.max_cwnd, self.cwnd + newly_acked)
         else:
             self.cwnd = min(self.max_cwnd, self.cwnd + newly_acked / self.cwnd)
-        self._record_cwnd(now)
         self._restart_rto()
 
     def _on_dup_ack(self, packet, now):
@@ -110,7 +111,6 @@ class ParentTcpSender(_ParentEmit, TcpSender):
         self._dup_ack_count += 1
         if self._in_fast_recovery:
             self.cwnd = min(self.max_cwnd, self.cwnd + 1)
-            self._record_cwnd(now)
             return
         if self._dup_ack_count >= self.DUP_ACK_THRESHOLD:
             self.ssthresh = max(2.0, self.cwnd / 2.0)
@@ -118,7 +118,6 @@ class ParentTcpSender(_ParentEmit, TcpSender):
             self._in_fast_recovery = True
             self._recover_seq = self.next_seq
             self._retransmit(self.high_ack)
-            self._record_cwnd(now)
             self._restart_rto()
 
     def _try_send(self):
@@ -181,11 +180,7 @@ class ParentTcpSender(_ParentEmit, TcpSender):
         self._dup_ack_count = 0
         self.rto = min(_MAX_RTO, self.rto * 2.0)
         self.next_seq = self.high_ack
-        self._record_cwnd(self.sim.now)
         self._retransmit_after_timeout()
-
-    def _record_cwnd(self, now):
-        self.cwnd_history.append((now, self.cwnd))
 
 
 class ParentCbrSender(_ParentEmit, CbrSender):
@@ -252,6 +247,7 @@ def _run_tcp(sender_cls, *, k, delayed_ack=0.0, until=4.0, **sender_kwargs):
     src, victim = topo.hosts["src0"], topo.hosts["victim"]
     flow = FlowKey(src.address, victim.address, 5000, 80)
     sender = sender_cls(sim, src, flow, keep_send_times=True, **sender_kwargs)
+    cwnd_history = record_cwnd(sender)
     src.bind_port(5000, sender)
     victim.bind_port(80, AckingSink(sim, victim, delayed_ack=delayed_ack))
     tap = _Tap()
@@ -281,7 +277,7 @@ def _run_tcp(sender_cls, *, k, delayed_ack=0.0, until=4.0, **sender_kwargs):
     }
     return {
         "wire": tap.log,
-        "cwnd_history": sender.cwnd_history,
+        "cwnd_history": cwnd_history,
         "stats": dataclasses.asdict(sender.stats),
         "state": state,
         "rto_armed": sender._rto_event is not None,

@@ -6,6 +6,7 @@ from repro.sim.packet import FlowKey, Packet, PacketType
 from repro.sim.topology import build_dumbbell
 from repro.transport.sink import AckingSink
 from repro.transport.tcp import TcpSender
+from tests.transport.cwnd_recorder import record_cwnd
 
 
 def wire_tcp(topo, port=5000, **kwargs):
@@ -114,9 +115,10 @@ class TestLossResponse:
         sender, _ = wire_tcp(topo, initial_cwnd=8, ssthresh=8, max_cwnd=8)
         hook = _DropNth([12])
         topo.routers["left"].link_to("lasthop").add_head_hook(hook)
+        history = record_cwnd(sender)
         sender.start(at=0.0)
         topo.sim.run(until=3.0)
-        halved = [w for _, w in sender.cwnd_history if w <= 4 + 3]
+        halved = [w for _, w in history if w <= 4 + 3]
         assert halved  # ssthresh+3 inflation then back to ssthresh
 
     def test_timeout_on_total_blackout(self):
