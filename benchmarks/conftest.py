@@ -4,17 +4,12 @@ Every benchmark regenerates one figure of the paper's evaluation and
 prints the same series the published plot shows (captured in
 ``bench_output.txt`` when tee'd).
 
-Environment knobs:
+Environment knob:
 
 ``REPRO_BENCH_SCALE``
     Sweep-resolution factor in (0, 1]; smaller thins the sweep axes and
     trades fidelity for wall time.  Default 0.5; 1.0 = the full
     published axes.
-``REPRO_BENCH_JOBS``
-    Worker-process count for benchmarks that fan multi-seed batches out
-    via :mod:`repro.experiments.parallel`.  Default: one per CPU; set to
-    1 to force the serial path (per-seed results are identical either
-    way).
 """
 
 from __future__ import annotations
@@ -29,24 +24,9 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 
 
-def bench_jobs() -> int:
-    """Worker-process count for parallel-batch benchmarks."""
-    value = os.environ.get("REPRO_BENCH_JOBS")
-    if value is not None:
-        return max(1, int(value))
-    from repro.experiments.parallel import default_jobs
-
-    return default_jobs()
-
-
 @pytest.fixture
 def scale() -> float:
     return bench_scale()
-
-
-@pytest.fixture
-def jobs() -> int:
-    return bench_jobs()
 
 
 def run_once(benchmark, fn, *args, **kwargs):

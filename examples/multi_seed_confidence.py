@@ -6,40 +6,42 @@ reproduction's metrics actually are across seeds — the evidence that the
 headline numbers are not one lucky run — and demonstrates the
 steady-state detector on the victim's post-cut arrival series.
 
-The seeds fan out across one worker process per CPU (set
-``REPRO_JOBS=1`` to force the serial path — the per-seed numbers are
-identical either way).
+The seeds are a seeds-only campaign in a temporary store: the campaign
+workers (one per CPU) run them, and the runs are read back from the
+store.  The per-seed numbers equal serial ``run_experiment`` calls.
 
 Run:  python examples/multi_seed_confidence.py
 """
 
-import os
+import tempfile
 
 from repro.analysis import aggregate_runs, settling_time
-from repro.experiments import ExperimentConfig
-from repro.experiments.parallel import default_jobs, run_seeds_parallel
+from repro.campaign import CampaignSpec, load_runs, run_campaign
 
 
 def main() -> None:
-    config = ExperimentConfig(total_flows=24, n_routers=12)
-    seeds = [101, 202, 303, 404, 505]
-    jobs = int(os.environ.get("REPRO_JOBS", default_jobs()))
-    print(f"Running {len(seeds)} seeds of the same scenario ({jobs} worker(s))...")
-    batch = run_seeds_parallel(config, seeds, jobs=jobs)
-    runs = batch.results
-    print(f"...done in {batch.wall_seconds:.1f}s wall")
+    spec = CampaignSpec(
+        name="multi-seed-confidence",
+        seeds=(101, 202, 303, 404, 505),
+        base={"total_flows": 24, "n_routers": 12},
+    )
+    with tempfile.TemporaryDirectory() as root:
+        print(f"Running {len(spec.seeds)} seeds of the same scenario...")
+        report = run_campaign(spec, root=root)
+        print(
+            f"...done in {report.wall_seconds:.1f}s wall "
+            f"({report.jobs} worker(s))"
+        )
+        runs = load_runs(spec, root)
     for run in runs:
         pct = run.summary.as_percent()
         print(
-            f"  seed {run.config.seed:>3}: alpha={pct['alpha']:6.2f}%  "
+            f"  seed {run.seed:>3}: alpha={pct['alpha']:6.2f}%  "
             f"Lr={pct['Lr']:5.2f}%  theta_n={pct['theta_n']:5.2f}%"
         )
 
     print("\n95% confidence intervals over seeds:")
     print(aggregate_runs(runs).as_percent_table())
-    print("\nmerged RunningStats (parallel reduction):")
-    for name, stats in batch.stats.items():
-        print(f"  {name:<22} mean={100 * stats.mean:6.2f}%  n={stats.count}")
 
     print("\nSteady-state detection on the victim arrival series:")
     for run in runs[:3]:
@@ -49,10 +51,10 @@ def main() -> None:
         )
         t0 = run.activation_time
         if settle is None or t0 is None:
-            print(f"  seed {run.config.seed}: no settling detected")
+            print(f"  seed {run.seed}: no settling detected")
             continue
         print(
-            f"  seed {run.config.seed}: pushback at t={t0:.2f}s, "
+            f"  seed {run.seed}: pushback at t={t0:.2f}s, "
             f"victim rate settled from t={settle:.2f}s "
             f"({settle - t0:+.2f}s after the trigger)"
         )

@@ -132,22 +132,14 @@ def _t_critical(df: int, confidence: float) -> float:
 
 
 def run_seeds(
-    config: ExperimentConfig, seeds: list[int], jobs: int | None = 1
+    config: ExperimentConfig, seeds: list[int]
 ) -> list[ExperimentResult]:
-    """Run ``config`` once per seed.
-
-    ``jobs > 1`` fans the seeds out to worker processes: the per-seed
-    summaries are bit-identical to a serial run, but the returned results
-    are detached (``scenario`` is ``None`` — it cannot cross the process
-    boundary).  ``jobs=None`` or ``1`` stays serial and in-process with
-    live scenarios, matching :func:`repro.experiments.sweeps.sweep`.
-    """
+    """Run ``config`` once per seed, serially and in-process (each result
+    keeps its live scenario).  Seeds fanned out to worker processes are a
+    seeds-only campaign (:mod:`repro.campaign`), as ``run --seeds K``
+    builds."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    if jobs is not None and jobs > 1:
-        from repro.experiments.parallel import run_seeds_parallel
-
-        return run_seeds_parallel(config, seeds, jobs=jobs).results
     return [run_experiment(config.with_overrides(seed=s)) for s in seeds]
 
 

@@ -55,6 +55,7 @@ from repro.campaign.store import (
     StoreError,
     atomic_write_text,
 )
+from repro.experiments.cli import _positive_int
 from repro.util.registry import UnknownComponentError
 
 
@@ -89,7 +90,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
         )
         common(p)
         p.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
+            "--jobs", type=_positive_int, default=None, metavar="N",
             help="workers (default: CPU count); 1 runs the loop in this "
             "process, N > 1 spawns N worker subprocesses",
         )

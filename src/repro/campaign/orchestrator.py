@@ -15,6 +15,7 @@ uninterrupted pass.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -29,10 +30,18 @@ from repro.campaign.store import (
     GCReport,
     StoreError,
 )
-from repro.experiments.parallel import default_jobs
 
 #: Default artifact root, relative to the working directory.
 DEFAULT_ROOT = "campaigns"
+
+
+def default_jobs() -> int:
+    """Worker count when the caller doesn't choose: one per CPU this
+    process may run on (its affinity mask, where the OS keeps one)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return max(1, os.cpu_count() or 1)
 
 
 @dataclass

@@ -35,6 +35,7 @@ from repro.campaign.chaos import WORKER_ENV_VAR
 from repro.campaign.orchestrator import (
     DEFAULT_ROOT,
     CampaignRunReport,
+    default_jobs,
     prepare_store,
 )
 from repro.campaign.spec import CampaignSpec
@@ -45,7 +46,6 @@ from repro.campaign.store import (
     StoreError,
 )
 from repro.campaign.worker import EXIT_CELL_TIMEOUT
-from repro.experiments.parallel import default_jobs
 
 #: Poll cadence of the babysitting loop (worker exits, respawn checks).
 _POLL = 0.05

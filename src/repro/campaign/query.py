@@ -150,8 +150,9 @@ def to_sweep_result(
     multi-seed groups at one x are collapsed by ``reduce`` (default: the
     lowest-seed run), mirroring :func:`repro.experiments.sweeps.sweep`'s
     representative-run convention.  Results are detached
-    (``scenario=None``), exactly like a parallel sweep's.  Categorical
-    axes (component names like ``defense``) keep their raw values as x.
+    (``scenario=None``): they are read back from the store, not live.
+    Categorical axes (component names like ``defense``) keep their raw
+    values as x.
     """
     raw_x: dict = {}  # frozen key -> raw axis value, insertion-ordered
     by_x: dict = {}

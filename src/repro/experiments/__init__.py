@@ -20,12 +20,6 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import BuiltScenario, build_scenario
 from repro.sim.topology import TOPOLOGIES
 from repro.util.registry import Registry, UnknownComponentError
-from repro.experiments.parallel import (
-    BatchResult,
-    run_batch,
-    run_seeds_parallel,
-    seed_configs,
-)
 from repro.experiments.sweeps import SweepResult, sweep
 from repro.experiments.figures import (
     FigureResult,
@@ -63,7 +57,6 @@ __all__ = [
     "DEFENSES",
     "TOPOLOGIES",
     "WORKLOADS",
-    "BatchResult",
     "BuiltScenario",
     "DefenseContext",
     "DefenseKind",
@@ -98,10 +91,7 @@ __all__ = [
     "format_figure",
     "format_summary",
     "get_preset",
-    "run_batch",
     "run_experiment",
-    "run_seeds_parallel",
-    "seed_configs",
     "sweep",
     "validate_config",
 ]

@@ -112,8 +112,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
-        help="worker processes for multi-seed runs (default: CPU count; "
-        "1 = serial)",
+        help="worker processes for multi-seed runs (default: CPU count); "
+        "1 runs the seeds in this process, N > 1 as a campaign in a "
+        "temporary store through N campaign workers",
     )
     run_p.add_argument(
         "--profile", metavar="FILE", default=None,
@@ -386,25 +387,97 @@ def _run_profiled(config: ExperimentConfig, out_path: str, bus=None):
 
 
 def _cmd_run_multi_seed(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    """Per-seed lines, then the mean +/- CI table over every seed.
+
+    One worker (``--jobs 1``, or one CPU with ``--jobs`` unset) is a
+    plain loop in this process.  More run the seeds as a seeds-only
+    campaign in a temporary store, through the lease-pull workers,
+    retries and quarantine of ``campaign run``.  A failed seed is named
+    on stderr and voids the table: an interval over the seeds that
+    happened to finish would skew the metric.
+    """
+    import time
+
     from repro.analysis.aggregate import aggregate_runs
-    from repro.experiments.parallel import run_seeds_parallel
 
     seeds = [config.seed + offset for offset in range(args.seeds)]
-    batch = run_seeds_parallel(config, seeds, jobs=args.jobs)
-    for run in batch.results:
+    jobs = args.jobs
+    if jobs is None:
+        from repro.campaign.orchestrator import default_jobs
+
+        jobs = default_jobs()
+    jobs = min(jobs, len(seeds))
+    started = time.perf_counter()
+    if jobs == 1:
+        runs, failed = _seeds_in_process(config, seeds)
+    else:
+        runs, failed, jobs = _seeds_as_campaign(config, seeds, jobs)
+    wall_seconds = time.perf_counter() - started
+    for run in runs:
         pct = run.summary.as_percent()
         print(
             f"seed {run.config.seed:>4}: alpha={pct['alpha']:6.2f}%  "
             f"beta={pct['beta']:6.2f}%  theta_p={pct['theta_p']:5.2f}%  "
             f"theta_n={pct['theta_n']:5.2f}%  Lr={pct['Lr']:5.2f}%"
         )
+    for seed, error in failed:
+        print(f"seed {seed}: {error}", file=sys.stderr)
+    if failed:
+        return 1
     print()
-    print(aggregate_runs(batch.results).as_percent_table())
+    print(aggregate_runs(runs).as_percent_table())
     print(
-        f"\n{len(seeds)} seeds in {batch.wall_seconds:.1f}s "
-        f"({batch.jobs} worker{'s' if batch.jobs != 1 else ''})"
+        f"\n{len(seeds)} seeds in {wall_seconds:.1f}s "
+        f"({jobs} worker{'s' if jobs != 1 else ''})"
     )
     return 0
+
+
+def _last_line(text: str) -> str:
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def _seeds_in_process(config: ExperimentConfig, seeds: list[int]):
+    """(finished runs, [(seed, error)]) of a serial loop over ``seeds``."""
+    import traceback
+
+    runs, failed = [], []
+    for seed in seeds:
+        try:
+            runs.append(run_experiment(config.with_overrides(seed=seed)))
+        except Exception:  # noqa: BLE001 - reported per seed, like a campaign
+            failed.append((seed, _last_line(traceback.format_exc())))
+    return runs, failed
+
+
+def _seeds_as_campaign(config: ExperimentConfig, seeds: list[int], jobs: int):
+    """(finished runs, [(seed, error)], workers) of a seeds-only campaign
+    in a throwaway store."""
+    import tempfile
+
+    from repro.campaign.orchestrator import open_store, run_campaign
+    from repro.campaign.query import load_runs
+    from repro.campaign.spec import CampaignSpec
+
+    spec = CampaignSpec(name="seeds", seeds=tuple(seeds), base=config.to_dict())
+    with tempfile.TemporaryDirectory(prefix="repro-seeds-") as root:
+        report = run_campaign(spec, root=root, jobs=jobs)
+        if report.interrupted:
+            raise KeyboardInterrupt  # as from the in-process loop
+        runs = load_runs(spec, root, with_series=False)
+        finished = {run.run_id for run in runs}
+        store = open_store(spec, root)
+        failed = []
+        for planned in spec.plan():
+            if planned.run_id in finished:
+                continue
+            record = store.read_failure(planned.run_id)
+            error = "no result" if record is None else _last_line(
+                record.traceback or record.error
+            )
+            failed.append((planned.seed, error))
+    return runs, failed, report.jobs
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:

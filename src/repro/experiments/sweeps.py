@@ -41,7 +41,6 @@ def sweep(
     name: str = "sweep",
     seeds_per_point: int = 1,
     reduce: Callable[[list[ExperimentResult]], ExperimentResult] | None = None,
-    jobs: int | None = None,
 ) -> SweepResult:
     """Run ``base`` once per x value (optionally averaging over seeds).
 
@@ -51,37 +50,15 @@ def sweep(
     averaging across seeds is the caller's job via :meth:`SweepResult.ys`
     on individual sweeps if needed — keeping this simple and explicit.
 
-    ``jobs`` fans the (x, seed) grid out to worker processes via
-    :func:`repro.experiments.parallel.run_batch`; every run is seeded
-    independently, so the parallel sweep reproduces the serial per-run
-    summaries bit-for-bit.  Parallel results are detached, though —
-    ``result.scenario`` is ``None`` (the live object graph cannot cross
-    the process boundary), so a ``reduce`` hook must not rely on it when
-    ``jobs > 1``.  ``jobs=None`` or ``1`` keeps the classic serial loop.
+    Runs are serial and in-process, so every result keeps its live
+    ``scenario``.  A grid that should fan out to worker processes,
+    persist and resume is a campaign (:mod:`repro.campaign`).
     """
     if not x_values:
         raise ValueError("x_values must be non-empty")
     if seeds_per_point < 1:
         raise ValueError("seeds_per_point must be >= 1")
     result = SweepResult(name=name, x_values=list(x_values))
-
-    if jobs is not None and jobs > 1:
-        from repro.experiments.parallel import run_batch
-
-        grid = []
-        for x in x_values:
-            config = apply(base, x)
-            grid.extend(
-                config.with_overrides(seed=config.seed + offset)
-                for offset in range(seeds_per_point)
-            )
-        batch = run_batch(grid, jobs=jobs)
-        for i, x in enumerate(x_values):
-            runs = batch.results[i * seeds_per_point : (i + 1) * seeds_per_point]
-            chosen = reduce(runs) if reduce is not None else runs[0]
-            result.points.append(SweepPoint(x=float(x), result=chosen))
-        return result
-
     for x in x_values:
         config = apply(base, x)
         runs = [

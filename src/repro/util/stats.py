@@ -40,10 +40,7 @@ class Ewma:
 
 
 class RunningStats:
-    """Welford online mean/variance.
-
-    Numerically stable; supports merge for parallel collection.
-    """
+    """Welford online mean/variance (numerically stable)."""
 
     __slots__ = ("count", "_mean", "_m2", "_min", "_max")
 
@@ -88,22 +85,6 @@ class RunningStats:
     def maximum(self) -> float:
         """Largest sample seen (-inf when empty)."""
         return self._max
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return a new RunningStats equal to the union of both sample sets."""
-        merged = RunningStats()
-        n = self.count + other.count
-        if n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged.count = n
-        merged._mean = self._mean + delta * other.count / n
-        merged._m2 = (
-            self._m2 + other._m2 + delta * delta * self.count * other.count / n
-        )
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
 
 
 def _check_window(window: float) -> float:

@@ -152,6 +152,19 @@ def test_failing_cell_is_quarantined_and_exits_1(tmp_path, capsys):
     assert "Traceback" in record.traceback
 
 
+@pytest.mark.parametrize("verb", ["run", "resume"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_must_be_positive(tmp_path, spec_path, capsys, verb, jobs):
+    """Like ``run --jobs`` and ``serve --jobs``: refused by argparse, so
+    the error names the flag and nothing is planned or written."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", verb, str(spec_path), "--root",
+              str(tmp_path / "s"), "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_run_help_states_the_failure_behaviour(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["campaign", "run", "--help"])

@@ -16,7 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.orchestrator import campaign_status, open_store, run_campaign
+from repro.campaign.orchestrator import (
+    campaign_status,
+    default_jobs,
+    open_store,
+    run_campaign,
+)
 from repro.campaign.query import campaign_report
 
 from tests.campaign.conftest import tiny_spec
@@ -66,6 +71,18 @@ class TestRunCampaign:
     def test_bad_max_runs_rejected(self, tmp_path, spec):
         with pytest.raises(ValueError, match="max_runs"):
             run_campaign(spec, root=tmp_path, jobs=1, max_runs=-1)
+
+    def test_default_jobs_positive(self):
+        assert default_jobs() >= 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity API")
+    def test_default_jobs_follows_the_affinity_mask(self, monkeypatch):
+        """Pinned to one core, a run gets one worker, however many CPUs
+        the machine has."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_jobs() == 1
 
     def test_resume_at_other_bin_width_rejected(self, tmp_path, spec):
         """The manifest pins series_bin_width: a mismatched resume would

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -23,12 +24,15 @@ from repro.campaign.orchestrator import (
     run_campaign,
 )
 from repro.campaign.pool import run_distributed, run_pool
+from repro.campaign.query import load_runs
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import StoreError
 from repro.campaign.worker import (
     EXIT_CELL_TIMEOUT,
     EXIT_DRAINED_QUARANTINE,
     run_worker,
 )
+from repro.experiments.presets import PRESETS, get_preset
 from repro.obs.bus import CallbackSink, EventBus
 from repro.obs.events import WorkerDied
 
@@ -262,6 +266,45 @@ class TestPool:
         again = run_distributed(spec, tmp_path, jobs=1)
         assert again.cached == len(spec.plan())
         assert again.executed == 0
+
+
+def _seeds_only(config, seeds) -> CampaignSpec:
+    """The campaign ``run --seeds K --jobs N`` builds for one config."""
+    return CampaignSpec(name="seeds", seeds=tuple(seeds), base=config.to_dict())
+
+
+class TestSeedsOnlyCampaign:
+    @pytest.mark.parametrize("preset", [
+        "paper-default", "multi-tier-domain", "pulse-train", "red-ratelimit",
+    ])
+    def test_workers_reproduce_serial_run_experiment(self, tmp_path, preset):
+        """Worker subprocesses and a serial in-process run give the same
+        summary, field for field, for every seed."""
+        config = get_preset(preset).with_overrides(
+            duration=2.0, total_flows=8, n_routers=8, seed=7
+        )
+        seeds = [3, 4]
+        spec = _seeds_only(config, seeds)
+        report = run_campaign(spec, tmp_path, jobs=2)
+        assert report.complete and report.jobs == 2
+        stored = load_runs(spec, tmp_path, with_series=False)
+        assert [run.seed for run in stored] == seeds
+        for run in stored:
+            serial = runner_module.run_experiment(
+                config.with_overrides(seed=run.seed)
+            )
+            assert asdict(run.summary) == asdict(serial.summary)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_cells_are_keyed_by_each_seeds_config_hash(self, preset):
+        """``base=config.to_dict()`` rebuilds the config exactly: no
+        field is lost or merged into a preset default on the way."""
+        config = get_preset(preset)
+        seeds = [1, 2, 9]
+        plan = _seeds_only(config, seeds).plan()
+        assert [run.run_id for run in plan] == [
+            config.with_overrides(seed=seed).config_hash() for seed in seeds
+        ]
 
 
 class TestCellTimeout:

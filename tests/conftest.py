@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import FlowKey, Packet, reset_packet_ids
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_subprocess_path():
+    """Let spawned interpreters (campaign workers, cold-start probes)
+    import ``repro`` from this tree, as pyproject's ``pythonpath`` lets
+    the test process: that setting changes ``sys.path``, not the
+    environment a subprocess inherits."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "PYTHONPATH",
+            src if not inherited else os.pathsep.join([src, inherited]),
+        )
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.experiments.cli import LAZY_VERBS, main
+from repro.experiments.config import ExperimentConfig
 
 
 class TestList:
@@ -55,6 +56,101 @@ class TestRun:
         assert f"_corec.c sha256: {source_hash()}" in out
         if ENGINE_IMPL == "compiled":
             assert f"extension stamp: {source_hash()}" in out
+
+
+class TestMultiSeed:
+    TINY = ["run", "--preset", "paper-default", "--flows", "8",
+            "--routers", "8", "--duration", "2.0", "--seed", "3"]
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
+    def test_counts_must_be_positive(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.TINY + [flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    def test_campaign_workers_print_what_the_loop_prints(self, capsys):
+        """``--jobs 2`` runs the seeds as a campaign in worker processes;
+        only the wall-time line may differ from the in-process loop."""
+        assert main(self.TINY + ["--seeds", "3", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out.splitlines()
+        assert main(self.TINY + ["--seeds", "3", "--jobs", "2"]) == 0
+        workers = capsys.readouterr().out.splitlines()
+        assert workers[:-1] == serial[:-1]
+        assert serial[-1].endswith("(1 worker)")
+        assert workers[-1].endswith("(2 workers)")
+
+    @staticmethod
+    def _seed_4_fails(monkeypatch):
+        import repro.experiments.cli as cli
+        import repro.experiments.runner as runner
+
+        real = runner.run_experiment
+
+        def seed_4_fails(config, **kwargs):
+            if config.seed == 4:
+                raise RuntimeError("injected fault")
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(runner, "run_experiment", seed_4_fails)
+        monkeypatch.setattr(cli, "run_experiment", seed_4_fails)
+
+    @pytest.mark.parametrize("jobs", [["--jobs", "1"], []],
+                             ids=["jobs-1", "one-cpu"])
+    def test_failed_seed_is_named_and_voids_the_table(
+        self, jobs, monkeypatch, capsys
+    ):
+        """The finished seeds still print; the failed one is named on
+        stderr, and no interval over the survivors is shown.  One CPU
+        and ``--jobs`` unset is one worker: the in-process loop."""
+        import repro.campaign.orchestrator as orchestrator
+
+        self._seed_4_fails(monkeypatch)
+        monkeypatch.setattr(orchestrator, "default_jobs", lambda: 1)
+        assert main(self.TINY + ["--seeds", "3"] + jobs) == 1
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] \
+            == ["seed    3", "seed    5"]
+        assert "seed 4: RuntimeError: injected fault\n" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_failed_seed_in_a_campaign(self, monkeypatch):
+        """The campaign path names a quarantined seed by its last error
+        line.  One worker runs the lease-pull loop in this process, where
+        the patched simulation reaches it."""
+        import repro.experiments.cli as cli
+
+        self._seed_4_fails(monkeypatch)
+        config = ExperimentConfig(total_flows=8, n_routers=8, duration=2.0)
+        runs, failed, jobs = cli._seeds_as_campaign(config, [3, 4, 5], 1)
+        assert [run.config.seed for run in runs] == [3, 5]
+        assert failed == [(4, "RuntimeError: injected fault")]
+        assert jobs == 1
+
+    def test_failed_seed_in_worker_processes(self, monkeypatch, capsys):
+        """A cell that raises in a worker subprocess is retried and
+        quarantined, then reported per seed; nothing propagates."""
+        import repro.experiments.cli as cli
+
+        bad = ExperimentConfig(
+            total_flows=8, n_routers=6, duration=1.4, topology="star",
+            topology_args={"warp_factor": 9},
+        )
+        monkeypatch.setattr(
+            cli, "_run_config", lambda args: bad.with_overrides(seed=1)
+        )
+        assert main(["run", "--seeds", "2", "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "metric" not in captured.out
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("seed ")]
+        assert [line.split(":")[0] for line in errors] \
+            == ["seed 1", "seed 2"]
+        assert all(
+            line.split(": ", 1)[1].startswith("TypeError")
+            and "warp_factor" in line
+            for line in errors
+        )
 
 
 class TestFigure:
@@ -144,8 +240,8 @@ class TestPresetOverrides:
 
 class TestColdStart:
     """What a plain ``run`` imports: the routed domain is built and the
-    CI table computed with numpy alone, and other verbs' packages stay
-    unloaded."""
+    CI table computed with numpy alone, and neither other verbs'
+    packages nor a process pool are loaded."""
 
     TINY = ["--preset", "paper-default", "--flows", "8", "--routers", "8",
             "--duration", "2.0", "--seed", "3"]
@@ -161,6 +257,7 @@ class TestColdStart:
             "except SystemExit as done:\n"
             "    assert not done.code, done.code\n"
             "print('LOADED', sorted(m for m in ('networkx', 'scipy',\n"
+            "      'multiprocessing', 'concurrent.futures',\n"
             "      'repro.campaign', 'repro.lint') if m in sys.modules))\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])

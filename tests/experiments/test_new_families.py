@@ -1,24 +1,17 @@
 """Integration tests for the three registry-born scenario families:
 multi-tier topology, pulse-train attack, RED+rate-limit defence.
 
-Each family gets a small-scale end-to-end run plus the serial-vs-
-parallel identity guarantee (`run_seeds_parallel(jobs=N)` reproduces the
-serial summaries bit-for-bit), so all of them are sweepable with
-``jobs=N`` like the paper scenarios.
+Each family gets a small-scale end-to-end run; that worker processes
+reproduce their serial summaries bit-for-bit is pinned with the other
+seeds-only campaigns in ``tests/campaign/test_pool.py``.
 """
 
-import dataclasses
-
 import networkx as nx
-import pytest
 
-from repro.experiments.parallel import run_seeds_parallel
 from repro.experiments.presets import get_preset
 from repro.experiments.runner import run_experiment
 from repro.sim.queues import REDQueue
 from repro.transport.udp import OnOffSender
-
-NEW_PRESETS = ["multi-tier-domain", "pulse-train", "red-ratelimit"]
 
 
 def small(name, **overrides):
@@ -82,16 +75,3 @@ class TestRedRateLimit:
         )
         summary = result.summary
         assert summary.total_examined > 0
-
-
-class TestParallelIdentity:
-    @pytest.mark.parametrize("preset", NEW_PRESETS)
-    def test_serial_and_parallel_summaries_identical(self, preset):
-        config = small(preset, duration=2.0, total_flows=8, n_routers=8)
-        seeds = [3, 4]
-        serial = run_seeds_parallel(config, seeds, jobs=1)
-        parallel = run_seeds_parallel(config, seeds, jobs=2)
-        for left, right in zip(serial.results, parallel.results):
-            assert dataclasses.asdict(left.summary) == dataclasses.asdict(
-                right.summary
-            )

@@ -69,31 +69,6 @@ class TestRunningStats:
         assert s.mean == pytest.approx(5.0)
         assert s.stddev == pytest.approx(2.0)
 
-    def test_merge_equals_combined(self):
-        a, b, c = RunningStats(), RunningStats(), RunningStats()
-        for x in [1.0, 2.0, 3.0]:
-            a.update(x)
-            c.update(x)
-        for x in [10.0, 20.0]:
-            b.update(x)
-            c.update(x)
-        merged = a.merge(b)
-        assert merged.count == c.count
-        assert merged.mean == pytest.approx(c.mean)
-        assert merged.variance == pytest.approx(c.variance)
-        assert merged.minimum == c.minimum
-        assert merged.maximum == c.maximum
-
-    def test_merge_with_empty(self):
-        a, b = RunningStats(), RunningStats()
-        a.update(5)
-        merged = a.merge(b)
-        assert merged.count == 1
-        assert merged.mean == 5.0
-
-    def test_merge_two_empties(self):
-        assert RunningStats().merge(RunningStats()).count == 0
-
     @given(st.lists(floats, min_size=2, max_size=100))
     def test_matches_naive_computation(self, samples):
         s = RunningStats()
