@@ -28,7 +28,7 @@ def main() -> None:
         egress = snap.egress_totals[scenario.topology.victim_router_name]
         col = snap.destinations.index(scenario.topology.victim_router_name)
         contributions = sorted(
-            ((snap.matrix[i, col], src) for i, src in enumerate(snap.sources)),
+            ((snap.matrix[i][col], src) for i, src in enumerate(snap.sources)),
             reverse=True,
         )[:3]
         tops = ", ".join(f"{src}={val:.0f}" for val, src in contributions)

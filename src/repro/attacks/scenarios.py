@@ -80,20 +80,8 @@ class AttackScenario:
             if name not in topology.ingress_names:
                 raise ValueError(f"unknown ingress router: {name}")
 
-        # Every zombie draws from this one shared stream, so tick jitter
-        # cannot be precomputed per sender — but when jitter is the ONLY
-        # in-run consumer (steady CBR, spoofed source fixed per flow) the
-        # draws can be prefetched and served in the same global tick
-        # order.  Rotating spoofers and on-off phase draws interleave on
-        # the stream per packet/phase, so those configurations keep the
-        # direct scalar draws.
-        zc = config.zombie
-        jitter_buffer = None
-        if zc.jitter > 0 and not zc.pulsing and not zc.spoofing.rotate_per_packet:
-            from repro.util.rng import UniformBuffer
-
-            jitter_buffer = UniformBuffer(rng)
-
+        # Every zombie draws from this one shared stream (tick jitter,
+        # rotating spoofers, on-off phases), interleaved in event order.
         for i in range(config.n_zombies):
             ingress = ingress_names[i % len(ingress_names)]
             host_name = f"src{topology.ingress_names.index(ingress)}"
@@ -106,7 +94,6 @@ class AttackScenario:
                 config=config.zombie,
                 address_space=topology.address_space,
                 rng=rng,
-                jitter_buffer=jitter_buffer,
             )
             self.zombies.append(zombie)
 

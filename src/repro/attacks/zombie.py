@@ -60,7 +60,6 @@ class Zombie:
         config: ZombieConfig,
         address_space: "AddressSpace",
         rng,
-        jitter_buffer=None,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -93,7 +92,6 @@ class Zombie:
                 jitter=config.jitter,
                 rng=rng,
                 spoof=spoof,
-                jitter_buffer=jitter_buffer,
             )
         # The flow identity on the wire (after stable spoofing) is fixed
         # by the first packet; capture it for ground-truth bookkeeping.

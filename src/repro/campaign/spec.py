@@ -46,6 +46,7 @@ from itertools import product
 from pathlib import Path
 
 from repro.experiments.config import ExperimentConfig
+from repro.util.validation import check_seed
 
 
 class CampaignSpecError(ValueError):
@@ -98,7 +99,12 @@ class CampaignSpec:
             raise CampaignSpecError(
                 f"campaign name {self.name!r} must be a plain directory name"
             )
-        self.seeds = tuple(int(seed) for seed in self.seeds)
+        self.seeds = tuple(self.seeds)
+        for i, seed in enumerate(self.seeds):
+            try:
+                check_seed(f"seeds[{i}]", seed)
+            except ValueError as exc:
+                raise CampaignSpecError(str(exc)) from None
         if not self.seeds:
             raise CampaignSpecError("campaign needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):

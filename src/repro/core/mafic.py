@@ -35,6 +35,7 @@ from repro.core.policy import AdaptiveMaficPolicy, DropDecision, DropPolicy
 from repro.core.probe import DupAckProber
 from repro.core.tables import FlowTables, SftEntry, TableName
 from repro.sim.packet import Packet, PacketType
+from repro.util.rng import Pcg64Stream
 from repro.util.stats import WindowedCount
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,30 +144,14 @@ class MaficAgent:
         observer: "DefenseObserver | None" = None,
         trace: "EventTrace | None" = None,
     ) -> None:
-        import numpy as np
-
         self.sim = sim
         self.router = router
         self.victim_matcher = victim_matcher
         self.config = config if config is not None else MaficConfig()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng if rng is not None else Pcg64Stream(0)
         self.address_space = address_space
         if policy is None:
-            # This agent owns every draw on its stream (the gate in
-            # _handle_suspicious and the policy's Bernoulli), so both
-            # can share one prefetched buffer — same values, same
-            # order, minus a numpy scalar dispatch per examined
-            # packet.  An injected policy keeps the raw stream: the
-            # agent cannot know who else draws from it.
-            from repro.util.rng import UniformBuffer, UniformSource
-
-            buffer = UniformBuffer(self._rng)
-            self._draw_uniform = buffer.next
-            policy = AdaptiveMaficPolicy(
-                self.config.drop_probability, UniformSource(buffer)
-            )
-        else:
-            self._draw_uniform = self._scalar_uniform
+            policy = AdaptiveMaficPolicy(self.config.drop_probability, self._rng)
         self.policy = policy
         self.prober = (
             prober
@@ -306,7 +291,7 @@ class MaficAgent:
                 self.tables.pdt[label].packets_dropped += 1
                 return self._drop(packet, "pdt", now)
             return self._pass_nice(packet, label, now)
-        if self._draw_uniform() < self.config.drop_probability:
+        if self._rng.random() < self.config.drop_probability:
             entry.packets_dropped += 1
             return self._drop(packet, "probe", now)
         self.stats.packets_passed += 1
@@ -452,9 +437,6 @@ class MaficAgent:
             self.tables.evict_oldest_pdt()
 
     # -------------------------------------------------------------- helpers
-
-    def _scalar_uniform(self) -> float:
-        return float(self._rng.random())
 
     def _estimate_rtt(self, packet: Packet, now: float) -> float | None:
         """RTT from the TCP timestamp echo when present.

@@ -17,8 +17,7 @@ bias.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from functools import lru_cache
 
 from repro.sim.packet import PacketType
 from repro.util.hashing import int_hasher
@@ -38,6 +37,43 @@ def _alpha(m: int) -> float:
     # Low-m corrections (Durand & Flajolet give the general formula; these
     # are the standard tabulated values used in practice).
     return {16: 0.673 / 1.79, 32: 0.697 / 1.79}.get(m, _ALPHA_INF)
+
+
+@lru_cache(maxsize=None)
+def _lane_tops(m: int) -> int:
+    """``0x80`` in each of ``m`` byte lanes, as one int (the guard bits)."""
+    return int.from_bytes(b"\x80" * m, "little")
+
+
+def _lane_max(a: bytearray, b: bytearray) -> bytes:
+    """Byte-wise ``max`` of two equal-length register files.
+
+    One subtraction over the whole file as an int: with every byte below
+    ``0x80``, ``(a_i | 0x80) - b_i`` never borrows across lanes and keeps
+    lane ``i``'s top bit exactly when ``a_i >= b_i``; that bit widens to
+    a ``0xFF`` lane mask selecting ``a_i`` over ``b_i``.
+    """
+    tops = _lane_tops(len(a))
+    x = int.from_bytes(a, "little")
+    y = int.from_bytes(b, "little")
+    if (x | y) & tops:
+        raise ValueError(f"register values must be <= {_REGISTER_MAX}")
+    ge = ((x | tops) - y) & tops
+    mask = (ge << 1) - (ge >> 7)
+    return (y ^ ((x ^ y) & mask)).to_bytes(len(a), "little")
+
+
+def _estimate(regs: bytes | bytearray) -> float:
+    """The LogLog estimate of one register file."""
+    m = len(regs)
+    zeros = regs.count(0)
+    if zeros > 0:
+        # Linear counting for the small range where LogLog is biased.
+        linear = m * math.log(m / zeros)
+        if linear < 2.5 * m:
+            return linear
+    # Exact integer sum, divided once: numpy's uint8 mean, bit for bit.
+    return _alpha(m) * m * (2.0 ** (sum(regs) / m))
 
 
 class LogLogCounter:
@@ -64,9 +100,9 @@ class LogLogCounter:
         # item -> stable_hash64(salt, item), the salt's share paid once.
         self._hash = int_hasher(self.salt)
         # Registers live in a bytearray: per-item updates index it at
-        # C speed (a numpy uint8 scalar read/write costs ~10x as much),
-        # while the `registers` property exposes the same data as a
-        # writable ndarray view for the vectorized estimate/merge math.
+        # C speed, and estimate/merge read it whole (count, sum, or as
+        # one int); the `registers` property exposes the same bytes as a
+        # writable uint8 ndarray view for analysis.
         self._regs = bytearray(self.m)
         self._shift = 64 - self.k
         self._rest_mask = (1 << self._shift) - 1
@@ -75,11 +111,18 @@ class LogLogCounter:
     @property
     def registers(self):
         """The register file as a writable uint8 ndarray view."""
+        import numpy as np
+
         return np.frombuffer(self._regs, dtype=np.uint8)
 
     @registers.setter
     def registers(self, values) -> None:
-        self._regs = bytearray(values)
+        regs = bytearray(values)
+        if len(regs) != self.m:
+            raise ValueError(f"registers: need {self.m} values, got {len(regs)}")
+        if max(regs) > _REGISTER_MAX:
+            raise ValueError(f"registers: values must be <= {_REGISTER_MAX}")
+        self._regs = regs
 
     def add(self, item: int) -> None:
         """Insert one (hashable-to-int) item."""
@@ -102,29 +145,20 @@ class LogLogCounter:
 
     def estimate(self) -> float:
         """Estimated number of distinct items inserted."""
-        zeros = int(np.count_nonzero(self.registers == 0))
-        if zeros > 0:
-            # Linear counting for the small range where LogLog is biased.
-            linear = self.m * math.log(self.m / zeros)
-            if linear < 2.5 * self.m:
-                return linear
-        mean_rank = float(self.registers.mean())
-        return _alpha(self.m) * self.m * (2.0 ** mean_rank)
+        return _estimate(self._regs)
 
     def merge(self, other: "LogLogCounter") -> "LogLogCounter":
         """Register-wise max merge — estimates the union of the two sets."""
         self._check_compatible(other)
         merged = LogLogCounter(self.k, self.salt)
-        np.maximum(self.registers, other.registers, out=merged.registers)
+        merged._regs = bytearray(_lane_max(self._regs, other._regs))
         merged.items_added = self.items_added + other.items_added
         return merged
 
     def union_estimate(self, other: "LogLogCounter") -> float:
         """``|A U B|`` without materializing the merged sketch registers."""
         self._check_compatible(other)
-        tmp = LogLogCounter(self.k, self.salt)
-        np.maximum(self.registers, other.registers, out=tmp.registers)
-        return tmp.estimate()
+        return _estimate(_lane_max(self._regs, other._regs))
 
     def intersection_estimate(self, other: "LogLogCounter") -> float:
         """``|A ∩ B| = |A| + |B| - |A U B|`` — the paper's union transform.
@@ -137,13 +171,13 @@ class LogLogCounter:
 
     def reset(self) -> None:
         """Clear all registers (start of a new monitoring epoch)."""
-        self.registers.fill(0)
+        self._regs[:] = bytes(self.m)
         self.items_added = 0
 
     def copy(self) -> "LogLogCounter":
         """Deep copy (epoch snapshotting)."""
         dup = LogLogCounter(self.k, self.salt)
-        dup.registers = self.registers.copy()
+        dup._regs = bytearray(self._regs)
         dup.items_added = self.items_added
         return dup
 

@@ -158,7 +158,7 @@ class PushbackCoordinator:
             return report
         col = snapshot.destinations.index(self.victim_router)
         for row, ingress in enumerate(snapshot.sources):
-            contribution = float(snapshot.matrix[row, col])
+            contribution = snapshot.matrix[row][col]
             share = contribution / egress if egress > 0 else 0.0
             report.shares[ingress] = share
             if share >= self.config.share_threshold and contribution >= self.config.min_absolute:

@@ -11,8 +11,6 @@ exactly the "distributed max-merge" of the paper.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.counting.loglog import LogLogLinkCounter
 
 
@@ -65,14 +63,13 @@ class TrafficMatrixEstimator:
         dj = self._egress[egress].sketch
         return si.intersection_estimate(dj)
 
-    def traffic_matrix(self) -> tuple[list[str], list[str], np.ndarray]:
-        """The full estimated matrix with its row/column labels."""
+    def traffic_matrix(self) -> tuple[list[str], list[str], list[list[float]]]:
+        """The full estimated matrix (one row list per source) with its
+        row/column labels; ``matrix[i][j]`` is ``a_ij``."""
         sources = self.ingress_names
         destinations = self.egress_names
-        matrix = np.zeros((len(sources), len(destinations)))
-        for i, src in enumerate(sources):
-            for j, dst in enumerate(destinations):
-                matrix[i, j] = self.pair_estimate(src, dst)
+        matrix = [[self.pair_estimate(src, dst) for dst in destinations]
+                  for src in sources]
         return sources, destinations, matrix
 
     def reset(self) -> None:

@@ -32,6 +32,7 @@ from repro.util.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
+    check_seed,
 )
 
 
@@ -219,6 +220,7 @@ class ExperimentConfig:
             check_positive("force_activation_at", self.force_activation_at)
             if not self.force_activation_at < self.duration:
                 raise ValueError("force_activation_at must fall inside the run")
+        check_seed("seed", self.seed)
         if not isinstance(self.trace_enabled, bool):
             raise ValueError("trace_enabled must be a bool")
         cap = self.trace_max_records

@@ -19,8 +19,6 @@ from repro.obs.bus import NULL_BUS
 from repro.obs.events import EngineStats, MonitorSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from repro.counting.setunion import TrafficMatrixEstimator
     from repro.sim.engine import Simulator
 
@@ -32,7 +30,7 @@ class MatrixSnapshot:
     time: float
     sources: list[str]
     destinations: list[str]
-    matrix: "np.ndarray"  # shape (len(sources), len(destinations))
+    matrix: list[list[float]]  # matrix[i][j]: sources[i] -> destinations[j]
     ingress_totals: dict[str, float]  # |Si| estimates
     egress_totals: dict[str, float]  # |Dj| estimates
 

@@ -14,6 +14,7 @@ from collections import deque
 from typing import Protocol
 
 from repro.sim.packet import Packet
+from repro.util.rng import Pcg64Stream
 
 
 class PacketQueue(Protocol):
@@ -200,14 +201,12 @@ class REDQueue:
             raise ValueError("max_prob must be in (0, 1]")
         if not 0 < weight <= 1:
             raise ValueError("weight must be in (0, 1]")
-        import numpy as np
-
         self.capacity = int(capacity)
         self.min_thresh = float(min_thresh)
         self.max_thresh = float(max_thresh)
         self.max_prob = float(max_prob)
         self.weight = float(weight)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng if rng is not None else Pcg64Stream(0)
         self._queue: deque[Packet] = deque()
         self._avg = 0.0
         self._count_since_drop = 0

@@ -4,29 +4,27 @@ These agents ignore everything the network tells them — exactly the
 behaviour that distinguishes a zombie (or a non-congestion-controlled
 media stream) from a conforming TCP source under MAFIC's probe.
 
-Tick generation is **batched** (PR 4): instead of one self-rescheduling
+Tick generation is **batched**: instead of one self-rescheduling
 event per packet, a sender precomputes its departure times per horizon
 chunk and rides a single reusable
 :class:`~repro.sim.engine.SeriesEvent`.  Each departure still executes as
 its own event (the interleaving with link/transport events is what the
-paper's physics runs on), but the per-tick schedule call, event
-allocation, and RNG scalar draw disappear.  Results are bit-identical
-because the draws come from the same streams in the same order:
+paper's physics runs on), but the per-tick schedule call and event
+allocation disappear.  Results are bit-identical because the draws come
+from the same streams in the same order:
 
 * ``jitter == 0`` — departure times are pure float arithmetic (the same
   repeated additions the unbatched loop performed); always batchable.
 * ``jitter > 0`` with an **exclusive** RNG stream (nothing else draws
   from it during the run — the per-flow ``("legit", "udp", i)`` streams)
-  — jitter factors are drawn in bulk, value ``i`` still maps to gap
-  ``i``; numpy's bulk ``random(n)`` consumes the bit generator exactly
+  — jitter factors are drawn ``count`` at a time, value ``i`` still
+  mapping to gap ``i``; a bulk ``random(n)`` consumes the stream exactly
   like ``n`` scalar calls.
 * ``jitter > 0`` on a **shared** stream (all zombies draw from the one
   ``"attack"`` stream, interleaved in event order) — departures cannot
-  be precomputed per sender, but the scalar draw is served from a shared
-  :class:`~repro.util.rng.UniformBuffer` that prefetches the stream and
-  hands out values in the same global tick order, and the next tick is a
-  handle-free ``schedule_anon`` entry (nothing ever cancels a tick;
-  ``stop()`` is a flag the tick reads).
+  be precomputed per sender, so each tick draws its own jitter and
+  schedules the next tick as a handle-free ``schedule_anon`` entry
+  (nothing ever cancels a tick; ``stop()`` is a flag the tick reads).
 
 On-off bursts batch unconditionally: the burst's departure times depend
 only on the on-duration drawn at burst start, and the off/on draws keep
@@ -35,9 +33,9 @@ their positions at the phase boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, islice, repeat
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro.sim.packet import FlowKey, Packet
 from repro.transport.flow import FlowAgent
@@ -45,7 +43,6 @@ from repro.transport.flow import FlowAgent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import SeriesEvent, Simulator
     from repro.sim.node import Host
-    from repro.util.rng import UniformBuffer
 
 #: Departure times precomputed per series chunk.
 _CHUNK = 256
@@ -62,9 +59,8 @@ class CbrSender(FlowAgent):
 
     ``exclusive_rng=True`` declares that nothing else draws from ``rng``
     while this sender runs, unlocking fully precomputed (batched)
-    departure times; ``jitter_buffer`` provides the shared-stream
-    prefetch path instead (see module docstring).  Both default off, so a
-    bare construction behaves exactly like the unbatched original.
+    departure times (see module docstring).  It defaults off, so a bare
+    construction behaves exactly like the unbatched original.
     """
 
     def __init__(
@@ -80,7 +76,6 @@ class CbrSender(FlowAgent):
         spoof: Callable[[Packet], Packet] | None = None,
         keep_send_times: bool = False,
         exclusive_rng: bool = False,
-        jitter_buffer: "UniformBuffer | None" = None,
     ) -> None:
         super().__init__(sim, host, flow, packet_size, is_attack=is_attack,
                          keep_send_times=keep_send_times)
@@ -96,8 +91,6 @@ class CbrSender(FlowAgent):
         self._spoof = spoof
         self._seq = 0
         self._exclusive_rng = bool(exclusive_rng)
-        self._jitter_buffer = jitter_buffer
-        self._use_buffer = False
         self._series: "SeriesEvent | None" = None
 
     @property
@@ -116,9 +109,7 @@ class CbrSender(FlowAgent):
             times.extend(self._next_gaps(when, _CHUNK))
             self._series = self.sim.schedule_series(times, self._series_tick)
         else:
-            # Jitter on a shared stream: one event per tick, the draw
-            # served from the shared buffer when the scenario wired one.
-            self._use_buffer = self._jitter_buffer is not None
+            # Jitter on a shared stream: one event and one draw per tick.
             self.sim.schedule_at(when, self._tick)
 
     def handle_packet(self, packet: Packet, now: float) -> None:
@@ -139,22 +130,20 @@ class CbrSender(FlowAgent):
         one plus ``interval * (1 + jitter * (2u - 1))``, with the jitter
         factors drawn in bulk from this sender's (exclusive) stream.
 
-        Vectorized, bit-exactly: the per-gap terms are elementwise
-        float64 expressions identical to the scalar ones, and numpy's
-        ``add.accumulate`` (cumsum) folds strictly left-to-right — the
-        same ``t = t + gap`` rounding sequence as the loop it replaces
-        (unlike ``add.reduce``, which sums pairwise).
+        Bit-exact: the per-gap terms are the scalar float64 expressions,
+        and ``accumulate`` folds strictly left-to-right — the same
+        ``t = t + gap`` rounding sequence as the loop it replaces.
         """
         interval = self.interval
         jitter = self.jitter
-        steps = np.empty(count + 1)
-        steps[0] = last_time
         if jitter == 0.0:
-            steps[1:] = interval
+            steps = repeat(interval, count)
         else:
-            u = self._rng.random(count)
-            steps[1:] = interval * (1.0 + jitter * (2.0 * u - 1.0))
-        return np.add.accumulate(steps)[1:].tolist()
+            # ``.tolist()`` gives floats from an ``array('d')`` or a numpy
+            # Generator's ndarray alike.
+            steps = [interval * (1.0 + jitter * (2.0 * u - 1.0))
+                     for u in self._rng.random(count).tolist()]
+        return list(islice(accumulate(steps, initial=last_time), 1, None))
 
     def _series_tick(self) -> None:
         if self.stopped:
@@ -171,11 +160,7 @@ class CbrSender(FlowAgent):
         self._emit_one()
         gap = self.packet_size * 8.0 / self.rate_bps  # interval, minus a call
         if self.jitter > 0:
-            if self._use_buffer:
-                u = self._jitter_buffer.next()
-            else:
-                u = float(self._rng.random())
-            gap *= 1.0 + self.jitter * (2.0 * u - 1.0)
+            gap *= 1.0 + self.jitter * (2.0 * float(self._rng.random()) - 1.0)
         # Nobody keeps a tick's handle: the same ``now + gap`` and the
         # same one seq draw as ``schedule(gap, ...)``, minus the Event.
         sim = self.sim
@@ -265,18 +250,14 @@ class OnOffSender(CbrSender):
         """Departure times after ``last_time``, through the first instant
         at or past the phase end (where the off transition fires).
 
-        Vectorized like :meth:`_next_gaps` (sequential ``add.accumulate``
-        keeps the rounding of the scalar loop); the early exit becomes a
-        ``searchsorted`` for the first time at or past the phase end.
+        Folded like :meth:`_next_gaps` (``accumulate`` keeps the rounding
+        of the scalar loop); the early exit becomes a ``bisect_left`` for
+        the first time at or past the phase end.
         """
-        interval = self.interval
-        end = self._phase_ends
-        steps = np.empty(_CHUNK + 1)
-        steps[0] = last_time
-        steps[1:] = interval
-        times = np.add.accumulate(steps)[1:]
-        cut = int(np.searchsorted(times, end, side="left")) + 1
-        return times[:cut].tolist()
+        times = list(islice(
+            accumulate(repeat(self.interval, _CHUNK), initial=last_time), 1, None
+        ))
+        return times[:bisect_left(times, self._phase_ends) + 1]
 
     def _burst_tick(self) -> None:
         if self.stopped:

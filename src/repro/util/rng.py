@@ -8,13 +8,40 @@ single experiment seed.  Two properties follow:
 * **Isolation** — adding a new consumer of randomness does not perturb the
   draws seen by existing consumers, because each stream is derived from
   ``(root_seed, name)`` rather than shared.
+
+A stream is a :class:`Pcg64Stream`: numpy's ``Generator(PCG64(seed))``
+re-implemented in pure Python, bit for bit, for the draws the simulator
+makes (``random()``, ``random(n)``, ``integers``), so a run that draws
+nothing else never imports numpy.  Any other method hands the exact
+generator state to numpy, and numpy serves the stream from then on.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 from repro.util.hashing import stable_hash64
+
+_MASK32 = 0xFFFFFFFF
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: ``x * _TWICE`` is ``x`` twice side by side: a 64-bit rotate right by
+#: ``r`` is then one shift by ``r`` (and a mask).
+_TWICE = (1 << 64) | 1
+#: PCG's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+# numpy.random.SeedSequence's hashmix constants (pool of four uint32s).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
 
 
 def derive_seed(root_seed: int, *names: int | str) -> int:
@@ -26,61 +53,168 @@ def derive_seed(root_seed: int, *names: int | str) -> int:
     return stable_hash64(root_seed, *names)
 
 
-class UniformBuffer:
-    """Prefetched uniform draws from one generator, served in order.
+def _seed_words(seed: int) -> tuple[int, int, int, int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, in pure Python."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = _INIT_A
 
-    ``next()`` is bit-identical to ``float(rng.random())`` call-for-call:
-    numpy's bulk ``random(n)`` consumes the bit generator exactly like
-    ``n`` scalar calls, so consumers sharing one stream (e.g. every
-    zombie's tick jitter drawing from the one ``"attack"`` stream) see
-    the same values in the same global order — just without a numpy
-    scalar-dispatch round trip per draw.
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
 
-    The first fill is lazy, so a buffer created at build time consumes
-    nothing from the stream until the first in-run draw.
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    halves = []
+    for value in pool * 2:  # eight uint32s, cycling the pool
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        halves.append(value ^ (value >> 16))
+    # Little-endian pairs of uint32s, read as uint64s.
+    return tuple(halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4))
+
+
+class Pcg64Stream:
+    """numpy's ``Generator(PCG64(seed))``, bit for bit, in pure Python.
+
+    O'Neill's PCG64 (128-bit LCG, XSL-RR output) seeded the way numpy's
+    ``SeedSequence`` seeds it.  ``random()``, ``random(n)`` (an
+    ``array('d')``), ``integers(high)`` and ``integers(low, high)`` over
+    spans up to ``2**32`` (numpy's 32-bit Lemire path, including the
+    half-word it carries between calls) are served here.  Any other call
+    — another method, a shaped ``size``, a wider span — passes the exact
+    state to a lazily built ``numpy.random.Generator``, which then serves
+    every later draw, so the sequence never forks.
+
+    ``bit_generator.state`` reads like numpy PCG64's state dict.
     """
 
-    __slots__ = ("_rng", "_chunk", "_values", "_index")
+    def __init__(self, seed: int) -> None:
+        s0, s1, i0, i1 = _seed_words(seed)
+        # pcg_setseq_128_srandom_r: from state 0 step (to ``inc``), add
+        # the seed, step again.
+        inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
+        self._state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
+        self._inc = inc
+        self._has_uint32 = 0
+        self._uinteger = 0
+        self._numpy = None
 
-    def __init__(self, rng, chunk: int = 256) -> None:
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self._rng = rng
-        self._chunk = chunk
-        self._values = ()
-        self._index = 0
+    def _next64(self) -> int:
+        # One LCG step, then XSL-RR: fold the halves, rotate by the top 6.
+        s = (self._state * _PCG_MULT + self._inc) & _MASK128
+        self._state = s
+        return (((s >> 64) ^ (s & _MASK64)) * _TWICE >> (s >> 122)) & _MASK64
 
-    def next(self) -> float:
-        """The next uniform [0, 1) draw from the underlying stream."""
-        i = self._index
-        if i >= len(self._values):
-            self._values = self._rng.random(self._chunk)
-            i = 0
-        self._index = i + 1
-        return float(self._values[i])
+    def _next32(self) -> int:
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        n = self._next64()
+        self._has_uint32 = 1
+        self._uinteger = n >> 32
+        return n & _MASK32
 
+    def random(self, size=None):
+        """Uniform draws in [0, 1): a float, or ``array('d')`` of ``size``."""
+        if size is None:
+            # _next64 inlined, keeping its top 53 bits: this is the
+            # simulator's hottest draw.
+            s = (self._state * _PCG_MULT + self._inc) & _MASK128
+            self._state = s
+            x = ((s >> 64) ^ (s & _MASK64)) * _TWICE
+            return ((x >> ((s >> 122) + 11)) & _MASK53) * 2.0 ** -53
+        if type(size) is not int or size < 0:
+            return self._handoff().random(size)
+        nxt = self._next64
+        return array("d", [(nxt() >> 11) * 2.0 ** -53 for _ in range(size)])
 
-class UniformSource:
-    """Adapter giving a :class:`UniformBuffer` the ``rng.random()`` shape.
+    def integers(self, low, high=None, size=None):
+        """A uniform int in ``[0, low)`` or ``[low, high)``."""
+        lo, hi = (0, low) if high is None else (low, high)
+        if (size is not None or type(lo) is not int or type(hi) is not int
+                or lo < _INT64_MIN or hi - 1 > _INT64_MAX
+                or not 0 < hi - lo <= 1 << 32):
+            return self._handoff().integers(low, high, size)
+        span = hi - lo
+        if span == 1:
+            return lo
+        if span == 1 << 32:
+            return lo + self._next32()
+        # Lemire's nearly-divisionless bounded draw (numpy's
+        # buffered_bounded_lemire_uint32).
+        m = self._next32() * span
+        leftover = m & _MASK32
+        if leftover < span:
+            threshold = (1 << 32) % span
+            while leftover < threshold:
+                m = self._next32() * span
+                leftover = m & _MASK32
+        return lo + (m >> 32)
 
-    Lets code written against ``Generator.random()`` (e.g. the drop
-    policies' Bernoulli gates) draw from a shared prefetched buffer; the
-    holder of the buffer guarantees every consumer of the underlying
-    stream goes through it, so the draw order is preserved exactly.
-    """
+    @property
+    def state(self) -> dict:
+        """The generator state in numpy PCG64's ``state`` dict form."""
+        if self._numpy is not None:
+            return self._numpy.bit_generator.state
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": self._state, "inc": self._inc},
+            "has_uint32": self._has_uint32,
+            "uinteger": self._uinteger,
+        }
 
-    __slots__ = ("_next",)
+    @property
+    def bit_generator(self):
+        """``self`` (its ``state`` is numpy's), or numpy's after hand-off."""
+        return self if self._numpy is None else self._numpy.bit_generator
 
-    def __init__(self, buffer: UniformBuffer) -> None:
-        self._next = buffer.next
+    def _handoff(self):
+        """Move the stream onto numpy, state intact; numpy serves it after."""
+        if self._numpy is None:
+            from numpy.random import PCG64, Generator
 
-    def random(self) -> float:
-        """The next uniform [0, 1) draw from the shared buffer."""
-        return self._next()
+            bit_generator = PCG64(0)
+            bit_generator.state = self.state
+            gen = Generator(bit_generator)
+            self._numpy = gen
+            # Instance attributes shadow the pure methods from now on.
+            self.random = gen.random
+            self.integers = gen.integers
+        return self._numpy
+
+    def __getattr__(self, name: str):
+        # Only reached for names the class lacks: numpy's other methods.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._handoff(), name)
 
 
 class RngRegistry:
-    """A factory of named :class:`numpy.random.Generator` streams.
+    """A factory of named :class:`Pcg64Stream` streams.
 
     >>> reg = RngRegistry(42)
     >>> a = reg.stream("drops")
@@ -96,14 +230,14 @@ class RngRegistry:
         if not isinstance(root_seed, int):
             raise TypeError("root_seed must be an int")
         self._root_seed = root_seed
-        self._streams: dict[tuple[int | str, ...], np.random.Generator] = {}
+        self._streams: dict[tuple[int | str, ...], Pcg64Stream] = {}
 
     @property
     def root_seed(self) -> int:
         """The root seed this registry was created with."""
         return self._root_seed
 
-    def stream(self, *names: int | str) -> np.random.Generator:
+    def stream(self, *names: int | str) -> Pcg64Stream:
         """Return the generator for the stream named by ``names``.
 
         The same name path always returns the same generator object, so
@@ -114,7 +248,7 @@ class RngRegistry:
         key = tuple(names)
         gen = self._streams.get(key)
         if gen is None:
-            gen = np.random.default_rng(derive_seed(self._root_seed, *names))
+            gen = Pcg64Stream(derive_seed(self._root_seed, *names))
             self._streams[key] = gen
         return gen
 

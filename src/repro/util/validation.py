@@ -39,6 +39,20 @@ def check_fraction(name: str, value: float) -> float:
     return check_probability(name, value)
 
 
+def check_seed(name: str, value: Any) -> int:
+    """Require an ``int`` (not a bool) in ``[0, 2**64)``; return it.
+
+    Streams are seeded from a 64-bit hash of the seed, so a negative or
+    wider seed would silently run as some seed in range (``2**64 + 1``
+    as ``1``): two runs that are one sample.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
+    return value
+
+
 def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
     """Require ``isinstance(value, expected)``; return value unchanged."""
     if not isinstance(value, expected):

@@ -100,6 +100,18 @@ class TestValidation:
         with pytest.raises(CampaignSpecError, match="duplicate seeds"):
             CampaignSpec(name="x", seeds=(1, 1))
 
+    def test_non_int_seeds_rejected(self):
+        """(1.5, 2.9) must not silently plan seeds (1, 2)."""
+        with pytest.raises(CampaignSpecError, match=r"seeds\[0\] must be an int"):
+            CampaignSpec(name="x", seeds=(1.5, 2.9))
+        with pytest.raises(CampaignSpecError, match=r"seeds\[1\] must be an int"):
+            CampaignSpec.from_dict({"name": "x", "seeds": [1, True]})
+
+    def test_aliasing_seeds_rejected(self):
+        """2**64 + 1 would run as seed 1: two cells, one sample."""
+        with pytest.raises(CampaignSpecError, match=r"seeds\[1\] must be in"):
+            CampaignSpec(name="x", seeds=(1, 2**64 + 1))
+
     def test_duplicate_axis_fields_rejected(self):
         with pytest.raises(CampaignSpecError, match="duplicate axis"):
             CampaignSpec(

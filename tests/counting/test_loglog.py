@@ -1,11 +1,20 @@
 """Tests for repro.counting.loglog."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.counting.loglog import LogLogCounter, LogLogLinkCounter
+from repro.counting.loglog import (
+    _REGISTER_MAX,
+    LogLogCounter,
+    LogLogLinkCounter,
+    _alpha,
+    _lane_max,
+)
 from repro.sim.packet import FlowKey, Packet, PacketType
 from repro.util.hashing import stable_hash64
 
@@ -144,6 +153,75 @@ def _reference_registers(k, salt, items):
         rank = width - (h & ((1 << width) - 1)).bit_length() + 1
         regs[h >> width] = max(regs[h >> width], min(rank, 64))
     return regs
+
+
+def _numpy_estimate(sketch):
+    """The estimator as the ndarray formula it replaced."""
+    regs = np.frombuffer(bytes(sketch.registers), dtype=np.uint8)
+    zeros = int(np.count_nonzero(regs == 0))
+    if zeros > 0:
+        linear = sketch.m * math.log(sketch.m / zeros)
+        if linear < 2.5 * sketch.m:
+            return linear
+    return _alpha(sketch.m) * sketch.m * (2.0 ** float(regs.mean()))
+
+
+# Register files over the whole legal range, dense with the extremes.
+_register_value = st.sampled_from((0, 1, _REGISTER_MAX - 1, _REGISTER_MAX)) | \
+    st.integers(0, _REGISTER_MAX)
+
+
+@st.composite
+def _register_pair(draw):
+    k = draw(st.sampled_from((4, 5, 6)))
+    files = st.lists(_register_value, min_size=1 << k, max_size=1 << k)
+    return k, draw(files), draw(files)
+
+
+class TestStdlibRegisterMath:
+    """Estimate and merge read the bytearray directly; each must equal
+    the numpy formula it replaced, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_register_pair())
+    def test_lane_max_is_the_bytewise_max(self, pair):
+        _, a, b = pair
+        assert _lane_max(bytearray(a), bytearray(b)) == bytes(map(max, a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_register_pair())
+    def test_merge_and_estimates_match_numpy(self, pair):
+        self._check_against_numpy(*pair)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_size_files_match_numpy(self, seed):
+        rng = random.Random(seed)
+        a, b = ([rng.randint(0, _REGISTER_MAX) for _ in range(1024)] for _ in "ab")
+        assert _lane_max(bytearray(a), bytearray(b)) == bytes(map(max, a, b))
+        self._check_against_numpy(10, a, b)
+
+    @staticmethod
+    def _check_against_numpy(k, a, b):
+        x, y = LogLogCounter(k), LogLogCounter(k)
+        x.registers, y.registers = a, b
+        merged = x.merge(y)
+        assert bytes(merged.registers) == bytes(np.maximum(x.registers, y.registers))
+        for sketch in (x, y, merged):
+            assert sketch.estimate() == _numpy_estimate(sketch)
+        assert x.union_estimate(y) == _numpy_estimate(merged)
+
+    def test_setter_rejects_values_the_lane_max_cannot_hold(self):
+        sketch = LogLogCounter(k=4)
+        with pytest.raises(ValueError, match="<= 64"):
+            sketch.registers = [_REGISTER_MAX + 1] + [0] * 15
+        with pytest.raises(ValueError, match="need 16"):
+            sketch.registers = [0] * 15
+
+    def test_merge_refuses_a_register_written_out_of_range(self):
+        a, b = LogLogCounter(k=4), LogLogCounter(k=4)
+        a.registers[3] = 200  # through the writable ndarray view
+        with pytest.raises(ValueError, match="<= 64"):
+            a.merge(b)
 
 
 class TestHashParity:

@@ -239,9 +239,9 @@ class TestPresetOverrides:
 
 
 class TestColdStart:
-    """What a plain ``run`` imports: the routed domain is built and the
-    CI table computed with numpy alone, and neither other verbs'
-    packages nor a process pool are loaded."""
+    """What a plain ``run`` imports: the routed domain is built, run and
+    its CI table computed with the stdlib alone (no numpy), and neither
+    other verbs' packages nor a process pool are loaded."""
 
     TINY = ["--preset", "paper-default", "--flows", "8", "--routers", "8",
             "--duration", "2.0", "--seed", "3"]
@@ -256,7 +256,7 @@ class TestColdStart:
             "    runpy.run_module('repro', run_name='__main__')\n"
             "except SystemExit as done:\n"
             "    assert not done.code, done.code\n"
-            "print('LOADED', sorted(m for m in ('networkx', 'scipy',\n"
+            "print('LOADED', sorted(m for m in ('numpy', 'networkx', 'scipy',\n"
             "      'multiprocessing', 'concurrent.futures',\n"
             "      'repro.campaign', 'repro.lint') if m in sys.modules))\n"
         )
@@ -269,6 +269,18 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert "accuracy" in done.stdout
         assert done.stdout.rstrip().endswith("LOADED []")
+
+    def test_campaign_worker_import_loads_no_numpy(self):
+        # What each campaign worker process pays before its first cell.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.campaign.worker\n"
+             "print('LOADED', 'numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.rstrip() == "LOADED False"
 
     def test_help_lists_every_verb(self, capsys):
         with pytest.raises(SystemExit):

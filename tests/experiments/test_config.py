@@ -92,6 +92,22 @@ class TestValidation:
             ExperimentConfig(**kwargs)
 
 
+class TestSeedValidation:
+    """A seed is an int in [0, 2**64): anything else fails at the config,
+    never as an alias of a seed in range or deep inside the run."""
+
+    @pytest.mark.parametrize("seed", [2**64 + 1, 2**64, -1])
+    def test_rejects_seeds_that_would_alias(self, seed):
+        # 2**64 + 1 hashed exactly like 1 under another config_hash.
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            ExperimentConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.0, True, "1"])
+    def test_rejects_non_int_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            ExperimentConfig(seed=seed)
+
+
 class TestForcedActivationValidation:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_rejects_a_non_positive_instant_by_name(self, value):

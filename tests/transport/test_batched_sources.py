@@ -3,9 +3,9 @@
 Each test runs the same sender twice — as shipped (batched) and as the
 event-per-packet loop it replaced, kept here as the reference — and
 compares every departure (time, seq, claimed source) exactly.  The
-batched paths differ per configuration (precomputed series for
-exclusive/jitter-free streams, shared prefetch buffer for the zombies'
-common stream), so each is pinned separately.
+paths differ per configuration (precomputed series for exclusive or
+jitter-free streams, one draw per tick on the zombies' common stream),
+so each is pinned separately.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.packet import FlowKey
 from repro.transport.udp import CbrSender, OnOffSender
-from repro.util.rng import UniformBuffer
+from repro.util.rng import Pcg64Stream
 
 
 class UnbatchedCbr(CbrSender):
     """The reference: one self-rescheduling event and one scalar jitter
-    draw per packet (``CbrSender._tick`` with no buffer behind it)."""
+    draw per packet (``CbrSender._tick``)."""
 
     def start(self, at=None):
         if self.started:
@@ -67,27 +67,21 @@ FLOW = FlowKey(0x0A000001, 0x0A010001, 1234, 9)
 
 
 def _run_cbr(batched: bool, *, jitter: float, exclusive: bool,
-             shared_buffer: bool = False, until: float = 2.0,
-             stop_at: float | None = None, n_senders: int = 1):
+             until: float = 2.0, stop_at: float | None = None,
+             n_senders: int = 1):
     sim = Simulator()
     host = FakeHost(sim)
     senders = []
-    rng = np.random.default_rng(99)
-    # ONE buffer over the shared stream — every consumer must go
-    # through it, exactly as the attack scenario wires its zombies.
-    buffer = (
-        UniformBuffer(rng)
-        if (batched and shared_buffer and jitter > 0)
-        else None
-    )
+    # The streams a run hands its senders (numpy's Generator is pinned
+    # against them in tests/util/test_rng.py).
+    rng = Pcg64Stream(99)
     for i in range(n_senders):
-        sender_rng = np.random.default_rng(99 + i) if exclusive else rng
+        sender_rng = Pcg64Stream(99 + i) if exclusive else rng
         sender = (CbrSender if batched else UnbatchedCbr)(
             sim, host, FlowKey(i + 1, 0x0A010001, 1000 + i, 9),
             rate_bps=2e6, packet_size=500, jitter=jitter,
             rng=sender_rng if jitter > 0 else None,
             exclusive_rng=exclusive,
-            jitter_buffer=buffer,
         )
         sender.start(at=0.01 * i)
         senders.append(sender)
@@ -106,10 +100,9 @@ class TestCbrBatching:
         assert _run_cbr(True, jitter=0.1, exclusive=True) == \
             _run_cbr(False, jitter=0.1, exclusive=True)
 
-    def test_shared_stream_buffered_jitter_identical(self):
+    def test_shared_stream_jitter_identical(self):
         # Three senders drawing interleaved jitter from one stream.
-        batched = _run_cbr(True, jitter=0.1, exclusive=False,
-                           shared_buffer=True, n_senders=3)
+        batched = _run_cbr(True, jitter=0.1, exclusive=False, n_senders=3)
         plain = _run_cbr(False, jitter=0.1, exclusive=False, n_senders=3)
         assert batched == plain
 
@@ -149,22 +142,3 @@ class TestOnOffBatching:
     def test_zero_off_phase_identical(self):
         assert _run_onoff(True, deterministic=True, mean_off=0.0) == \
             _run_onoff(False, deterministic=True, mean_off=0.0)
-
-
-class TestUniformBuffer:
-    def test_matches_scalar_draws(self):
-        a, b = np.random.default_rng(3), np.random.default_rng(3)
-        buffer = UniformBuffer(a, chunk=7)  # uneven chunk vs draw count
-        assert [buffer.next() for _ in range(100)] == \
-            [float(b.random()) for _ in range(100)]
-
-    def test_lazy_first_fill(self):
-        a, b = np.random.default_rng(4), np.random.default_rng(4)
-        buffer = UniformBuffer(a)
-        pre = float(a.random())  # drawn before the buffer ever fills
-        assert pre == float(b.random())
-        assert buffer.next() == float(b.random())
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError):
-            UniformBuffer(np.random.default_rng(0), chunk=0)

@@ -15,7 +15,7 @@ same way (``sys.setprofile``, packet pool on as in a run, links idle):
 
     CbrSender._tick -> _emit_one -> FlowAgent._send_data -> Packet.acquire
       -> Host.send -> SimplexLink.send -> Simulator.schedule_anon
-    then UniformBuffer.next, Simulator.schedule_anon          9 frames
+    then Pcg64Stream.random, Simulator.schedule_anon          9 frames
     (ten with a spoofer installed, which is one call)
 
 (c) a new ACK at a Reno sender whose window then releases one segment —
@@ -38,7 +38,6 @@ the sink and ``build_ack``, a build step apart from the send step, an
 import sys
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.sim._core import ENGINE_IMPL
@@ -50,7 +49,7 @@ from repro.sim.queues import DropTailQueue
 from repro.transport.sink import AckingSink
 from repro.transport.tcp import TcpSender
 from repro.transport.udp import CbrSender
-from repro.util.rng import UniformBuffer
+from repro.util.rng import Pcg64Stream
 
 ACTIONS = 100
 HERE, THERE = 0x0A000005, 0x0A010007
@@ -126,11 +125,9 @@ def _arrival_cost(sim):
 
 def _tick_cost(sim):
     host, gateway = _host(sim)
-    rng = np.random.default_rng(7)
     sender = CbrSender(
         sim, host, FlowKey(HERE, THERE, 4000, 80), rate_bps=8000.0,
-        packet_size=1000, is_attack=True, jitter=0.1, rng=rng,
-        jitter_buffer=UniformBuffer(rng, chunk=4 * ACTIONS),
+        packet_size=1000, is_attack=True, jitter=0.1, rng=Pcg64Stream(7),
     )
     sender.start(at=0.5)  # a tick a second, give or take the jitter
     sim.run(until=1.0)

@@ -28,7 +28,7 @@ from repro.sim.topology import build_dumbbell
 from repro.transport.sink import AckingSink
 from repro.transport.tcp import _MAX_RTO, TcpSender
 from repro.transport.udp import CbrSender
-from repro.util.rng import UniformBuffer
+from repro.util.rng import Pcg64Stream
 from tests.transport.cwnd_recorder import record_cwnd
 
 
@@ -199,10 +199,7 @@ class ParentCbrSender(_ParentEmit, CbrSender):
         self._emit_one()
         gap = self.interval
         if self.jitter > 0:
-            if self._use_buffer:
-                u = self._jitter_buffer.next()
-            else:
-                u = float(self._rng.random())
+            u = float(self._rng.random())
             gap *= 1.0 + self.jitter * (2.0 * u - 1.0)
         self.sim.schedule(gap, self._tick)
 
@@ -339,12 +336,12 @@ class _LogHost:
         return True
 
 
-def _run_cbr(sender_cls, *, buffered, rotating, n_senders=3, until=1.5):
+def _run_cbr(sender_cls, *, pure, rotating, n_senders=3, until=1.5):
     reset_packet_ids()
     sim = Simulator()
     host = _LogHost(sim)
-    rng = np.random.default_rng(2005)  # the zombies' one shared stream
-    buffer = UniformBuffer(rng) if buffered else None
+    # The zombies' one shared stream: a run's own, or numpy's Generator.
+    rng = Pcg64Stream(2005) if pure else np.random.default_rng(2005)
     senders = []
     for i in range(n_senders):
         flow = FlowKey(0x0A000001 + i, 0x0A010001, 2000 + i, 80)
@@ -362,7 +359,7 @@ def _run_cbr(sender_cls, *, buffered, rotating, n_senders=3, until=1.5):
         sender = sender_cls(
             sim, host, flow, rate_bps=1e6, packet_size=500, is_attack=True,
             jitter=0.1, rng=rng, spoof=spoof if i else None,
-            keep_send_times=True, jitter_buffer=buffer,
+            keep_send_times=True,
         )
         sender.start(at=0.01 * i)
         senders.append(sender)
@@ -379,11 +376,11 @@ def _run_cbr(sender_cls, *, buffered, rotating, n_senders=3, until=1.5):
     }
 
 
-@pytest.mark.parametrize("buffered,rotating", [(True, False), (False, False),
-                                               (False, True)])
-def test_shared_stream_tick_matches_the_parent_formulation(buffered, rotating):
-    old = _run_cbr(ParentCbrSender, buffered=buffered, rotating=rotating)
-    new = _run_cbr(CbrSender, buffered=buffered, rotating=rotating)
+@pytest.mark.parametrize("pure,rotating", [(True, False), (False, False),
+                                           (False, True)])
+def test_shared_stream_tick_matches_the_parent_formulation(pure, rotating):
+    old = _run_cbr(ParentCbrSender, pure=pure, rotating=rotating)
+    new = _run_cbr(CbrSender, pure=pure, rotating=rotating)
     for key in old:
         assert new[key] == old[key], key
     assert len(new["wire"]) > 900 and new["pending"] == 2
