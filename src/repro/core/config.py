@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.util.validation import (
+    check_int,
     check_non_negative,
     check_positive,
     check_probability,
@@ -76,22 +76,16 @@ class MaficConfig:
     def __post_init__(self) -> None:
         check_probability("drop_probability", self.drop_probability)
         check_probability("response_ratio", self.response_ratio)
-        # An infinite RTT or timer multiplier makes every probe window
-        # infinite; an infinite rate window reads every baseline as 0.0.
+        # Finite, too: an infinite RTT or timer multiplier makes every probe
+        # window infinite; an infinite rate window reads every baseline as 0.0.
         for name in ("probe_timer_rtt_multiplier", "default_rtt", "rate_window"):
-            value = check_positive(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.min_packets_for_verdict < 1:
-            raise ValueError("min_packets_for_verdict must be >= 1")
-        if self.dup_acks_per_probe < 0:
-            raise ValueError("dup_acks_per_probe must be >= 0")
-        check_positive("probe_ack_size", self.probe_ack_size)
+            check_positive(name, getattr(self, name))
+        check_int("min_packets_for_verdict", self.min_packets_for_verdict, 1)
+        check_int("dup_acks_per_probe", self.dup_acks_per_probe, 0)
+        check_int("probe_ack_size", self.probe_ack_size, 1)
         check_non_negative("renotice_interval", self.renotice_interval)
-        if self.max_sft_entries < 0:
-            raise ValueError("max_sft_entries must be >= 0")
-        if self.max_pdt_entries < 0:
-            raise ValueError("max_pdt_entries must be >= 0")
+        check_int("max_sft_entries", self.max_sft_entries, 0)
+        check_int("max_pdt_entries", self.max_pdt_entries, 0)
 
     def probe_window(self, rtt: float | None) -> float:
         """The verdict timer for a flow with the given RTT estimate."""

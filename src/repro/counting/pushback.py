@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.util.validation import check_fraction, check_positive
+from repro.util.validation import check_fraction, check_int, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.monitor import MatrixSnapshot
@@ -66,10 +66,8 @@ class PushbackPolicyConfig:
         check_positive("overload_factor", self.overload_factor)
         check_fraction("share_threshold", self.share_threshold)
         check_positive("baseline_rate", self.baseline_rate)
-        if self.hysteresis_epochs < 1:
-            raise ValueError("hysteresis_epochs must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be >= 0")
+        check_int("hysteresis_epochs", self.hysteresis_epochs, 1)
+        check_int("warmup_epochs", self.warmup_epochs, 0)
         if self.calm_band < 1.0:
             raise ValueError("calm_band must be >= 1")
         if self.calm_band >= self.overload_factor:

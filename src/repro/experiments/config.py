@@ -15,7 +15,6 @@ N = 40 routers.  Two interpretation notes (also in DESIGN.md):
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -27,9 +26,11 @@ from repro.core.defenses import DEFENSES
 from repro.counting.pushback import PushbackPolicyConfig
 from repro.experiments.workload import WORKLOADS
 from repro.sim.topology import TOPOLOGIES
+from repro.util.hashing import sha256
 from repro.util.registry import Registry
 from repro.util.validation import (
     check_fraction,
+    check_int,
     check_non_negative,
     check_positive,
     check_seed,
@@ -196,15 +197,22 @@ class ExperimentConfig:
                 not isinstance(key, str) for key in value
             ):
                 raise ValueError(f"{label} must be a dict with string keys")
-        if self.total_flows < 1:
-            raise ValueError("total_flows must be >= 1")
+        check_int("total_flows", self.total_flows, 1)
         check_fraction("tcp_fraction", self.tcp_fraction)
         check_fraction("attack_fraction", self.attack_fraction)
         check_positive("rate_bps", self.rate_bps)
         check_positive("legit_rate_factor", self.legit_rate_factor)
-        if self.n_routers < 3:
-            raise ValueError("n_routers must be >= 3")
-        check_positive("packet_size", self.packet_size)
+        check_positive("tcp_max_cwnd", self.tcp_max_cwnd)
+        check_int("n_routers", self.n_routers, 3)
+        check_int("packet_size", self.packet_size, 1)
+        check_int("victim_port", self.victim_port, 0, 0xFFFF)
+        check_int("udp_port", self.udp_port, 0, 0xFFFF)
+        for name in ("core_bandwidth_bps", "access_bandwidth_bps", "victim_bandwidth_bps"):
+            check_positive(name, getattr(self, name))
+        check_non_negative("link_delay", self.link_delay)
+        check_int("queue_capacity", self.queue_capacity, 1)
+        check_int("loglog_k", self.loglog_k, 4, 20)
+        check_non_negative("control_per_hop_processing", self.control_per_hop_processing)
         check_positive("duration", self.duration)
         check_non_negative("attack_start", self.attack_start)
         if self.attack_start >= self.duration:
@@ -223,11 +231,8 @@ class ExperimentConfig:
         check_seed("seed", self.seed)
         if not isinstance(self.trace_enabled, bool):
             raise ValueError("trace_enabled must be a bool")
-        cap = self.trace_max_records
-        if cap is not None and (
-            isinstance(cap, bool) or not isinstance(cap, int) or cap < 0
-        ):
-            raise ValueError("trace_max_records must be None or an int >= 0")
+        if self.trace_max_records is not None:
+            check_int("trace_max_records", self.trace_max_records, 0)
 
     # ---- Derived workload counts ----------------------------------------
 
@@ -308,7 +313,7 @@ class ExperimentConfig:
         plenty for store keys (collision odds at a million runs are
         ~1e-8) while keeping file names short.
         """
-        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
+        digest = sha256(self.canonical_json().encode("utf-8"))
         return digest.hexdigest()[:16]
 
 

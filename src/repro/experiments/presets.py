@@ -11,6 +11,7 @@ from typing import Callable
 
 from repro.attacks.spoofing import SpoofMode, SpoofingModel
 from repro.experiments.config import DefenseKind, ExperimentConfig
+from repro.util.validation import check_int
 
 
 def paper_default() -> ExperimentConfig:
@@ -116,8 +117,7 @@ def huge_topology(scale: int = 8) -> ExperimentConfig:
     records); ``streaming_series`` has no effect and stays set only
     because it is part of the pinned config hash.
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    check_int("scale", scale, 1)
     return ExperimentConfig(
         total_flows=50 * scale,
         n_routers=min(40 * scale, 320),

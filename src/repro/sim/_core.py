@@ -29,18 +29,16 @@ from __future__ import annotations
 
 import os
 
+from repro.util.hashing import sha256
+
 _SOURCE = os.path.join(os.path.dirname(__file__), "_corec.c")
 
 
 def source_hash() -> str | None:
     """sha256 of ``_corec.c`` as it is on disk (None: no source here)."""
-    # hashlib (and warnings, below) are imported where an extension was
-    # actually found: a pure-only process pays for neither at start-up.
-    import hashlib
-
     try:
         with open(_SOURCE, "rb") as source:
-            return hashlib.sha256(source.read()).hexdigest()
+            return sha256(source.read()).hexdigest()
     except OSError:
         return None
 

@@ -35,7 +35,6 @@ class RoutingTable:
     """
 
     def __init__(self) -> None:
-        self._entries: list[tuple[Subnet, str]] = []  # insertion order
         # netmask -> {masked base: hop}, kept longest prefix first.
         self._hops_by_mask: dict[int, dict[int, str]] = {}
         self._default: str | None = None
@@ -58,7 +57,6 @@ class RoutingTable:
         routes = list(routes)
         if not routes:
             return
-        self._entries += routes
         hops_by_mask = self._hops_by_mask
         new_mask = False
         prefix_len = None
@@ -89,8 +87,11 @@ class RoutingTable:
         return self._default
 
     def routes(self) -> tuple[tuple[Subnet, str], ...]:
-        """All installed routes (LPM order)."""
-        return tuple(sorted(self._entries, key=lambda entry: -entry[0].prefix_len))
+        """Each subnet once, with its hop: longest prefix first, then install order."""
+        return tuple(
+            (Subnet(base, mask.bit_count()), hop)
+            for mask, hops in self._hops_by_mask.items() for base, hop in hops.items()
+        )
 
     def watch(self, on_change: Callable[[], None]) -> None:
         """Call ``on_change()`` after every route or default change."""
@@ -105,7 +106,7 @@ class RoutingTable:
             on_change()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._hops_by_mask.values()))
 
 
 def shortest_path_tree(
@@ -183,8 +184,8 @@ def build_static_routes(
     for leaf, anchor in anchor_of.items():
         leaves_of.setdefault(anchor, []).append(leaf)
     first_hops: dict[str, dict[str, str]] = {}  # source -> {node: first hop}
-    # anchor -> [(attach name, route)]: built once, so the anchor's leaves
-    # share the route tuples (a third less table memory on huge domains).
+    # anchor -> [(attach name, route)]: built once per anchor, not once
+    # per leaf, since every leaf of an anchor routes the same way.
     via_anchor: dict[str, list[tuple[str, tuple[Subnet, str]]]] = {}
 
     def first_hops_from(source: str) -> dict[str, str]:

@@ -13,6 +13,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
+try:  # CPython's builtin SHA-256, as ``random`` takes sha512: no libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:  # pragma: no cover - depends on the Python version
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 _FNV_OFFSET_BASIS_64 = 0xCBF29CE484222325
 _FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = 0xFFFFFFFFFFFFFFFF

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 
 
@@ -165,7 +166,7 @@ class WindowedCount:
 
     def __init__(self, window: float) -> None:
         self.window = _check_window(window)
-        self._times: deque[float] = deque()
+        self._times: list[float] = []  # a deque's first block is 64 slots
         # Same prune watermark as WindowedRate: record() prunes one batch
         # per window, reads always prune fully.
         self._next_expiry = -math.inf
@@ -198,6 +199,7 @@ class WindowedCount:
     def _expire(self, now: float) -> None:
         cutoff = now - self.window
         times = self._times
-        while times and times[0] <= cutoff:
-            times.popleft()
+        # ``now`` never decreases: times is sorted, so one cut expires it.
+        if times and times[0] <= cutoff:
+            del times[:bisect_right(times, cutoff)]
         self._next_expiry = (times[0] if times else now) + 2.0 * self.window

@@ -7,23 +7,39 @@ config is *plausible* is :mod:`repro.experiments.validation`'s question.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 
 def check_positive(name: str, value: float) -> float:
-    """Require ``value > 0``; return it as float."""
+    """Require a finite ``value > 0``; return it as float."""
     v = float(value)
-    if not v > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return v
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it as float."""
+    """Require a finite ``value >= 0``; return it as float."""
     v = float(value)
-    if v < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    if not 0 <= v < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     return v
+
+
+def check_int(name: str, value: Any, minimum: int, maximum: int | None = None) -> int:
+    """Require an ``int`` (not a bool) in ``[minimum, maximum]``; return it.
+
+    A float or bool would run as the int it stands for under another
+    config hash: two store cells for one sample.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
+    return value
 
 
 def check_probability(name: str, value: float) -> float:

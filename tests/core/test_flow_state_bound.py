@@ -7,15 +7,17 @@ timing, no RSS):
 (a) after 10,000 one-packet flows spread over 20 rate windows, the
     agent holds at most twice the flows of one window, plus 64, monitors
     (the sweep fires when the dict has doubled since the last sweep);
-(b) each monitor holds exactly one deque (arrival times; no weights);
+(b) a monitor with one arrival is at most 200 bytes: its slots and one
+    list of arrival times (no weights, no 64-slot deque block);
 (c) flow-table entries and trace records carry no ``__dict__``.
 
 Before idle monitors were swept, (a) found all 10,000 monitors alive,
 each a two-deque ``WindowedRate``, and (c) found a ``__dict__`` on every
-table entry.
+table entry; (b) found 680 bytes per monitor while the times sat in a
+deque.
 """
 
-from collections import deque
+import sys
 
 import numpy as np
 
@@ -64,13 +66,6 @@ def _rotated_agent():
     return agent, peak
 
 
-def _deques(monitor):
-    return sum(
-        isinstance(getattr(monitor, name, None), deque)
-        for name in type(monitor).__slots__
-    )
-
-
 def test_monitors_bounded_by_one_window_of_flows():
     agent, peak = _rotated_agent()
     per_window = FLOWS // WINDOWS
@@ -79,12 +74,15 @@ def test_monitors_bounded_by_one_window_of_flows():
     assert peak <= bound
 
 
-def test_each_monitor_holds_one_deque():
+def test_a_one_arrival_monitor_is_at_most_200_bytes():
     agent, _ = _rotated_agent()
     monitors = list(agent._monitors.values())
     monitors += [entry.monitor for entry in agent.tables.sft.values()]
     assert monitors
-    assert all(_deques(monitor) == 1 for monitor in monitors)
+    for monitor in monitors:
+        assert type(monitor).__slots__ == ("window", "_times", "_next_expiry")
+        assert len(monitor._times) <= 1
+        assert sys.getsizeof(monitor) + sys.getsizeof(monitor._times) <= 200
 
 
 def test_table_entries_and_trace_records_have_no_dict():

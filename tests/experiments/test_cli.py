@@ -240,8 +240,9 @@ class TestPresetOverrides:
 
 class TestColdStart:
     """What a plain ``run`` imports: the routed domain is built, run and
-    its CI table computed with the stdlib alone (no numpy), and neither
-    other verbs' packages nor a process pool are loaded."""
+    its CI table computed with the stdlib alone (no numpy), the config
+    hashed without OpenSSL (no ``_hashlib``), and neither other verbs'
+    packages nor a process pool are loaded."""
 
     TINY = ["--preset", "paper-default", "--flows", "8", "--routers", "8",
             "--duration", "2.0", "--seed", "3"]
@@ -257,7 +258,7 @@ class TestColdStart:
             "except SystemExit as done:\n"
             "    assert not done.code, done.code\n"
             "print('LOADED', sorted(m for m in ('numpy', 'networkx', 'scipy',\n"
-            "      'multiprocessing', 'concurrent.futures',\n"
+            "      'multiprocessing', 'concurrent.futures', '_hashlib',\n"
             "      'repro.campaign', 'repro.lint') if m in sys.modules))\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import MaficConfig
+from repro.counting.pushback import PushbackPolicyConfig
 from repro.experiments.config import DefenseKind, ExperimentConfig, TopologyKind
 
 
@@ -106,6 +107,61 @@ class TestSeedValidation:
     def test_rejects_non_int_seeds(self, seed):
         with pytest.raises(ValueError, match="seed must be an int"):
             ExperimentConfig(seed=seed)
+
+
+class TestFieldTypeValidation:
+    """A field fails at the config, by name: an int field never takes a
+    float or bool (it ran as the int under another config_hash, or died
+    deep in the build), and a float field never takes nan or inf (it died
+    inside the engine or the TCP window)."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("total_flows", 10.0), ("total_flows", True), ("n_routers", 8.0),
+            ("queue_capacity", 256.5), ("queue_capacity", 256.0),
+            ("queue_capacity", True), ("loglog_k", 11.0), ("packet_size", 1000.5),
+            ("victim_port", 80.0), ("udp_port", False),
+        ],
+    )
+    def test_an_int_field_rejects_a_float_or_bool(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("queue_capacity", 0), ("loglog_k", 21), ("loglog_k", 3), ("udp_port", 65536)],
+    )
+    def test_an_int_field_rejects_a_value_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("tcp_max_cwnd", float("nan")), ("link_delay", float("nan")),
+            ("monitor_period", float("inf")), ("duration", float("inf")),
+            ("core_bandwidth_bps", float("nan")), ("link_delay", -0.001),
+            ("control_per_hop_processing", float("inf")), ("tcp_max_cwnd", 0.0),
+        ],
+    )
+    def test_a_float_field_rejects_a_non_finite_or_bad_value(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "config,name",
+        [(MaficConfig, "max_sft_entries"), (PushbackPolicyConfig, "warmup_epochs")],
+    )
+    def test_nested_int_fields_reject_floats(self, config, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            config(**{name: 10.0})
+
+    def test_huge_topology_requires_an_int_scale(self):
+        from repro.experiments.presets import huge_topology
+
+        with pytest.raises(ValueError, match="scale must be an int"):
+            huge_topology(1.5)
 
 
 class TestForcedActivationValidation:

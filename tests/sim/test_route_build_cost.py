@@ -8,7 +8,15 @@ per branching router, each over branching routers only.  Each table is
 filled by one ``add_routes`` call, so a router watching its table hears
 one invalidation per build, not one per route.  The per-router build ran
 320 trees over all 320 routers and notified 81,664 times.
+
+What the built tables keep is their per-prefix-length dicts alone
+(2.96 MiB on CPython 3.11); a per-table list of every installed
+``(subnet, hop)`` route, read only by ``routes()`` and ``len()``, once
+took it to 5.36 MiB.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -71,3 +79,22 @@ def test_a_watched_table_hears_one_invalidation_per_build(domain):
     build_static_routes(topology.adjacency, routers, topology.subnet_of_router.items())
     assert sum(len(router.routing_table) for router in routers.values()) == 81_664
     assert set(heard.values()) == {1}
+
+
+def test_the_built_tables_hold_no_more_than_their_dicts(domain):
+    topology, _ = domain
+    routers = _fresh_routers(topology)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_static_routes(
+            topology.adjacency, routers, topology.subnet_of_router.items()
+        )
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, routing.__file__)])
+    held_mib = sum(stat.size for stat in held.statistics("filename")) / 2**20
+    assert held_mib <= 3.25, f"{held_mib:.2f} MiB"
+    assert sum(len(router.routing_table) for router in routers.values()) == 81_664

@@ -42,7 +42,9 @@ class TestRoutingTable:
                       (Subnet(0x0A010000, 24), "a"), (Subnet(0x0A010000, 24), "b")])
         assert t.next_hop(0x0A000001) == "first"
         assert t.next_hop(0x0A010001) == "a"
-        assert len(t) == 4  # every installed route is kept and listed
+        assert len(t) == 2  # each subnet is listed once, with the hop it keeps
+        assert t.routes() == ((Subnet(0x0A000000, 24), "first"),
+                              (Subnet(0x0A010000, 24), "a"))
 
     def test_add_routes_is_add_route_per_route(self):
         routes = [(Subnet(0x0A000000, 8), "coarse"), (Subnet(0x0A010000, 16), "fine"),
@@ -52,7 +54,7 @@ class TestRoutingTable:
             one_by_one.add_route(subnet, hop)
         batched.add_routes(iter(routes))
         assert batched.routes() == one_by_one.routes()
-        assert [p.prefix_len for p, _ in batched.routes()] == [24, 16, 8, 8]
+        assert [p.prefix_len for p, _ in batched.routes()] == [24, 16, 8]
         for address in (0x0A010203, 0x0A010303, 0x0A990203, 0x0B000000):
             assert batched.next_hop(address) == one_by_one.next_hop(address)
         assert batched.next_hop(0x0A010203) == "finer"

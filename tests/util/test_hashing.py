@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.hashing import fmix64, fnv1a_64, int_hasher, stable_hash64
+from repro.util.hashing import fmix64, fnv1a_64, int_hasher, sha256, stable_hash64
 
 
 class TestFnv1a:
@@ -141,3 +141,13 @@ class TestIntHasher:
     def test_rejects_unsupported_prefix(self):
         with pytest.raises(TypeError):
             int_hasher(3.14)
+
+
+class TestSha256:
+    """The builtin SHA-256 that run identity hashes with is SHA-256."""
+
+    @given(st.binary(max_size=300))
+    def test_digest_equals_hashlib(self, data):
+        import hashlib
+
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()

@@ -1,5 +1,8 @@
 """Tests for repro.util.stats."""
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -208,3 +211,41 @@ class TestWindowedRateWatermarkPruning:
         w.record(2.0)  # >= watermark: one batch expires
         assert w._next_expiry > watermark
         assert w._times[0] == pytest.approx(1.4)
+
+
+class TestWindowedCountMatchesAPopleftModel:
+    """WindowedCount cuts its expired times with one bisect; the inline
+    model pops them one at a time from a deque, as the class once did.
+    Times sit on a 1/8 grid, so arrivals tie with each other and with
+    the cutoff ``now - window`` exactly."""
+
+    OPS = st.sampled_from(["record", "rate", "count", "idle"])
+
+    @given(st.lists(st.tuples(st.integers(0, 6), OPS), max_size=80))
+    def test_every_read_and_the_kept_times_agree(self, steps):
+        window = 0.5
+        monitor = WindowedCount(window)
+        times, next_expiry = deque(), -math.inf
+
+        def expire(now):
+            nonlocal next_expiry
+            while times and times[0] <= now - window:
+                times.popleft()
+            next_expiry = (times[0] if times else now) + 2.0 * window
+
+        now = 0.0
+        for eighths, op in steps:
+            now += eighths / 8
+            if op == "record":
+                monitor.record(now)
+                times.append(now)
+                if now >= next_expiry:
+                    expire(now)
+            elif op == "idle":
+                assert monitor.idle(now) == (not times or times[-1] <= now - window)
+            else:
+                expire(now)
+                want = len(times) / window if op == "rate" else len(times)
+                assert getattr(monitor, op)(now) == want
+            assert monitor._times == list(times)
+            assert monitor._next_expiry == next_expiry

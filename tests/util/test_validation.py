@@ -4,6 +4,7 @@ import pytest
 
 from repro.util.validation import (
     check_fraction,
+    check_int,
     check_non_negative,
     check_positive,
     check_probability,
@@ -20,6 +21,11 @@ class TestCheckPositive:
         with pytest.raises(ValueError, match="x"):
             check_positive("x", bad)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            check_positive("x", bad)
+
 
 class TestCheckNonNegative:
     def test_accepts_zero(self):
@@ -28,6 +34,26 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_non_negative("x", -0.001)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="x must be non-negative and finite"):
+            check_non_negative("x", bad)
+
+
+class TestCheckInt:
+    def test_accepts_an_int_in_range(self):
+        assert check_int("n", 3, 1, 3) == 3
+
+    @pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+    def test_rejects_a_non_int(self, bad):
+        with pytest.raises(ValueError, match="n must be an int"):
+            check_int("n", bad, 1)
+
+    @pytest.mark.parametrize("bad,message", [(0, "n must be >= 1"), (4, "n must be <= 3")])
+    def test_rejects_an_int_out_of_range(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            check_int("n", bad, 1, 3)
 
 
 class TestCheckProbability:
