@@ -34,6 +34,7 @@ from repro.experiments.reporting import format_figure, format_summary
 from repro.experiments.runner import run_experiment
 from repro.experiments.workload import WORKLOADS
 from repro.sim.topology import TOPOLOGIES
+from repro.util.validation import check_non_negative, check_positive
 
 #: The registries ``run --list`` knows how to print.
 COMPONENT_REGISTRIES = {
@@ -60,6 +61,18 @@ LAZY_VERBS = {
         "twin-parity invariants",
     ),
 }
+
+
+def _checked_float(check, name: str):
+    """An argparse type: ``check(name, float(text))``, failing as usage."""
+
+    def parse(text: str) -> float:
+        try:
+            return check(name, float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -166,12 +179,14 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8765,
                          help="HTTP port (0 = pick a free one)")
     serve_p.add_argument(
-        "--pace", type=float, default=0.0, metavar="X",
+        "--pace", type=_checked_float(check_non_negative, "pace"),
+        default=0.0, metavar="X",
         help="simulated seconds advanced per wall-clock second "
         "(0 = run at full speed); single-run mode only",
     )
     serve_p.add_argument(
-        "--window", type=float, default=1.0, metavar="S",
+        "--window", type=_checked_float(check_positive, "window"),
+        default=1.0, metavar="S",
         help="sliding window for windowed rates, in sim seconds",
     )
     serve_p.add_argument(
@@ -203,12 +218,14 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     replay_p.add_argument("--port", type=int, default=8765,
                           help="HTTP port (0 = pick a free one)")
     replay_p.add_argument(
-        "--pace", type=float, default=0.0, metavar="X",
+        "--pace", type=_checked_float(check_non_negative, "pace"),
+        default=0.0, metavar="X",
         help="recorded seconds replayed per wall-clock second "
         "(0 = feed as fast as possible)",
     )
     replay_p.add_argument(
-        "--window", type=float, default=1.0, metavar="S",
+        "--window", type=_checked_float(check_positive, "window"),
+        default=1.0, metavar="S",
         help="sliding window for windowed rates, in sim seconds",
     )
     replay_p.add_argument(

@@ -19,6 +19,7 @@ import threading
 from collections import deque
 
 from repro.obs.events import MetricEvent
+from repro.util.validation import check_positive
 
 
 class LiveMetrics:
@@ -32,9 +33,7 @@ class LiveMetrics:
     """
 
     def __init__(self, window: float = 1.0) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = float(window)
+        self.window = check_positive("window", window)
         self._lock = threading.Lock()
         # ----------------------------------------------- monotonic totals
         self.sim_time = 0.0
@@ -71,9 +70,14 @@ class LiveMetrics:
 
     def emit_many(self, events) -> None:
         """Fold ``events`` in order under one lock; snapshots taken
-        between batches are what per-event folding would have shown."""
+        between batches are what per-event folding would have shown.
+
+        The windows are pruned once, at the batch's end, against its
+        latest clock.  ``sim_time`` never decreases, so that cutoff is
+        the batch's largest, and the deques come out as per-event
+        pruning leaves them (``tests/obs/test_batch_equivalence.py``).
+        """
         with self._lock:
-            window = self.window
             arrivals = self._arrival_window
             drops = self._drop_window
             decisions = self.decisions_total
@@ -82,16 +86,9 @@ class LiveMetrics:
             link_drops = self.link_drops
             for event in events:
                 kind = event.kind
-                # Nothing expires unless the clock moved -- or this event
-                # is itself older than the window (a later run's clock
-                # restarting under the same aggregator) and may land at
-                # the head of an empty deque.
                 time = event.time
                 if time > self.sim_time:
                     self.sim_time = time
-                    prune = True
-                else:
-                    prune = time < self.sim_time - window
                 if kind == "victim.arrival":
                     self.arrivals_total += 1
                     self.arrival_bytes_total += event.size
@@ -142,8 +139,7 @@ class LiveMetrics:
                     self.last_run = event.to_dict()
                 elif kind == "campaign.progress":
                     self.campaign = event.to_dict()
-                if prune:
-                    self._prune(self.sim_time)
+            self._prune(self.sim_time)
 
     def close(self) -> None:
         """Nothing to flush; the last snapshot stays readable."""
@@ -408,11 +404,9 @@ class AtrDrilldown:
     """
 
     def __init__(self, window: float = 1.0, flow_memory: int = 4096) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
+        self.window = check_positive("window", window)
         if flow_memory < 1:
             raise ValueError("flow_memory must be >= 1")
-        self.window = float(window)
         self.flow_memory = int(flow_memory)
         self._lock = threading.Lock()
         self._atrs: dict[str, _AtrEntry] = {}

@@ -9,7 +9,10 @@ files it does not understand before parsing a single event.
 
 Paths ending in ``.gz`` are gzip-compressed transparently on write;
 readers do not trust the suffix and sniff the two gzip magic bytes
-instead, so renamed files still open.
+instead, so renamed files still open.  The deflate, the CRC and the
+file write run on the sink's own writer thread (all three release the
+GIL), so a recorded run overlaps them with the simulation on a second
+core; the bytes on disk are those a synchronous write would leave.
 
 :func:`open_recording` gives the header plus a typed-event iterator
 (via :func:`repro.obs.events.event_from_dict`), which is everything
@@ -24,6 +27,7 @@ import gzip
 import io
 import json
 import os
+import queue
 import threading
 from typing import IO, Iterator
 
@@ -58,9 +62,14 @@ class JsonlSink:
 
     The sink is thread-safe (campaign demux threads may emit
     concurrently) and holds fewer than ``BATCH_EVENTS`` encoded lines
-    between writes — none between a run's full batches; call
-    :meth:`close` (or use it as a context manager) to write the tail.
-    ``emit`` after ``close`` is a no-op.
+    between hand-offs — none between a run's full batches.  Each full
+    batch is joined and handed to the sink's one writer thread through a
+    one-batch queue; the writer makes the writes in hand-off order.  A
+    write that fails there loses its batch (never retried) and is raised
+    again, the same exception, from the next ``emit``, ``emit_many`` or
+    ``close``.  Call :meth:`close` (or use the sink as a context manager)
+    to write the tail and stop the writer.  ``emit`` after ``close`` is a
+    no-op.
     """
 
     def __init__(self, path: str, metadata: dict | None = None) -> None:
@@ -84,6 +93,14 @@ class JsonlSink:
         else:
             self._file = open(self.path, "wb")
         self._lock = threading.Lock()
+        # One batch waits while the writer writes the one before it: the
+        # emitter blocks on a third, so at most two are ever in flight.
+        self._batches: queue.Queue[bytes | None] = queue.Queue(maxsize=1)
+        self._errors: list[BaseException] = []
+        self._writer = threading.Thread(
+            target=self._write_batches, name="jsonl-writer", daemon=True
+        )
+        self._writer.start()
 
     def emit(self, event: MetricEvent) -> None:
         """Append one event as a JSON line."""
@@ -101,24 +118,47 @@ class JsonlSink:
             lines += encoded
             self.events_written += len(encoded)
             if len(lines) >= BATCH_EVENTS:
-                try:
-                    self._file.write("".join(lines).encode("utf-8"))
-                finally:
-                    # A failed write (ENOSPC, EIO) loses its lines: kept,
-                    # they would be re-joined and re-written every time.
-                    lines.clear()
+                data = "".join(lines).encode("utf-8")
+                lines.clear()
+                self._batches.put(data)
+            self._raise_failed_write()
+
+    def _write_batches(self) -> None:
+        """The writer thread: write each handed-off batch, in order."""
+        batches = self._batches
+        while True:
+            data = batches.get()
+            if data is None:
+                return
+            try:
+                # Looked up per write, not bound once: whoever holds the
+                # sink may replace its file.
+                self._file.write(data)
+            except BaseException as exc:
+                # A failed write (ENOSPC, EIO) loses its batch: kept, it
+                # would be written again, and again, with every later one.
+                self._errors.append(exc)
+            batches.task_done()  # what ``batches.join()`` waits for
+
+    def _raise_failed_write(self) -> None:
+        if self._errors:
+            raise self._errors.pop(0)
 
     def close(self) -> None:
-        """Write the tail and close the file (idempotent)."""
+        """Write the tail, stop the writer and close the file (idempotent)."""
         with self._lock:
-            file, self._file = self._file, None
+            file = self._file
             if file is None:
                 return
             try:
-                file.write("".join(self._lines).encode("utf-8"))
-            finally:
+                self._batches.put("".join(self._lines).encode("utf-8"))
                 self._lines.clear()
+                self._batches.put(None)
+                self._writer.join()
+            finally:
+                self._file = None
                 file.close()
+            self._raise_failed_write()
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -46,6 +46,7 @@ from repro.obs.aggregators import AtrDrilldown, FlowDrilldown, LiveMetrics
 from repro.obs.bus import EventBus, RunBatch
 from repro.obs.events import MetricEvent, encode_line
 from repro.obs.exposition import render_prometheus
+from repro.util.validation import check_non_negative
 
 #: Event kinds the drill-down aggregators fold (the per-packet kinds the
 #: SSE stream deliberately excludes, plus verdicts).
@@ -452,8 +453,7 @@ def _paced_slicer(pace: float, on_slice):
     clock, so a run with ``--pace 1`` plays back in real time.  Slicing
     itself never changes results — see the module docstring.
     """
-    if pace < 0:
-        raise ValueError("--pace must be >= 0")
+    pace = check_non_negative("pace", pace)
     if pace == 0:
         return 0.25, on_slice
     # ~20 pause points per wall second keeps pacing smooth and Ctrl-C

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Protocol
 from repro.obs.events import LinkDrop
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue, PacketQueue
+from repro.util.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -49,10 +50,10 @@ class SimplexLink:
         queue: PacketQueue | None = None,
         name: str | None = None,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        # A non-finite value would surface only at the first packet, as
+        # an event time the engine refuses, far from whoever passed it.
+        self.bandwidth_bps = check_positive("bandwidth_bps", bandwidth_bps)
+        self.delay = check_non_negative("delay", delay)
         self.sim = sim
         self.src = src
         self.dst = dst
@@ -60,8 +61,6 @@ class SimplexLink:
         # ``receive(packet, self)`` scheduled directly, with no link-side frame.
         self._schedule_anon = sim.schedule_anon
         self._receive = dst.receive
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.delay = float(delay)
         # The transmitter is a busy-until timestamp, not an event: a
         # packet offered to an idle link is dequeued and its delivery
         # scheduled immediately, with no intermediate tx-complete event.

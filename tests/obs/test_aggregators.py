@@ -150,6 +150,13 @@ class TestLiveMetrics:
         with pytest.raises(ValueError):
             LiveMetrics(window=0.0)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf])
+    def test_non_finite_window_is_rejected_by_name(self, window):
+        """A NaN window never prunes (every entry stays, every rate reads
+        NaN) and an infinite one never expires anything."""
+        with pytest.raises(ValueError, match="window"):
+            LiveMetrics(window=window)
+
     def test_snapshot_of_fresh_instance_is_all_zero(self):
         snap = LiveMetrics().snapshot()
         assert snap["arrivals_total"] == 0
@@ -338,6 +345,11 @@ class TestAtrDrilldown:
         row = atrs.snapshot()["atrs"][0]
         assert row["verdicts_per_second"] == 1.0
         assert row["verdicts_total"] == 3  # totals never decay
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0])
+    def test_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValueError, match="window"):
+            AtrDrilldown(window=window)
 
     def test_flow_memory_is_bounded_per_atr(self):
         atrs = AtrDrilldown(flow_memory=2)

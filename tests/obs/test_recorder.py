@@ -2,6 +2,7 @@
 
 import dataclasses
 import gzip
+import io
 import json
 import random
 import sys
@@ -131,10 +132,12 @@ class TestJsonlSink:
         class FullDisk:
             def __init__(self) -> None:
                 self.sizes: list[int] = []
+                self.raised: list[OSError] = []
 
             def write(self, data: bytes) -> int:
                 self.sizes.append(len(data))
-                raise OSError(28, "No space left on device")
+                self.raised.append(OSError(28, "No space left on device"))
+                raise self.raised[-1]
 
             def close(self) -> None:
                 pass
@@ -142,17 +145,125 @@ class TestJsonlSink:
         sink = JsonlSink(str(tmp_path / "r.jsonl"))
         sink._file.close()
         disk = sink._file = FullDisk()
-        failures = 0
+        raised = []
         for _ in range(3 * BATCH_LINES):
             try:
                 sink.emit(SAMPLE_EVENTS[1])
-            except OSError:
-                failures += 1
-                assert sink._lines == []
-        assert failures == len(disk.sizes) == 3
+            except OSError as exc:
+                raised.append(exc)
+                # Only the event just emitted: the failed batch is gone.
+                assert sink._lines == [encode_line(SAMPLE_EVENTS[1])]
+            # Let the writer finish what it was handed before the next
+            # emit, so each failure surfaces at exactly that emit.
+            sink._batches.join()
+        assert len(raised) == len(disk.sizes) == 3
+        # The tail is the fourth write, and its failure is close's.
+        with pytest.raises(OSError) as at_close:
+            sink.close()
+        raised.append(at_close.value)
+        assert len(raised) == len(disk.raised) == 4
+        assert all(a is b for a, b in zip(raised, disk.raised))
         # No batch carries an earlier one (the first held the header).
         batch = BATCH_LINES * len(encode_line(SAMPLE_EVENTS[1]))
-        assert disk.sizes[1:] == [batch, batch]
+        assert disk.sizes[1:] == [batch, batch, len(encode_line(
+            SAMPLE_EVENTS[1]))]
+
+    @pytest.mark.parametrize("name", ["r.jsonl", "r.jsonl.gz"])
+    def test_a_writer_error_is_raised_at_the_next_emit(self, tmp_path, name):
+        """The writer's exception, the same object, comes out of the
+        emitting thread's next call; the batch it lost is not retried and
+        the batches after it are written."""
+        sink = JsonlSink(str(tmp_path / name))
+        real = sink._file
+        failure = OSError(5, "Input/output error")
+        writes: list[bytes] = []
+
+        class FailsFirst:
+            def write(self, data: bytes) -> int:
+                writes.append(data)
+                if len(writes) == 1:
+                    raise failure
+                return real.write(data)
+
+            def close(self) -> None:
+                real.close()
+
+        sink._file = FailsFirst()
+        first = [VictimArrival(time=i, size=i, is_attack=False)
+                 for i in range(BATCH_LINES - 1)]
+        sink.emit_many(first)
+        sink._batches.join()
+        with pytest.raises(OSError) as caught:
+            sink.emit(SAMPLE_EVENTS[1])
+        assert caught.value is failure
+        second = [VictimArrival(time=i, size=i, is_attack=True)
+                  for i in range(BATCH_LINES - 1)]
+        sink.emit_many(second)  # completes the second batch: no raise
+        sink.close()
+        assert len(writes) == 3  # first batch, second batch, empty tail
+        assert sink.events_written == 2 * BATCH_LINES - 1
+        # The header rode the lost batch: what is on disk is the rest.
+        opener = gzip.open if name.endswith(".gz") else open
+        with opener(tmp_path / name, "rt") as handle:
+            assert handle.read() == "".join(
+                encode_line(e) for e in [SAMPLE_EVENTS[1], *second]
+            )
+
+    def test_a_writer_error_is_raised_at_close(self, tmp_path):
+        """A tail that fails to write raises from ``close``; the file is
+        closed and the writer stopped all the same."""
+        failure = OSError(28, "No space left on device")
+        closed = []
+
+        class FailsTail:
+            def write(self, data: bytes) -> int:
+                raise failure
+
+            def close(self) -> None:
+                closed.append(True)
+
+        sink = JsonlSink(str(tmp_path / "r.jsonl.gz"))
+        sink._file.close()
+        sink._file = FailsTail()
+        sink.emit(SAMPLE_EVENTS[0])
+        with pytest.raises(OSError) as caught:
+            sink.close()
+        assert caught.value is failure
+        assert closed == [True]
+        assert not sink._writer.is_alive()
+        sink.close()  # idempotent, and the error is not raised twice
+        sink.emit(SAMPLE_EVENTS[1])  # a no-op, not a raise
+
+    @pytest.mark.parametrize("name", ["r.jsonl", "r.jsonl.gz"])
+    def test_no_writer_thread_outlives_close(self, tmp_path, name):
+        sink = JsonlSink(str(tmp_path / name))
+        assert sink._writer.is_alive()
+        for i in range(2 * BATCH_LINES + 5):
+            sink.emit(VictimArrival(time=i, size=i, is_attack=False))
+        sink.close()
+        assert not sink._writer.is_alive()
+        assert sink._writer not in threading.enumerate()
+
+    def test_the_writer_writes_to_a_file_swapped_in_later(self, tmp_path):
+        """The writer looks the file up at each write, so a file put in
+        place after construction receives every batch and the tail."""
+        sink = JsonlSink(str(tmp_path / "r.jsonl"))
+        sink._file.close()
+
+        class Collect(io.BytesIO):
+            def close(self) -> None:
+                self.final = self.getvalue()
+                super().close()
+
+        swapped = sink._file = Collect()
+        events = [VictimArrival(time=i, size=i, is_attack=bool(i % 2))
+                  for i in range(BATCH_LINES + 3)]
+        sink.emit_many(events)
+        sink.close()
+        lines = swapped.final.decode("utf-8").splitlines()
+        assert json.loads(lines[0])["schema"] == SCHEMA_NAME
+        assert lines[1:] == [encode_line(e).rstrip("\n") for e in events]
+        assert (tmp_path / "r.jsonl").read_bytes() == b""
 
     def test_concurrent_emitters_write_whole_lines(self, tmp_path):
         """Campaign demux threads share one recorder: every line must

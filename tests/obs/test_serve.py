@@ -220,6 +220,38 @@ class TestSSEBroker:
             conn.close()
 
 
+class TestNonFiniteFlagsFailWhereTheyEnter:
+    """``--window nan`` would reach ``LiveMetrics`` and ``AtrDrilldown``
+    as a window that never prunes; ``--pace nan`` would pass the
+    negative-pace test and slice the run into NaN-second pieces."""
+
+    @pytest.mark.parametrize("verb", [["serve"], ["replay", "r.jsonl"]])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window", "nan", "window must be positive and finite"),
+        ("--window", "inf", "window must be positive and finite"),
+        ("--window", "0", "window must be positive and finite"),
+        ("--pace", "nan", "pace must be non-negative and finite"),
+        ("--pace", "inf", "pace must be non-negative and finite"),
+        ("--pace", "-1", "pace must be non-negative and finite"),
+    ])
+    def test_the_parser_rejects_them_by_name(
+        self, capsys, verb, flag, value, message
+    ):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*verb, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pace", [float("nan"), float("inf"), -0.5])
+    def test_the_slicer_rejects_them_by_name(self, pace):
+        from repro.obs.serve import _paced_slicer
+
+        with pytest.raises(ValueError, match="pace"):
+            _paced_slicer(pace, lambda now: None)
+
+
 @pytest.mark.slow
 class TestServeEndToEnd:
     """The CLI process itself: run, serve, SIGINT, exit 0."""

@@ -145,6 +145,7 @@ def test_a_full_batch_is_one_lock_and_one_write(tmp_path):
         for i in range(BATCH_EVENTS):
             on_packet(packet, window + i * 1e-3)
         assert lock.taken == window
+        recorder._batches.join()  # the write happens on the writer thread
         assert file.writes == window
         assert recorder._lines == []  # nothing held between batches
         assert live.arrivals_total == window * BATCH_EVENTS

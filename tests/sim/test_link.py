@@ -88,6 +88,15 @@ class TestTransmission:
         with pytest.raises(ValueError):
             SimplexLink(sim, src, dst, delay=-1)
 
+    @pytest.mark.parametrize("field", ["bandwidth_bps", "delay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_fail_at_construction(self, sim, field, value):
+        """Stored, either would stop the run at its first packet, inside
+        the engine, far from the builder that passed it."""
+        src, dst = _Capture(sim), _Capture(sim)
+        with pytest.raises(ValueError, match=field):
+            SimplexLink(sim, src, dst, **{field: value})
+
 
 class _CountingHook:
     def __init__(self, verdict=True):
