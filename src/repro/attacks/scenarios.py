@@ -16,12 +16,14 @@ with no edits to the scenario composer, the config, or the CLI.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.attacks.zombie import Zombie, ZombieConfig
 from repro.util.registry import Registry
-from repro.util.validation import check_non_negative
+from repro.util.validation import (
+    check_fields, check_int, check_non_negative, check_optional, check_type, declared,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
@@ -38,18 +40,18 @@ ATTACKS: "Registry[Callable[..., AttackScenario]]" = Registry("attack")
 class AttackScenarioConfig:
     """How many zombies, where, and when."""
 
-    n_zombies: int = 10
-    zombie: ZombieConfig = field(default_factory=ZombieConfig)
-    start_time: float = 1.0
-    stop_time: float | None = None  # None = never stops
-    ingress_subset: list[str] | None = None  # None = all ingresses
-    start_jitter: float = 0.05  # uniform start spread (seconds)
+    n_zombies: int = declared(10, check_int, 0)
+    zombie: ZombieConfig = declared(check_type, ZombieConfig, factory=ZombieConfig)
+    start_time: float = declared(1.0, check_non_negative)
+    # None = never stops
+    stop_time: float | None = declared(None, check_optional, check_non_negative)
+    ingress_subset: list[str] | None = declared(  # None = all ingresses
+        None, check_optional, check_type, (list, tuple)
+    )
+    start_jitter: float = declared(0.05, check_non_negative)  # uniform start spread, s
 
     def __post_init__(self) -> None:
-        if self.n_zombies < 0:
-            raise ValueError("n_zombies must be >= 0")
-        check_non_negative("start_time", self.start_time)
-        check_non_negative("start_jitter", self.start_jitter)
+        check_fields(self)
         if self.stop_time is not None and self.stop_time < self.start_time:
             raise ValueError("stop_time must be >= start_time")
 
@@ -69,7 +71,7 @@ class AttackScenario:
         self.zombies: list[Zombie] = []
         victim_ip = topology.victim_host.address
 
-        ingress_names = (
+        self._ingress_names = ingress_names = (
             config.ingress_subset
             if config.ingress_subset is not None
             else list(topology.ingress_names)
@@ -103,15 +105,8 @@ class AttackScenario:
     @property
     def atr_ground_truth(self) -> set[str]:
         """Ingress routers that actually host zombies (the true ATR set)."""
-        names: set[str] = set()
-        ingress_names = (
-            self.config.ingress_subset
-            if self.config.ingress_subset is not None
-            else list(self.topology.ingress_names)
-        )
-        for i in range(len(self.zombies)):
-            names.add(ingress_names[i % len(ingress_names)])
-        return names
+        names = self._ingress_names
+        return {names[i % len(names)] for i in range(len(self.zombies))}
 
     def attack_flow_hashes(self) -> set[int]:
         """Wire-flow hashes of stable-source zombies (rotators excluded)."""

@@ -23,7 +23,9 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.packet import FlowKey, Packet
-from repro.util.validation import check_probability
+from repro.util.validation import (
+    check_bool, check_enum, check_fields, check_probability, declared,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.address import AddressSpace
@@ -42,12 +44,12 @@ class SpoofMode(Enum):
 class SpoofingModel:
     """Configuration of a spoofer."""
 
-    mode: SpoofMode = SpoofMode.LEGIT_SUBNET
-    illegal_fraction: float = 0.25  # MIXED: probability a flow uses ILLEGAL
-    rotate_per_packet: bool = False
+    mode: SpoofMode = declared(SpoofMode.LEGIT_SUBNET, check_enum, SpoofMode)
+    illegal_fraction: float = declared(0.25, check_probability)  # MIXED: P(ILLEGAL)
+    rotate_per_packet: bool = declared(False, check_bool)
 
     def __post_init__(self) -> None:
-        check_probability("illegal_fraction", self.illegal_fraction)
+        check_fields(self)
 
 
 def _draw_address(

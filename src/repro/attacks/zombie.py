@@ -8,13 +8,16 @@ the source addresses it claims are governed by its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.attacks.spoofing import SpoofingModel, make_spoofer
 from repro.sim.packet import FlowKey
 from repro.transport.udp import CbrSender, OnOffSender
-from repro.util.validation import check_positive
+from repro.util.validation import (
+    check_bool, check_fields, check_fraction, check_int, check_non_negative,
+    check_positive, check_type, declared,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.address import AddressSpace
@@ -26,20 +29,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ZombieConfig:
     """One zombie's behaviour."""
 
-    rate_bps: float = 1e6
-    packet_size: int = 1000
-    spoofing: SpoofingModel = field(default_factory=SpoofingModel)
-    pulsing: bool = False  # on-off (shrew-style) instead of constant
-    mean_on: float = 0.3
-    mean_off: float = 0.3
-    pulse_train: bool = False  # deterministic square-wave on/off phases
-    jitter: float = 0.05  # CBR inter-packet jitter fraction
+    rate_bps: float = declared(1e6, check_positive)
+    packet_size: int = declared(1000, check_int, 1)
+    spoofing: SpoofingModel = declared(check_type, SpoofingModel, factory=SpoofingModel)
+    pulsing: bool = declared(False, check_bool)  # on-off (shrew-style), not constant
+    mean_on: float = declared(0.3, check_positive)
+    mean_off: float = declared(0.3, check_non_negative)
+    pulse_train: bool = declared(False, check_bool)  # deterministic square wave
+    jitter: float = declared(0.05, check_fraction)  # CBR inter-packet jitter
 
     def __post_init__(self) -> None:
-        check_positive("rate_bps", self.rate_bps)
-        check_positive("packet_size", self.packet_size)
-        if self.pulsing and self.mean_on <= 0:
-            raise ValueError("pulsing zombies need mean_on > 0")
+        check_fields(self)
 
 
 class Zombie:

@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.util.validation import (
-    check_int,
-    check_non_negative,
-    check_positive,
-    check_probability,
+    check_bool, check_fields, check_int, check_non_negative, check_positive,
+    check_probability, declared,
 )
 
 
@@ -60,32 +58,23 @@ class MaficConfig:
         oldest-first (the entry longest in the table).
     """
 
-    drop_probability: float = 0.90
-    probe_timer_rtt_multiplier: float = 2.0
-    default_rtt: float = 0.150
-    response_ratio: float = 0.75
-    rate_window: float = 0.200
-    min_packets_for_verdict: int = 3
-    dup_acks_per_probe: int = 3
-    probe_ack_size: int = 40
-    renotice_interval: float = 0.0
-    drop_illegal_sources: bool = True
-    max_sft_entries: int = 0  # 0 = unbounded; else oldest-probe eviction
-    max_pdt_entries: int = 0  # 0 = unbounded; else oldest-verdict eviction
+    drop_probability: float = declared(0.90, check_probability)
+    # Finite, too: an infinite RTT or timer multiplier makes every probe
+    # window infinite; an infinite rate window reads every baseline as 0.0.
+    probe_timer_rtt_multiplier: float = declared(2.0, check_positive)
+    default_rtt: float = declared(0.150, check_positive)
+    response_ratio: float = declared(0.75, check_probability)
+    rate_window: float = declared(0.200, check_positive)
+    min_packets_for_verdict: int = declared(3, check_int, 1)
+    dup_acks_per_probe: int = declared(3, check_int, 0)
+    probe_ack_size: int = declared(40, check_int, 1)
+    renotice_interval: float = declared(0.0, check_non_negative)
+    drop_illegal_sources: bool = declared(True, check_bool)
+    max_sft_entries: int = declared(0, check_int, 0)  # 0 = unbounded
+    max_pdt_entries: int = declared(0, check_int, 0)  # 0 = unbounded
 
     def __post_init__(self) -> None:
-        check_probability("drop_probability", self.drop_probability)
-        check_probability("response_ratio", self.response_ratio)
-        # Finite, too: an infinite RTT or timer multiplier makes every probe
-        # window infinite; an infinite rate window reads every baseline as 0.0.
-        for name in ("probe_timer_rtt_multiplier", "default_rtt", "rate_window"):
-            check_positive(name, getattr(self, name))
-        check_int("min_packets_for_verdict", self.min_packets_for_verdict, 1)
-        check_int("dup_acks_per_probe", self.dup_acks_per_probe, 0)
-        check_int("probe_ack_size", self.probe_ack_size, 1)
-        check_non_negative("renotice_interval", self.renotice_interval)
-        check_int("max_sft_entries", self.max_sft_entries, 0)
-        check_int("max_pdt_entries", self.max_pdt_entries, 0)
+        check_fields(self)
 
     def probe_window(self, rtt: float | None) -> float:
         """The verdict timer for a flow with the given RTT estimate."""

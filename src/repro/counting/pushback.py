@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.util.validation import check_fraction, check_int, check_positive
+from repro.util.validation import (
+    check_fields, check_fraction, check_int, check_non_negative, check_positive,
+    declared,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.monitor import MatrixSnapshot
@@ -54,20 +57,16 @@ class PushbackPolicyConfig:
     victim sees almost nothing.
     """
 
-    overload_factor: float = 3.0
-    share_threshold: float = 0.05
-    baseline_rate: float = 500.0  # packets per epoch considered "calm"
-    min_absolute: float = 50.0
-    hysteresis_epochs: int = 2  # calm epochs required before "stop"
-    warmup_epochs: int = 3  # alarm-free epochs used to learn the baseline
-    calm_band: float = 1.5  # baseline updates only when egress <= band*baseline
+    overload_factor: float = declared(3.0, check_positive)
+    share_threshold: float = declared(0.05, check_fraction)
+    baseline_rate: float = declared(500.0, check_positive)  # calm packets/epoch
+    min_absolute: float = declared(50.0, check_non_negative)
+    hysteresis_epochs: int = declared(2, check_int, 1)  # calm epochs before "stop"
+    warmup_epochs: int = declared(3, check_int, 0)  # alarm-free, learn the baseline
+    calm_band: float = declared(1.5, check_positive)  # learn if egress <= band*base
 
     def __post_init__(self) -> None:
-        check_positive("overload_factor", self.overload_factor)
-        check_fraction("share_threshold", self.share_threshold)
-        check_positive("baseline_rate", self.baseline_rate)
-        check_int("hysteresis_epochs", self.hysteresis_epochs, 1)
-        check_int("warmup_epochs", self.warmup_epochs, 0)
+        check_fields(self)
         if self.calm_band < 1.0:
             raise ValueError("calm_band must be >= 1")
         if self.calm_band >= self.overload_factor:

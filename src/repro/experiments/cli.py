@@ -25,11 +25,14 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+from dataclasses import replace
 
 from repro.attacks.scenarios import ATTACKS
+from repro.core.config import MaficConfig
 from repro.core.defenses import DEFENSES
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.reporting import format_figure, format_summary
 from repro.experiments.runner import run_experiment
 from repro.experiments.workload import WORKLOADS
@@ -88,6 +91,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     Workload/topology knobs default to None so that a --preset keeps
     its own values unless a flag is given explicitly.
     """
+    p.set_defaults(usage_error=p.error)
     p.add_argument("--flows", type=int, default=None, help="Vt, total flows")
     p.add_argument("--pd", type=float, default=None,
                    help="drop probability Pd (default 0.9)")
@@ -259,12 +263,11 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     val_p.add_argument("--routers", type=int, default=40)
     val_p.add_argument("--rate", type=float, default=1e6,
                        help="attack source rate R in bits/s")
+    val_p.set_defaults(usage_error=val_p.error)
     return parser
 
 
 def _print_presets() -> int:
-    from repro.experiments.presets import PRESETS
-
     for name in sorted(PRESETS):
         doc = (PRESETS[name].__doc__ or "").strip().splitlines()[0]
         print(f"{name:<26} {doc}")
@@ -303,15 +306,13 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None
     }
     overrides["seed"] = args.seed
-    if args.preset:
-        from repro.experiments.presets import get_preset
-
-        config = get_preset(args.preset).with_overrides(**overrides)
-    else:
-        config = ExperimentConfig(**overrides)
-    if args.pd is not None:
-        config.mafic.drop_probability = args.pd
-    return config
+    try:  # a value the config rejects is a usage error naming the field
+        config = get_preset(args.preset) if args.preset else ExperimentConfig()
+        if args.pd is not None:
+            overrides["mafic"] = replace(config.mafic, drop_probability=args.pd)
+        return config.with_overrides(**overrides)
+    except (ValueError, TypeError, KeyError) as exc:  # KeyError: unknown preset
+        args.usage_error(exc.args[0])
 
 
 def _print_engine_info() -> int:
@@ -519,13 +520,13 @@ def _cmd_list() -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.experiments.validation import validate_config
 
-    config = ExperimentConfig(
-        total_flows=args.flows,
-        tcp_fraction=args.tcp,
-        n_routers=args.routers,
-        rate_bps=args.rate,
-    )
-    config.mafic.drop_probability = args.pd
+    try:
+        config = ExperimentConfig(
+            total_flows=args.flows, tcp_fraction=args.tcp, n_routers=args.routers,
+            rate_bps=args.rate, mafic=MaficConfig(drop_probability=args.pd),
+        )
+    except (ValueError, TypeError) as exc:
+        args.usage_error(str(exc))
     report = validate_config(config)
     for finding in report:
         print(f"[{finding.severity.value:>7}] {finding.code}: {finding.message}")

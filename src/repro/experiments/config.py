@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from repro.attacks.scenarios import ATTACKS
@@ -29,11 +29,8 @@ from repro.sim.topology import TOPOLOGIES
 from repro.util.hashing import sha256
 from repro.util.registry import Registry
 from repro.util.validation import (
-    check_fraction,
-    check_int,
-    check_non_negative,
-    check_positive,
-    check_seed,
+    check_bool, check_fields, check_fraction, check_int, check_non_negative,
+    check_optional, check_positive, check_seed, check_type, declared, from_fields,
 )
 
 
@@ -69,7 +66,7 @@ class DefenseKind(_ComponentKind):
     NONE = "none"  # undefended control
 
 
-def _component_name(registry: Registry, value, enum_cls=None):
+def _check_component(name: str, value, registry: Registry, enum_cls=None):
     """Canonicalise a component name against its registry.
 
     Returns the legacy enum member when one exists for the name (so
@@ -77,13 +74,20 @@ def _component_name(registry: Registry, value, enum_cls=None):
     canonical string for components registered after these enums froze.
     Unknown names raise ``UnknownComponentError`` listing what exists.
     """
-    name = registry.canonical(value)
+    canonical = registry.canonical(value)
     if enum_cls is not None:
         try:
-            return enum_cls(name)
+            return enum_cls(canonical)
         except ValueError:
             pass
-    return name
+    return canonical
+
+
+def _check_args(name: str, value) -> dict:
+    """Require a builder's keyword arguments: a dict with string keys."""
+    if not isinstance(value, dict) or any(not isinstance(key, str) for key in value):
+        raise ValueError(f"{name} must be a dict with string keys")
+    return value
 
 
 @dataclass
@@ -91,148 +95,109 @@ class ExperimentConfig:
     """Everything one run needs.  Defaults reproduce Table II."""
 
     # ---- Table II -------------------------------------------------------
-    total_flows: int = 50  # Vt
-    tcp_fraction: float = 0.95  # Γ (of legitimate flows)
-    rate_bps: float = 1e6  # R (per attack source)
-    n_routers: int = 40  # N (domain size)
+    total_flows: int = declared(50, check_int, 1)  # Vt
+    tcp_fraction: float = declared(0.95, check_fraction)  # Γ (of legitimate flows)
+    rate_bps: float = declared(1e6, check_positive)  # R (per attack source)
+    n_routers: int = declared(40, check_int, 3)  # N (domain size)
     # MaficConfig.drop_probability is Pd (default 0.90).
 
     # ---- Workload -------------------------------------------------------
-    attack_fraction: float = 0.4  # share of Vt that are zombies
-    legit_rate_factor: float = 0.2  # legit UDP app rate = factor * R
-    tcp_max_cwnd: float = 6.0  # window cap of the greedy FTP-like sources
-    packet_size: int = 1000
-    victim_port: int = 80
-    udp_port: int = 9
-    spoofing: SpoofingModel = field(
-        default_factory=lambda: SpoofingModel(mode=SpoofMode.MIXED, illegal_fraction=0.25)
+    attack_fraction: float = declared(0.4, check_fraction)  # zombies' share of Vt
+    legit_rate_factor: float = declared(0.2, check_positive)  # legit UDP rate / R
+    tcp_max_cwnd: float = declared(6.0, check_positive)  # FTP-like sources' window cap
+    packet_size: int = declared(1000, check_int, 1)
+    victim_port: int = declared(80, check_int, 0, 0xFFFF)
+    udp_port: int = declared(9, check_int, 0, 0xFFFF)
+    spoofing: SpoofingModel = declared(
+        check_type, SpoofingModel, factory=lambda: SpoofingModel(mode=SpoofMode.MIXED)
     )
-    pulsing_attack: bool = False  # shrew-style on-off zombies
-    pulse_on: float = 0.25  # mean burst seconds (pulsing only)
-    pulse_off: float = 0.25  # mean silence seconds (pulsing only)
+    pulsing_attack: bool = declared(False, check_bool)  # shrew-style on-off zombies
+    pulse_on: float = declared(0.25, check_positive)  # mean burst seconds (pulsing)
+    pulse_off: float = declared(0.25, check_non_negative)  # mean silence seconds
 
     # ---- Timeline -------------------------------------------------------
     # The attack begins strictly after the detector's warm-up epochs
     # (warmup_epochs x monitor_period = 1.0 s) so the calm baseline is
     # learned from legitimate traffic only.
-    duration: float = 4.5
-    attack_start: float = 1.05
-    legit_start_spread: float = 0.3  # legit flows start in [0, spread)
+    duration: float = declared(4.5, check_positive)
+    attack_start: float = declared(1.05, check_non_negative)
+    # legit flows start in [0, spread)
+    legit_start_spread: float = declared(0.3, check_non_negative)
 
     # ---- Components -----------------------------------------------------
     # Registry-validated names (legacy enum members accepted); see
     # TOPOLOGIES, WORKLOADS, ATTACKS, DEFENSES for what is available and
     # `python -m repro run --list all` for one-line docs.
-    topology: TopologyKind | str = TopologyKind.TRANSIT_STUB
-    workload: str = "paper_static"
-    attack: str = "flood"
+    topology: TopologyKind | str = declared(
+        TopologyKind.TRANSIT_STUB, _check_component, TOPOLOGIES, TopologyKind
+    )
+    workload: str = declared("paper_static", _check_component, WORKLOADS)
+    attack: str = declared("flood", _check_component, ATTACKS)
     # Per-component keyword arguments, forwarded verbatim to the chosen
     # builder by the scenario composer (``build_multi_tier_domain``'s
     # ``n_agg``, an attack's ``ingress_subset``, ...).  Keys a builder
     # does not accept raise TypeError at build time, naming the builder.
-    topology_args: dict = field(default_factory=dict)
-    workload_args: dict = field(default_factory=dict)
-    attack_args: dict = field(default_factory=dict)
-    defense_args: dict = field(default_factory=dict)
+    topology_args: dict = declared(_check_args, factory=dict)
+    workload_args: dict = declared(_check_args, factory=dict)
+    attack_args: dict = declared(_check_args, factory=dict)
+    defense_args: dict = declared(_check_args, factory=dict)
 
     # ---- Topology -------------------------------------------------------
-    core_bandwidth_bps: float = 622e6
-    access_bandwidth_bps: float = 100e6
-    victim_bandwidth_bps: float = 100e6
-    link_delay: float = 0.012
-    queue_capacity: int = 256
+    core_bandwidth_bps: float = declared(622e6, check_positive)
+    access_bandwidth_bps: float = declared(100e6, check_positive)
+    victim_bandwidth_bps: float = declared(100e6, check_positive)
+    link_delay: float = declared(0.012, check_non_negative)
+    queue_capacity: int = declared(256, check_int, 1)
 
     # ---- Counting / detection ------------------------------------------
-    monitor_period: float = 0.25
-    loglog_k: int = 11
-    pushback: PushbackPolicyConfig = field(
-        default_factory=lambda: PushbackPolicyConfig(
-            overload_factor=1.6,
-            share_threshold=0.02,
-            baseline_rate=50.0,
-            min_absolute=15.0,
-            hysteresis_epochs=40,
-            warmup_epochs=4,
-            calm_band=1.3,
-        )
+    monitor_period: float = declared(0.25, check_positive)
+    loglog_k: int = declared(11, check_int, 4, 20)
+    pushback: PushbackPolicyConfig = declared(
+        check_type, PushbackPolicyConfig,
+        factory=lambda: PushbackPolicyConfig(
+            overload_factor=1.6, share_threshold=0.02, baseline_rate=50.0,
+            min_absolute=15.0, hysteresis_epochs=40, warmup_epochs=4, calm_band=1.3,
+        ),
     )
 
     # ---- Defence --------------------------------------------------------
-    defense: DefenseKind | str = DefenseKind.MAFIC
-    mafic: MaficConfig = field(default_factory=MaficConfig)
-    rate_limit_bps: float = 500e3  # per-ATR budget for the baseline
+    defense: DefenseKind | str = declared(
+        DefenseKind.MAFIC, _check_component, DEFENSES, DefenseKind
+    )
+    mafic: MaficConfig = declared(check_type, MaficConfig, factory=MaficConfig)
+    rate_limit_bps: float = declared(500e3, check_positive)  # per-ATR baseline budget
     # When set, every ATR activates at this absolute time — modelling the
     # victim's explicit DDoS notification instead of the threshold
     # detector (used by sweeps whose attack volume is below detection
-    # sensitivity, e.g. the Fig 3(b) low-rate series).
-    force_activation_at: float | None = None
+    # sensitivity, e.g. the Fig 3(b) low-rate series).  Positive: at
+    # t = 0 the β before-window [0, 0) is empty.
+    force_activation_at: float | None = declared(None, check_optional, check_positive)
     # Model pushback-signalling latency: requests travel the control path
     # from the victim's last-hop router to each ATR (shortest-path delay
     # + per-hop processing) instead of arriving instantly.
-    control_latency: bool = False
-    control_per_hop_processing: float = 0.001
+    control_latency: bool = declared(False, check_bool)
+    control_per_hop_processing: float = declared(0.001, check_non_negative)
     # RFC 2827 ingress filtering at every ingress router: hosts cannot
     # claim sources outside their own subnet.  Off by default — the paper
     # explicitly assumes it is "still far from widely deployed".
-    ingress_filtering: bool = False
+    ingress_filtering: bool = declared(False, check_bool)
 
     # ---- Bookkeeping ----------------------------------------------------
-    seed: int = 1
-    trace_enabled: bool = True
-    trace_max_records: int | None = 200_000
+    seed: int = declared(1, check_seed)
+    trace_enabled: bool = declared(True, check_bool)
+    trace_max_records: int | None = declared(200_000, check_optional, check_int, 0)
     # No effect: the victim collector always streams.  This field once
     # chose that collector; it stays only because it is hashed into run
     # identity (every preset's config_hash is pinned), and goes when run
     # identity stops hashing result-neutral fields (ROADMAP item 12).
-    streaming_series: bool = False
+    streaming_series: bool = declared(False, check_bool)
 
     def __post_init__(self) -> None:
-        self.topology = _component_name(TOPOLOGIES, self.topology, TopologyKind)
-        self.workload = _component_name(WORKLOADS, self.workload)
-        self.attack = _component_name(ATTACKS, self.attack)
-        self.defense = _component_name(DEFENSES, self.defense, DefenseKind)
-        for label in ("topology_args", "workload_args", "attack_args", "defense_args"):
-            value = getattr(self, label)
-            if not isinstance(value, dict) or any(
-                not isinstance(key, str) for key in value
-            ):
-                raise ValueError(f"{label} must be a dict with string keys")
-        check_int("total_flows", self.total_flows, 1)
-        check_fraction("tcp_fraction", self.tcp_fraction)
-        check_fraction("attack_fraction", self.attack_fraction)
-        check_positive("rate_bps", self.rate_bps)
-        check_positive("legit_rate_factor", self.legit_rate_factor)
-        check_positive("tcp_max_cwnd", self.tcp_max_cwnd)
-        check_int("n_routers", self.n_routers, 3)
-        check_int("packet_size", self.packet_size, 1)
-        check_int("victim_port", self.victim_port, 0, 0xFFFF)
-        check_int("udp_port", self.udp_port, 0, 0xFFFF)
-        for name in ("core_bandwidth_bps", "access_bandwidth_bps", "victim_bandwidth_bps"):
-            check_positive(name, getattr(self, name))
-        check_non_negative("link_delay", self.link_delay)
-        check_int("queue_capacity", self.queue_capacity, 1)
-        check_int("loglog_k", self.loglog_k, 4, 20)
-        check_non_negative("control_per_hop_processing", self.control_per_hop_processing)
-        check_positive("duration", self.duration)
-        check_non_negative("attack_start", self.attack_start)
+        check_fields(self)
         if self.attack_start >= self.duration:
             raise ValueError("attack_start must fall inside the run")
-        check_non_negative("legit_start_spread", self.legit_start_spread)
-        check_positive("monitor_period", self.monitor_period)
-        check_positive("rate_limit_bps", self.rate_limit_bps)
-        if self.pulsing_attack:
-            check_positive("pulse_on", self.pulse_on)
-            check_non_negative("pulse_off", self.pulse_off)
-        if self.force_activation_at is not None:
-            # At t = 0 the β before-window [0, 0) is empty.
-            check_positive("force_activation_at", self.force_activation_at)
-            if not self.force_activation_at < self.duration:
-                raise ValueError("force_activation_at must fall inside the run")
-        check_seed("seed", self.seed)
-        if not isinstance(self.trace_enabled, bool):
-            raise ValueError("trace_enabled must be a bool")
-        if self.trace_max_records is not None:
-            check_int("trace_max_records", self.trace_max_records, 0)
+        if (self.force_activation_at or 0) >= self.duration:
+            raise ValueError("force_activation_at must fall inside the run")
 
     # ---- Derived workload counts ----------------------------------------
 
@@ -283,21 +248,11 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Nested component configs (``mafic``, ``pushback``, ``spoofing``)
-        are reconstructed into their dataclasses; missing keys fall back
-        to field defaults, so artifacts written by older configs load
-        under newer ones.
+        Nested component configs are rebuilt by :func:`from_fields`;
+        missing keys fall back to field defaults, so artifacts written
+        by older configs load under newer ones.
         """
-        kwargs = dict(data)
-        if isinstance(kwargs.get("mafic"), dict):
-            kwargs["mafic"] = MaficConfig(**kwargs["mafic"])
-        if isinstance(kwargs.get("pushback"), dict):
-            kwargs["pushback"] = PushbackPolicyConfig(**kwargs["pushback"])
-        if isinstance(kwargs.get("spoofing"), dict):
-            spoofing = dict(kwargs["spoofing"])
-            spoofing["mode"] = SpoofMode(spoofing["mode"])
-            kwargs["spoofing"] = SpoofingModel(**spoofing)
-        return cls(**kwargs)
+        return from_fields(cls, data)
 
     def canonical_json(self) -> str:
         """Whitespace-free, key-sorted JSON — the hashing pre-image."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.attacks.spoofing import SpoofMode, SpoofingModel
+from repro.core.config import MaficConfig
 from repro.experiments.config import DefenseKind, ExperimentConfig
 from repro.util.validation import check_int
 
@@ -49,23 +50,19 @@ def rotation_stress() -> ExperimentConfig:
     """Per-packet source rotation: one-packet flows defeat per-flow
     state; suppression degrades to the Bernoulli(Pd) gate.  SFT capped
     so the stress also exercises eviction."""
-    config = ExperimentConfig(
-        spoofing=SpoofingModel(
-            mode=SpoofMode.LEGIT_SUBNET, rotate_per_packet=True
-        )
+    return ExperimentConfig(
+        spoofing=SpoofingModel(mode=SpoofMode.LEGIT_SUBNET, rotate_per_packet=True),
+        mafic=MaficConfig(max_sft_entries=512),
     )
-    config.mafic.max_sft_entries = 512
-    return config
 
 
 def pulsing_stress() -> ExperimentConfig:
     """Shrew-style on-off zombies with NFT re-probing enabled as the
     countermeasure."""
-    config = ExperimentConfig(
-        pulsing_attack=True, pulse_on=0.25, pulse_off=0.25
+    return ExperimentConfig(
+        pulsing_attack=True, pulse_on=0.25, pulse_off=0.25,
+        mafic=MaficConfig(renotice_interval=0.75),
     )
-    config.mafic.renotice_interval = 0.75
-    return config
 
 
 def filtered_domain() -> ExperimentConfig:
@@ -100,9 +97,10 @@ def pulse_train() -> ExperimentConfig:
     """Deterministic duty-cycled zombies (exact 0.25 s on / 0.25 s off
     square wave) aimed at the verdict-timer weakness; NFT re-probing
     enabled as the countermeasure."""
-    config = ExperimentConfig(attack="pulse_train", pulse_on=0.25, pulse_off=0.25)
-    config.mafic.renotice_interval = 0.75
-    return config
+    return ExperimentConfig(
+        attack="pulse_train", pulse_on=0.25, pulse_off=0.25,
+        mafic=MaficConfig(renotice_interval=0.75),
+    )
 
 
 def huge_topology(scale: int = 8) -> ExperimentConfig:

@@ -29,7 +29,10 @@ from repro.sim.packet import FlowKey
 from repro.transport.tcp import TcpSender
 from repro.transport.udp import CbrSender
 from repro.util.registry import Registry
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_fields, check_int, check_non_negative, check_optional, check_positive,
+    declared,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
@@ -159,22 +162,20 @@ def build_web_mice(ctx: WorkloadContext, **overrides) -> WorkloadBuild:
 class DynamicWorkloadConfig:
     """Shape of the mice population."""
 
-    arrival_rate: float = 10.0  # new transfers per second, domain-wide
-    mean_segments: int = 12  # geometric mean transfer size
-    max_segments: int = 200  # tail cap
-    start_time: float = 0.2
-    stop_time: float | None = None  # None = arrivals until the run ends
-    tcp_max_cwnd: float = 6.0
-    packet_size: int = 1000
-    base_port: int = 30000
+    arrival_rate: float = declared(10.0, check_positive)  # transfers/s, domain-wide
+    mean_segments: int = declared(12, check_int, 1)  # geometric mean transfer size
+    max_segments: int = declared(200, check_int, 1)  # tail cap
+    start_time: float = declared(0.2, check_non_negative)
+    # None = arrivals until the run ends
+    stop_time: float | None = declared(None, check_optional, check_non_negative)
+    tcp_max_cwnd: float = declared(6.0, check_positive)
+    packet_size: int = declared(1000, check_int, 1)
+    base_port: int = declared(30000, check_int, 0, 0xFFFF)
 
     def __post_init__(self) -> None:
-        check_positive("arrival_rate", self.arrival_rate)
-        if self.mean_segments < 1:
-            raise ValueError("mean_segments must be >= 1")
+        check_fields(self)
         if self.max_segments < self.mean_segments:
             raise ValueError("max_segments must be >= mean_segments")
-        check_non_negative("start_time", self.start_time)
         if self.stop_time is not None and self.stop_time < self.start_time:
             raise ValueError("stop_time must be >= start_time")
 

@@ -471,12 +471,10 @@ def _paced_slicer(pace: float, on_slice):
     return slice_seconds, paced
 
 
-def _serve_single(args, bus, live, broker, status) -> int:
+def _serve_single(config, args, bus, live, broker, status) -> int:
     """Run one scenario under the server; returns the exit code."""
-    from repro.experiments.cli import _run_config
     from repro.experiments.runner import run_experiment
 
-    config = _run_config(args)
     status.update(mode="run", phase="running",
                   seed=config.seed, duration=config.duration)
     slice_seconds, on_slice = _paced_slicer(
@@ -710,10 +708,14 @@ def _serve_common(args, work) -> int:
 
 def cmd_serve(args) -> int:
     """The ``python -m repro serve`` entry point."""
+    from repro.experiments.cli import _run_config
+
+    config = None if args.campaign else _run_config(args)  # before the bind
+
     def work(bus, live, broker, status):
-        if args.campaign:
+        if config is None:
             return _serve_campaign(args, bus, live, broker, status)
-        return _serve_single(args, bus, live, broker, status)
+        return _serve_single(config, args, bus, live, broker, status)
 
     return _serve_common(args, work)
 

@@ -1,14 +1,18 @@
 """Argument validation helpers.
 
 Raise early with a message naming the offending parameter; all public
-constructors in :mod:`repro` validate through these.  Whether a whole
-config is *plausible* is :mod:`repro.experiments.validation`'s question.
+constructors in :mod:`repro` validate through these; a config field
+declares its check in :func:`declared`.  Whether a whole config is
+*plausible* is :mod:`repro.experiments.validation`'s question.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from typing import Any
+from enum import Enum
+from typing import Any, Callable
 
 
 def check_positive(name: str, value: float) -> float:
@@ -79,3 +83,57 @@ def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
         )
         raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
     return value
+
+
+def check_bool(name: str, value: Any) -> bool:
+    """Require a ``bool`` (``1`` and ``"no"`` are not); return it."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def check_enum(name: str, value: Any, enum: type[Enum]) -> Enum:
+    """Coerce ``value`` (a member or its value) to a member of ``enum``."""
+    try:
+        return enum(value)
+    except ValueError:
+        known = ", ".join(repr(member.value) for member in enum)
+        raise ValueError(f"{name} must be one of {known}, got {value!r}") from None
+
+
+def check_optional(name: str, value: Any, check: Callable, *bounds: Any) -> Any:
+    """``None``, or ``check(name, value, *bounds)``."""
+    return None if value is None else check(name, value, *bounds)
+
+
+def declared(*args: Any, factory: Callable[[], Any] | None = None) -> Any:
+    """A dataclass field and its check: ``declared(default, check, *bounds)``
+    or ``declared(check, *bounds, factory=...)``."""
+    spec = {"default_factory": factory} if factory else {"default": args[0]}
+    check, *bounds = args if factory else args[1:]
+    return dataclasses.field(**spec, metadata={"check": check, "bounds": tuple(bounds)})
+
+
+@functools.cache
+def _checks(cls: type) -> tuple[tuple[str, Callable, tuple], ...]:
+    return tuple(  # an undeclared field is a KeyError at first construction
+        (f.name, f.metadata["check"], f.metadata["bounds"])
+        for f in dataclasses.fields(cls)
+    )
+
+
+def check_fields(obj: Any) -> None:
+    """Run each field's declared check; store what it returns."""
+    values = vars(obj)
+    for name, check, bounds in _checks(type(obj)):
+        values[name] = check(name, values[name], *bounds)
+
+
+def from_fields(cls: type, data: dict) -> Any:
+    """``cls(**data)``, a dict for a ``check_type``-d dataclass field rebuilt first."""
+    kwargs = dict(data)
+    for name, check, bounds in _checks(cls):
+        nested = bounds[0] if check is check_type else None
+        if isinstance(kwargs.get(name), dict) and dataclasses.is_dataclass(nested):
+            kwargs[name] = from_fields(nested, kwargs[name])
+    return cls(**kwargs)

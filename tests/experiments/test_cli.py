@@ -187,6 +187,47 @@ class TestValidate:
         assert "NOT feasible" in out
 
 
+class TestRejectedConfigValues:
+    """A flag value the config rejects is a usage error (exit 2) naming
+    the field: never a "feasible" verdict, nor a traceback in the build."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["run", "--pd", "5"], "drop_probability"),
+            (["run", "--flows", "0"], "total_flows"),
+            (["run", "--preset", "pulse-train", "--pd", "-3"], "drop_probability"),
+            (["serve", "--pd", "5", "--port", "0"], "drop_probability"),
+            (["validate", "--pd", "5"], "drop_probability"),
+            (["validate", "--pd", "-3"], "drop_probability"),
+            (["validate", "--flows", "0"], "total_flows"),
+            (["run", "--preset", "nope"], "unknown preset 'nope'"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, argv, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"repro {argv[0]}: error: {name}" in captured.err
+        assert "serving on" not in captured.out
+
+    def test_pd_replaces_only_the_drop_probability(self):
+        from repro.experiments.cli import _build_parser, _run_config
+        from repro.experiments.presets import get_preset
+
+        args = _build_parser("run").parse_args(
+            ["run", "--preset", "pulse-train", "--pd", "0.7"]
+        )
+        config = _run_config(args)
+        preset = get_preset("pulse-train")
+        assert config.mafic.drop_probability == 0.7
+        assert config.mafic.renotice_interval == preset.mafic.renotice_interval
+        assert config.with_overrides(
+            mafic=preset.mafic, seed=preset.seed
+        ) == preset
+
+
 class TestRegistryListing:
     def test_list_presets_flag(self, capsys):
         assert main(["run", "--list-presets"]) == 0
