@@ -9,6 +9,7 @@ leakage during probing.
 
 from conftest import run_once
 
+from repro.core.config import MaficConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.collectors import FlowTruth
@@ -19,8 +20,10 @@ MULTIPLIERS = [1.0, 2.0, 4.0]
 def _sweep():
     results = {}
     for multiplier in MULTIPLIERS:
-        config = ExperimentConfig(total_flows=24, n_routers=12, seed=131)
-        config.mafic.probe_timer_rtt_multiplier = multiplier
+        config = ExperimentConfig(
+            total_flows=24, n_routers=12, seed=131,
+            mafic=MaficConfig(probe_timer_rtt_multiplier=multiplier),
+        )
         results[multiplier] = run_experiment(config)
     return results
 

@@ -10,13 +10,13 @@ source rate.
 
 from conftest import run_once, series_mean
 
-from repro.experiments.figures import fig3a, fig3b
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_figure
 
 
 class TestFig3a:
     def test_fig3a(self, benchmark, scale):
-        figure = run_once(benchmark, fig3a, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig3a", scale=scale)
         print()
         print(format_figure(figure))
 
@@ -35,7 +35,7 @@ class TestFig3a:
 
 class TestFig3b:
     def test_fig3b(self, benchmark, scale):
-        figure = run_once(benchmark, fig3b, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig3b", scale=scale)
         print()
         print(format_figure(figure))
 

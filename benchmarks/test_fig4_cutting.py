@@ -10,13 +10,13 @@ Pd = 90/80/70%); after the cut, legitimate flows regain bandwidth.
 
 from conftest import run_once, series_mean
 
-from repro.experiments.figures import fig4a, fig4b
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_figure
 
 
 class TestFig4a:
     def test_fig4a(self, benchmark, scale):
-        figure = run_once(benchmark, fig4a, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig4a", scale=scale)
         print()
         print(format_figure(figure))
 
@@ -38,7 +38,7 @@ class TestFig4a:
 
 class TestFig4b:
     def test_fig4b(self, benchmark, scale):
-        figure = run_once(benchmark, fig4b, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig4b", scale=scale)
         print()
         # The full time series is long; print a decimated view.
         for name, points in figure.series.items():

@@ -12,7 +12,7 @@ published curves is sketch/seed noise at these magnitudes.
 
 from conftest import run_once
 
-from repro.experiments.figures import fig5a, fig5b, fig5c
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_figure
 
 THETA_P_CEILING = 0.25  # percent — paper reports <= 0.06% on its testbed
@@ -20,7 +20,7 @@ THETA_P_CEILING = 0.25  # percent — paper reports <= 0.06% on its testbed
 
 class TestFig5a:
     def test_fig5a(self, benchmark, scale):
-        figure = run_once(benchmark, fig5a, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig5a", scale=scale)
         print()
         print(format_figure(figure, precision=4))
         for name in figure.series:
@@ -29,7 +29,7 @@ class TestFig5a:
 
 class TestFig5b:
     def test_fig5b(self, benchmark, scale):
-        figure = run_once(benchmark, fig5b, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig5b", scale=scale)
         print()
         print(format_figure(figure, precision=4))
         for name in figure.series:
@@ -38,7 +38,7 @@ class TestFig5b:
 
 class TestFig5c:
     def test_fig5c(self, benchmark, scale):
-        figure = run_once(benchmark, fig5c, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig5c", scale=scale)
         print()
         print(format_figure(figure, precision=4))
         for name in figure.series:

@@ -11,13 +11,13 @@ the (1 - Pd) slip-through during the 2 x RTT probing phase.
 
 from conftest import run_once, series_mean
 
-from repro.experiments.figures import fig6a, fig6b, fig6c
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_figure
 
 
 class TestFig6a:
     def test_fig6a(self, benchmark, scale):
-        figure = run_once(benchmark, fig6a, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig6a", scale=scale)
         print()
         print(format_figure(figure))
         # Leakage shrinks as Pd grows.
@@ -35,7 +35,7 @@ class TestFig6a:
 
 class TestFig6b:
     def test_fig6b(self, benchmark, scale):
-        figure = run_once(benchmark, fig6b, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig6b", scale=scale)
         print()
         print(format_figure(figure))
         # Paper's Fig 6(b) tops out around 4%.
@@ -45,7 +45,7 @@ class TestFig6b:
 
 class TestFig6c:
     def test_fig6c(self, benchmark, scale):
-        figure = run_once(benchmark, fig6c, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig6c", scale=scale)
         print()
         print(format_figure(figure))
         # Domain size does not break detection: bounded everywhere.

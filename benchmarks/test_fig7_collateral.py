@@ -10,13 +10,13 @@ EXPERIMENTS.md), landing in the same few-percent band.
 
 from conftest import run_once
 
-from repro.experiments.figures import fig7
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_figure
 
 
 class TestFig7:
     def test_fig7(self, benchmark, scale):
-        figure = run_once(benchmark, fig7, scale=scale)
+        figure = run_once(benchmark, run_figure, "fig7", scale=scale)
         print()
         print(format_figure(figure))
 

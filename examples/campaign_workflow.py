@@ -18,7 +18,6 @@ from repro.campaign import (
     campaign_status,
     load_runs,
     run_campaign,
-    to_sweep_result,
 )
 
 
@@ -68,14 +67,16 @@ def main() -> int:
                 f"+/- {100 * alpha['ci_halfwidth']:4.1f} (n={alpha['n']})"
             )
 
-        # Or reload one axis as a classic SweepResult for plotting code.
+        # Or read the stored runs directly: the lowest seed per point
+        # comes first, since plans put seeds innermost.
         mafic_runs = load_runs(
             spec, root, where=lambda run: run.config.defense == "mafic"
         )
-        sweep = to_sweep_result(mafic_runs, "attack_fraction", name="alpha")
-        ys = sweep.ys(lambda result: result.summary.accuracy)
-        print(f"\nmafic alpha across attack_fraction {sweep.x_values}: "
-              f"{[f'{100 * y:.1f}%' for y in ys]}")
+        by_x: dict = {}
+        for run in mafic_runs:
+            by_x.setdefault(run.point["attack_fraction"], run.summary.accuracy)
+        print(f"\nmafic alpha across attack_fraction {list(by_x)}: "
+              f"{[f'{100 * y:.1f}%' for y in by_x.values()]}")
     return 0
 
 

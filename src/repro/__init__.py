@@ -15,7 +15,7 @@ Package layout:
 - :mod:`repro.counting` — LogLog set-union counting pushback.
 - :mod:`repro.attacks` — spoofing models, zombies, attack scenarios.
 - :mod:`repro.metrics` — the paper's evaluation metrics.
-- :mod:`repro.experiments` — config, runner, and per-figure sweeps.
+- :mod:`repro.experiments` — config, runner, and the paper figures as planned grids.
 
 Quickstart::
 

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ATTACKS: "Registry[Callable[..., AttackScenario]]" = Registry("attack")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackScenarioConfig:
     """How many zombies, where, and when."""
 

@@ -40,7 +40,7 @@ class SpoofMode(Enum):
     MIXED = "mixed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpoofingModel:
     """Configuration of a spoofer."""
 

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.node import Host
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZombieConfig:
     """One zombie's behaviour."""
 

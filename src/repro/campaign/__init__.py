@@ -33,7 +33,6 @@ from repro.campaign.query import (
     load_runs,
     report_rows,
     runs_where,
-    to_sweep_result,
 )
 from repro.campaign.spec import (
     AxisSpec,
@@ -74,5 +73,4 @@ __all__ = [
     "report_rows",
     "run_campaign",
     "runs_where",
-    "to_sweep_result",
 ]

@@ -2,11 +2,11 @@
 
 The store answers "which completed runs do I already have for config
 X?"; this module answers the questions the paper's tables and figures
-ask: per-axis-point metric means with confidence intervals, sweeps
-reloadable into :class:`~repro.experiments.sweeps.SweepResult`, and
-deterministic JSON/CSV report exports.  Everything reads only the
-deterministic artifact fields, so a report from a resumed campaign is
-bit-identical to one from an uninterrupted execution.
+ask: per-axis-point metric means with confidence intervals, figures
+regenerated from summary artifacts, and deterministic JSON/CSV report
+exports.  Everything reads only the deterministic artifact fields, so a
+report from a resumed campaign is bit-identical to one from an
+uninterrupted execution.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.campaign.orchestrator import DEFAULT_ROOT, open_store
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, StoredRun
 from repro.experiments.figures import FigureResult, figure_from_table
-from repro.experiments.sweeps import SweepPoint, SweepResult
 
 #: The headline metrics reports tabulate, in paper order.
 REPORT_METRICS = (
@@ -136,50 +135,6 @@ def aggregate_by_point(
     for key, group in group_by_point(runs).items():
         out.append((dict(key), aggregate_runs(group, confidence=confidence)))
     return out
-
-
-def to_sweep_result(
-    runs: Iterable[StoredRun],
-    x_field: str,
-    name: str = "campaign",
-    reduce: Callable[[list[StoredRun]], StoredRun] | None = None,
-) -> SweepResult:
-    """Reload stored runs as a :class:`SweepResult` over one axis.
-
-    ``x_field`` is the axis whose values become the sweep's x points;
-    multi-seed groups at one x are collapsed by ``reduce`` (default: the
-    lowest-seed run), mirroring :func:`repro.experiments.sweeps.sweep`'s
-    representative-run convention.  Results are detached
-    (``scenario=None``): they are read back from the store, not live.
-    Categorical axes (component names like ``defense``) keep their raw
-    values as x.
-    """
-    raw_x: dict = {}  # frozen key -> raw axis value, insertion-ordered
-    by_x: dict = {}
-    for run in runs:
-        if x_field not in run.point:
-            raise KeyError(
-                f"run {run.run_id} has no axis {x_field!r}; axes: "
-                f"{sorted(run.point)}"
-            )
-        value = run.point[x_field]
-        frozen = _freeze(value)
-        raw_x.setdefault(frozen, value)
-        by_x.setdefault(frozen, []).append(run)
-    xs = [_as_x(raw_x[frozen]) for frozen in by_x]
-    result = SweepResult(name=name, x_values=xs)
-    for x, group in zip(xs, by_x.values()):
-        group.sort(key=lambda run: run.seed)
-        chosen = reduce(group) if reduce is not None else group[0]
-        result.points.append(SweepPoint(x=x, result=chosen.to_result()))
-    return result
-
-
-def _as_x(value):
-    """Numeric axis values become floats; categorical ones pass through."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    return float(value)
 
 
 def campaign_report(

@@ -10,7 +10,7 @@ from repro.util.validation import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaficConfig:
     """Parameters of one MAFIC agent.
 

@@ -45,7 +45,7 @@ class AtrReport:
     shares: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PushbackPolicyConfig:
     """Knobs of the detection/identification policy.
 

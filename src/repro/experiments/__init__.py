@@ -1,5 +1,5 @@
 """Experiment harness: Table-II defaults, scenario construction, runs,
-sweeps, and the per-figure reproduction entry points.
+and the per-figure reproduction entry points.
 
 Quick use::
 
@@ -8,9 +8,10 @@ Quick use::
     result = run_experiment(ExperimentConfig(seed=7))
     print(result.summary.as_percent())
 
-Each paper figure has a function in :mod:`repro.experiments.figures`
-returning a :class:`~repro.experiments.figures.FigureResult` whose series
-mirror the published plot.
+Each paper figure is a row of :data:`repro.experiments.figures.FIGURES`;
+``run_figure(name)`` runs its grid and returns a
+:class:`~repro.experiments.figures.FigureResult` whose series mirror the
+published plot.
 """
 
 from repro.attacks.scenarios import ATTACKS
@@ -20,21 +21,7 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import BuiltScenario, build_scenario
 from repro.sim.topology import TOPOLOGIES
 from repro.util.registry import Registry, UnknownComponentError
-from repro.experiments.sweeps import SweepResult, sweep
-from repro.experiments.figures import (
-    FigureResult,
-    fig3a,
-    fig3b,
-    fig4a,
-    fig4b,
-    fig5a,
-    fig5b,
-    fig5c,
-    fig6a,
-    fig6b,
-    fig6c,
-    fig7,
-)
+from repro.experiments.figures import FIGURES, FigureResult, run_figure
 from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.reporting import format_figure, format_summary
 from repro.experiments.validation import (
@@ -55,6 +42,7 @@ from repro.experiments.workload import (
 __all__ = [
     "ATTACKS",
     "DEFENSES",
+    "FIGURES",
     "TOPOLOGIES",
     "WORKLOADS",
     "BuiltScenario",
@@ -64,23 +52,11 @@ __all__ = [
     "ExperimentResult",
     "FigureResult",
     "Registry",
-    "SweepResult",
     "TopologyKind",
     "UnknownComponentError",
     "WorkloadBuild",
     "WorkloadContext",
     "build_scenario",
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig5c",
-    "fig6a",
-    "fig6b",
-    "fig6c",
-    "fig7",
     "DynamicWorkload",
     "DynamicWorkloadConfig",
     "Finding",
@@ -92,6 +68,6 @@ __all__ = [
     "format_summary",
     "get_preset",
     "run_experiment",
-    "sweep",
+    "run_figure",
     "validate_config",
 ]

@@ -31,7 +31,7 @@ from repro.attacks.scenarios import ATTACKS
 from repro.core.config import MaficConfig
 from repro.core.defenses import DEFENSES
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.reporting import format_figure, format_summary
 from repro.experiments.runner import run_experiment
@@ -239,7 +239,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     )
 
     fig_p = sub.add_parser("figure", help="regenerate one paper figure")
-    fig_p.add_argument("name", choices=sorted(ALL_FIGURES))
+    fig_p.add_argument("name", choices=sorted(FIGURES))
     fig_p.add_argument("--scale", type=float, default=1.0,
                        help="sweep resolution (0-1]; smaller = faster")
     fig_p.add_argument("--out", type=str, default=None,
@@ -499,7 +499,7 @@ def _seeds_as_campaign(config: ExperimentConfig, seeds: list[int], jobs: int):
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    figure = ALL_FIGURES[args.name](scale=args.scale)
+    figure = run_figure(args.name, scale=args.scale)
     table = format_figure(figure)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -511,9 +511,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_list() -> int:
-    for name in sorted(ALL_FIGURES):
-        doc = (ALL_FIGURES[name].__doc__ or "").strip().splitlines()[0]
-        print(f"{name:>6}  {doc}")
+    for name in sorted(FIGURES):
+        print(f"{name:>6}  {FIGURES[name].doc}")
     return 0
 
 

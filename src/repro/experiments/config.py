@@ -90,7 +90,7 @@ def _check_args(name: str, value) -> dict:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs.  Defaults reproduce Table II."""
 

@@ -1,10 +1,12 @@
 """Per-figure reproduction entry points.
 
-Each ``figN*`` function runs the sweep behind one figure of the paper's
-evaluation and returns a :class:`FigureResult` whose series carry the
-same x axis and legend the published plot uses.  ``scale`` (default 1.0)
-shrinks the sweep for quick runs: it scales the number of x points and,
-where applicable, the run duration — shapes survive, wall time drops.
+Each row of :data:`FIGURES` is one figure of the paper's evaluation as a
+campaign grid: a series axis crossed with an x axis, at one seed.
+:func:`run_figure` expands the row's
+:class:`~repro.campaign.spec.CampaignSpec` and runs its plan in order,
+returning a :class:`FigureResult` whose series carry the same x axis and
+legend the published plot uses.  ``scale`` (default 1.0) thins the x axis
+for quick runs; shapes survive, wall time drops.
 
 Figure inventory (see DESIGN.md section 4):
 
@@ -26,20 +28,34 @@ fig7      legit drop rate Lr vs Vt, series Pd
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.metrics.timeseries import BandwidthSeries
 
-# The figures' canonical axes.
-_VT_AXIS = [10, 30, 50, 70, 90, 110]
-_PD_SERIES = [0.90, 0.80, 0.70]
-_R_SERIES = [("R=100k", 100e3), ("R=500k", 500e3), ("R=1M", 1e6)]
-_GAMMA_AXIS = [0.15, 0.35, 0.55, 0.75, 0.95]
-_VT_SERIES = [30, 70, 100]
-_N_AXIS = [20, 40, 80, 120, 160]
-_GAMMA_SERIES = [0.95, 0.75, 0.55, 0.35]
+if TYPE_CHECKING:
+    from repro.campaign.spec import CampaignSpec, PlannedRun
+
+# The figures' canonical axes: (config field, values, x shown x100).
+_VT_AXIS = ("total_flows", (10, 30, 50, 70, 90, 110), False)
+_GAMMA_AXIS = ("tcp_fraction", (0.15, 0.35, 0.55, 0.75, 0.95), True)
+_N_AXIS = ("n_routers", (20, 40, 80, 120, 160), False)
+# ... and series: (config field, ((legend label, value), ...)).
+_PD_SERIES = (
+    "mafic.drop_probability",
+    (("Pd=90%", 0.90), ("Pd=80%", 0.80), ("Pd=70%", 0.70)),
+)
+_VT_SERIES = ("total_flows", (("Vt=30", 30), ("Vt=70", 70), ("Vt=100", 100)))
+_GAMMA_SERIES = (
+    "tcp_fraction",
+    (("TCP=95%", 0.95), ("TCP=75%", 0.75), ("TCP=55%", 0.55), ("TCP=35%", 0.35)),
+)
+
+_VT_LABEL = "Total Traffic Volume (No. of Flows)"
+_GAMMA_LABEL = "Percentage of TCP Traffic (%)"
+_N_LABEL = "Domain Size (No. of Routers)"
+_ALPHA = "Attacking Packets Dropping Accuracy (%)"
+_THETA_P = "False Positive Rate (%)"
+_THETA_N = "False Negative Rate (%)"
 
 
 @dataclass
@@ -101,270 +117,152 @@ def _scaled(values: list, scale: float) -> list:
     return [values[i] for i in indices]
 
 
-def _base(scale: float, **overrides) -> ExperimentConfig:
-    # ``scale`` thins the sweep axes only.  Run duration is never scaled:
-    # the duration-sensitive metrics (Lr, theta_n) are ratios of a fixed
-    # probing cost to the defence-active period, so shortening runs would
-    # change the numbers, not just the resolution.
-    return ExperimentConfig(**overrides)
+@dataclass(frozen=True)
+class PaperFigure:
+    """One figure of the paper as a grid: ``series`` by ``x``, one seed.
 
-
-def _sweep_vt_by_pd(
-    figure_id: str,
-    title: str,
-    y_label: str,
-    metric: Callable[[ExperimentResult], float],
-    scale: float,
-    seed: int,
-    **overrides,
-) -> FigureResult:
-    """Shared harness for the Vt-axis / Pd-series figures (3a,4a,5a,6a,7)."""
-    result = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label="Total Traffic Volume (No. of Flows)",
-        y_label=y_label,
-    )
-    for pd in _PD_SERIES:
-        name = f"Pd={int(pd * 100)}%"
-        for vt in _scaled(_VT_AXIS, scale):
-            config = _base(scale, seed=seed, total_flows=int(vt), **overrides)
-            config.mafic.drop_probability = pd
-            run = run_experiment(config)
-            result.add_point(name, vt, metric(run), run)
-    return result
-
-
-# --------------------------------------------------------------- Figure 3
-
-
-def fig3a(scale: float = 1.0, seed: int = 11) -> FigureResult:
-    """Attack-packet dropping accuracy vs traffic volume, by Pd."""
-    return _sweep_vt_by_pd(
-        "fig3a",
-        "Attack packet dropping accuracy under three dropping probabilities",
-        "Attacking Packets Dropping Accuracy (%)",
-        lambda run: 100.0 * run.summary.accuracy,
-        scale,
-        seed,
-    )
-
-
-def fig3b(scale: float = 1.0, seed: int = 12) -> FigureResult:
-    """Attack-packet dropping accuracy vs traffic volume, by source rate.
-
-    This figure evaluates the *dropping policy* across source rates, not
-    the anomaly detector's sensitivity: at 100 kbps per zombie the flood
-    adds too little volume for a threshold detector to see, but the
-    paper still reports ~99% accuracy.  We therefore model the victim's
-    DDoS notification explicitly (``force_activation_at``), exactly the
-    "on receiving the notification of DDoS attack from the victim
-    router" trigger of Section III.A.
+    ``x`` is None only for fig4b, whose x is each run's own time axis.
+    ``metric`` is the :class:`~repro.metrics.rates.MetricsSummary`
+    attribute plotted as a percentage (the names of
+    ``campaign.query.REPORT_METRICS``).
     """
-    result = FigureResult(
-        figure_id="fig3b",
-        title="Attack packet dropping accuracy under three source rates",
-        x_label="Total Traffic Volume (No. of Flows)",
-        y_label="Attacking Packets Dropping Accuracy (%)",
+
+    id: str
+    doc: str
+    title: str
+    x_label: str
+    y_label: str
+    seed: int
+    series: tuple[str, tuple[tuple[str, object], ...]]
+    x: tuple[str, tuple, bool] | None
+    metric: str | None
+    base: dict = field(default_factory=dict)
+
+    def spec(self, scale: float = 1.0) -> "CampaignSpec":
+        """The figure's grid as a campaign spec, its x axis thinned by ``scale``."""
+        # Imported here: a plain `repro run` must not load repro.campaign.
+        from repro.campaign.spec import CampaignSpec
+
+        series_field, pairs = self.series
+        axes = [{"field": series_field, "values": tuple(v for _, v in pairs)}]
+        if self.x is not None:
+            x_field, values, _ = self.x
+            axes.append({"field": x_field, "values": tuple(_scaled(values, scale))})
+        return CampaignSpec(
+            name=self.id, seeds=(self.seed,), base=dict(self.base), axes=tuple(axes)
+        )
+
+    def cells(self, scale: float = 1.0) -> list[tuple[str, object, "PlannedRun"]]:
+        """``(series label, x, planned run)`` in plan order (series outer)."""
+        series_field, pairs = self.series
+        labels = {value: label for label, value in pairs}
+        cells = []
+        for planned in self.spec(scale).plan():
+            x = None
+            if self.x is not None:
+                x_field, _, percent = self.x
+                x = planned.point[x_field]
+                x = 100.0 * x if percent else x
+            cells.append((labels[planned.point[series_field]], x, planned))
+        return cells
+
+
+FIGURES: dict[str, PaperFigure] = {
+    figure.id: figure
+    for figure in (
+        PaperFigure(
+            "fig3a", "Attack-packet dropping accuracy vs traffic volume, by Pd.",
+            "Attack packet dropping accuracy under three dropping probabilities",
+            _VT_LABEL, _ALPHA, 11, _PD_SERIES, _VT_AXIS, "accuracy",
+        ),
+        # Evaluates the *dropping policy* across source rates, not the
+        # detector's sensitivity: at 100 kbps per zombie the flood adds too
+        # little volume for a threshold detector to see, but the paper still
+        # reports ~99% accuracy.  So the victim's DDoS notification is
+        # modelled explicitly (``force_activation_at``), the "on receiving
+        # the notification of DDoS attack from the victim router" trigger of
+        # Section III.A.
+        PaperFigure(
+            "fig3b", "Attack-packet dropping accuracy vs traffic volume, by source rate.",
+            "Attack packet dropping accuracy under three source rates",
+            _VT_LABEL, _ALPHA, 12,
+            ("rate_bps", (("R=100k", 100e3), ("R=500k", 500e3), ("R=1M", 1e6))),
+            _VT_AXIS, "accuracy", {"force_activation_at": 1.25},
+        ),
+        PaperFigure(
+            "fig4a", "Traffic reduction rate vs traffic volume, by Pd.",
+            "Traffic reduction rate under three dropping probabilities",
+            _VT_LABEL, "Traffic Reduction Rate (%)", 13, _PD_SERIES, _VT_AXIS,
+            "traffic_reduction",
+        ),
+        PaperFigure(
+            "fig4b", "Victim-arrival bandwidth over time for Vt in {10, 30, 50}.",
+            "Flow bandwidth variation while MAFIC engages",
+            "Time (second)", "Flow Bandwidth (kbps)", 14,
+            ("total_flows", (("Vt=10", 10), ("Vt=30", 30), ("Vt=50", 50))),
+            None, None,
+        ),
+        PaperFigure(
+            "fig5a", "False positive rate vs traffic volume, by Pd.",
+            "False positive rate under three dropping probabilities",
+            _VT_LABEL, _THETA_P, 15, _PD_SERIES, _VT_AXIS, "false_positive_rate",
+        ),
+        PaperFigure(
+            "fig5b", "False positive rate vs TCP share, by traffic volume.",
+            "False positive rate vs TCP share",
+            _GAMMA_LABEL, _THETA_P, 16, _VT_SERIES, _GAMMA_AXIS,
+            "false_positive_rate",
+        ),
+        PaperFigure(
+            "fig5c", "False positive rate vs domain size, by TCP share.",
+            "False positive rate vs domain size",
+            _N_LABEL, _THETA_P, 17, _GAMMA_SERIES, _N_AXIS, "false_positive_rate",
+        ),
+        PaperFigure(
+            "fig6a", "False negative rate vs traffic volume, by Pd.",
+            "False negative rate under three dropping probabilities",
+            _VT_LABEL, _THETA_N, 18, _PD_SERIES, _VT_AXIS, "false_negative_rate",
+        ),
+        PaperFigure(
+            "fig6b", "False negative rate vs TCP share, by traffic volume.",
+            "False negative rate vs TCP share",
+            _GAMMA_LABEL, _THETA_N, 19, _VT_SERIES, _GAMMA_AXIS,
+            "false_negative_rate",
+        ),
+        PaperFigure(
+            "fig6c", "False negative rate vs domain size, by TCP share.",
+            "False negative rate vs domain size",
+            _N_LABEL, _THETA_N, 20, _GAMMA_SERIES, _N_AXIS, "false_negative_rate",
+        ),
+        PaperFigure(
+            "fig7", "Legitimate-packet dropping rate vs traffic volume, by Pd.",
+            "Legitimate packet dropping rate under three dropping probabilities",
+            _VT_LABEL, "Legitimate Packet Dropping Rate (%)", 21, _PD_SERIES,
+            _VT_AXIS, "legit_drop_rate",
+        ),
     )
-    for name, rate in _R_SERIES:
-        for vt in _scaled(_VT_AXIS, scale):
-            config = _base(
-                scale, seed=seed, total_flows=int(vt), rate_bps=rate,
-                force_activation_at=1.25,
-            )
-            run = run_experiment(config)
-            result.add_point(name, vt, 100.0 * run.summary.accuracy, run)
-    return result
-
-
-# --------------------------------------------------------------- Figure 4
-
-
-def fig4a(scale: float = 1.0, seed: int = 13) -> FigureResult:
-    """Traffic reduction rate vs traffic volume, by Pd."""
-    return _sweep_vt_by_pd(
-        "fig4a",
-        "Traffic reduction rate under three dropping probabilities",
-        "Traffic Reduction Rate (%)",
-        lambda run: 100.0 * run.summary.traffic_reduction,
-        scale,
-        seed,
-    )
-
-
-def fig4b(scale: float = 1.0, seed: int = 14) -> FigureResult:
-    """Victim-arrival bandwidth over time for Vt in {10, 30, 50}."""
-    result = FigureResult(
-        figure_id="fig4b",
-        title="Flow bandwidth variation while MAFIC engages",
-        x_label="Time (second)",
-        y_label="Flow Bandwidth (kbps)",
-    )
-    for vt in [10, 30, 50]:
-        name = f"Vt={vt}"
-        config = _base(scale, seed=seed, total_flows=vt)
-        run = run_experiment(config, series_bin_width=0.05)
-        series: BandwidthSeries = run.series
-        for t, kbps in zip(series.times, series.total_kbps):
-            result.add_point(name, t, kbps)
-        result.runs.setdefault(name, []).append(run)
-    return result
-
-
-# --------------------------------------------------------------- Figure 5
-
-
-def fig5a(scale: float = 1.0, seed: int = 15) -> FigureResult:
-    """False positive rate vs traffic volume, by Pd."""
-    return _sweep_vt_by_pd(
-        "fig5a",
-        "False positive rate under three dropping probabilities",
-        "False Positive Rate (%)",
-        lambda run: 100.0 * run.summary.false_positive_rate,
-        scale,
-        seed,
-    )
-
-
-def _sweep_gamma_by_vt(
-    figure_id: str,
-    title: str,
-    y_label: str,
-    metric: Callable[[ExperimentResult], float],
-    scale: float,
-    seed: int,
-) -> FigureResult:
-    result = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label="Percentage of TCP Traffic (%)",
-        y_label=y_label,
-    )
-    for vt in _VT_SERIES:
-        name = f"Vt={vt}"
-        for gamma in _scaled(_GAMMA_AXIS, scale):
-            config = _base(
-                scale, seed=seed, total_flows=vt, tcp_fraction=float(gamma)
-            )
-            run = run_experiment(config)
-            result.add_point(name, 100.0 * gamma, metric(run), run)
-    return result
-
-
-def fig5b(scale: float = 1.0, seed: int = 16) -> FigureResult:
-    """False positive rate vs TCP share, by traffic volume."""
-    return _sweep_gamma_by_vt(
-        "fig5b",
-        "False positive rate vs TCP share",
-        "False Positive Rate (%)",
-        lambda run: 100.0 * run.summary.false_positive_rate,
-        scale,
-        seed,
-    )
-
-
-def _sweep_n_by_gamma(
-    figure_id: str,
-    title: str,
-    y_label: str,
-    metric: Callable[[ExperimentResult], float],
-    scale: float,
-    seed: int,
-) -> FigureResult:
-    result = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label="Domain Size (No. of Routers)",
-        y_label=y_label,
-    )
-    for gamma in _GAMMA_SERIES:
-        name = f"TCP={int(gamma * 100)}%"
-        for n in _scaled(_N_AXIS, scale):
-            config = _base(
-                scale, seed=seed, n_routers=int(n), tcp_fraction=gamma
-            )
-            run = run_experiment(config)
-            result.add_point(name, n, metric(run), run)
-    return result
-
-
-def fig5c(scale: float = 1.0, seed: int = 17) -> FigureResult:
-    """False positive rate vs domain size, by TCP share."""
-    return _sweep_n_by_gamma(
-        "fig5c",
-        "False positive rate vs domain size",
-        "False Positive Rate (%)",
-        lambda run: 100.0 * run.summary.false_positive_rate,
-        scale,
-        seed,
-    )
-
-
-# --------------------------------------------------------------- Figure 6
-
-
-def fig6a(scale: float = 1.0, seed: int = 18) -> FigureResult:
-    """False negative rate vs traffic volume, by Pd."""
-    return _sweep_vt_by_pd(
-        "fig6a",
-        "False negative rate under three dropping probabilities",
-        "False Negative Rate (%)",
-        lambda run: 100.0 * run.summary.false_negative_rate,
-        scale,
-        seed,
-    )
-
-
-def fig6b(scale: float = 1.0, seed: int = 19) -> FigureResult:
-    """False negative rate vs TCP share, by traffic volume."""
-    return _sweep_gamma_by_vt(
-        "fig6b",
-        "False negative rate vs TCP share",
-        "False Negative Rate (%)",
-        lambda run: 100.0 * run.summary.false_negative_rate,
-        scale,
-        seed,
-    )
-
-
-def fig6c(scale: float = 1.0, seed: int = 20) -> FigureResult:
-    """False negative rate vs domain size, by TCP share."""
-    return _sweep_n_by_gamma(
-        "fig6c",
-        "False negative rate vs domain size",
-        "False Negative Rate (%)",
-        lambda run: 100.0 * run.summary.false_negative_rate,
-        scale,
-        seed,
-    )
-
-
-# --------------------------------------------------------------- Figure 7
-
-
-def fig7(scale: float = 1.0, seed: int = 21) -> FigureResult:
-    """Legitimate-packet dropping rate vs traffic volume, by Pd."""
-    return _sweep_vt_by_pd(
-        "fig7",
-        "Legitimate packet dropping rate under three dropping probabilities",
-        "Legitimate Packet Dropping Rate (%)",
-        lambda run: 100.0 * run.summary.legit_drop_rate,
-        scale,
-        seed,
-    )
-
-
-ALL_FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig3a": fig3a,
-    "fig3b": fig3b,
-    "fig4a": fig4a,
-    "fig4b": fig4b,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig5c": fig5c,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-    "fig6c": fig6c,
-    "fig7": fig7,
 }
+
+
+def run_figure(name: str, scale: float = 1.0) -> FigureResult:
+    """Run one figure's grid, cell by cell in plan order.
+
+    ``scale`` thins the x axis only.  Run duration is never scaled: the
+    duration-sensitive metrics (Lr, theta_n) are ratios of a fixed
+    probing cost to the defence-active period, so shortening runs would
+    change the numbers, not just the resolution.
+    """
+    figure = FIGURES[name]
+    result = FigureResult(name, figure.title, figure.x_label, figure.y_label)
+    for label, x, planned in figure.cells(scale):
+        if figure.x is None:
+            run = run_experiment(planned.config, series_bin_width=0.05)
+            for t, kbps in zip(run.series.times, run.series.total_kbps):
+                result.add_point(label, t, kbps)
+            result.runs.setdefault(label, []).append(run)
+        else:
+            run = run_experiment(planned.config)
+            result.add_point(
+                label, x, 100.0 * getattr(run.summary, figure.metric), run
+            )
+    return result

@@ -158,7 +158,7 @@ def build_web_mice(ctx: WorkloadContext, **overrides) -> WorkloadBuild:
     return build
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicWorkloadConfig:
     """Shape of the mice population."""
 

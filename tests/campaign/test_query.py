@@ -12,7 +12,6 @@ from repro.campaign.query import (
     load_runs,
     report_rows,
     runs_where,
-    to_sweep_result,
 )
 from repro.campaign.spec import CampaignSpec
 
@@ -91,34 +90,7 @@ class TestGroupingAndAggregation:
             assert metrics["accuracy"].mean == pytest.approx(0.915)
             assert metrics["accuracy"].n == 2
 
-
-class TestSweepReload:
-    def test_to_sweep_result(self, populated):
-        spec, root = populated
-        sweep = to_sweep_result(
-            load_runs(spec, root), "attack_fraction", name="alpha-vs-attack"
-        )
-        assert sweep.name == "alpha-vs-attack"
-        assert sweep.x_values == [0.25, 0.5]
-        # Default reduce: lowest seed represents each point.
-        assert [p.result.config.seed for p in sweep.points] == [1, 1]
-        ys = sweep.ys(lambda result: result.summary.accuracy)
-        assert ys == pytest.approx([0.91, 0.91])
-
-    def test_custom_reduce(self, populated):
-        spec, root = populated
-        sweep = to_sweep_result(
-            load_runs(spec, root), "attack_fraction",
-            reduce=lambda group: group[-1],
-        )
-        assert [p.result.config.seed for p in sweep.points] == [2, 2]
-
-    def test_unknown_axis_raises(self, populated):
-        spec, root = populated
-        with pytest.raises(KeyError, match="not_an_axis"):
-            to_sweep_result(load_runs(spec, root), "not_an_axis")
-
-    def test_list_valued_axis_groups_and_sweeps(self, tmp_path):
+    def test_list_valued_axis_groups_and_reports(self, tmp_path):
         """Axes over list-valued builder args (ingress_subset) must
         group and report, not crash on unhashable keys."""
         spec = tiny_spec(
@@ -135,22 +107,6 @@ class TestSweepReload:
         assert len(group_by_point(runs)) == 2
         report = campaign_report(spec, tmp_path)
         assert len(report["points"]) == 2
-        sweep = to_sweep_result(runs, "attack_args.ingress_subset")
-        assert sweep.x_values == [["ingress0"], ["ingress1"]]
-
-    def test_categorical_axis_keeps_raw_values(self, tmp_path):
-        spec = tiny_spec(
-            name="cat",
-            axes=[{"field": "defense", "values": ("mafic", "proportional")}],
-        )
-        store = open_store(spec, tmp_path).ensure()
-        for planned in spec.plan():
-            store.write_result(fabricate_result(planned.config), planned.point)
-        sweep = to_sweep_result(load_runs(spec, tmp_path), "defense")
-        assert sweep.x_values == ["mafic", "proportional"]
-        assert [p.result.config.defense for p in sweep.points] == [
-            "mafic", "proportional",
-        ]
 
 
 class TestReport:

@@ -200,8 +200,7 @@ class TestCanonicalSerialization:
         assert rebuilt.to_dict() == config.to_dict()
 
     def test_nested_dataclasses_round_trip(self):
-        config = ExperimentConfig()
-        config.mafic.drop_probability = 0.7
+        config = ExperimentConfig(mafic=MaficConfig(drop_probability=0.7))
         tree = config.to_dict()
         assert tree["mafic"]["drop_probability"] == 0.7
         assert tree["spoofing"]["mode"] == "mixed"

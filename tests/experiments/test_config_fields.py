@@ -58,6 +58,15 @@ def test_every_field_declares_a_check(cls):
     assert undeclared == []
 
 
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_assignment_after_construction_raises(cls):
+    # A field set after construction would skip its check yet be hashed.
+    config = cls()
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
+
+
 @pytest.mark.parametrize(
     "cls,kwargs,name",
     HOLES,

@@ -1,9 +1,41 @@
-"""Tests for repro.experiments.figures (scaled-down sweeps)."""
+"""Tests for repro.experiments.figures: the planned grids, and two tiny
+real runs (one axis figure, and fig4b's time series)."""
+
+import hashlib
+import json
 
 import pytest
 
-from repro.experiments import figures
-from repro.experiments.figures import FigureResult, _scaled
+from repro.campaign.query import REPORT_METRICS
+from repro.campaign.spec import CampaignSpec
+from repro.experiments.figures import FIGURES, FigureResult, _scaled, run_figure
+
+#: SHA-256 over every figure's ordered (series label, x, config_hash)
+#: cells at scales 1.0 and 0.01.  Recorded from the per-figure loop
+#: functions these table rows replaced (with ``run_experiment`` patched to
+#: capture each config), so it pins the grids, their order and their x
+#: display to what those functions ran.
+GRID_DIGEST = "da0cc7de494526a10c7229c30b69ae2327b6fb6a43ddded34845da46d5d7481e"
+
+PD = {"Pd=90%", "Pd=80%", "Pd=70%"}
+VT = {"Vt=30", "Vt=70", "Vt=100"}
+TCP = {"TCP=95%", "TCP=75%", "TCP=55%", "TCP=35%"}
+VT_ENDS, GAMMA_ENDS, N_ENDS = [10, 110], [15.0, 95.0], [20, 160]
+
+#: What each figure plans at scale 0.01: series labels, x values, metric.
+SMALL = {
+    "fig3a": (PD, VT_ENDS, "accuracy"),
+    "fig3b": ({"R=100k", "R=500k", "R=1M"}, VT_ENDS, "accuracy"),
+    "fig4a": (PD, VT_ENDS, "traffic_reduction"),
+    "fig4b": ({"Vt=10", "Vt=30", "Vt=50"}, [None], None),
+    "fig5a": (PD, VT_ENDS, "false_positive_rate"),
+    "fig5b": (VT, GAMMA_ENDS, "false_positive_rate"),
+    "fig5c": (TCP, N_ENDS, "false_positive_rate"),
+    "fig6a": (PD, VT_ENDS, "false_negative_rate"),
+    "fig6b": (VT, GAMMA_ENDS, "false_negative_rate"),
+    "fig6c": (TCP, N_ENDS, "false_negative_rate"),
+    "fig7": (PD, VT_ENDS, "legit_drop_rate"),
+}
 
 
 class TestScaledAxis:
@@ -32,35 +64,56 @@ class TestFigureResult:
         assert fig.ys("s") == [2.0, 4.0]
 
 
-@pytest.mark.slow
-class TestFigureSmoke:
-    """One tiny run per figure family to prove the harness end-to-end."""
-
-    def test_fig3a_smoke(self):
-        fig = figures.fig3a(scale=0.01)
-        assert set(fig.series) == {"Pd=90%", "Pd=80%", "Pd=70%"}
-        for ys in (fig.ys(name) for name in fig.series):
-            assert all(0 <= y <= 100 for y in ys)
-
-    def test_fig4b_smoke(self):
-        fig = figures.fig4b(scale=0.01)
-        assert set(fig.series) == {"Vt=10", "Vt=30", "Vt=50"}
-        assert all(len(points) > 10 for points in fig.series.values())
-
-    def test_fig5b_smoke(self):
-        fig = figures.fig5b(scale=0.01)
-        assert set(fig.series) == {"Vt=30", "Vt=70", "Vt=100"}
-
-    def test_fig6c_smoke(self):
-        fig = figures.fig6c(scale=0.01)
-        assert set(fig.series) == {"TCP=95%", "TCP=75%", "TCP=55%", "TCP=35%"}
-
-    def test_fig7_smoke(self):
-        fig = figures.fig7(scale=0.01)
-        assert set(fig.series) == {"Pd=90%", "Pd=80%", "Pd=70%"}
+class TestFigurePlans:
+    """The figure grids, from their plans alone (no simulation)."""
 
     def test_all_figures_registered(self):
-        assert set(figures.ALL_FIGURES) == {
-            "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
-            "fig5c", "fig6a", "fig6b", "fig6c", "fig7",
-        }
+        assert set(FIGURES) == set(SMALL)
+
+    def test_grids_match_the_pinned_digest(self):
+        cells = []
+        for name, figure in FIGURES.items():
+            for scale in (1.0, 0.01):
+                spec = figure.spec(scale)
+                reloaded = CampaignSpec.from_dict(spec.to_dict())
+                assert [run.run_id for run in reloaded.plan()] == [
+                    run.run_id for run in spec.plan()
+                ]
+                cells += [
+                    [name, scale, label, x, planned.run_id]
+                    for label, x, planned in figure.cells(scale)
+                ]
+        assert len(cells) == 248
+        text = json.dumps(cells, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_small_scale_plan(self, name):
+        labels, xs, metric = SMALL[name]
+        figure = FIGURES[name]
+        assert figure.metric == metric
+        assert metric is None or metric in REPORT_METRICS
+        by_label: dict = {}
+        for label, x, planned in figure.cells(0.01):
+            by_label.setdefault(label, []).append(x)
+            assert planned.seed == figure.seed
+        assert set(by_label) == labels
+        assert all(row == xs for row in by_label.values())
+
+
+@pytest.mark.slow
+class TestFigureSmoke:
+    """Tiny real runs: one axis figure, and fig4b's time series."""
+
+    def test_fig3a_smoke(self):
+        fig = run_figure("fig3a", scale=0.01)
+        assert set(fig.series) == PD
+        for name in fig.series:
+            assert [x for x, _ in fig.series[name]] == VT_ENDS
+            assert all(0 <= y <= 100 for y in fig.ys(name))
+
+    def test_fig4b_smoke(self):
+        fig = run_figure("fig4b", scale=0.01)
+        assert set(fig.series) == {"Vt=10", "Vt=30", "Vt=50"}
+        assert all(len(points) > 10 for points in fig.series.values())
+        assert all(len(runs) == 1 for runs in fig.runs.values())

@@ -35,14 +35,12 @@ def _hexed_summary(result) -> dict:
 
 
 @pytest.mark.parametrize("collector", ["buffered", "streaming"])
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@pytest.mark.parametrize("queue", ["public", "reference"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_paper_default_matches_recorded_summary(seed, queue, collector, monkeypatch):
     """Both engine cores must reproduce the pinned fixture bit-exactly —
-    the compiled core earns its place on this proof.  (The ``queue`` ids
-    are the names of the two queue backends the axis used to select; they
-    now pick the core — see ``tests/sim/conftest.py`` — and are kept
-    because the test-floor list pins ids.)
+    the compiled core earns its place on this proof.  (``queue`` picks
+    the core: see ``tests/sim/conftest.py``.)
 
     The ``collector`` axis pins the victim collector the same way: the
     streaming one (bounded memory, windowed series aggregation; the

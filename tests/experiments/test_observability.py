@@ -40,12 +40,11 @@ def _fingerprint(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@pytest.mark.parametrize("queue", ["public", "reference"])
 def test_streaming_collector_matches_buffered(queue, monkeypatch):
     """The bounded-memory victim collector is float-identical to the
     arrival-hoarding reference, series included, on both engine cores
-    (the ids are the two queue backends' names, kept for the floor list:
-    ``tests/sim/conftest.py``)."""
+    (``tests/sim/conftest.py``)."""
     from tests.sim.conftest import ENGINE_CORES
 
     monkeypatch.setattr("repro.sim.topology.Simulator", ENGINE_CORES[queue])

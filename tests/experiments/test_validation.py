@@ -1,5 +1,6 @@
 """Tests for repro.experiments.validation."""
 
+from repro.core.config import MaficConfig
 from repro.experiments.config import DefenseKind, ExperimentConfig, TopologyKind
 from repro.experiments.validation import Severity, validate_config
 
@@ -59,8 +60,7 @@ class TestTimelineChecks:
 
 class TestRttChecks:
     def test_tiny_probe_window_flagged(self):
-        cfg = ExperimentConfig()
-        cfg.mafic.default_rtt = 0.02
+        cfg = ExperimentConfig(mafic=MaficConfig(default_rtt=0.02))
         report = validate_config(cfg)
         assert report.has("probe-window-below-rtt")
 

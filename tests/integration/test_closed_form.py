@@ -60,8 +60,7 @@ class _Run:
 
 @functools.lru_cache(maxsize=None)
 def _run(preset: str, seed: int) -> _Run:
-    config = get_preset(preset)
-    config.seed = seed
+    config = get_preset(preset).with_overrides(seed=seed)
     first_examined: dict[int, float] = {}
     first_probe: dict[int, float] = {}
     passes: dict[int, int] = {}

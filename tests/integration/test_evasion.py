@@ -16,6 +16,7 @@ import pytest
 
 from repro.attacks.spoofing import SpoofMode, SpoofingModel
 from repro.attacks.zombie import ZombieConfig
+from repro.core.config import MaficConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import build_scenario
@@ -60,8 +61,10 @@ class TestSourceRotation:
 
 class TestPulsingAttack:
     def _pulsing_config(self, renotice=0.0, seed=58):
-        cfg = config(seed=seed)
-        cfg.attack_fraction = 0.5
+        cfg = config(
+            seed=seed, attack_fraction=0.5,
+            mafic=MaficConfig(renotice_interval=renotice),
+        )
         zombie = ZombieConfig(
             rate_bps=cfg.rate_bps,
             pulsing=True,
@@ -69,7 +72,6 @@ class TestPulsingAttack:
             mean_off=0.25,
             spoofing=SpoofingModel(mode=SpoofMode.LEGIT_SUBNET),
         )
-        cfg.mafic.renotice_interval = renotice
         return cfg, zombie
 
     def _run_pulsing(self, renotice, seed=58):

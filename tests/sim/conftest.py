@@ -7,10 +7,8 @@ reference, which stays importable beside it.  The two must expose the
 identical ``(time, priority, seq)`` semantics, so a behavioural test that
 passes on one and fails on the other is a twin bug by definition.
 
-The two arms keep the ids they had while the engine had two queue
-backends — ``heap`` and ``calendar`` — because the test-floor list pins
-ids, not meanings: ``heap`` is the public class, ``calendar`` the
-reference.  In a pure-only environment they are the same class.
+The two arms are ``public`` and ``reference``.  In a pure-only
+environment they are the same class.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ import pytest
 
 from repro.sim import engine
 
-#: id -> simulator class (see the module docstring for the names).
-ENGINE_CORES = {"heap": engine.Simulator, "calendar": engine.PySimulator}
+#: id -> simulator class.
+ENGINE_CORES = {"public": engine.Simulator, "reference": engine.PySimulator}
 
 
 @pytest.fixture(params=list(ENGINE_CORES))

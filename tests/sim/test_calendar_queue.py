@@ -70,8 +70,8 @@ class TestBackendParity:
             for t, prio, i in events:
                 sim.schedule_at(t, log.append, (t, prio, i), priority=prio)
 
-        order = _run_trace("heap", script)
-        assert order == _run_trace("calendar", script)
+        order = _run_trace("public", script)
+        assert order == _run_trace("reference", script)
         assert order == sorted(order)  # i is the scheduling order
 
     def test_same_time_priority_and_seq_ties(self):
@@ -81,10 +81,10 @@ class TestBackendParity:
                 sim.schedule_at(1.0, log.append, ("early", i), priority=-1)
                 sim.schedule_at(1.0, log.append, ("mid", i))
 
-        heap_order = _run_trace("heap", script)
-        assert _run_trace("calendar", script) == heap_order
+        public_order = _run_trace("public", script)
+        assert _run_trace("reference", script) == public_order
         # Priority buckets, each FIFO by scheduling order.
-        labels = [tag for tag, _ in heap_order]
+        labels = [tag for tag, _ in public_order]
         assert labels == ["early"] * 50 + ["mid"] * 50 + ["late"] * 50
 
     def test_cancellation_interleaved_with_execution(self):
@@ -96,7 +96,7 @@ class TestBackendParity:
             for h in rng.sample(handles, 250):
                 h.cancel()
 
-        assert _run_trace("heap", script) == _run_trace("calendar", script)
+        assert _run_trace("public", script) == _run_trace("reference", script)
 
 
 class TestSeriesEvents:
@@ -194,7 +194,7 @@ class TestSeriesEvents:
             for t in (1.0, 2.0, 3.0):
                 sim.schedule_at(t, log.append, ("other", t))
 
-        for queue in ("heap", "calendar"):
+        for queue in ("public", "reference"):
             assert (
                 _run_trace(queue, with_series)
                 == _run_trace(queue, with_reschedule)
