@@ -295,20 +295,6 @@ class StoredRun:
         """The run's seed (a plain config field, surfaced for grouping)."""
         return self.config.seed
 
-    def to_result(self) -> ExperimentResult:
-        """Rehydrate a detached :class:`ExperimentResult` (scenario=None)."""
-        return ExperimentResult(
-            config=self.config,
-            summary=self.summary,
-            series=self.series,
-            scenario=None,
-            activation_time=self.activation_time,
-            identified_atrs=set(self.identified_atrs),
-            true_atrs=set(self.true_atrs),
-            events_executed=self.events_executed,
-            wall_seconds=self.wall_seconds,
-        )
-
 
 @dataclass
 class GCReport:

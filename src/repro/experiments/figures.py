@@ -67,15 +67,13 @@ class FigureResult:
     x_label: str
     y_label: str
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    #: fig4b's runs, one per series, for their time series and activation
+    #: time; an axis figure keeps only its points.
     runs: dict[str, list[ExperimentResult]] = field(default_factory=dict)
 
-    def add_point(
-        self, series_name: str, x: float, y: float, run: ExperimentResult | None = None
-    ) -> None:
+    def add_point(self, series_name: str, x: float, y: float) -> None:
         """Append one (x, y) point to a series."""
         self.series.setdefault(series_name, []).append((x, y))
-        if run is not None:
-            self.runs.setdefault(series_name, []).append(run)
 
     def ys(self, series_name: str) -> list[float]:
         """The y values of one series."""
@@ -261,8 +259,6 @@ def run_figure(name: str, scale: float = 1.0) -> FigureResult:
                 result.add_point(label, t, kbps)
             result.runs.setdefault(label, []).append(run)
         else:
-            run = run_experiment(planned.config)
-            result.add_point(
-                label, x, 100.0 * getattr(run.summary, figure.metric), run
-            )
+            summary = run_experiment(planned.config).summary
+            result.add_point(label, x, 100.0 * getattr(summary, figure.metric))
     return result

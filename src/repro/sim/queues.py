@@ -42,7 +42,9 @@ class DropTailQueue:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._queue: deque[Packet] = deque()
+        # No FIFO until a packet really enters the queue: a link whose
+        # arrivals all take idle pass-through never allocates one.
+        self._queue: deque[Packet] | tuple[()] = ()
         self.drops = 0
         self.enqueued = 0
 
@@ -66,10 +68,14 @@ class DropTailQueue:
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         """FIFO admit unless full."""
-        if len(self._queue) >= self.capacity:
+        queue = self._queue
+        if len(queue) >= self.capacity:
             self.drops += 1
             return False
-        self._queue.append(packet)
+        try:
+            queue.append(packet)
+        except AttributeError:  # the first packet in: make the FIFO
+            self._queue = deque((packet,))
         self.enqueued += 1
         return True
 

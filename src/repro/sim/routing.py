@@ -8,6 +8,8 @@ static routing is faithful: there is no route churn during an experiment.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping
@@ -22,21 +24,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Adjacency = Mapping[str, Mapping[str, float]]
 
 
+def _codes(values: Iterable[int], wide: bool) -> array:
+    """Hop codes packed one byte each, or four once a table has more than
+    256 hop names."""
+    return array("I", values) if wide else array("B", bytes(values))
+
+
 class RoutingTable:
     """Longest-prefix-match next-hop table for one router.
 
-    Routes live in one exact-match dict per prefix length, probed
-    longest first, so a lookup costs one dict probe per *distinct*
-    prefix length however many routes are installed.  Lookups are not
-    memoized here: the per-destination memo is the router's
-    (:class:`~repro.sim.node.Router` resolves local delivery, LPM and
-    the outgoing link in one probe), and :meth:`watch` is how a router
+    Routes live packed, per netmask: a sorted ``array`` of masked bases
+    and a parallel array of hop codes, one-byte indexes into the table's
+    hop names (four bytes once a table names more than 256 hops), about
+    five bytes a route.  A lookup is one ``bisect`` per *distinct*
+    prefix length, longest first.  Lookups are not memoized here: the
+    per-destination memo is the router's (:class:`~repro.sim.node.Router`
+    resolves local delivery, LPM and the outgoing link in one probe, and
+    asks the table only on a miss), and :meth:`watch` is how a router
     hears that its memo went stale.
     """
 
     def __init__(self) -> None:
-        # netmask -> {masked base: hop}, kept longest prefix first.
-        self._hops_by_mask: dict[int, dict[int, str]] = {}
+        # (netmask, sorted masked bases, hop code per base), longest
+        # prefix first.
+        self._prefixes: list[tuple[int, array, array]] = []
+        self._hop_names: list[str] = []
         self._default: str | None = None
         self._watchers: list[Callable[[], None]] = []
 
@@ -54,23 +66,45 @@ class RoutingTable:
         lengths are re-sorted at most once per call, and watchers hear
         of a call once (not at all of an empty one).
         """
-        routes = list(routes)
-        if not routes:
-            return
-        hops_by_mask = self._hops_by_mask
-        new_mask = False
-        prefix_len = None
-        for subnet, hop in routes:
+        codes = dict(zip(self._hop_names, range(len(self._hop_names))))
+        # netmask -> {masked base: hop code}, first install wins.
+        fresh_by_mask: dict[int, dict[int, int]] = {}
+        prefix_len = hop = None
+        for subnet, next_hop in routes:
             if subnet.prefix_len != prefix_len:
                 prefix_len = subnet.prefix_len
-                hops = hops_by_mask.get(subnet.netmask)
-                if hops is None:
-                    hops_by_mask[subnet.netmask] = hops = {}
-                    new_mask = True
-            hops.setdefault(subnet.base, hop)
-        if new_mask:
-            # A longer prefix is a numerically larger mask.
-            self._hops_by_mask = dict(sorted(hops_by_mask.items(), reverse=True))
+                fresh = fresh_by_mask.setdefault(subnet.netmask, {})
+            if next_hop is not hop:  # runs of routes share a hop
+                hop = next_hop
+                code = codes.setdefault(hop, len(codes))
+            fresh.setdefault(subnet.base, code)
+        if not fresh_by_mask:
+            return
+        self._hop_names = list(codes)
+        wide = len(codes) > 256
+        packed = {mask: (bases, hops) for mask, bases, hops in self._prefixes}
+        for mask, fresh in fresh_by_mask.items():
+            held = packed.get(mask)
+            if held is None:
+                bases = sorted(fresh)
+                if bases != list(fresh):
+                    fresh = {base: fresh[base] for base in bases}
+                packed[mask] = (array("I", bases), _codes(fresh.values(), wide))
+                continue
+            bases, hops = held
+            if wide and hops.typecode == "B":
+                hops = array("I", hops)
+                packed[mask] = (bases, hops)
+            for base, code in fresh.items():
+                at = bisect_left(bases, base)
+                if at == len(bases) or bases[at] != base:  # else the first hop stays
+                    bases.insert(at, base)
+                    hops.insert(at, code)
+        # A longer prefix is a numerically larger mask.
+        self._prefixes = [
+            (mask, bases, hops)
+            for mask, (bases, hops) in sorted(packed.items(), reverse=True)
+        ]
         self._changed()
 
     def set_default(self, next_hop_name: str) -> None:
@@ -80,17 +114,19 @@ class RoutingTable:
 
     def next_hop(self, dst_ip: int) -> str | None:
         """Longest-prefix-match lookup; falls back to the default route."""
-        for mask, hops in self._hops_by_mask.items():
-            hop = hops.get(dst_ip & mask)
-            if hop is not None:
-                return hop
+        for mask, bases, hops in self._prefixes:
+            key = dst_ip & mask
+            at = bisect_right(bases, key)
+            if at and bases[at - 1] == key:
+                return self._hop_names[hops[at - 1]]
         return self._default
 
     def routes(self) -> tuple[tuple[Subnet, str], ...]:
-        """Each subnet once, with its hop: longest prefix first, then install order."""
+        """Each subnet once, with its hop: longest prefix first, then ascending base."""
+        names = self._hop_names
         return tuple(
-            (Subnet(base, mask.bit_count()), hop)
-            for mask, hops in self._hops_by_mask.items() for base, hop in hops.items()
+            (Subnet(base, mask.bit_count()), names[hop])
+            for mask, bases, hops in self._prefixes for base, hop in zip(bases, hops)
         )
 
     def watch(self, on_change: Callable[[], None]) -> None:
@@ -106,7 +142,7 @@ class RoutingTable:
             on_change()
 
     def __len__(self) -> int:
-        return sum(map(len, self._hops_by_mask.values()))
+        return sum(len(bases) for _, bases, _ in self._prefixes)
 
 
 def shortest_path_tree(

@@ -129,11 +129,19 @@ def check_fields(obj: Any) -> None:
         values[name] = check(name, values[name], *bounds)
 
 
+@functools.cache
+def _nested(cls: type) -> tuple[tuple[str, type], ...]:
+    """``(name, dataclass)`` of each field checked as a nested dataclass."""
+    return tuple(
+        (name, bounds[0]) for name, check, bounds in _checks(cls)
+        if check is check_type and dataclasses.is_dataclass(bounds[0])
+    )
+
+
 def from_fields(cls: type, data: dict) -> Any:
     """``cls(**data)``, a dict for a ``check_type``-d dataclass field rebuilt first."""
     kwargs = dict(data)
-    for name, check, bounds in _checks(cls):
-        nested = bounds[0] if check is check_type else None
-        if isinstance(kwargs.get(name), dict) and dataclasses.is_dataclass(nested):
+    for name, nested in _nested(cls):
+        if isinstance(kwargs.get(name), dict):
             kwargs[name] = from_fields(nested, kwargs[name])
     return cls(**kwargs)

@@ -45,15 +45,6 @@ class TestArtifacts:
         assert run.wall_seconds == result.wall_seconds
         assert run.seed == config.seed
 
-    def test_to_result_rehydrates_detached(self, store):
-        result = fabricate_result(config_for())
-        store.write_result(result)
-        rehydrated = store.read_run(result.config.config_hash()).to_result()
-        assert rehydrated.scenario is None
-        assert rehydrated.summary == result.summary
-        assert rehydrated.config == result.config
-        assert rehydrated.atr_recall == result.atr_recall
-
     def test_has_and_run_ids(self, store):
         assert store.run_ids() == set()
         config = config_for()

@@ -3,11 +3,13 @@ real runs (one axis figure, and fig4b's time series)."""
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.campaign.query import REPORT_METRICS
 from repro.campaign.spec import CampaignSpec
+from repro.experiments import figures
 from repro.experiments.figures import FIGURES, FigureResult, _scaled, run_figure
 
 #: SHA-256 over every figure's ordered (series label, x, config_hash)
@@ -62,6 +64,36 @@ class TestFigureResult:
         fig.add_point("s", 2.0, 4.0)
         assert fig.series["s"] == [(1.0, 2.0), (2.0, 4.0)]
         assert fig.ys("s") == [2.0, 4.0]
+
+
+class TestFigureRuns:
+    """Which runs a figure keeps, with ``run_experiment`` stubbed out."""
+
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        made = []
+
+        def stub(config, series_bin_width=None):
+            made.append(SimpleNamespace(
+                summary=SimpleNamespace(**dict.fromkeys(REPORT_METRICS, 0.5)),
+                series=SimpleNamespace(times=[0.0, 0.05], total_kbps=[1.0, 2.0]),
+            ))
+            return made[-1]
+
+        monkeypatch.setattr(figures, "run_experiment", stub)
+        return made
+
+    def test_an_axis_figure_keeps_no_runs(self, stub_runs):
+        fig = run_figure("fig3a", scale=0.01)
+        assert len(stub_runs) == 6
+        assert fig.runs == {}
+        assert all(fig.ys(name) == [50.0, 50.0] for name in PD)
+
+    def test_fig4b_keeps_one_run_per_series(self, stub_runs):
+        fig = run_figure("fig4b", scale=0.01)
+        assert fig.runs == {
+            label: [run] for label, run in zip(("Vt=10", "Vt=30", "Vt=50"), stub_runs)
+        }
 
 
 class TestFigurePlans:

@@ -9,10 +9,12 @@ filled by one ``add_routes`` call, so a router watching its table hears
 one invalidation per build, not one per route.  The per-router build ran
 320 trees over all 320 routers and notified 81,664 times.
 
-What the built tables keep is their per-prefix-length dicts alone
-(2.96 MiB on CPython 3.11); a per-table list of every installed
-``(subnet, hop)`` route, read only by ``routes()`` and ``len()``, once
-took it to 5.36 MiB.
+What the built tables keep is, per prefix length, a sorted array of
+masked bases and a parallel array of one-byte hop codes: 0.57 MiB for
+the 81,664 routes on CPython 3.11, about five bytes a route.  One
+``{base: hop}`` dict per prefix length held 2.96 MiB, and a per-table
+list of every installed ``(subnet, hop)`` route beside those dicts, read
+only by ``routes()`` and ``len()``, once took it to 5.36 MiB.
 """
 
 import gc
@@ -96,5 +98,5 @@ def test_the_built_tables_hold_no_more_than_their_dicts(domain):
         tracemalloc.stop()
     held = snapshot.filter_traces([tracemalloc.Filter(True, routing.__file__)])
     held_mib = sum(stat.size for stat in held.statistics("filename")) / 2**20
-    assert held_mib <= 3.25, f"{held_mib:.2f} MiB"
+    assert held_mib <= 1.0, f"{held_mib:.2f} MiB"
     assert sum(len(router.routing_table) for router in routers.values()) == 81_664

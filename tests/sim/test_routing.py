@@ -1,6 +1,8 @@
 """Tests for repro.sim.routing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.address import Subnet
 from repro.sim.link import SimplexLink
@@ -69,6 +71,83 @@ class TestRoutingTable:
         assert heard == [2]
         t.add_route(Subnet(0x0A020000, 24), "c")
         assert heard == [2, 3]
+
+
+class _DictTable:
+    """One ``{base: hop}`` dict per netmask, probed longest first: the
+    reference the packed table must agree with."""
+
+    def __init__(self):
+        self.hops_by_mask = {}
+        self.default = None
+
+    def add(self, subnet, hop):
+        self.hops_by_mask.setdefault(subnet.netmask, {}).setdefault(subnet.base, hop)
+
+    def next_hop(self, address):
+        for mask in sorted(self.hops_by_mask, reverse=True):
+            hop = self.hops_by_mask[mask].get(address & mask)
+            if hop is not None:
+                return hop
+        return self.default
+
+    def routes(self):
+        return {(Subnet(base, mask.bit_count()), hop)
+                for mask, hops in self.hops_by_mask.items() for base, hop in hops.items()}
+
+
+#: Few anchor addresses, so prefixes overlap and subnets repeat.
+_ADDRESSES = st.sampled_from((0x0A000000, 0x0A010203, 0x0A01FFFF, 0x0AFF0000, 0xC0A80101))
+_SUBNETS = st.builds(
+    lambda address, prefix_len: Subnet(address & ~((1 << (32 - prefix_len)) - 1), prefix_len),
+    st.one_of(_ADDRESSES, st.integers(0, 2**32 - 1)), st.integers(8, 32),
+)
+_ROUTES = st.tuples(_SUBNETS, st.sampled_from("abcde"))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add_routes"), st.lists(_ROUTES, max_size=12)),
+    st.tuples(st.just("add_route"), _ROUTES),
+    st.tuples(st.just("set_default"), st.sampled_from("xy")),
+), min_size=1, max_size=8)
+
+
+class TestPackedTableMatchesADictPerMask:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS, probes=st.lists(st.integers(0, 2**32 - 1), max_size=8))
+    def test_lockstep(self, ops, probes):
+        table, reference = RoutingTable(), _DictTable()
+        for op, arg in ops:
+            if op == "add_routes":
+                table.add_routes(iter(arg))
+                for subnet, hop in arg:
+                    reference.add(subnet, hop)
+            elif op == "add_route":
+                table.add_route(*arg)
+                reference.add(*arg)
+            else:
+                table.set_default(arg)
+                reference.default = arg
+            assert len(table) == len(reference.routes())
+        routes = table.routes()
+        assert set(routes) == reference.routes()
+        assert [(-subnet.prefix_len, subnet.base) for subnet, _ in routes] == sorted(
+            (-subnet.prefix_len, subnet.base) for subnet, _ in routes
+        )
+        installed = [address for subnet, _ in routes
+                     for address in (subnet.base, subnet.base + subnet.size - 1)]
+        for address in installed + probes:
+            assert table.next_hop(address) == reference.next_hop(address), hex(address)
+
+    def test_more_than_256_hops(self):
+        table, reference = RoutingTable(), _DictTable()
+        routes = [(Subnet(i << 8, 24), f"r{i % 300}") for i in range(600)]
+        table.add_routes(routes[:200])  # one-byte hop codes...
+        table.add_routes(routes[200:])  # ...widened once 256 hops are named
+        table.add_route(Subnet(0x0A000000, 8), "r299")
+        for subnet, hop in routes + [(Subnet(0x0A000000, 8), "r299")]:
+            reference.add(subnet, hop)
+        assert set(table.routes()) == reference.routes()
+        for subnet, _ in routes:
+            assert table.next_hop(subnet.base + 1) == reference.next_hop(subnet.base + 1)
 
 
 def _build_line(sim):
