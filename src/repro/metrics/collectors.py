@@ -20,6 +20,7 @@ by the series' bin count, not by the run's length.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +43,50 @@ class FlowTruth(Enum):
     TCP_LEGIT = "tcp_legit"  # well-behaved: legitimate AND responsive
     UDP_LEGIT = "udp_legit"  # legitimate but unresponsive (collateral zone)
     UNKNOWN = "unknown"
+
+
+#: Truth code -> class, for the packed verdict log.
+_TRUTHS = tuple(FlowTruth)
+_TRUTH_CODES = {truth: code for code, truth in enumerate(_TRUTHS)}
+
+
+class VerdictLog:
+    """Every table verdict in arrival order, as packed columns.
+
+    A verdict costs 18 bytes: its time (``array('d')``), its flow label
+    (``array('Q')``) and one-byte codes for the verdict and the flow's
+    ground truth.  Iterating yields the ``(now, label, verdict, truth)``
+    tuples a list of them would hold, floats and ints bit-identical.
+    """
+
+    __slots__ = ("_times", "_labels", "_verdicts", "_truths", "_codes")
+
+    def __init__(self) -> None:
+        self._times = array("d")
+        self._labels = array("Q")
+        self._verdicts = bytearray()
+        self._truths = bytearray()
+        self._codes: dict[str, int] = {}  # verdict -> code, codes in order
+
+    def append(self, now: float, label: int, verdict: str, truth: FlowTruth) -> None:
+        """Record one verdict."""
+        code = self._codes.get(verdict)
+        if code is None:
+            code = self._codes[verdict] = len(self._codes)
+        self._times.append(now)
+        self._labels.append(label)
+        self._verdicts.append(code)
+        self._truths.append(_TRUTH_CODES[truth])
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __iter__(self):
+        return zip(
+            self._times, self._labels,
+            map(tuple(self._codes).__getitem__, self._verdicts),
+            map(_TRUTHS.__getitem__, self._truths),
+        )
 
 
 @dataclass
@@ -74,7 +119,9 @@ class DefenseMetricsCollector:
         self.counts: dict[FlowTruth, _ClassCounts] = {
             truth: _ClassCounts() for truth in FlowTruth
         }
-        self.verdicts: list[tuple[float, int, str, FlowTruth]] = []
+        self.verdicts = VerdictLog()
+        # (truth, verdict) -> count, in first-seen order.
+        self._confusion: dict[tuple[FlowTruth, str], int] = {}
         self.first_drop_time: float | None = None
 
     # ------------------------------------------------- observer interface
@@ -120,7 +167,9 @@ class DefenseMetricsCollector:
     ) -> None:
         """Record a table verdict with the flow's ground truth."""
         truth = self.flow_truth.get(int(label), FlowTruth.UNKNOWN)
-        self.verdicts.append((now, int(label), verdict, truth))
+        self.verdicts.append(now, int(label), verdict, truth)
+        key = (truth, verdict)
+        self._confusion[key] = self._confusion.get(key, 0) + 1
         if self.bus:
             self.bus.emit(Verdict(
                 now, int(label), verdict, truth.value, atr
@@ -149,11 +198,7 @@ class DefenseMetricsCollector:
 
     def verdict_confusion(self) -> dict[tuple[FlowTruth, str], int]:
         """(truth, verdict) -> count over all recorded verdicts."""
-        table: dict[tuple[FlowTruth, str], int] = {}
-        for _, _, verdict, truth in self.verdicts:
-            key = (truth, verdict)
-            table[key] = table.get(key, 0) + 1
-        return table
+        return dict(self._confusion)
 
 
 class StreamingVictimCollector:

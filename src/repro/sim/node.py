@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Protocol
 
+from repro.sim.address import Subnet
 from repro.sim.packet import Packet, PacketType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,37 +71,51 @@ class Router(Node):
     control-plane agents (pushback coordinator) can be attached.
 
     Where a destination goes — a local handler, an outgoing link, or
-    nowhere — is resolved once and memoized per destination address, so
-    a forwarded packet costs one dict probe.  Everything the resolution
-    reads invalidates the memo when it changes: the local-delivery
-    list, the outgoing links, the routing table and its routes.  Memo
-    entries share their action tuple — one per local handler and one per
+    nowhere — is resolved once and memoized per destination block, so
+    a forwarded packet costs one ``&`` and one dict probe.  The block is
+    the destination under the longest prefix among the router's routing
+    inputs (its routes and its local-delivery subnets): two addresses
+    equal under that mask match the same prefixes, so they go the same
+    way.  A local delivery given as a bare predicate, or a /32 route,
+    makes the key the exact address.  Everything the resolution reads
+    invalidates the memo when it changes: the local-delivery list, the
+    outgoing links, the routing table and its routes.  Memo entries
+    share their action tuple — one per local handler and one per
     outgoing link — so a miss toward a known target allocates nothing.
     """
 
     #: Memo bound: probes routed toward rotating spoofed sources can
-    #: mint one fresh destination per packet; past this many entries the
-    #: memo is cleared rather than grown (stable flows repopulate it
-    #: immediately, memory stays bounded).
+    #: mint one fresh destination block per packet; past this many
+    #: entries the memo is cleared rather than grown (stable flows
+    #: repopulate it immediately, memory stays bounded).
     _MEMO_MAX = 1 << 16
 
     def __init__(self, sim: "Simulator", name: str, address: int | None = None) -> None:
         super().__init__(sim, name, address)
         self._routing_table: "RoutingTable | None" = None
-        # (matches, (handler.handle_packet, None)): the action is built here.
-        self._local_subnet_handlers: list[tuple[Callable[[int], bool], tuple]] = []
+        # (matches, (handler.handle_packet, None), netmask): the action
+        # is built here; a bare predicate's netmask is /32.
+        self._local_subnet_handlers: list[tuple[Callable[[int], bool], tuple, int]] = []
         self._control_handlers: list[PacketHandler] = []
-        # dst_ip -> (handle_packet of a local handler, None)
-        #         | (None, send of the next link)
-        #         | (None, None) when there is no route.
+        # dst_ip & _memo_mask -> (handle_packet of a local handler, None)
+        #                      | (None, send of the next link)
+        #                      | (None, None) when there is no route.
         self._memo: dict[int, tuple] = {}
+        # The longest prefix among the routing inputs (none yet: /0).
+        self._memo_mask = 0
         # out-link -> its (None, link.send), built on the first miss to it.
         self._link_actions: dict["SimplexLink", tuple] = {}
 
     def _forget(self) -> None:
-        """Drop every memoized route and link action (an input changed)."""
+        """Drop every memoized route and link action, and re-derive the
+        memo's key mask (an input changed)."""
         self._memo.clear()
         self._link_actions.clear()
+        table = self._routing_table
+        mask = table.longest_netmask() if table is not None else 0
+        for _, _, netmask in self._local_subnet_handlers:
+            mask |= netmask  # prefix masks: the OR is the longest
+        self._memo_mask = mask
 
     @property
     def routing_table(self) -> "RoutingTable | None":
@@ -122,15 +137,24 @@ class Router(Node):
         self._forget()
 
     def add_local_delivery(
-        self, matches: Callable[[int], bool], handler: PacketHandler
+        self, matches: Subnet | Callable[[int], bool], handler: PacketHandler
     ) -> None:
-        """Deliver packets whose dst matches the predicate to ``handler``.
+        """Deliver packets whose dst is in ``matches`` to ``handler``.
 
-        ``matches`` must be pure in the address — the same answer for the
-        same address for as long as it is installed — because its verdict
-        is memoized per destination.
+        ``matches`` is a :class:`~repro.sim.address.Subnet`, or a predicate
+        on the address.  A predicate must be pure in the address — the
+        same answer for the same address for as long as it is installed —
+        because its verdict is memoized per destination; it also makes
+        the memo key the exact address, where a subnet lets the key stay
+        a block.
         """
-        self._local_subnet_handlers.append((matches, (handler.handle_packet, None)))
+        if isinstance(matches, Subnet):
+            netmask, matches = matches.netmask, matches.contains
+        else:
+            netmask = 0xFFFFFFFF
+        self._local_subnet_handlers.append(
+            (matches, (handler.handle_packet, None), netmask)
+        )
         self._forget()
 
     def add_control_handler(self, handler: PacketHandler) -> None:
@@ -148,7 +172,7 @@ class Router(Node):
             self.packets_delivered += 1
             packet.release()  # control handlers copy what they keep
             return
-        action = self._memo.get(dst_ip)
+        action = self._memo.get(dst_ip & self._memo_mask)
         if action is None:
             action = self._resolve(dst_ip)
         deliver, send = action
@@ -166,9 +190,9 @@ class Router(Node):
             packet.release()
 
     def _resolve(self, dst_ip: int) -> tuple:
-        """Work out and memoize where ``dst_ip`` goes (a memo miss)."""
+        """Work out and memoize where ``dst_ip``'s block goes (a memo miss)."""
         action: tuple = (None, None)
-        for matches, deliver in self._local_subnet_handlers:
+        for matches, deliver, _ in self._local_subnet_handlers:
             if matches(dst_ip):
                 action = deliver
                 break
@@ -184,7 +208,7 @@ class Router(Node):
         memo = self._memo
         if len(memo) >= self._MEMO_MAX:
             memo.clear()
-        memo[dst_ip] = action
+        memo[dst_ip & self._memo_mask] = action
         return action
 
 

@@ -11,7 +11,7 @@ Both classes are ``__slots__`` classes on the hot path:
 * :class:`FlowKey` computes its stable 64-bit hash **at construction**
   (``flow_hash`` is an attribute load, not a dict probe) and memoizes its
   :meth:`reversed` partner, so the per-ACK reverse key is built once per
-  flow instead of once per packet.
+  flow instead of once per packet (one way only: no reference cycle).
 * :class:`Packet` objects are recycled through an allocation-free
   free-list pool (:meth:`Packet.acquire` / :meth:`Packet.release`) while
   a run has the pool enabled; every acquire resets every field, including
@@ -129,12 +129,17 @@ class FlowKey:
         return self._hash64
 
     def reversed(self) -> "FlowKey":
-        """The key of the opposite direction (ACK stream), memoized both
-        ways so per-ACK reverse lookups are attribute loads."""
+        """The key of the opposite direction (ACK stream), memoized so
+        per-ACK reverse lookups are attribute loads.
+
+        Memoized one way only: the reverse does not point back, so a key
+        and its reverse form no reference cycle and die by refcount with
+        the flow's last packet.  Asking the reverse for its reverse
+        builds a new key equal to this one.
+        """
         rev = self._reversed
         if rev is None:
             rev = FlowKey(self.dst_ip, self.src_ip, self.dst_port, self.src_port)
-            object.__setattr__(rev, "_reversed", self)
             object.__setattr__(self, "_reversed", rev)
         return rev
 

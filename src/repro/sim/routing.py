@@ -112,6 +112,13 @@ class RoutingTable:
         self._default = next_hop_name
         self._changed()
 
+    def longest_netmask(self) -> int:
+        """The mask of the longest installed prefix (0 with no routes).
+
+        Two addresses equal under it match the same routes.
+        """
+        return self._prefixes[0][0] if self._prefixes else 0
+
     def next_hop(self, dst_ip: int) -> str | None:
         """Longest-prefix-match lookup; falls back to the default route."""
         for mask, bases, hops in self._prefixes:

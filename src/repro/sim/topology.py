@@ -186,7 +186,7 @@ def _attach_edge_host(
     host = Host(sim, host_name, subnet.host(host_index).value)
     host.gateway = router
     _link_pair(sim, host, router, bandwidth_bps, delay, queue_capacity, links)
-    router.add_local_delivery(subnet.contains, _HostDelivery(host, router))
+    router.add_local_delivery(subnet, _HostDelivery(host, router))
     return host, subnet
 
 

@@ -10,13 +10,21 @@ flight, not by the number of packets.  Doubling a tiny paper-default run
 blocks ``tracemalloc`` attributes to those two files where they were, up
 to TCP windows still opening.  A list with one tuple per arrival or per
 ACK adds thousands.
+
+The one per-flow record a run keeps is the defence collector's verdict
+log, one entry per table verdict (and under source rotation every
+attack packet is a flow of its own).  It is packed columns: a float, a
+64-bit label and two one-byte codes, ~18 bytes a verdict, where a list
+of ``(now, label, verdict, truth)`` tuples held ~80.
 """
 
 import gc
+import inspect
 import tracemalloc
 
-from repro.experiments.presets import paper_default
+from repro.experiments.presets import paper_default, rotation_stress
 from repro.experiments.runner import run_experiment
+from repro.metrics.collectors import DefenseMetricsCollector
 
 FILES = ("*/repro/metrics/collectors.py", "*/repro/transport/tcp.py")
 
@@ -60,3 +68,39 @@ def test_collector_and_sender_state_does_not_grow_with_the_run():
         if count > short.get(line, 0)
     }
     assert sum(long.values()) <= sum(short.values()) + SLACK_BLOCKS, grown
+
+
+#: Bytes a recorded verdict may retain: its 18 packed bytes plus the
+#: columns' over-allocation and fixed headers.  Seen: ~21 (a tuple per
+#: verdict: ~81).
+VERDICT_BYTES = 32
+
+
+def test_a_verdict_costs_its_packed_bytes():
+    """Everything ``on_verdict`` allocated that a finished run still
+    holds, per verdict, on a tiny rotation run (a verdict per probed
+    one-packet flow)."""
+    config = rotation_stress().with_overrides(
+        total_flows=10, n_routers=8, duration=2.0, seed=3
+    )
+    lines, first = inspect.getsourcelines(DefenseMetricsCollector.on_verdict)
+    on_verdict = range(first, first + len(lines))
+    gc.collect()
+    tracemalloc.start(2)  # the log's append, and on_verdict calling it
+    try:
+        result = run_experiment(config)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        trace.size for trace in snapshot.traces
+        if any(
+            frame.filename.replace("\\", "/").endswith("/repro/metrics/collectors.py")
+            and frame.lineno in on_verdict
+            for frame in trace.traceback
+        )
+    )
+    verdicts = len(result.scenario.defense_collector.verdicts)
+    assert verdicts > 100
+    assert held <= VERDICT_BYTES * verdicts, (held, verdicts)

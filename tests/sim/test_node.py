@@ -249,9 +249,69 @@ class TestRouterMemo:
         a, _, to_b, _ = self._fan(sim)
         a.routing_table.set_default("b")
         peak = 0
-        for dst in range(0x20000000, 0x20000000 + 100_000):
-            self._send(a, dst=dst)
+        # One destination in each of 100,000 /24 blocks: more blocks
+        # than the memo may hold.
+        for block in range(100_000):
+            self._send(a, dst=0x20000000 + (block << 8))
             peak = max(peak, len(a._memo))
         assert peak == Router._MEMO_MAX
         assert len(a._memo) <= Router._MEMO_MAX
         assert to_b.packets_offered == 100_001
+
+
+class TestRouterMemoKey:
+    """The memo keys a destination by its block under the longest prefix
+    the router routes or delivers on; only a /32 or a bare predicate
+    makes the key the exact address."""
+
+    BLOCK = 0x0A000000  # the /24 routed via b
+
+    def _router(self, sim):
+        a, b, c = Router(sim, "a"), Router(sim, "b"), Router(sim, "c")
+        to_b, to_c = SimplexLink(sim, a, b), SimplexLink(sim, a, c)
+        a.attach_link(to_b)
+        a.attach_link(to_c)
+        table = RoutingTable()
+        table.add_routes([
+            (Subnet(self.BLOCK, 24), "b"), (Subnet(0x0A000100, 24), "c"),
+        ])
+        a.routing_table = table
+        return a, to_b, to_c
+
+    def _spray(self, router, count=1_000):
+        """``count`` packets over every address of the /24."""
+        for i in range(count):
+            router.receive(Packet(flow=FlowKey(1, self.BLOCK + i % 256, 3, 4)))
+
+    def test_a_block_of_destinations_leaves_one_entry(self, sim):
+        a, to_b, to_c = self._router(sim)
+        self._spray(a)
+        assert len(a._memo) == 1
+        assert (to_b.packets_offered, to_c.packets_offered) == (1_000, 0)
+
+    def test_a_host_route_makes_the_key_exact(self, sim):
+        a, to_b, to_c = self._router(sim)
+        self._spray(a, count=10)  # memoized under the /24 key
+        a.routing_table.add_route(Subnet(self.BLOCK + 7, 32), "c")
+        self._spray(a)
+        assert len(a._memo) == 256
+        assert to_c.packets_offered == 4  # 7, 263, 519, 775
+        assert to_b.packets_offered == 10 + 996
+
+    def test_a_predicate_delivery_makes_the_key_exact(self, sim):
+        a, to_b, _ = self._router(sim)
+        agent = _Recorder()
+        a.add_local_delivery(lambda ip: ip == self.BLOCK + 7, agent)
+        self._spray(a)
+        assert len(a._memo) == 256
+        assert len(agent.packets) == 4
+        assert to_b.packets_offered == 996
+
+    def test_a_subnet_delivery_keys_by_its_prefix(self, sim):
+        a, to_b, _ = self._router(sim)
+        agent = _Recorder()
+        a.add_local_delivery(Subnet(self.BLOCK + 16, 28), agent)
+        self._spray(a)
+        assert len(a._memo) == 16  # the /24 in /28 blocks
+        assert len(agent.packets) == 16 * 4
+        assert to_b.packets_offered == 1_000 - 16 * 4

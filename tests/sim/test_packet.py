@@ -1,5 +1,7 @@
 """Tests for repro.sim.packet."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,11 @@ from repro.sim.packet import (
 
 ports = st.integers(min_value=0, max_value=0xFFFF)
 ips = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+def _live_keys():
+    """FlowKeys the cyclic collector tracks (every live one)."""
+    return sum(type(obj) is FlowKey for obj in gc.get_objects())
 
 
 class TestFlowKey:
@@ -102,11 +109,24 @@ class TestPacket:
 
 
 class TestFlowKeyCaches:
-    def test_reversed_is_memoized_both_ways(self):
+    def test_reversed_is_memoized_one_way_without_a_cycle(self):
         k = FlowKey(1, 2, 3, 4)
         r = k.reversed()
         assert r is k.reversed()
-        assert r.reversed() is k
+        assert r.reversed() == k and hash(r.reversed()) == hash(k)
+        # A key and its reverse die by refcount: with the cyclic
+        # collector off, nothing of them is left for it to find.
+        gc.collect()
+        gc.disable()
+        try:
+            key = FlowKey(5, 6, 7, 8)
+            rev = key.reversed()
+            before = _live_keys()
+            del key, rev
+            assert _live_keys() == before - 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_hash_is_precomputed_attribute(self):
         k = FlowKey(1, 2, 3, 4)

@@ -4,12 +4,13 @@
 a leaf (one neighbour, not itself) reads its reach off its anchor's
 tree, leaves are skipped inside the trees, and each table is filled by
 one ``add_routes`` call.  The per-router build below — one
-``shortest_path_tree`` per router, one ``add_route`` per route — is what
-it replaced, kept here as the reference: every router's ``routes()``,
-``len()`` and ``next_hop`` must come out identical on the registered
-topologies, the scaled-up domains, and random tied graphs with leaves,
-leaf chains, two-router islands, isolated routers, routers missing
-from the adjacency, duplicate subnets and already-filled tables.
+``shortest_path_tree`` per router, then every route it yields in
+attachment order — is what it replaced, kept here as the reference:
+every router's ``routes()``, ``len()`` and ``next_hop`` must come out
+identical on the registered topologies, the scaled-up domains, and
+random tied graphs with leaves, leaf chains, two-router islands,
+isolated routers, routers missing from the adjacency, duplicate
+subnets and already-filled tables.
 """
 
 import random
@@ -29,7 +30,8 @@ SIZES = (10, 23, 40, 160)
 
 
 def reference_build(adjacency, routers, subnet_attachments):
-    """The per-router build: a tree per router, a call per route."""
+    """The per-router build: a tree per router, its routes in one call
+    (a subnet installed twice keeps its first hop, as route by route)."""
     attachments = list(subnet_attachments)
     for name, router in routers.items():
         dist, pred = shortest_path_tree(adjacency, name)
@@ -40,10 +42,10 @@ def reference_build(adjacency, routers, subnet_attachments):
         table = router.routing_table
         if table is None:
             table = RoutingTable()
-        for attach_name, subnet in attachments:
-            hop = first_hop.get(attach_name)
-            if hop is not None:
-                table.add_route(subnet, hop)
+        table.add_routes(
+            (subnet, first_hop[attach_name])
+            for attach_name, subnet in attachments if attach_name in first_hop
+        )
         router.routing_table = table
 
 
