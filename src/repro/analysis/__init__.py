@@ -2,8 +2,9 @@
 
 The paper reports single curves; a faithful open-source release also
 needs the tooling to quantify run-to-run variation (seeds), to decide
-whether a time series has reached steady state, and to write results to
-disk in formats downstream plotting tools consume.
+whether a time series has reached steady state, to write results to
+disk in formats downstream plotting tools consume, and to fold a run's
+defence events into probe-latency and drop-mix views.
 """
 
 from repro.analysis.aggregate import (
@@ -16,6 +17,12 @@ from repro.analysis.convergence import (
     converged,
     settling_time,
 )
+from repro.analysis.defense_events import (
+    ProbeLatency,
+    drop_reason_timeline,
+    latency_stats,
+    probe_to_verdict_latencies,
+)
 from repro.analysis.export import (
     figure_to_csv,
     figure_to_dict,
@@ -23,22 +30,12 @@ from repro.analysis.export import (
     write_csv,
     write_json,
 )
-from repro.analysis.tracetools import (
-    AtrActivity,
-    ProbeLatency,
-    atr_activity,
-    drop_reason_timeline,
-    latency_stats,
-    probe_to_verdict_latencies,
-)
 
 __all__ = [
     "AggregatedMetrics",
-    "AtrActivity",
     "MetricStats",
     "ProbeLatency",
     "aggregate_runs",
-    "atr_activity",
     "converged",
     "drop_reason_timeline",
     "figure_to_csv",

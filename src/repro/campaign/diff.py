@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.store import CampaignStore, StoreError
+from repro.util.validation import check_non_negative
 
 #: Artifact keys that never participate in the comparison.
 IGNORED_KEYS = frozenset({"schema", "timing", "point", "config", "run_id"})
@@ -65,7 +66,12 @@ class StoreDiff:
 def diff_stores(
     dir_a, dir_b, tolerance: float = 0.0
 ) -> StoreDiff:
-    """Compare every cell of two stores; see the module docstring."""
+    """Compare every cell of two stores; see the module docstring.
+
+    ``tolerance`` must be finite and non-negative: a negative one makes
+    equal numbers differ, and NaN makes every number equal.
+    """
+    tolerance = check_non_negative("tolerance", tolerance)
     store_a, store_b = CampaignStore(dir_a), CampaignStore(dir_b)
     for store in (store_a, store_b):
         if not store.exists():

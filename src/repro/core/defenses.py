@@ -1,7 +1,7 @@
 """Defence lines: the pluggable "what runs at the ATRs" component.
 
 A defence builder receives a :class:`DefenseContext` (the built topology
-plus the experiment config, RNG registry, metrics observer, and trace)
+plus the experiment config, RNG registry, and metrics observer)
 and returns the per-ingress :class:`~repro.core.mafic.MaficAgent` map it
 installed.  The agent is the shared chassis — flow tables, activation
 timers, head-hook plumbing — and each defence differs in the
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
     from repro.metrics.collectors import DefenseMetricsCollector
     from repro.sim.topology import Topology
-    from repro.sim.trace import EventTrace
     from repro.util.rng import RngRegistry
 
 
@@ -45,7 +44,6 @@ class DefenseContext:
     config: "ExperimentConfig"
     rngs: "RngRegistry"
     collector: "DefenseMetricsCollector"
-    trace: "EventTrace"
 
 
 #: Defence builders of type ``(DefenseContext, **defense_args) ->
@@ -90,7 +88,6 @@ def install_agent_line(
                 else None
             ),
             observer=ctx.collector,
-            trace=ctx.trace,
         )
         if not adaptive:
             agent.config = MaficConfig(

@@ -43,29 +43,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.link import SimplexLink
     from repro.sim.node import Router
-    from repro.sim.trace import EventTrace
 
 
 #: Smallest monitor count that triggers a sweep of idle monitors.
 _MIN_SWEEP = 64
 
-#: Trace category per drop reason (the four ``_drop`` is called with) and
-#: per verdict: shared strings, so a traced record builds none.
-_DROP_CATEGORY = {
-    reason: f"drop.{reason}" for reason in ("illegal", "pdt", "probe", "policy")
-}
-_VERDICT_CATEGORY = {
-    "nice": "flow.nice", "cut": "flow.cut", "illegal_source": "flow.cut"
-}
-
 
 class DefenseObserver(Protocol):
     """Metrics seam: the agent reports every decision it takes.
 
-    ``atr`` names the reporting agent's ingress router; one observer
-    serves the whole defence line, so it is the only way a consumer can
-    attribute a decision to an ATR.  It defaults to ``""`` so bare
-    3-argument observers keep working.
+    Drops, passes, probes, verdicts and pushback starts/stops: Figure
+    2's chain end to end, so the observer is the defence's only event
+    log.  ``atr`` names the reporting agent's ingress router; one
+    observer serves the whole defence line, so it is the only way a
+    consumer can attribute a decision to an ATR.  It defaults to ``""``
+    so observers that never name the ATR keep working.
     """
 
     def on_defense_drop(
@@ -79,6 +71,10 @@ class DefenseObserver(Protocol):
     def on_verdict(
         self, label: FlowLabel, verdict: str, now: float, atr: str = ""
     ) -> None: ...
+
+    def on_probe(self, label: FlowLabel, now: float, atr: str = "") -> None: ...
+
+    def on_pushback(self, active: bool, now: float, atr: str = "") -> None: ...
 
 
 @dataclass
@@ -127,8 +123,6 @@ class MaficAgent:
         :class:`~repro.core.probe.DupAckProber` on ``router``.
     observer:
         Optional metrics observer.
-    trace:
-        Optional :class:`~repro.sim.trace.EventTrace`.
     """
 
     def __init__(
@@ -142,7 +136,6 @@ class MaficAgent:
         policy: DropPolicy | None = None,
         prober: DupAckProber | None = None,
         observer: "DefenseObserver | None" = None,
-        trace: "EventTrace | None" = None,
     ) -> None:
         self.sim = sim
         self.router = router
@@ -164,8 +157,7 @@ class MaficAgent:
             )
         )
         self.observer = observer
-        self.trace = trace
-        # Cached for the observer and trace calls on the per-packet path.
+        # Cached for the observer calls on the per-packet path.
         self._atr = router.name
 
         self.active = False
@@ -192,8 +184,8 @@ class MaficAgent:
             return
         self.active = True
         self.stats.activations += 1
-        if self.trace is not None:
-            self.trace.record(self._now(now), "pushback.start", atr=self._atr)
+        if self.observer is not None:
+            self.observer.on_pushback(True, self._now(now), self._atr)
 
     def refresh(self, now: float | None = None) -> None:
         """Pushback refresh: keep going (no state change needed)."""
@@ -214,8 +206,8 @@ class MaficAgent:
         self._monitors.clear()
         self.tables.flush()
         self.policy.reset()
-        if self.trace is not None:
-            self.trace.record(self._now(now), "pushback.stop", atr=self._atr)
+        if self.observer is not None:
+            self.observer.on_pushback(False, self._now(now), self._atr)
 
     # ----------------------------------------------------------- data path
 
@@ -323,8 +315,8 @@ class MaficAgent:
         # otherwise the flow faces the gate again on its next packet.
         self.prober.probe(packet)
         self.stats.probes_initiated += 1
-        if self.trace is not None:
-            self.trace.record(now, "probe.sent", flow=label.value, atr=self._atr)
+        if self.observer is not None:
+            self.observer.on_probe(label, now, self._atr)
         if monitor.count(now) >= self.min_baseline_packets:
             self._admit_suspicious(packet, label, monitor, now)
         return self._drop(packet, "probe", now)
@@ -424,10 +416,6 @@ class MaficAgent:
             self._notify_verdict(label, "cut", now)
 
     def _notify_verdict(self, label: FlowLabel, verdict: str, now: float) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                now, _VERDICT_CATEGORY[verdict], flow=label.value, atr=self._atr
-            )
         if self.observer is not None:
             self.observer.on_verdict(label, verdict, now, self._atr)
 
@@ -470,10 +458,6 @@ class MaficAgent:
             stats.packets_dropped_policy += 1
         else:
             stats.packets_dropped_probe += 1
-        if self.trace is not None:
-            self.trace.record(
-                now, _DROP_CATEGORY[reason], flow=packet.flow_hash, atr=self._atr
-            )
         if self.observer is not None:
             self.observer.on_defense_drop(packet, reason, now, self._atr)
         return False

@@ -10,6 +10,7 @@ Usage::
     python -m repro serve --campaign spec.toml [--root DIR] [--jobs N]
     python -m repro replay recording.jsonl.gz [--port P] [--pace X]
     python -m repro figure fig3a [--scale S] [--out FILE]
+    python -m repro validate [run flags] [--rate R]
     python -m repro campaign run|resume|status|report spec.toml
     python -m repro list
 
@@ -28,7 +29,6 @@ import sys
 from dataclasses import replace
 
 from repro.attacks.scenarios import ATTACKS
-from repro.core.config import MaficConfig
 from repro.core.defenses import DEFENSES
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, run_figure
@@ -86,7 +86,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """The scenario-shaping flags shared by ``run`` and ``serve``.
+    """The scenario-shaping flags shared by ``run``, ``serve`` and
+    ``validate``.
 
     Workload/topology knobs default to None so that a --preset keeps
     its own values unless a flag is given explicitly.
@@ -257,13 +258,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     val_p = sub.add_parser(
         "validate", help="feasibility-check a configuration without running"
     )
-    val_p.add_argument("--flows", type=int, default=50)
-    val_p.add_argument("--pd", type=float, default=0.9)
-    val_p.add_argument("--tcp", type=float, default=0.95)
-    val_p.add_argument("--routers", type=int, default=40)
-    val_p.add_argument("--rate", type=float, default=1e6,
-                       help="attack source rate R in bits/s")
-    val_p.set_defaults(usage_error=val_p.error)
+    _add_config_flags(val_p)
+    val_p.add_argument("--rate", type=float, default=None,
+                       help="attack source rate R in bits/s (default 1e6)")
     return parser
 
 
@@ -302,6 +299,7 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
             ("workload", args.workload),
             ("attack", args.attack),
             ("defense", args.defense),
+            ("rate_bps", getattr(args, "rate", None)),  # validate's own
         )
         if value is not None
     }
@@ -519,14 +517,7 @@ def _cmd_list() -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.experiments.validation import validate_config
 
-    try:
-        config = ExperimentConfig(
-            total_flows=args.flows, tcp_fraction=args.tcp, n_routers=args.routers,
-            rate_bps=args.rate, mafic=MaficConfig(drop_probability=args.pd),
-        )
-    except (ValueError, TypeError) as exc:
-        args.usage_error(str(exc))
-    report = validate_config(config)
+    report = validate_config(_run_config(args))
     for finding in report:
         print(f"[{finding.severity.value:>7}] {finding.code}: {finding.message}")
     print("\nfeasible" if report.ok else "\nNOT feasible")

@@ -184,12 +184,15 @@ class ExperimentConfig:
 
     # ---- Bookkeeping ----------------------------------------------------
     seed: int = declared(1, check_seed)
+    # The next three fields have no effect: no run reads them (a run's
+    # defence events go onto the event bus, and its victim collector
+    # always streams).  They stay declared and validated only because
+    # they are hashed into run identity (every preset's config_hash is
+    # pinned), and go when run identity stops hashing result-neutral
+    # fields (ROADMAP item 12); tests/experiments/test_inert_fields.py
+    # shows that flipping one changes no result.
     trace_enabled: bool = declared(True, check_bool)
     trace_max_records: int | None = declared(200_000, check_optional, check_int, 0)
-    # No effect: the victim collector always streams.  This field once
-    # chose that collector; it stays only because it is hashed into run
-    # identity (every preset's config_hash is pinned), and goes when run
-    # identity stops hashing result-neutral fields (ROADMAP item 12).
     streaming_series: bool = declared(False, check_bool)
 
     def __post_init__(self) -> None:

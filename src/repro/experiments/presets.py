@@ -110,10 +110,10 @@ def huge_topology(scale: int = 8) -> ExperimentConfig:
     ``scale`` multiplies the host/zombie population (``total_flows``)
     and widens the domain; the attack mix, rates, and MAFIC parameters
     stay at their Table-II values so per-flow behaviour is unchanged —
-    only the aggregate grows.  Packet tracing is off, so the run
-    *finishes in bounded memory* (the trace would otherwise hoard 200k
-    records); ``streaming_series`` has no effect and stays set only
-    because it is part of the pinned config hash.
+    only the aggregate grows.  ``trace_enabled=False`` and
+    ``streaming_series=True`` change nothing a run computes (see the
+    fields' comment in ``config.py``); they stay set only because they
+    are part of the pinned config hash.
     """
     check_int("scale", scale, 1)
     return ExperimentConfig(

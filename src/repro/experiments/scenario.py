@@ -39,7 +39,6 @@ from repro.metrics.collectors import (
 )
 from repro.sim.monitor import TrafficMonitor
 from repro.sim.topology import TOPOLOGIES, Topology
-from repro.sim.trace import EventTrace
 from repro.transport.sink import AckingSink, CountingSink
 from repro.transport.tcp import TcpSender
 from repro.transport.udp import CbrSender
@@ -65,7 +64,6 @@ class BuiltScenario:
     coordinator: PushbackCoordinator
     defense_collector: DefenseMetricsCollector
     victim_collector: StreamingVictimCollector
-    trace: EventTrace
     flow_truth: dict[int, FlowTruth] = field(default_factory=dict)
     tcp_sink: AckingSink | None = None
     udp_sink: CountingSink | None = None
@@ -104,9 +102,6 @@ def build_scenario(
     rngs = RngRegistry(config.seed)
     topology = TOPOLOGIES.get(config.topology)(config, **config.topology_args)
     sim = topology.sim
-    trace = EventTrace(
-        enabled=config.trace_enabled, max_records=config.trace_max_records
-    )
     if victim_collector is None:
         victim_collector = StreamingVictimCollector(
             duration=config.duration,
@@ -167,7 +162,6 @@ def build_scenario(
             config=config,
             rngs=rngs,
             collector=defense_collector,
-            trace=trace,
         ),
         **config.defense_args,
     )
@@ -239,7 +233,6 @@ def build_scenario(
         coordinator=coordinator,
         defense_collector=defense_collector,
         victim_collector=victim_collector,
-        trace=trace,
         flow_truth=flow_truth,
         tcp_sink=tcp_sink,
         udp_sink=udp_sink,

@@ -6,8 +6,9 @@ the experiment, which knows which flows it created) classify every
 decision the ATRs and the victim sink observe.
 
 Both collectors double as event *publishers*: pass an
-:class:`~repro.obs.bus.EventBus` and every decision, verdict, arrival,
-and activation is emitted onto it in addition to the counter updates.
+:class:`~repro.obs.bus.EventBus` and every decision, probe, verdict,
+pushback start/stop, arrival, and activation is emitted onto it in
+addition to the counter updates.
 With no bus attached (the default), the only added cost is one falsy
 check per call — the counters and summaries are bit-identical either
 way, which the golden-master suite pins.
@@ -30,6 +31,8 @@ from repro.obs.bus import NULL_BUS, MetricSink
 from repro.obs.events import (
     DefenseActivation,
     DefenseDecision,
+    DefenseProbe,
+    DefensePushback,
     Verdict,
     VictimArrival,
 )
@@ -174,6 +177,16 @@ class DefenseMetricsCollector:
             self.bus.emit(Verdict(
                 now, int(label), verdict, truth.value, atr
             ))
+
+    def on_probe(self, label, now: float, atr: str = "") -> None:
+        """Publish a duplicate-ACK probe (no counter: the agent keeps it)."""
+        if self.bus:
+            self.bus.emit(DefenseProbe(now, int(label), atr))
+
+    def on_pushback(self, active: bool, now: float, atr: str = "") -> None:
+        """Publish an ATR's pushback start (``active``) or stop."""
+        if self.bus:
+            self.bus.emit(DefensePushback(now, active, atr))
 
     # ----------------------------------------------------------- summaries
 

@@ -33,6 +33,8 @@ from repro.obs.events import (
     CampaignRun,
     DefenseActivation,
     DefenseDecision,
+    DefenseProbe,
+    DefensePushback,
     EngineStats,
     LinkDrop,
     LinkStats,
@@ -53,6 +55,8 @@ __all__ = [
     "CampaignRun",
     "DefenseActivation",
     "DefenseDecision",
+    "DefenseProbe",
+    "DefensePushback",
     "EngineStats",
     "EventBus",
     "LinkDrop",

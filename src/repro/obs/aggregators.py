@@ -372,6 +372,7 @@ class _AtrEntry:
 
     __slots__ = (
         "atr", "verdicts", "flips", "drops", "drops_by_reason", "passes",
+        "probes", "activated_at", "deactivated_at",
         "last_verdict_time", "verdict_window", "last_flow_verdict",
     )
 
@@ -382,6 +383,10 @@ class _AtrEntry:
         self.drops = 0
         self.passes = 0
         self.drops_by_reason: dict[str, int] = {}
+        self.probes = 0
+        #: First pushback start and last pushback stop at this ATR.
+        self.activated_at: float | None = None
+        self.deactivated_at: float | None = None
         self.last_verdict_time: float | None = None
         self.verdict_window: deque[float] = deque()
         #: flow -> last verdict at THIS atr, for flip detection.
@@ -389,14 +394,16 @@ class _AtrEntry:
 
 
 class AtrDrilldown:
-    """Per-ATR verdict-churn tracker.
+    """Per-ATR verdict-churn and load tracker.
 
-    Folds ``defense.verdict`` and ``defense.decision`` events into one
-    entry per ATR: verdict counts by outcome, windowed verdict rate,
-    drop/pass counts by reason, and **flips** — a flow re-judged to a
-    different outcome than its previous verdict at the same ATR (the
-    signature of verdict churn under ``renotice_interval`` re-probing,
-    and of an adversary laundering flows through the nice table).
+    Folds ``defense.verdict``, ``defense.decision``, ``defense.probe``
+    and ``defense.pushback`` events into one entry per ATR: verdict
+    counts by outcome, windowed verdict rate, drop/pass counts by
+    reason, probes sent, the first pushback start and the last stop,
+    and **flips** — a flow re-judged to a different outcome than its
+    previous verdict at the same ATR (the signature of verdict churn
+    under ``renotice_interval`` re-probing, and of an adversary
+    laundering flows through the nice table).
 
     ATR cardinality is topology-bounded (one per ingress), so entries
     are only bounded per-ATR: the flip-detection map remembers at most
@@ -449,6 +456,18 @@ class AtrDrilldown:
                     )
                 else:
                     entry.passes += 1
+        elif kind == "defense.probe":
+            with self._lock:
+                self._advance(event.time)
+                self._entry(event.atr).probes += 1
+        elif kind == "defense.pushback":
+            with self._lock:
+                self._advance(event.time)
+                entry = self._entry(event.atr)
+                if not event.active:
+                    entry.deactivated_at = event.time
+                elif entry.activated_at is None:
+                    entry.activated_at = event.time
 
     def close(self) -> None:
         """Nothing to flush; the table stays readable."""
@@ -489,6 +508,9 @@ class AtrDrilldown:
                     "drops_by_reason": dict(
                         sorted(entry.drops_by_reason.items())
                     ),
+                    "probes": entry.probes,
+                    "activated_at": entry.activated_at,
+                    "deactivated_at": entry.deactivated_at,
                     "verdicts_per_second": (
                         len(entry.verdict_window) / self.window
                     ),

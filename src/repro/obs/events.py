@@ -17,6 +17,8 @@ kind                producer
 victim.arrival      victim metrics collector (one per arriving packet)
 defense.decision    defence line (one per examined packet: drop/pass)
 defense.verdict     MAFIC table verdicts, with ground truth attached
+defense.probe       MAFIC sent a duplicate-ACK probe toward a flow
+defense.pushback    one ATR's pushback episode started or stopped
 defense.activation  first pushback-start instant
 monitor.snapshot    TrafficMonitor epoch (traffic-matrix recompute)
 engine.stats        scheduler/queue occupancy, piggybacked on epochs
@@ -103,6 +105,31 @@ class Verdict(MetricEvent):
     label: int
     verdict: str
     truth: str
+    atr: str = ""
+
+
+@dataclass(slots=True)
+class DefenseProbe(MetricEvent):
+    """MAFIC dropped a flow's packet and probed its claimed source.
+
+    Not implied by a ``probe``-reason drop: an SFT flow's packets are
+    dropped with that reason too, and a probed flow that SFT eviction
+    removes never reaches a verdict.
+    """
+
+    kind = "defense.probe"
+
+    label: int
+    atr: str = ""
+
+
+@dataclass(slots=True)
+class DefensePushback(MetricEvent):
+    """One ATR's pushback episode started (``active``) or stopped."""
+
+    kind = "defense.pushback"
+
+    active: bool
     atr: str = ""
 
 
@@ -277,6 +304,8 @@ EVENT_TYPES: dict[str, type[MetricEvent]] = {
         VictimArrival,
         DefenseDecision,
         Verdict,
+        DefenseProbe,
+        DefensePushback,
         DefenseActivation,
         MonitorSnapshot,
         EngineStats,

@@ -49,10 +49,13 @@ from repro.obs.exposition import render_prometheus
 from repro.util.validation import check_non_negative
 
 #: Event kinds the drill-down aggregators fold (the per-packet kinds the
-#: SSE stream deliberately excludes, plus verdicts).
+#: SSE stream deliberately excludes, plus verdicts, probes and pushback
+#: starts/stops).
 DRILLDOWN_KINDS: tuple[str, ...] = (
     "defense.decision",
     "defense.verdict",
+    "defense.probe",
+    "defense.pushback",
 )
 
 #: Event kinds forwarded to ``/events``/``/stream`` subscribers.  The

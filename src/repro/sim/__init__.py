@@ -6,9 +6,10 @@ packets with IP/TCP-ish headers (:mod:`repro.sim.packet`), simplex links
 with bandwidth/delay and drop-tail or RED queues (:mod:`repro.sim.link`,
 :mod:`repro.sim.queues`), hosts and routers with static shortest-path
 routing (:mod:`repro.sim.node`, :mod:`repro.sim.routing`), topology
-generators (:mod:`repro.sim.topology`), a TrafficMonitor that periodically
-computes the set-union traffic matrix (:mod:`repro.sim.monitor`), and an
-event tracer (:mod:`repro.sim.trace`).
+generators (:mod:`repro.sim.topology`), and a TrafficMonitor that
+periodically computes the set-union traffic matrix
+(:mod:`repro.sim.monitor`).  What the defence did is not logged here: it
+goes through the agent's observer onto the event bus (:mod:`repro.obs`).
 
 NS-2 attaches ``Connector`` objects at the head of each ``SimplexLink``;
 our :class:`~repro.sim.link.SimplexLink` exposes the same seam through
@@ -31,14 +32,12 @@ from repro.sim.topology import (
     build_tree_domain,
 )
 from repro.sim.monitor import TrafficMonitor
-from repro.sim.trace import EventTrace, TraceRecord
 
 __all__ = [
     "AddressSpace",
     "DRRQueue",
     "DropTailQueue",
     "Event",
-    "EventTrace",
     "FlowKey",
     "Host",
     "IPv4Address",
@@ -53,7 +52,6 @@ __all__ = [
     "SimplexLink",
     "Subnet",
     "Topology",
-    "TraceRecord",
     "TrafficMonitor",
     "build_dumbbell",
     "build_star_domain",

@@ -313,3 +313,27 @@ class TestWorkersWatch:
         ])
         assert code == 2
         assert "no store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--lease-ttl", "-1"],
+    ["run", "--lease-ttl", "0"],
+    ["run", "--lease-ttl", "nan"],
+    ["run", "--max-attempts", "0"],
+    ["run", "--cell-timeout", "-1"],
+    ["resume", "--max-attempts", "-2"],
+    ["workers", "--watch", "--interval", "0"],
+    ["workers", "--watch", "--interval", "-0.5"],
+])
+def test_hostile_numbers_are_usage_errors_naming_the_flag(
+    tmp_path, spec_path, argv, capsys
+):
+    """Refused at parse time: nothing runs, nothing is written, and the
+    watch view never spins without a sleep."""
+    root = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", argv[0], str(spec_path), "--root", str(root),
+              *argv[1:]])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+    assert not root.exists()

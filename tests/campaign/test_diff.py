@@ -135,3 +135,30 @@ class TestCli:
         )
         assert code == 2
         assert "no campaign store" in capsys.readouterr().err
+
+
+class TestHostileNumbers:
+    """A tolerance or limit that would lie about the comparison is
+    refused, not run: a store diffed with itself is identical, and two
+    different stores never are."""
+
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf")])
+    def test_diff_stores_rejects_the_tolerance(self, tmp_path, spec, tolerance):
+        a = _fill(spec, tmp_path / "a")
+        with pytest.raises(ValueError, match="tolerance"):
+            diff_stores(a.directory, a.directory, tolerance=tolerance)
+
+    @pytest.mark.parametrize("argv", [
+        ["--tolerance", "-1"], ["--tolerance", "nan"], ["--tolerance", "inf"],
+        ["--limit", "-1"], ["--limit", "0"],
+    ])
+    def test_cli_refuses_as_usage_naming_the_flag(
+        self, tmp_path, spec, argv, capsys
+    ):
+        a = _fill(spec, tmp_path / "a")
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "diff", str(a.directory), str(a.directory), *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[0]}" in captured.err
+        assert "more" not in captured.out and "identical" not in captured.out

@@ -9,7 +9,7 @@ timing, no RSS):
     (the sweep fires when the dict has doubled since the last sweep);
 (b) a monitor with one arrival is at most 200 bytes: its slots and one
     list of arrival times (no weights, no 64-slot deque block);
-(c) flow-table entries and trace records carry no ``__dict__``.
+(c) flow-table entries carry no ``__dict__``.
 
 Before idle monitors were swept, (a) found all 10,000 monitors alive,
 each a two-deque ``WindowedRate``, and (c) found a ``__dict__`` on every
@@ -28,7 +28,6 @@ from repro.core.tables import NftEntry, PdtEntry, SftEntry
 from repro.sim.engine import Simulator
 from repro.sim.node import Router
 from repro.sim.packet import FlowKey, Packet
-from repro.sim.trace import TraceRecord
 
 VICTIM_IP = 0x0A630001
 RATE_WINDOW = 0.2
@@ -85,13 +84,12 @@ def test_a_one_arrival_monitor_is_at_most_200_bytes():
         assert sys.getsizeof(monitor) + sys.getsizeof(monitor._times) <= 200
 
 
-def test_table_entries_and_trace_records_have_no_dict():
+def test_table_entries_have_no_dict():
     label = FlowLabel(1)
     records = (
         SftEntry(label=label, probe_started=0.0, deadline=1.0, baseline_rate=0.0),
         NftEntry(label=label, admitted_at=0.0),
         PdtEntry(label=label, condemned_at=0.0, reason="unresponsive"),
-        TraceRecord(0.0, "probe.sent"),
     )
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__

@@ -98,6 +98,12 @@ class _Log:
     def on_verdict(self, label, verdict, now, atr=""):
         self.events.append(("verdict", int(label), verdict))
 
+    def on_probe(self, label, now, atr=""):
+        self.events.append(("probe", int(label)))
+
+    def on_pushback(self, active, now, atr=""):
+        self.events.append(("pushback", active))
+
 
 def _agent(config, space):
     sim = Simulator()

@@ -12,10 +12,12 @@ from repro.core.labels import label_of_packet
 from repro.core.mafic import MaficAgent
 from repro.core.policy import PassthroughPolicy, ProportionalDropPolicy
 from repro.core.tables import TableName
+from repro.metrics.collectors import DefenseMetricsCollector
+from repro.obs import BufferedSink
+from repro.obs.events import DefensePushback
 from repro.sim.address import AddressSpace
 from repro.sim.node import Router
 from repro.sim.packet import FlowKey, Packet, PacketType
-from repro.sim.trace import EventTrace
 
 
 class _SilentProber:
@@ -29,6 +31,9 @@ class _SilentProber:
 
 
 def make_agent(sim, pd=1.0, space=None, config=None, **kwargs):
+    """An agent whose default observer publishes onto a BufferedSink,
+    read back through :func:`events`."""
+    kwargs.setdefault("observer", DefenseMetricsCollector(bus=BufferedSink()))
     router = Router(sim, "atr0")
     cfg = config if config is not None else MaficConfig(
         drop_probability=pd, default_rtt=0.1, rate_window=0.2,
@@ -41,10 +46,14 @@ def make_agent(sim, pd=1.0, space=None, config=None, **kwargs):
         rng=np.random.default_rng(0),
         address_space=space,
         prober=_SilentProber(),
-        trace=EventTrace(),
         **kwargs,
     )
     return agent
+
+
+def events(agent, kind):
+    """The events of one kind the agent's default observer published."""
+    return agent.observer.bus.of_kind(kind)
 
 
 VICTIM_IP = 0x0A630001
@@ -88,12 +97,25 @@ class TestActivation:
         agent.activate(0.5)
         assert agent.stats.activations == 1
 
-    def test_trace_records_pushback_lifecycle(self, sim):
+    def test_pushback_lifecycle_is_published(self, sim):
         agent = make_agent(sim)
         agent.activate(0.0)
+        agent.activate(0.5)  # already active: no second start
         agent.deactivate(1.0)
-        assert agent.trace.count("pushback.start") == 1
-        assert agent.trace.count("pushback.stop") == 1
+        agent.deactivate(1.5)  # already stopped: no second stop
+        assert events(agent, "defense.pushback") == [
+            DefensePushback(0.0, True, "atr0"),
+            DefensePushback(1.0, False, "atr0"),
+        ]
+
+    def test_pushback_without_a_time_uses_the_clock(self, sim):
+        agent = make_agent(sim)
+        sim.schedule_at(0.25, agent.activate)
+        sim.schedule_at(0.75, agent.deactivate)
+        sim.run(until=1.0)
+        assert [(e.time, e.active) for e in events(agent, "defense.pushback")] == [
+            (0.25, True), (0.75, False),
+        ]
 
 
 class TestScopeFiltering:
@@ -191,7 +213,10 @@ class TestProbingFlow:
         sim.run(until=0.6)
         assert agent.tables.lookup(label) is TableName.PDT
         assert agent.stats.verdicts_cut == 1
-        assert agent.trace.count("flow.cut") == 1
+        (verdict,) = events(agent, "defense.verdict")
+        assert (verdict.label, verdict.verdict) == (label.value, "cut")
+        (probe,) = events(agent, "defense.probe")
+        assert (probe.label, probe.atr) == (label.value, "atr0")
 
     def test_responsive_flow_promoted_to_nft(self, sim):
         agent = make_agent(sim, pd=1.0)
@@ -289,6 +314,8 @@ class _Observer:
         self.drops = []
         self.passes = []
         self.verdicts = []
+        self.probes = []
+        self.pushbacks = []
 
     def on_defense_drop(self, packet, reason, now, atr=""):
         self.drops.append((packet, reason, atr))
@@ -298,6 +325,12 @@ class _Observer:
 
     def on_verdict(self, label, verdict, now, atr=""):
         self.verdicts.append((label, verdict, atr))
+
+    def on_probe(self, label, now, atr=""):
+        self.probes.append((label, atr))
+
+    def on_pushback(self, active, now, atr=""):
+        self.pushbacks.append((active, atr))
 
 
 class TestObserverSeam:
@@ -319,6 +352,8 @@ class TestObserverSeam:
         sim.run(until=0.6)
         assert {atr for _, _, atr in obs.drops} == {"atr0"}
         assert {atr for _, _, atr in obs.verdicts} == {"atr0"}
+        assert {atr for _, atr in obs.probes} == {"atr0"}
+        assert obs.pushbacks == [(True, "atr0")]
 
     def test_observer_sees_passes(self, sim):
         obs = _Observer()

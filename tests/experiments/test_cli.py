@@ -186,6 +186,15 @@ class TestValidate:
         assert "detection-infeasible" in out
         assert "NOT feasible" in out
 
+    def test_checks_a_preset_with_run_s_flags(self, capsys):
+        """``validate`` builds its config as ``run`` does: the preset's
+        own rate and forced activation, the explicit flags on top."""
+        assert main(["validate", "--preset", "low-rate-probe"]) == 0
+        assert "attack 250 pps across 20 zombies" in capsys.readouterr().out
+        assert main(["validate", "--preset", "low-rate-probe",
+                     "--flows", "100", "--rate", "1e6"]) == 0
+        assert "attack 5000 pps across 40 zombies" in capsys.readouterr().out
+
 
 class TestRejectedConfigValues:
     """A flag value the config rejects is a usage error (exit 2) naming

@@ -358,6 +358,11 @@ class TestReplayThroughTheBatch:
             live_view, replay_view = served(live_srv), served(replay_srv)
             assert live_view[0]["runs_completed"] == 1
             assert live_view[1]["tracked_flows"] > 0 and live_view[2]["atrs"]
+            # /atrs folds the probes and pushback starts too.
+            assert sum(row["probes"] for row in live_view[2]["atrs"]) > 0
+            assert all(
+                row["activated_at"] is not None for row in live_view[2]["atrs"]
+            )
             assert replay_view == live_view
         finally:
             for srv, thread in (
