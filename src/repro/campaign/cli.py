@@ -55,9 +55,10 @@ from repro.campaign.store import (
     StoreError,
     atomic_write_text,
 )
-from repro.experiments.cli import _checked_float, _positive_int
 from repro.util.registry import UnknownComponentError
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_non_negative, check_positive, checked_float, positive_int,
+)
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -91,7 +92,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
         )
         common(p)
         p.add_argument(
-            "--jobs", type=_positive_int, default=None, metavar="N",
+            "--jobs", type=positive_int, default=None, metavar="N",
             help="workers (default: CPU count); 1 runs the loop in this "
             "process, N > 1 spawns N worker subprocesses",
         )
@@ -112,20 +113,20 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
             "recording for 'python -m repro replay'",
         )
         p.add_argument(
-            "--lease-ttl", type=_checked_float(check_positive, "lease-ttl"),
+            "--lease-ttl", type=checked_float(check_positive, "lease-ttl"),
             default=DEFAULT_LEASE_TTL, metavar="S",
             help="heartbeat TTL before a worker's lease counts as dead "
             f"(default: {DEFAULT_LEASE_TTL:g}s)",
         )
         p.add_argument(
-            "--cell-timeout", type=_checked_float(check_positive, "cell-timeout"),
+            "--cell-timeout", type=checked_float(check_positive, "cell-timeout"),
             default=None, metavar="S",
             help="kill a worker whose cell runs longer than S seconds "
             "(the attempt is charged to the ledger); cells then run in "
             "worker subprocesses even at --jobs 1",
         )
         p.add_argument(
-            "--max-attempts", type=_positive_int, default=DEFAULT_MAX_ATTEMPTS,
+            "--max-attempts", type=positive_int, default=DEFAULT_MAX_ATTEMPTS,
             metavar="K",
             help="failed attempts before a cell is quarantined "
             f"(default: {DEFAULT_MAX_ATTEMPTS})",
@@ -155,7 +156,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
         help="refresh the view continuously until Ctrl-C",
     )
     p.add_argument(
-        "--interval", type=_checked_float(check_positive, "interval"),
+        "--interval", type=checked_float(check_positive, "interval"),
         default=2.0,
         help="seconds between --watch refreshes (default: 2)",
     )
@@ -200,13 +201,13 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("store_a", help="first campaign store directory")
     p.add_argument("store_b", help="second campaign store directory")
     p.add_argument(
-        "--tolerance", type=_checked_float(check_non_negative, "tolerance"),
+        "--tolerance", type=checked_float(check_non_negative, "tolerance"),
         default=0.0, metavar="X",
         help="absolute tolerance for numeric fields (default: 0.0 — "
         "bit-exact, the determinism contract)",
     )
     p.add_argument(
-        "--limit", type=_positive_int, default=20, metavar="N",
+        "--limit", type=positive_int, default=20, metavar="N",
         help="print at most N differences (default: 20)",
     )
 

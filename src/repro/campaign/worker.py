@@ -65,6 +65,7 @@ from repro.campaign.store import (
     Lease,
     StoreError,
 )
+from repro.util.validation import check_positive, checked_float, positive_int
 
 #: ``os._exit`` code of the cell-timeout watchdog (EX_TEMPFAIL: the
 #: attempt failed, the pool should respawn and the cell will back off).
@@ -390,23 +391,25 @@ def main(argv: list[str] | None = None) -> int:
         help="worker identity for leases/events (default: host:pid)",
     )
     parser.add_argument(
-        "--lease-ttl", type=float, default=DEFAULT_LEASE_TTL, metavar="S",
+        "--lease-ttl", type=checked_float(check_positive, "lease-ttl"),
+        default=DEFAULT_LEASE_TTL, metavar="S",
         help="heartbeat TTL before a lease counts as dead "
         f"(default: {DEFAULT_LEASE_TTL}s)",
     )
     parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="S",
+        "--cell-timeout", type=checked_float(check_positive, "cell-timeout"),
+        default=None, metavar="S",
         help="kill this worker if one cell runs longer than S seconds "
         "(the attempt is charged to the ledger first)",
     )
     parser.add_argument(
-        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
+        "--max-attempts", type=positive_int, default=DEFAULT_MAX_ATTEMPTS,
         metavar="K",
         help="failed attempts before a cell is quarantined "
         f"(default: {DEFAULT_MAX_ATTEMPTS})",
     )
     parser.add_argument(
-        "--max-cells", type=int, default=None, metavar="K",
+        "--max-cells", type=positive_int, default=None, metavar="K",
         help="attempt at most K cells, then exit",
     )
     parser.add_argument(

@@ -26,7 +26,7 @@ from repro.core.policy import (
     ProportionalDropPolicy,
 )
 from repro.core.probe import DupAckProber
-from repro.core.tables import FlowTables, NftEntry, PdtEntry, SftEntry, TableName
+from repro.core.tables import FlowTables, PdtEntry, SftEntry, TableName
 
 __all__ = [
     "AdaptiveMaficPolicy",
@@ -38,7 +38,6 @@ __all__ = [
     "FlowTables",
     "MaficAgent",
     "MaficConfig",
-    "NftEntry",
     "PassthroughPolicy",
     "PdtEntry",
     "ProportionalDropPolicy",

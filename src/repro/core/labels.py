@@ -4,50 +4,41 @@
 is used as a label to mark each flow ... we store only the output of a
 hash function with the label as the input instead of the label itself."
 
-:class:`FlowLabel` is that stored value.  It intentionally does NOT keep
-the tuple itself; the tables never see raw addresses (beyond what the
-agent needs transiently to forge the probe destination).
+A label is that stored value: the flow key's 64-bit hash as a plain
+``int``, which :class:`~repro.sim.packet.FlowKey` computes once at
+construction.  The tables never see raw addresses (beyond what the
+agent needs transiently to forge the probe destination), and a flow
+they hold costs them one number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.packet import FlowKey, Packet
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class FlowLabel:
-    """An opaque 64-bit hashed flow identity."""
+class FlowLabel(int):
+    """A hand-built label: an ``int`` checked to be unsigned 64-bit.
 
-    value: int
+    It equals and hashes as the plain ``int`` :func:`label_of_packet`
+    returns, so a label built here finds the same table entry.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < (1 << 64):
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "FlowLabel":
+        if not 0 <= value < (1 << 64):
             raise ValueError("label must be an unsigned 64-bit value")
+        return super().__new__(cls, value)
 
     @classmethod
     def from_key(cls, key: FlowKey) -> "FlowLabel":
         """Hash a 4-tuple into its table label."""
         return cls(key.hashed())
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
-        return f"flow:{self.value:016x}"
+        return f"flow:{int(self):016x}"
 
 
-def label_of_packet(packet: Packet) -> FlowLabel:
-    """The table key for ``packet``'s flow.
-
-    Memoized on the (immutable) flow key: every packet of a flow shares
-    one FlowLabel instance instead of re-validating a frozen dataclass
-    per table lookup.
-    """
-    key = packet.flow
-    label = key._label
-    if label is None:
-        label = FlowLabel(key._hash64)
-        object.__setattr__(key, "_label", label)
-    return label
+def label_of_packet(packet: Packet) -> int:
+    """The table key for ``packet``'s flow: its key's 64-bit hash."""
+    return packet.flow._hash64

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.core.config import MaficConfig
-from repro.core.labels import FlowLabel, label_of_packet
 from repro.core.policy import AdaptiveMaficPolicy, DropDecision, DropPolicy
 from repro.core.probe import DupAckProber
 from repro.core.tables import FlowTables, SftEntry, TableName
@@ -69,10 +68,10 @@ class DefenseObserver(Protocol):
     ) -> None: ...
 
     def on_verdict(
-        self, label: FlowLabel, verdict: str, now: float, atr: str = ""
+        self, label: int, verdict: str, now: float, atr: str = ""
     ) -> None: ...
 
-    def on_probe(self, label: FlowLabel, now: float, atr: str = "") -> None: ...
+    def on_probe(self, label: int, now: float, atr: str = "") -> None: ...
 
     def on_pushback(self, active: bool, now: float, atr: str = "") -> None: ...
 
@@ -166,9 +165,9 @@ class MaficAgent:
         # Arrival-rate monitors for every victim-bound flow seen while
         # active: "Calculate Arriving Rate" needs a pre-admission baseline.
         # Idle ones are swept once the dict doubles (see _sweep_monitors).
-        self._monitors: dict[FlowLabel, WindowedCount] = {}
+        self._monitors: dict[int, WindowedCount] = {}
         self._sweep_at = _MIN_SWEEP
-        self._verdict_events: dict[FlowLabel, object] = {}
+        self._verdict_events: dict[int, object] = {}
         #: Monitored packets required before SFT admission.  One suffices:
         #: a cold baseline cannot condemn a responsive flow because the
         #: verdict also requires ``min_packets_for_verdict`` arrivals and
@@ -220,7 +219,7 @@ class MaficAgent:
         if not self.victim_matcher(packet.dst_ip):
             return True
         self.stats.packets_examined += 1
-        label = label_of_packet(packet)
+        label = packet.flow._hash64  # label_of_packet, inline
 
         # Illegal or unreachable claimed source: straight to the PDT.
         if (
@@ -242,20 +241,21 @@ class MaficAgent:
         if pdt_entry is not None:
             pdt_entry.packets_dropped += 1
             return self._drop(packet, "pdt", now)
-        if label in tables.nft:
-            return self._pass_nice(packet, label, now)
+        admitted_at = tables.nft.get(label)
+        if admitted_at is not None:
+            return self._pass_nice(packet, label, admitted_at, now)
         if label in tables.sft:
             return self._handle_suspicious(packet, label, now)
         return self._handle_unknown(packet, label, now)
 
     # ------------------------------------------------------ table handlers
 
-    def _pass_nice(self, packet: Packet, label: FlowLabel, now: float) -> bool:
-        entry = self.tables.nft[label]
-        entry.packets_passed += 1
+    def _pass_nice(
+        self, packet: Packet, label: int, admitted_at: float, now: float
+    ) -> bool:
         if (
             self.config.renotice_interval > 0
-            and now - entry.admitted_at >= self.config.renotice_interval
+            and now - admitted_at >= self.config.renotice_interval
         ):
             # Verdict has aged out: forget it so the flow is re-probed.
             self.tables.demote_from_nice(label)
@@ -264,10 +264,9 @@ class MaficAgent:
             self.observer.on_defense_pass(packet, now, self._atr)
         return True
 
-    def _handle_suspicious(self, packet: Packet, label: FlowLabel, now: float) -> bool:
+    def _handle_suspicious(self, packet: Packet, label: int, now: float) -> bool:
         entry = self.tables.sft[label]
         entry.packets_seen += 1
-        entry.last_arrival = now
         if entry.monitor is not None:
             entry.monitor.record(now)
         monitor = self._monitors.get(label)
@@ -282,16 +281,15 @@ class MaficAgent:
             if table is TableName.PDT:
                 self.tables.pdt[label].packets_dropped += 1
                 return self._drop(packet, "pdt", now)
-            return self._pass_nice(packet, label, now)
+            return self._pass_nice(packet, label, self.tables.nft[label], now)
         if self._rng.random() < self.config.drop_probability:
-            entry.packets_dropped += 1
             return self._drop(packet, "probe", now)
         self.stats.packets_passed += 1
         if self.observer is not None:
             self.observer.on_defense_pass(packet, now, self._atr)
         return True
 
-    def _handle_unknown(self, packet: Packet, label: FlowLabel, now: float) -> bool:
+    def _handle_unknown(self, packet: Packet, label: int, now: float) -> bool:
         monitors = self._monitors
         monitor = monitors.get(label)
         if monitor is None:
@@ -322,7 +320,7 @@ class MaficAgent:
         return self._drop(packet, "probe", now)
 
     def _admit_suspicious(
-        self, packet: Packet, label: FlowLabel, monitor: WindowedCount, now: float
+        self, packet: Packet, label: int, monitor: WindowedCount, now: float
     ) -> None:
         cap = self.config.max_sft_entries
         if cap and len(self.tables.sft) >= cap:
@@ -344,9 +342,7 @@ class MaficAgent:
             probe_started=now,
             deadline=now + window,
             baseline_rate=monitor.rate(now),
-            rtt_estimate=rtt,
             packets_seen=1,
-            packets_dropped=1,
             monitor=WindowedCount(window / 2.0),
         )
         entry.monitor.record(now)
@@ -355,7 +351,7 @@ class MaficAgent:
             entry.deadline, self._verdict, label
         )
 
-    def _sweep_monitors(self, now: float) -> dict[FlowLabel, WindowedCount]:
+    def _sweep_monitors(self, now: float) -> dict[int, WindowedCount]:
         """Drop the monitors with no arrival inside the window at ``now``.
 
         An idle monitor reads exactly like the fresh one a flow's next
@@ -375,7 +371,7 @@ class MaficAgent:
 
     # -------------------------------------------------------------- verdict
 
-    def _verdict(self, label: FlowLabel) -> None:
+    def _verdict(self, label: int) -> None:
         entry = self.tables.sft.get(label)
         if entry is None:
             return
@@ -415,7 +411,7 @@ class MaficAgent:
             self.stats.verdicts_cut += 1
             self._notify_verdict(label, "cut", now)
 
-    def _notify_verdict(self, label: FlowLabel, verdict: str, now: float) -> None:
+    def _notify_verdict(self, label: int, verdict: str, now: float) -> None:
         if self.observer is not None:
             self.observer.on_verdict(label, verdict, now, self._atr)
 

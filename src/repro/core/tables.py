@@ -3,12 +3,13 @@
 * **SFT** (Suspicious Flow Table) — flows currently under probe: dropped
   packets' timestamps, the pre-probe baseline rate, and the verdict timer.
 * **NFT** (Nice Flow Table) — flows that responded to the probe; passed
-  untouched from then on.
+  untouched from then on.  It maps a label to its admission time, the
+  one thing read back (by ``renotice_interval``).
 * **PDT** (Permanently Drop Table) — flows judged unresponsive (or with
   illegal sources); every packet dropped.
 
-Tables are keyed by :class:`~repro.core.labels.FlowLabel` (hashed
-4-tuples), never by raw addresses, per Section III.B.
+Tables are keyed by flow labels (the ``int`` hash of the 4-tuple, see
+:mod:`repro.core.labels`), never by raw addresses, per Section III.B.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.core.labels import FlowLabel
 from repro.util.stats import WindowedCount
 
 
@@ -32,32 +32,19 @@ class TableName(Enum):
 class SftEntry:
     """Probe state of one suspicious flow."""
 
-    label: FlowLabel
+    label: int
     probe_started: float
     deadline: float
     baseline_rate: float  # packets/s before the probe began
-    rtt_estimate: float | None = None
     packets_seen: int = 0
-    packets_dropped: int = 0
     monitor: WindowedCount | None = None
-    last_arrival: float | None = None
-
-
-@dataclass(slots=True)
-class NftEntry:
-    """A flow judged nice (TCP-friendly)."""
-
-    label: FlowLabel
-    admitted_at: float
-    probe_drops: int = 0  # packets it lost during its probe
-    packets_passed: int = 0
 
 
 @dataclass(slots=True)
 class PdtEntry:
     """A flow condemned to permanent drop."""
 
-    label: FlowLabel
+    label: int
     condemned_at: float
     reason: str  # "unresponsive" | "illegal_source"
     packets_dropped: int = 0
@@ -79,14 +66,14 @@ class FlowTables:
     """The SFT/NFT/PDT triple with the transitions of Figure 2."""
 
     def __init__(self) -> None:
-        self.sft: dict[FlowLabel, SftEntry] = {}
-        self.nft: dict[FlowLabel, NftEntry] = {}
-        self.pdt: dict[FlowLabel, PdtEntry] = {}
+        self.sft: dict[int, SftEntry] = {}
+        self.nft: dict[int, float] = {}  # label -> admission time
+        self.pdt: dict[int, PdtEntry] = {}
         self.counters = TableCounters()
 
     # ------------------------------------------------------------- lookups
 
-    def lookup(self, label: FlowLabel) -> TableName | None:
+    def lookup(self, label: int) -> TableName | None:
         """Which table holds ``label``, or None when unknown.
 
         Checked in PDT, NFT, SFT order — matching Figure 2's decision
@@ -101,7 +88,7 @@ class FlowTables:
             return TableName.SFT
         return None
 
-    def __contains__(self, label: FlowLabel) -> bool:
+    def __contains__(self, label: int) -> bool:
         return self.lookup(label) is not None
 
     # --------------------------------------------------------- transitions
@@ -115,21 +102,14 @@ class FlowTables:
         self.sft[entry.label] = entry
         self.counters.sft_admissions += 1
 
-    def promote_to_nice(self, label: FlowLabel, now: float) -> NftEntry:
+    def promote_to_nice(self, label: int, now: float) -> None:
         """SFT -> NFT: the flow responded to the probe."""
-        sft_entry = self.sft.pop(label, None)
-        if sft_entry is None:
+        if self.sft.pop(label, None) is None:
             raise KeyError(f"{label} is not in the SFT")
-        entry = NftEntry(
-            label=label,
-            admitted_at=now,
-            probe_drops=sft_entry.packets_dropped,
-        )
-        self.nft[label] = entry
+        self.nft[label] = now
         self.counters.nft_admissions += 1
-        return entry
 
-    def condemn(self, label: FlowLabel, now: float, reason: str) -> PdtEntry:
+    def condemn(self, label: int, now: float, reason: str) -> PdtEntry:
         """SFT (or nowhere) -> PDT: cut the flow permanently."""
         self.sft.pop(label, None)
         self.nft.pop(label, None)
@@ -141,7 +121,7 @@ class FlowTables:
         self.counters.pdt_admissions += 1
         return entry
 
-    def demote_from_nice(self, label: FlowLabel) -> None:
+    def demote_from_nice(self, label: int) -> None:
         """Remove an NFT verdict so the flow can be re-probed."""
         self.nft.pop(label, None)
 

@@ -37,7 +37,9 @@ from repro.experiments.reporting import format_figure, format_summary
 from repro.experiments.runner import run_experiment
 from repro.experiments.workload import WORKLOADS
 from repro.sim.topology import TOPOLOGIES
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_non_negative, check_positive, checked_float, positive_int,
+)
 
 #: The registries ``run --list`` knows how to print.
 COMPONENT_REGISTRIES = {
@@ -64,25 +66,6 @@ LAZY_VERBS = {
         "twin-parity invariants",
     ),
 }
-
-
-def _checked_float(check, name: str):
-    """An argparse type: ``check(name, float(text))``, failing as usage."""
-
-    def parse(text: str) -> float:
-        try:
-            return check(name, float(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -124,12 +107,12 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one scenario and print metrics")
     _add_config_flags(run_p)
     run_p.add_argument(
-        "--seeds", type=_positive_int, default=1, metavar="K",
+        "--seeds", type=positive_int, default=1, metavar="K",
         help="run K seeds (seed, seed+1, ...) and print mean +/- CI "
         "instead of one report card",
     )
     run_p.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
+        "--jobs", type=positive_int, default=None, metavar="N",
         help="worker processes for multi-seed runs (default: CPU count); "
         "1 runs the seeds in this process, N > 1 as a campaign in a "
         "temporary store through N campaign workers",
@@ -184,13 +167,13 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8765,
                          help="HTTP port (0 = pick a free one)")
     serve_p.add_argument(
-        "--pace", type=_checked_float(check_non_negative, "pace"),
+        "--pace", type=checked_float(check_non_negative, "pace"),
         default=0.0, metavar="X",
         help="simulated seconds advanced per wall-clock second "
         "(0 = run at full speed); single-run mode only",
     )
     serve_p.add_argument(
-        "--window", type=_checked_float(check_positive, "window"),
+        "--window", type=checked_float(check_positive, "window"),
         default=1.0, metavar="S",
         help="sliding window for windowed rates, in sim seconds",
     )
@@ -205,7 +188,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         "flight recording (.gz compresses) for 'repro replay'",
     )
     serve_p.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="with --campaign: N lease-pull worker processes, their "
         "event streams multiplexed into this server and dead ones "
         "respawned (default 1 = in-process)",
@@ -223,13 +206,13 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     replay_p.add_argument("--port", type=int, default=8765,
                           help="HTTP port (0 = pick a free one)")
     replay_p.add_argument(
-        "--pace", type=_checked_float(check_non_negative, "pace"),
+        "--pace", type=checked_float(check_non_negative, "pace"),
         default=0.0, metavar="X",
         help="recorded seconds replayed per wall-clock second "
         "(0 = feed as fast as possible)",
     )
     replay_p.add_argument(
-        "--window", type=_checked_float(check_positive, "window"),
+        "--window", type=checked_float(check_positive, "window"),
         default=1.0, metavar="S",
         help="sliding window for windowed rates, in sim seconds",
     )

@@ -60,7 +60,7 @@ class FlowKey:
     """
 
     __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "_hash64",
-                 "_reversed", "_label")
+                 "_reversed")
 
     def __init__(self, src_ip: int, dst_ip: int, src_port: int, dst_port: int) -> None:
         if not 0 <= src_ip <= 0xFFFFFFFF:
@@ -78,7 +78,6 @@ class FlowKey:
         set_attr(self, "dst_port", dst_port)
         set_attr(self, "_hash64", hash_int4(src_ip, dst_ip, src_port, dst_port))
         set_attr(self, "_reversed", None)
-        set_attr(self, "_label", None)  # FlowLabel cache (see core.labels)
 
     def __setattr__(self, name, value):  # immutability, as the old frozen
         raise AttributeError(f"FlowKey is immutable (tried to set {name!r})")

@@ -87,6 +87,10 @@ class AckingSink(CountingSink):
     produces the duplicate-ACK train a Reno sender needs for fast
     retransmit.  :meth:`handle_packet` counts, reassembles and hands
     :meth:`Packet.build_ack` to the host itself.
+
+    A flow whose one arrival so far landed beyond a gap (under source
+    rotation, most attack flows) keeps that seq as a bare ``int``; a
+    next arrival makes it the record it stands for.
     """
 
     def __init__(
@@ -108,7 +112,8 @@ class AckingSink(CountingSink):
         #: timer expiry; out-of-order arrivals still ACK immediately
         #: (the dup-ACK train fast retransmit depends on).
         self.delayed_ack = float(delayed_ack)
-        self._flows: dict[int, _FlowState] = {}  # flow_hash -> state
+        # flow_hash -> state, or the seq of a lone arrival beyond a gap
+        self._flows: dict[int, _FlowState | int] = {}
         self.acks_sent = 0
         self.dup_acks_sent = 0
         self.delayed_acks_coalesced = 0
@@ -117,7 +122,10 @@ class AckingSink(CountingSink):
         """Next expected segment per flow hash, for every flow seen (0
         for one that has only arrived beyond a gap): the public read of
         the per-flow state, whose record is private."""
-        return {key: state.expected for key, state in self._flows.items()}
+        return {
+            key: 0 if state.__class__ is int else state.expected
+            for key, state in self._flows.items()
+        }
 
     def handle_packet(self, packet: Packet, now: float) -> bool:
         """Count, reassemble, and ACK one DATA arrival."""
@@ -138,10 +146,22 @@ class AckingSink(CountingSink):
 
         flow = packet.flow
         key = flow._hash64
+        seq = packet.seq
         state = self._flows.get(key)
         if state is None:
+            if seq > 0:  # first seen beyond a gap: keep the seq alone
+                self._flows[key] = seq
+                self.dup_acks_sent += 1
+                self.acks_sent += 1
+                self.host.send(
+                    Packet.build_ack(flow, packet.ts_val, 0, now, self.ack_size)
+                )
+                return True
             state = self._flows[key] = _FlowState()
-        seq = packet.seq
+        elif state.__class__ is int:  # a lone seq beyond a gap, as a record
+            pending = state
+            state = self._flows[key] = _FlowState()
+            state.ooo = {pending}
         expected = state.expected
         if seq == expected:
             expected += 1

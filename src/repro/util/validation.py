@@ -106,6 +106,34 @@ def check_optional(name: str, value: Any, check: Callable, *bounds: Any) -> Any:
     return None if value is None else check(name, value, *bounds)
 
 
+def checked_float(check: Callable, name: str) -> Callable[[str], float]:
+    """An argparse type: ``check(name, float(text))``, failing as usage."""
+
+    def parse(text: str) -> float:
+        try:
+            return check(name, float(text))
+        except ValueError as exc:
+            raise _usage_error(str(exc)) from None
+
+    return parse
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an int >= 1, failing as usage."""
+    value = int(text)
+    if value < 1:
+        raise _usage_error(f"must be >= 1, got {value}")
+    return value
+
+
+def _usage_error(message: str) -> Exception:
+    # argparse is loaded whenever a parser calls the types above; a
+    # library import of this module need not pay for it.
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def declared(*args: Any, factory: Callable[[], Any] | None = None) -> Any:
     """A dataclass field and its check: ``declared(default, check, *bounds)``
     or ``declared(check, *bounds, factory=...)``."""

@@ -337,3 +337,28 @@ def test_hostile_numbers_are_usage_errors_naming_the_flag(
     assert exc.value.code == 2
     assert f"argument {argv[-2]}" in capsys.readouterr().err
     assert not root.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lease-ttl", "-1"],
+    ["--lease-ttl", "nan"],
+    ["--cell-timeout", "-5"],
+    ["--cell-timeout", "0"],
+    ["--max-attempts", "0"],
+    ["--max-cells", "0"],
+    ["--max-cells", "-3"],
+])
+def test_the_worker_refuses_hostile_numbers_like_campaign_run(
+    tmp_path, argv, capsys
+):
+    """``python -m repro.campaign.worker`` parses its numbers with the
+    types ``campaign run`` uses: a usage error naming the flag, before
+    the store is touched."""
+    from repro.campaign.worker import main as worker_main
+
+    store = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        worker_main([str(store), *argv])
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
+    assert not store.exists()

@@ -147,11 +147,12 @@ def _stream(seed, packets, windows, rotate_share, persistent, illegal_share, spa
 
 
 def _entries(table):
+    """Every entry's fields by label; an NFT entry is its admission time."""
     return {
         int(label): tuple(
             tuple(value._times) if isinstance(value, WindowedCount) else value
             for value in (getattr(entry, f.name) for f in dataclasses.fields(entry))
-        )
+        ) if dataclasses.is_dataclass(entry) else entry
         for label, entry in table.items()
     }
 

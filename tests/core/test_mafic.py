@@ -214,9 +214,9 @@ class TestProbingFlow:
         assert agent.tables.lookup(label) is TableName.PDT
         assert agent.stats.verdicts_cut == 1
         (verdict,) = events(agent, "defense.verdict")
-        assert (verdict.label, verdict.verdict) == (label.value, "cut")
+        assert (verdict.label, verdict.verdict) == (label, "cut")
         (probe,) = events(agent, "defense.probe")
-        assert (probe.label, probe.atr) == (label.value, "atr0")
+        assert (probe.label, probe.atr) == (label, "atr0")
 
     def test_responsive_flow_promoted_to_nft(self, sim):
         agent = make_agent(sim, pd=1.0)
@@ -236,7 +236,9 @@ class TestProbingFlow:
         agent.on_packet(victim_packet(seq=0), None, 0.1)
         sim.run(until=0.6)  # -> NFT
         assert agent.on_packet(victim_packet(seq=5), None, 0.7)
-        assert agent.tables.nft[label_of_packet(victim_packet())].packets_passed == 1
+        assert agent.stats.packets_passed == 1
+        (verdict,) = events(agent, "defense.verdict")
+        assert agent.tables.nft == {label_of_packet(victim_packet()): verdict.time}
 
     def test_pdt_flow_dropped_forever(self, sim):
         agent = make_agent(sim, pd=1.0)

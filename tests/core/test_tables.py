@@ -32,12 +32,10 @@ class TestTransitions:
     def test_promote_to_nice(self):
         t = FlowTables()
         label = FlowLabel(1)
-        entry = sft_entry(label)
-        entry.packets_dropped = 4
-        t.admit_suspicious(entry)
-        nft = t.promote_to_nice(label, now=2.0)
+        t.admit_suspicious(sft_entry(label))
+        t.promote_to_nice(label, now=2.0)
         assert t.lookup(label) is TableName.NFT
-        assert nft.probe_drops == 4
+        assert t.nft[label] == 2.0  # the NFT keeps the admission time
         assert label not in t.sft
 
     def test_condemn_from_sft(self):

@@ -16,15 +16,22 @@ log, one entry per table verdict (and under source rotation every
 attack packet is a flow of its own).  It is packed columns: a float, a
 64-bit label and two one-byte codes, ~18 bytes a verdict, where a list
 of ``(now, label, verdict, truth)`` tuples held ~80.
+
+Such a flow leaves one number in each table that holds it: its label is
+its key's 64-bit hash as a plain ``int``, the NFT maps that to the
+admission time, and the victim sink keeps the seq of a flow seen only
+beyond a gap.
 """
 
 import gc
 import inspect
 import tracemalloc
 
+from repro.core.tables import FlowTables
 from repro.experiments.presets import paper_default, rotation_stress
 from repro.experiments.runner import run_experiment
 from repro.metrics.collectors import DefenseMetricsCollector
+from repro.transport.sink import AckingSink
 
 FILES = ("*/repro/metrics/collectors.py", "*/repro/transport/tcp.py")
 
@@ -104,3 +111,51 @@ def test_a_verdict_costs_its_packed_bytes():
     verdicts = len(result.scenario.defense_collector.verdicts)
     assert verdicts > 100
     assert held <= VERDICT_BYTES * verdicts, (held, verdicts)
+
+
+#: Bytes a one-packet flow may leave in MAFIC's label and NFT and in the
+#: victim sink's per-flow state: one dict slot in the NFT and one in the
+#: sink, with the dicts' over-allocation.  Seen: ~96 (a FlowLabel, an
+#: NftEntry, a sink record and a one-element reorder set: ~485).
+ONE_PACKET_FLOW_BYTES = 160
+
+
+def test_a_one_packet_flow_leaves_one_number_in_each_table():
+    """What the label, the NFT and the sink still hold at the end of a
+    tiny rotation run, per flow: every nice verdict is an NFT entry and
+    most attack packets that reach the victim are a flow's only one,
+    landing beyond a gap."""
+    config = rotation_stress().with_overrides(
+        total_flows=10, n_routers=8, duration=2.0, seed=3
+    )
+
+    def lines(function):
+        source, first = inspect.getsourcelines(function)
+        return range(first, first + len(source))
+
+    promote = lines(FlowTables.promote_to_nice)
+    arrival = lines(AckingSink.handle_packet)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_experiment(config)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    label = nft = sink = 0
+    for trace in snapshot.traces:
+        frame = trace.traceback[0]
+        name = frame.filename.replace("\\", "/")
+        if name.endswith("/repro/core/labels.py"):
+            label += trace.size
+        elif name.endswith("/repro/core/tables.py") and frame.lineno in promote:
+            nft += trace.size
+        elif name.endswith("/repro/transport/sink.py") and frame.lineno in arrival:
+            sink += trace.size
+    scenario = result.scenario
+    admitted = sum(len(agent.tables.nft) for agent in scenario.agents.values())
+    received = len(scenario.tcp_sink.frontiers())
+    assert admitted > 100 and received > 100
+    per_flow = (label + nft) / admitted + sink / received
+    assert per_flow <= ONE_PACKET_FLOW_BYTES, (label, nft, admitted, sink, received)
