@@ -20,11 +20,23 @@ from repro.metrics.timeseries import BandwidthSeries
 def main() -> None:
     config = ExperimentConfig(total_flows=30, n_routers=16, seed=13)
     scenario = build_scenario(config)
+    # The monitor keeps only its latest matrix; gather the first ten
+    # epochs on their way to the pushback coordinator.
+    monitor = scenario.monitor
+    epochs = []
+    to_coordinator = monitor.on_snapshot
+
+    def gather(snapshot):
+        if len(epochs) < 10:
+            epochs.append(snapshot)
+        to_coordinator(snapshot)
+
+    monitor.on_snapshot = gather
     result = run_experiment(config, scenario=scenario)
 
     print("=== 1. Traffic-matrix epochs (set-union counting) ===")
     print(f"{'epoch end':>10} {'|Dj| victim':>12}  top ingress contributions")
-    for snap in scenario.monitor.snapshots[:10]:
+    for snap in epochs:
         egress = snap.egress_totals[scenario.topology.victim_router_name]
         col = snap.destinations.index(scenario.topology.victim_router_name)
         contributions = sorted(

@@ -26,7 +26,7 @@ from repro.core.policy import (
     ProportionalDropPolicy,
 )
 from repro.core.probe import DupAckProber
-from repro.core.tables import FlowTables, PdtEntry, SftEntry, TableName
+from repro.core.tables import FlowTables, SftEntry, TableName
 
 __all__ = [
     "AdaptiveMaficPolicy",
@@ -39,7 +39,6 @@ __all__ = [
     "MaficAgent",
     "MaficConfig",
     "PassthroughPolicy",
-    "PdtEntry",
     "ProportionalDropPolicy",
     "SftEntry",
     "TableName",

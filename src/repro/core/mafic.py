@@ -229,7 +229,7 @@ class MaficAgent:
         ):
             if label not in self.tables.pdt:
                 self._enforce_pdt_cap()
-                self.tables.condemn(label, now, reason="illegal_source")
+                self.tables.condemn(label, "illegal_source")
                 self._notify_verdict(label, "illegal_source", now)
             return self._drop(packet, "illegal", now)
 
@@ -237,9 +237,7 @@ class MaficAgent:
         # dict probe per table instead of lookup() followed by a second
         # keyed access in the handler.
         tables = self.tables
-        pdt_entry = tables.pdt.get(label)
-        if pdt_entry is not None:
-            pdt_entry.packets_dropped += 1
+        if label in tables.pdt:
             return self._drop(packet, "pdt", now)
         admitted_at = tables.nft.get(label)
         if admitted_at is not None:
@@ -279,7 +277,6 @@ class MaficAgent:
             self._verdict(label)
             table = self.tables.lookup(label)
             if table is TableName.PDT:
-                self.tables.pdt[label].packets_dropped += 1
                 return self._drop(packet, "pdt", now)
             return self._pass_nice(packet, label, self.tables.nft[label], now)
         if self._rng.random() < self.config.drop_probability:
@@ -407,7 +404,7 @@ class MaficAgent:
             self._notify_verdict(label, "nice", now)
         else:
             self._enforce_pdt_cap()
-            self.tables.condemn(label, now, reason="unresponsive")
+            self.tables.condemn(label, "unresponsive")
             self.stats.verdicts_cut += 1
             self._notify_verdict(label, "cut", now)
 

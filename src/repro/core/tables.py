@@ -6,7 +6,7 @@
   untouched from then on.  It maps a label to its admission time, the
   one thing read back (by ``renotice_interval``).
 * **PDT** (Permanently Drop Table) — flows judged unresponsive (or with
-  illegal sources); every packet dropped.
+  illegal sources); every packet dropped.  It maps a label to the reason.
 
 Tables are keyed by flow labels (the ``int`` hash of the 4-tuple, see
 :mod:`repro.core.labels`), never by raw addresses, per Section III.B.
@@ -40,16 +40,6 @@ class SftEntry:
     monitor: WindowedCount | None = None
 
 
-@dataclass(slots=True)
-class PdtEntry:
-    """A flow condemned to permanent drop."""
-
-    label: int
-    condemned_at: float
-    reason: str  # "unresponsive" | "illegal_source"
-    packets_dropped: int = 0
-
-
 @dataclass
 class TableCounters:
     """Aggregate occupancy/traffic counters across the three tables."""
@@ -68,7 +58,7 @@ class FlowTables:
     def __init__(self) -> None:
         self.sft: dict[int, SftEntry] = {}
         self.nft: dict[int, float] = {}  # label -> admission time
-        self.pdt: dict[int, PdtEntry] = {}
+        self.pdt: dict[int, str] = {}  # label -> reason
         self.counters = TableCounters()
 
     # ------------------------------------------------------------- lookups
@@ -109,17 +99,14 @@ class FlowTables:
         self.nft[label] = now
         self.counters.nft_admissions += 1
 
-    def condemn(self, label: int, now: float, reason: str) -> PdtEntry:
-        """SFT (or nowhere) -> PDT: cut the flow permanently."""
+    def condemn(self, label: int, reason: str) -> None:
+        """SFT (or nowhere) -> PDT: cut the flow permanently (a flow
+        already condemned keeps its first reason)."""
         self.sft.pop(label, None)
         self.nft.pop(label, None)
-        existing = self.pdt.get(label)
-        if existing is not None:
-            return existing
-        entry = PdtEntry(label=label, condemned_at=now, reason=reason)
-        self.pdt[label] = entry
-        self.counters.pdt_admissions += 1
-        return entry
+        if label not in self.pdt:
+            self.pdt[label] = reason
+            self.counters.pdt_admissions += 1
 
     def demote_from_nice(self, label: int) -> None:
         """Remove an NFT verdict so the flow can be re-probed."""
@@ -146,19 +133,15 @@ class FlowTables:
             return entry
         return None
 
-    def evict_oldest_pdt(self) -> PdtEntry | None:
-        """Remove and return the longest-condemned PDT entry (None if empty)."""
+    def evict_oldest_pdt(self) -> int | None:
+        """Remove the longest-condemned PDT entry; its label, or None."""
         for label in self.pdt:
-            entry = self.pdt.pop(label)
+            del self.pdt[label]
             self.counters.pdt_evictions += 1
-            return entry
+            return label
         return None
 
     # ----------------------------------------------------------- inventory
-
-    def expired_sft(self, now: float) -> list[SftEntry]:
-        """SFT entries whose verdict timer has passed."""
-        return [entry for entry in self.sft.values() if now >= entry.deadline]
 
     def occupancy(self) -> dict[str, int]:
         """Current table sizes."""

@@ -21,15 +21,7 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import BuiltScenario, build_scenario
 from repro.sim.topology import TOPOLOGIES
 from repro.util.registry import Registry, UnknownComponentError
-from repro.experiments.figures import FIGURES, FigureResult, run_figure
 from repro.experiments.presets import PRESETS, get_preset
-from repro.experiments.reporting import format_figure, format_summary
-from repro.experiments.validation import (
-    Finding,
-    Severity,
-    ValidationReport,
-    validate_config,
-)
 from repro.experiments.workload import (
     WORKLOADS,
     DynamicWorkload,
@@ -38,6 +30,21 @@ from repro.experiments.workload import (
     WorkloadBuild,
     WorkloadContext,
 )
+
+
+def __getattr__(name: str):
+    # A run never executes these modules: each is imported on the first
+    # read of one of its names (PEP 562).
+    if name in ("FIGURES", "FigureResult", "run_figure"):
+        from repro.experiments import figures as module
+    elif name in ("format_figure", "format_summary"):
+        from repro.experiments import reporting as module
+    elif name in ("Finding", "Severity", "ValidationReport", "validate_config"):
+        from repro.experiments import validation as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
 
 __all__ = [
     "ATTACKS",

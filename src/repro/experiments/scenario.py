@@ -92,13 +92,15 @@ def build_scenario(
     ``bus`` (an :class:`~repro.obs.bus.EventBus`) threads streaming
     observability through every layer: the collectors, the monitor, and
     the victim-side links all publish onto it; it defaults to off, the
-    bit-exact zero-overhead batch path.  The victim's arrivals go to a
+    bit-exact zero-overhead batch path, as is a bus falsy here
+    (subscribe before building).  The victim's arrivals go to a
     :class:`~repro.metrics.collectors.StreamingVictimCollector` that
     streams the Fig. 4(b) series in ``series_bin_width`` bins and the β
     windows (:data:`DEFAULT_PRE_WINDOW` before activation, one probe
     timer after it); ``victim_collector`` puts another accountant with
     the same surface in its place.
     """
+    bus = bus or None  # off: producers hold None, whose test runs no frame
     rngs = RngRegistry(config.seed)
     topology = TOPOLOGIES.get(config.topology)(config, **config.topology_args)
     sim = topology.sim

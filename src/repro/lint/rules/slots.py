@@ -33,7 +33,7 @@ HOT_CLASSES: dict[str, tuple[str, ...]] = {
     "repro.sim.packet": ("FlowKey", "Packet", "_PacketPool"),
     "repro.sim.engine": ("Event", "SeriesEvent"),
     "repro.obs.bus": ("_Subscription",),
-    "repro.core.tables": ("SftEntry", "PdtEntry"),
+    "repro.core.tables": ("SftEntry",),
     "repro.util.stats": ("WindowedCount",),
 }
 

@@ -17,9 +17,19 @@ from repro.metrics.collectors import (
     FlowTruth,
     StreamingVictimCollector,
 )
-from repro.metrics.flowreport import FlowFate, FlowReport, build_flow_report
 from repro.metrics.rates import MetricsSummary, summarize
 from repro.metrics.timeseries import BandwidthSeries
+
+
+def __getattr__(name: str):
+    # The flow report is post-hoc analysis a run never executes: its
+    # module is imported on the first read of one of its names (PEP 562).
+    if name not in ("FlowFate", "FlowReport", "build_flow_report"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.metrics import flowreport
+
+    return getattr(flowreport, name)
+
 
 __all__ = [
     "BandwidthSeries",

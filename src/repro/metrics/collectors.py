@@ -9,9 +9,9 @@ Both collectors double as event *publishers*: pass an
 :class:`~repro.obs.bus.EventBus` and every decision, probe, verdict,
 pushback start/stop, arrival, and activation is emitted onto it in
 addition to the counter updates.
-With no bus attached (the default), the only added cost is one falsy
-check per call — the counters and summaries are bit-identical either
-way, which the golden-master suite pins.
+With no bus attached (the default, ``None``), the only added cost is one
+frame-free falsy check per call — the counters and summaries are
+bit-identical either way, which the golden-master suite pins.
 
 The victim collector keeps no per-arrival history: a windowed series
 aggregator plus just enough recent history for the β windows (see
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.metrics.timeseries import StreamingBandwidthSeries
-from repro.obs.bus import NULL_BUS, MetricSink
+from repro.obs.bus import MetricSink
 from repro.obs.events import (
     DefenseActivation,
     DefenseDecision,
@@ -118,7 +118,7 @@ class DefenseMetricsCollector:
         bus: MetricSink | None = None,
     ) -> None:
         self.flow_truth = flow_truth if flow_truth is not None else {}
-        self.bus = bus if bus is not None else NULL_BUS
+        self.bus = bus  # None when off: `if self.bus` then costs no frame
         self.counts: dict[FlowTruth, _ClassCounts] = {
             truth: _ClassCounts() for truth in FlowTruth
         }
@@ -243,7 +243,7 @@ class StreamingVictimCollector:
     ) -> None:
         if pre_window <= 0:
             raise ValueError("pre_window must be positive")
-        self.bus = bus if bus is not None else NULL_BUS
+        self.bus = bus  # None when off: `if self.bus` then costs no frame
         self._series = StreamingBandwidthSeries(
             start=0.0, end=duration, bin_width=series_bin_width
         )

@@ -18,7 +18,6 @@ golden-master suite pins that a bus-free run, a buffered run, and a
 streaming-series run are bit-identical.
 """
 
-from repro.obs.aggregators import LiveMetrics
 from repro.obs.bus import (
     NULL_BUS,
     NULL_SINK,
@@ -45,6 +44,17 @@ from repro.obs.events import (
     Verdict,
     VictimArrival,
 )
+
+
+def __getattr__(name: str):
+    # A run never executes the aggregators: their module is imported on
+    # the first read of LiveMetrics (PEP 562).
+    if name != "LiveMetrics":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.obs.aggregators import LiveMetrics
+
+    return LiveMetrics
+
 
 __all__ = [
     "NULL_BUS",

@@ -57,9 +57,8 @@ class SimplexLink:
         self.sim = sim
         self.src = src
         self.dst = dst
-        # Bound once: both run per packet.  A delivery is the destination's
-        # ``receive(packet, self)`` scheduled directly, with no link-side frame.
-        self._schedule_anon = sim.schedule_anon
+        # Bound once: each delivery's heap entry holds it, so the
+        # destination's ``receive(packet, self)`` runs with no link frame.
         self._receive = dst.receive
         # The transmitter is a busy-until timestamp, not an event: a
         # packet offered to an idle link is dequeued and its delivery
@@ -71,7 +70,9 @@ class SimplexLink:
         self._drain_pending = False
         self.queue = queue if queue is not None else DropTailQueue()
         self.name = name if name is not None else f"{src.name}->{dst.name}"
-        self._head_hooks: list[LinkHook] = []
+        # A tuple, rebuilt on attach/detach: most links never get a hook,
+        # and every one of those shares the empty tuple.
+        self._head_hooks: tuple[LinkHook, ...] = ()
         self._up = True
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -90,12 +91,7 @@ class SimplexLink:
 
     @queue.setter
     def queue(self, queue: PacketQueue) -> None:
-        # Bind the per-packet queue methods once per assignment; send()
-        # runs per packet, a property/attr chain per call adds up.
         self._queue = queue
-        self._q_enqueue = queue.enqueue
-        self._q_dequeue = queue.dequeue
-        self._q_len = queue.__len__
         # Asked once per assignment: may send() keep a packet that meets
         # an empty queue, instead of passing it through enqueue/dequeue?
         self._q_pass_idle = getattr(queue, "idle_pass_through", False)
@@ -103,22 +99,23 @@ class SimplexLink:
         # "no wake-up pending" keeps meaning "queue empty".
         if not self._drain_pending and len(queue):
             self._drain_pending = True
-            self._schedule_anon(
+            self.sim.schedule_anon(
                 max(self._busy_until, self.sim.now), self._drain_event
             )
 
     def add_head_hook(self, hook: LinkHook) -> None:
         """Attach a hook at the link head (NS-2 Connector seam)."""
-        self._head_hooks.append(hook)
+        self._head_hooks = (*self._head_hooks, hook)
 
     def remove_head_hook(self, hook: LinkHook) -> None:
-        """Detach a previously attached hook."""
-        self._head_hooks.remove(hook)
+        """Detach a previously attached hook (ValueError if absent)."""
+        at = self._head_hooks.index(hook)
+        self._head_hooks = self._head_hooks[:at] + self._head_hooks[at + 1:]
 
     @property
     def head_hooks(self) -> tuple[LinkHook, ...]:
         """Hooks currently attached, in execution order."""
-        return tuple(self._head_hooks)
+        return self._head_hooks
 
     @property
     def is_up(self) -> bool:
@@ -148,7 +145,8 @@ class SimplexLink:
             packet.release()
             self._drop_event("down")
             return False
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         for hook in self._head_hooks:
             if not hook.on_packet(packet, self, now):
                 self.hook_drops += 1
@@ -156,7 +154,7 @@ class SimplexLink:
                 self._drop_event("hook")
                 return False
         if self._drain_pending or self._busy_until > now or not self._q_pass_idle:
-            if not self._q_enqueue(packet, now):
+            if not self._queue.enqueue(packet, now):
                 packet.release()
                 self._drop_event("queue")
                 return False
@@ -164,13 +162,13 @@ class SimplexLink:
                 return True  # queued behind a backlog; the wake-up will reach it
             if self._busy_until > now:
                 self._drain_pending = True
-                self._schedule_anon(self._busy_until, self._drain_event)
+                sim.schedule_anon(self._busy_until, self._drain_event)
                 return True
             # Idle transmitter and no wake-up pending: the queue held
             # nothing before this packet, so it hands back this one and is
             # empty again — straight onto the wire, with no backlog to ask
             # about.  The discipline saw the arrival and the departure.
-            packet = self._q_dequeue()
+            packet = self._queue.dequeue()
         else:
             # The same idle link, and a queue that declares the round trip
             # through it would change nothing but this count.
@@ -185,14 +183,15 @@ class SimplexLink:
         # The hop is counted here, not on arrival: nothing can observe
         # the packet between the wire and the destination's receive().
         packet.hop_count += 1
-        self._schedule_anon(depart + self.delay, self._receive, packet, self)
+        sim.schedule_anon(depart + self.delay, self._receive, packet, self)
         return True
 
     def _drain_event(self) -> None:
         """The wake-up: put the head of the backlog on the wire (the same
         steps as an idle send()) and re-arm while a backlog remains."""
         self._drain_pending = False
-        packet = self._q_dequeue()
+        queue = self._queue
+        packet = queue.dequeue()
         if packet is None:  # the backlog's queue was swapped out meanwhile
             return
         depart = self.sim.now + packet.size * 8.0 / self.bandwidth_bps
@@ -200,10 +199,10 @@ class SimplexLink:
         self.packets_sent += 1
         self.bytes_sent += packet.size
         packet.hop_count += 1
-        schedule_anon = self._schedule_anon
+        schedule_anon = self.sim.schedule_anon
         # Delivery first, then the wake-up: the order of ``seq`` draws.
         schedule_anon(depart + self.delay, self._receive, packet, self)
-        if self._q_len():
+        if len(queue):
             self._drain_pending = True
             schedule_anon(depart, self._drain_event)
 
@@ -212,18 +211,6 @@ class SimplexLink:
         bus = self.bus
         if bus is not None and bus:
             bus.emit(LinkDrop(self.sim.now, self.name, reason))
-
-    def stats(self) -> dict:
-        """Counter snapshot for the observability layer (plain dict)."""
-        return {
-            "link": self.name,
-            "packets_offered": self.packets_offered,
-            "packets_sent": self.packets_sent,
-            "bytes_sent": self.bytes_sent,
-            "hook_drops": self.hook_drops,
-            "failure_drops": self.failure_drops,
-            "queue_len": self._q_len(),
-        }
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of capacity used over ``elapsed`` seconds."""

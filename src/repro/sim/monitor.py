@@ -6,8 +6,10 @@ compute the traffic matrix for this time period using the set-union
 counting algorithm."
 
 The monitor owns a :class:`~repro.counting.setunion.TrafficMatrixEstimator`
-and snapshots it every ``period`` seconds, keeping the history of matrices
-for the pushback coordinator (victim detection / ATR identification).
+and snapshots it every ``period`` seconds, handing each matrix to the
+pushback coordinator (victim detection / ATR identification).  It keeps
+only the latest one and a count of epochs: a caller that wants the
+history gathers it through ``on_snapshot``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.bus import NULL_BUS
 from repro.obs.events import EngineStats, MonitorSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,8 +78,11 @@ class TrafficMonitor:
         self.period = float(period)
         self.on_snapshot = on_snapshot
         self.reset_each_epoch = reset_each_epoch
-        self.bus = bus if bus is not None else NULL_BUS
-        self.snapshots: list[MatrixSnapshot] = []
+        self.bus = bus
+        #: The most recent snapshot (None before the first epoch).
+        self.latest: MatrixSnapshot | None = None
+        #: Epochs snapshotted so far.
+        self.epochs = 0
         self._started = False
 
     def start(self, delay: float | None = None) -> None:
@@ -107,7 +111,8 @@ class TrafficMonitor:
             ingress_totals=self.estimator.ingress_totals(),
             egress_totals=self.estimator.egress_totals(),
         )
-        self.snapshots.append(snapshot)
+        self.latest = snapshot
+        self.epochs += 1
         if self.bus:
             self._publish(snapshot)
         return snapshot
@@ -119,7 +124,7 @@ class TrafficMonitor:
             return
         bus.emit(MonitorSnapshot(
             time=snapshot.time,
-            epoch=len(self.snapshots),
+            epoch=self.epochs,
             n_sources=len(snapshot.sources),
             n_destinations=len(snapshot.destinations),
             ingress_total=float(sum(snapshot.ingress_totals.values())),
@@ -133,8 +138,3 @@ class TrafficMonitor:
             pending=stats["live"],
             peak_occupancy=stats["peak_occupancy"],
         ))
-
-    @property
-    def latest(self) -> MatrixSnapshot | None:
-        """Most recent snapshot, if any."""
-        return self.snapshots[-1] if self.snapshots else None

@@ -71,7 +71,7 @@ class _FlowState:
 
     def __init__(self) -> None:
         self.expected = 0  # next in-order seq
-        self.ooo: set[int] | None = None  # made on the flow's first gap
+        self.ooo: set[int] | None = None  # made at a gap, dropped once filled
         # (flow, ts_val) of the DATA arrival holding a delayed ACK.
         # Scalars, not the packet: a delivered packet is recycled into
         # the pool the moment the handler returns.
@@ -170,6 +170,8 @@ class AckingSink(CountingSink):
                 while expected in ooo:
                     ooo.discard(expected)
                     expected += 1
+                if not ooo:  # drained: the set goes until the next gap
+                    state.ooo = None
             state.expected = expected
             if self.delayed_ack > 0:
                 if state.held is None:  # hold this one's ACK (RFC 1122)

@@ -9,8 +9,8 @@ timing, no RSS):
     (the sweep fires when the dict has doubled since the last sweep);
 (b) a monitor with one arrival is at most 200 bytes: its slots and one
     list of arrival times (no weights, no 64-slot deque block);
-(c) flow-table entries carry no ``__dict__``, and an NFT entry is its
-    admission time alone.
+(c) SFT entries carry no ``__dict__``, an NFT entry is its admission
+    time alone and a PDT entry its reason alone.
 
 Before idle monitors were swept, (a) found all 10,000 monitors alive,
 each a two-deque ``WindowedRate``, and (c) found a ``__dict__`` on every
@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import MaficConfig
 from repro.core.labels import FlowLabel
 from repro.core.mafic import MaficAgent
-from repro.core.tables import FlowTables, PdtEntry, SftEntry
+from repro.core.tables import FlowTables, SftEntry
 from repro.sim.engine import Simulator
 from repro.sim.node import Router
 from repro.sim.packet import FlowKey, Packet
@@ -87,14 +87,13 @@ def test_a_one_arrival_monitor_is_at_most_200_bytes():
 
 def test_table_entries_have_no_dict():
     label = FlowLabel(1)
-    records = (
-        SftEntry(label=label, probe_started=0.0, deadline=1.0, baseline_rate=0.0),
-        PdtEntry(label=label, condemned_at=0.0, reason="unresponsive"),
-    )
-    for record in records:
-        assert not hasattr(record, "__dict__"), type(record).__name__
+    entry = SftEntry(label=label, probe_started=0.0, deadline=1.0, baseline_rate=0.0)
+    assert not hasattr(entry, "__dict__")
     tables = FlowTables()
-    tables.admit_suspicious(records[0])
+    tables.admit_suspicious(entry)
     tables.promote_to_nice(label, 2.5)
     assert tables.nft == {label: 2.5}
     assert type(tables.nft[label]) is float
+    # The PDT holds the one thing read back of a condemned flow: why.
+    tables.condemn(FlowLabel(2), "unresponsive")
+    assert tables.pdt == {FlowLabel(2): "unresponsive"}

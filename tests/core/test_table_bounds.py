@@ -58,8 +58,8 @@ class TestTableEviction:
     def test_evict_oldest_pdt_order(self):
         t = FlowTables()
         for i in range(3):
-            t.condemn(FlowLabel(i), float(i), "unresponsive")
-        assert t.evict_oldest_pdt().label == FlowLabel(0)
+            t.condemn(FlowLabel(i), "unresponsive")
+        assert t.evict_oldest_pdt() == FlowLabel(0)
 
 
 class TestAgentSftCap:

@@ -42,23 +42,24 @@ class TestTransitions:
         t = FlowTables()
         label = FlowLabel(1)
         t.admit_suspicious(sft_entry(label))
-        pdt = t.condemn(label, now=2.0, reason="unresponsive")
+        t.condemn(label, reason="unresponsive")
         assert t.lookup(label) is TableName.PDT
-        assert pdt.reason == "unresponsive"
+        assert t.pdt[label] == "unresponsive"  # the PDT keeps the reason
         assert label not in t.sft
 
     def test_condemn_unknown_flow_directly(self):
         t = FlowTables()
         label = FlowLabel(9)
-        t.condemn(label, now=1.0, reason="illegal_source")
+        t.condemn(label, reason="illegal_source")
         assert t.lookup(label) is TableName.PDT
 
     def test_condemn_idempotent(self):
         t = FlowTables()
         label = FlowLabel(1)
-        first = t.condemn(label, 1.0, "unresponsive")
-        second = t.condemn(label, 2.0, "unresponsive")
-        assert first is second
+        t.condemn(label, "illegal_source")
+        # A second verdict keeps the first reason and admits nothing.
+        t.condemn(label, "unresponsive")
+        assert t.pdt[label] == "illegal_source"
         assert t.counters.pdt_admissions == 1
 
     def test_pdt_wins_lookup_priority(self):
@@ -66,9 +67,7 @@ class TestTransitions:
         t = FlowTables()
         label = FlowLabel(1)
         t.sft[label] = sft_entry(label)
-        t.pdt[label] = t.condemn(FlowLabel(2), 1.0, "unresponsive").__class__(
-            label=label, condemned_at=1.0, reason="unresponsive"
-        )
+        t.pdt[label] = "unresponsive"
         assert t.lookup(label) is TableName.PDT
 
     def test_double_admit_rejected(self):
@@ -81,7 +80,7 @@ class TestTransitions:
     def test_admit_condemned_rejected(self):
         t = FlowTables()
         label = FlowLabel(1)
-        t.condemn(label, 1.0, "unresponsive")
+        t.condemn(label, "unresponsive")
         with pytest.raises(ValueError):
             t.admit_suspicious(sft_entry(label))
 
@@ -102,7 +101,7 @@ class TestTransitions:
         label = FlowLabel(1)
         t.admit_suspicious(sft_entry(label))
         t.promote_to_nice(label, 2.0)
-        t.condemn(label, 3.0, "unresponsive")
+        t.condemn(label, "unresponsive")
         assert t.lookup(label) is TableName.PDT
         assert label not in t.nft
 
@@ -111,23 +110,16 @@ class TestBookkeeping:
     def test_flush_clears_everything(self):
         t = FlowTables()
         t.admit_suspicious(sft_entry(FlowLabel(1)))
-        t.condemn(FlowLabel(2), 1.0, "unresponsive")
+        t.condemn(FlowLabel(2), "unresponsive")
         t.flush()
         assert t.occupancy() == {"sft": 0, "nft": 0, "pdt": 0}
         assert t.counters.flushes == 1
-
-    def test_expired_sft(self):
-        t = FlowTables()
-        t.admit_suspicious(sft_entry(FlowLabel(1), deadline=1.5))
-        t.admit_suspicious(sft_entry(FlowLabel(2), deadline=3.0))
-        expired = t.expired_sft(now=2.0)
-        assert [e.label for e in expired] == [FlowLabel(1)]
 
     def test_admission_counters(self):
         t = FlowTables()
         t.admit_suspicious(sft_entry(FlowLabel(1)))
         t.promote_to_nice(FlowLabel(1), 2.0)
-        t.condemn(FlowLabel(2), 1.0, "x")
+        t.condemn(FlowLabel(2), "x")
         assert t.counters.sft_admissions == 1
         assert t.counters.nft_admissions == 1
         assert t.counters.pdt_admissions == 1
@@ -142,7 +134,7 @@ class TestBookkeeping:
             if i % 3 == 0:
                 t.promote_to_nice(label, 1.0)
             elif i % 3 == 1:
-                t.condemn(label, 1.0, "unresponsive")
+                t.condemn(label, "unresponsive")
         for label in flow_labels:
             memberships = sum(
                 (label in table) for table in (t.sft, t.nft, t.pdt)

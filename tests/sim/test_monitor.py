@@ -19,11 +19,13 @@ def _estimator_with_counters():
 class TestTrafficMonitor:
     def test_periodic_snapshots(self, sim):
         est, _, _ = _estimator_with_counters()
-        monitor = TrafficMonitor(sim, est, period=0.5)
+        seen = []
+        monitor = TrafficMonitor(sim, est, period=0.5, on_snapshot=seen.append)
         monitor.start()
         sim.run(until=2.1)
-        assert len(monitor.snapshots) == 4
-        assert [round(s.time, 1) for s in monitor.snapshots] == [0.5, 1.0, 1.5, 2.0]
+        assert [round(s.time, 1) for s in seen] == [0.5, 1.0, 1.5, 2.0]
+        assert monitor.epochs == 4
+        assert monitor.latest is seen[-1]
 
     def test_snapshot_contains_totals(self, sim):
         est, ingress, egress = _estimator_with_counters()
@@ -41,20 +43,26 @@ class TestTrafficMonitor:
         est, ingress, _ = _estimator_with_counters()
         for uid in range(50):
             ingress.sketch.add(uid)
-        monitor = TrafficMonitor(sim, est, period=1.0, reset_each_epoch=True)
+        seen = []
+        monitor = TrafficMonitor(
+            sim, est, period=1.0, on_snapshot=seen.append, reset_each_epoch=True
+        )
         monitor.start()
         sim.run(until=2.0)
         # Second epoch saw no traffic: estimate near zero.
-        assert monitor.snapshots[1].ingress_totals["in0"] < 5
+        assert seen[1].ingress_totals["in0"] < 5
 
     def test_no_reset_accumulates(self, sim):
         est, ingress, _ = _estimator_with_counters()
         for uid in range(50):
             ingress.sketch.add(uid)
-        monitor = TrafficMonitor(sim, est, period=1.0, reset_each_epoch=False)
+        seen = []
+        monitor = TrafficMonitor(
+            sim, est, period=1.0, on_snapshot=seen.append, reset_each_epoch=False
+        )
         monitor.start()
         sim.run(until=2.0)
-        assert monitor.snapshots[1].ingress_totals["in0"] == pytest.approx(50, rel=0.3)
+        assert seen[1].ingress_totals["in0"] == pytest.approx(50, rel=0.3)
 
     def test_callback_invoked(self, sim):
         est, _, _ = _estimator_with_counters()

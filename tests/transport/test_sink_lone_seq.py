@@ -41,7 +41,8 @@ def test_a_lone_seq_reads_like_the_four_dict_sink(delayed_ack, acked, counts):
     assert [ack[2] for ack in acks] == acked
     assert counters[:3] == counts and armed == 0
     assert new_sink.frontiers() == {FLOWS[0].hashed(): 5, FLOWS[1].hashed(): 0}
-    # Flow 1 is its seq alone; flow 0 became a record on its second arrival.
+    # Flow 1 is its seq alone; flow 0 became a record on its second
+    # arrival, and its reorder set went once both gaps were filled.
     assert new_sink._flows[FLOWS[1].hashed()] == 3
     assert type(new_sink._flows[FLOWS[1].hashed()]) is int
-    assert new_sink._flows[FLOWS[0].hashed()].ooo == set()
+    assert new_sink._flows[FLOWS[0].hashed()].ooo is None
