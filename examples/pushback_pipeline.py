@@ -20,16 +20,21 @@ from repro.metrics.timeseries import BandwidthSeries
 def main() -> None:
     config = ExperimentConfig(total_flows=30, n_routers=16, seed=13)
     scenario = build_scenario(config)
-    # The monitor keeps only its latest matrix; gather the first ten
-    # epochs on their way to the pushback coordinator.
+    # The monitor keeps only its latest matrix, and the coordinator only
+    # its latest report: gather the first ten epochs on their way to the
+    # coordinator, and the first three reports it makes of them.
     monitor = scenario.monitor
-    epochs = []
+    coordinator = scenario.coordinator
+    epochs, reports = [], []
     to_coordinator = monitor.on_snapshot
 
     def gather(snapshot):
         if len(epochs) < 10:
             epochs.append(snapshot)
+        seen = coordinator.overload_epochs
         to_coordinator(snapshot)
+        if coordinator.overload_epochs > seen and len(reports) < 3:
+            reports.append(coordinator.latest_report)
 
     monitor.on_snapshot = gather
     result = run_experiment(config, scenario=scenario)
@@ -47,9 +52,8 @@ def main() -> None:
         print(f"{snap.time:>10.2f} {egress:>12.0f}  {tops}")
 
     print("\n=== 2. Detection and ATR identification ===")
-    coordinator = scenario.coordinator
     print(f"calm baseline learned: {coordinator.baseline:.0f} packets/epoch")
-    for report in coordinator.reports[:3]:
+    for report in reports:
         named = ", ".join(report.atr_names) or "(none)"
         print(
             f"t={report.time:.2f}: egress {report.egress_estimate:.0f} > "

@@ -51,6 +51,8 @@ class Zombie:
     zombies behind one host get distinct 4-tuples.
     """
 
+    __slots__ = ("sim", "host", "config", "sender", "wire_flow", "_rotating")
+
     def __init__(
         self,
         sim: "Simulator",

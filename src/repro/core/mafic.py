@@ -76,7 +76,7 @@ class DefenseObserver(Protocol):
     def on_pushback(self, active: bool, now: float, atr: str = "") -> None: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class MaficStats:
     """Internal counters (ground-truth-free; metrics live in observers)."""
 
@@ -123,6 +123,12 @@ class MaficAgent:
     observer:
         Optional metrics observer.
     """
+
+    __slots__ = (
+        "sim", "router", "victim_matcher", "config", "_rng", "address_space",
+        "policy", "prober", "observer", "_atr", "active", "tables", "stats",
+        "_monitors", "_sweep_at", "_verdict_events", "min_baseline_packets",
+    )
 
     def __init__(
         self,

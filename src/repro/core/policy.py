@@ -41,6 +41,8 @@ class DropDecision(Enum):
 class DropPolicy:
     """Interface: decide the fate of one victim-bound packet."""
 
+    __slots__ = ()
+
     def decide(self, packet: "Packet", now: float) -> DropDecision:
         """Return the decision for this packet."""
         raise NotImplementedError
@@ -51,6 +53,8 @@ class DropPolicy:
 
 class PassthroughPolicy(DropPolicy):
     """Never drops: the undefended control."""
+
+    __slots__ = ()
 
     def decide(self, packet: "Packet", now: float) -> DropDecision:
         """Always PASS."""
@@ -63,6 +67,8 @@ class AdaptiveMaficPolicy(DropPolicy):
     Only consulted for packets of flows not yet in any table; the agent
     handles table hits itself.
     """
+
+    __slots__ = ("drop_probability", "_rng", "decisions", "drops")
 
     def __init__(self, drop_probability: float, rng) -> None:
         self.drop_probability = check_probability(
@@ -83,6 +89,8 @@ class AdaptiveMaficPolicy(DropPolicy):
 
 class ProportionalDropPolicy(DropPolicy):
     """The [2] baseline: uniform random drop of all victim-bound packets."""
+
+    __slots__ = ("drop_probability", "_rng", "decisions", "drops")
 
     def __init__(self, drop_probability: float, rng) -> None:
         self.drop_probability = check_probability(
@@ -128,6 +136,8 @@ class AggregateRateLimitPolicy(DropPolicy):
     Admits up to ``limit_bps`` (with ``burst`` seconds of burst tolerance);
     everything beyond is dropped regardless of which flow it belongs to.
     """
+
+    __slots__ = ("limit_bps", "burst", "_bucket", "decisions", "drops")
 
     def __init__(self, limit_bps: float, burst: float = 0.1) -> None:
         check_positive("limit_bps", limit_bps)

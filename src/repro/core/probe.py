@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DupAckProber:
     """Builds and injects forged duplicate-ACK probes at an ATR."""
 
+    __slots__ = (
+        "sim", "router", "dup_acks_per_probe", "ack_size", "spacing",
+        "probes_sent", "on_probe",
+    )
+
     def __init__(
         self,
         sim: "Simulator",

@@ -40,7 +40,7 @@ class SftEntry:
     monitor: WindowedCount | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TableCounters:
     """Aggregate occupancy/traffic counters across the three tables."""
 
@@ -54,6 +54,8 @@ class TableCounters:
 
 class FlowTables:
     """The SFT/NFT/PDT triple with the transitions of Figure 2."""
+
+    __slots__ = ("sft", "nft", "pdt", "counters")
 
     def __init__(self) -> None:
         self.sft: dict[int, SftEntry] = {}

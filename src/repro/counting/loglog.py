@@ -91,6 +91,8 @@ class LogLogCounter:
         the same salt.
     """
 
+    __slots__ = ("k", "m", "salt", "_hash", "_regs", "_shift", "_rest_mask", "items_added")
+
     def __init__(self, k: int = 10, salt: int = 0) -> None:
         if not 4 <= k <= 20:
             raise ValueError("k must be in [4, 20]")
@@ -201,6 +203,8 @@ class LogLogLinkCounter:
     packet's uid into its sketch.  Ingress links record the source set
     ``Si``; the victim access link records the destination set ``Dj``.
     """
+
+    __slots__ = ("router_name", "sketch", "packets_seen")
 
     def __init__(self, router_name: str, k: int = 10, salt: int = 0) -> None:
         self.router_name = router_name

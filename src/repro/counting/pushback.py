@@ -86,6 +86,10 @@ class PushbackCoordinator:
     estimate exceeds ``overload_factor x baseline``, refreshes ATR sets
     while the attack persists, and stops after ``hysteresis_epochs`` calm
     epochs.
+
+    What it keeps does not grow with the run: the latest overload
+    epoch's :class:`AtrReport`, a count of those epochs, and the names of
+    the ATRs it ever sent a start.  ``on_request`` sees every request.
     """
 
     def __init__(
@@ -99,9 +103,9 @@ class PushbackCoordinator:
         self.on_request = on_request
         self.active = False
         self.active_atrs: set[str] = set()
-        # repro: allow[write-only-state] one per overload epoch, for callers
-        self.reports: list[AtrReport] = []
-        self.requests: list[PushbackRequest] = []
+        self.latest_report: AtrReport | None = None
+        self.overload_epochs = 0
+        self.started_atrs: set[str] = set()
         self._baseline = self.config.baseline_rate
         self._calm_epochs = 0
         self._epochs_seen = 0
@@ -130,7 +134,8 @@ class PushbackCoordinator:
         if egress > threshold:
             self._calm_epochs = 0
             report = self._identify(snapshot, egress, threshold)
-            self.reports.append(report)
+            self.latest_report = report
+            self.overload_epochs += 1
             self._activate(report)
         else:
             # Calm epoch: learn the baseline (guarded against absorbing a
@@ -167,6 +172,7 @@ class PushbackCoordinator:
         refreshed = set(report.atr_names) & self.active_atrs
         for name in sorted(newly):
             self._send(report.time, name, "start", report.shares.get(name, 0.0))
+        self.started_atrs |= newly
         for name in sorted(refreshed):
             self._send(report.time, name, "refresh", report.shares.get(name, 0.0))
         self.active_atrs |= newly
@@ -187,6 +193,5 @@ class PushbackCoordinator:
             action=action,
             estimated_share=share,
         )
-        self.requests.append(request)
         if self.on_request is not None:
             self.on_request(request)

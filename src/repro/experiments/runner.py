@@ -120,11 +120,7 @@ def run_experiment(
 
     victim = scenario.victim_collector
     summary = summarize(scenario.defense_collector, victim)
-    identified = {
-        request.atr_name
-        for request in scenario.coordinator.requests
-        if request.action == "start"
-    }
+    identified = set(scenario.coordinator.started_atrs)
     result = ExperimentResult(
         config=config,
         summary=summary,

@@ -73,17 +73,6 @@ def ends_control_flow(body: list[ast.stmt]) -> bool:
     )
 
 
-def decorator_names(node: ast.ClassDef | ast.FunctionDef) -> list[str]:
-    """Dotted names of decorators (calls resolve to their callee)."""
-    names = []
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(target)
-        if name is not None:
-            names.append(name)
-    return names
-
-
 def has_slots(node: ast.ClassDef) -> bool:
     """Whether a class declares ``__slots__`` (directly or via
     ``@dataclass(slots=True)``)."""

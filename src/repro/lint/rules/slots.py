@@ -4,6 +4,9 @@ The engine allocates one :class:`Packet` per generated packet and one
 :class:`Event` handle per scheduled callback — millions per campaign
 cell.  MAFIC allocates a table entry and an arrival-rate monitor per
 flow, and under source rotation every attack packet is a new flow.
+Links, queues, routers, routing tables, senders, agents and LogLog
+counters are made once per link, router, flow or ATR, so their number
+grows with the domain (1,154 links and 255 agents on ``huge_topology(8)``).
 ``__slots__`` on those classes is worth ~30-40% of their memory
 and a measurable allocation-rate win, and it is exactly the kind of
 property that vanishes silently: drop the declaration during a
@@ -28,13 +31,29 @@ from repro.lint.analyzer import LintRule, ModuleSource, register_rule
 from repro.lint.asthelpers import has_slots
 from repro.lint.findings import Finding
 
-#: module -> class names that must declare ``__slots__``.
+#: module -> class names that must declare ``__slots__``: the per-packet
+#: and per-flow classes, then those made once per link, router, host,
+#: flow or ATR (their count grows with the domain).
 HOT_CLASSES: dict[str, tuple[str, ...]] = {
     "repro.sim.packet": ("FlowKey", "Packet", "_PacketPool"),
     "repro.sim.engine": ("Event", "SeriesEvent"),
     "repro.obs.bus": ("_Subscription",),
-    "repro.core.tables": ("SftEntry",),
+    "repro.core.tables": ("SftEntry", "TableCounters", "FlowTables"),
     "repro.util.stats": ("WindowedCount",),
+    "repro.sim.link": ("SimplexLink",),
+    "repro.sim.queues": ("DropTailQueue", "DRRQueue", "REDQueue"),
+    "repro.sim.node": ("Node", "Router", "Host"),
+    "repro.sim.routing": ("RoutingTable",),
+    "repro.sim.topology": ("_HostDelivery",),
+    "repro.transport.flow": ("FlowStats", "FlowAgent"),
+    "repro.transport.tcp": ("TcpSender",),
+    "repro.transport.udp": ("CbrSender", "OnOffSender"),
+    "repro.attacks.zombie": ("Zombie",),
+    "repro.core.mafic": ("MaficStats", "MaficAgent"),
+    "repro.core.probe": ("DupAckProber",),
+    "repro.core.policy": ("DropPolicy", "AdaptiveMaficPolicy"),
+    "repro.counting.loglog": ("LogLogCounter", "LogLogLinkCounter"),
+    "repro.util.rng": ("Pcg64Stream",),
 }
 
 

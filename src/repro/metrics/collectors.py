@@ -25,18 +25,32 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from repro.metrics.timeseries import StreamingBandwidthSeries
-from repro.obs.bus import MetricSink
-from repro.obs.events import (
-    DefenseActivation,
-    DefenseDecision,
-    DefenseProbe,
-    DefensePushback,
-    Verdict,
-    VictimArrival,
-)
 from repro.sim.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.bus import MetricSink
+
+#: The event classes the collectors emit, imported by :func:`_bind_events`
+#: once a collector gets a bus: a bus-free run never loads repro.obs.
+DefenseActivation = DefenseDecision = DefenseProbe = None
+DefensePushback = Verdict = VictimArrival = None
+
+
+def _bind_events() -> None:
+    """Bind the event classes above (a bus is being attached)."""
+    global DefenseActivation, DefenseDecision, DefenseProbe
+    global DefensePushback, Verdict, VictimArrival
+    from repro.obs import events
+
+    DefenseActivation = events.DefenseActivation
+    DefenseDecision = events.DefenseDecision
+    DefenseProbe = events.DefenseProbe
+    DefensePushback = events.DefensePushback
+    Verdict = events.Verdict
+    VictimArrival = events.VictimArrival
 
 
 class FlowTruth(Enum):
@@ -118,6 +132,8 @@ class DefenseMetricsCollector:
         bus: MetricSink | None = None,
     ) -> None:
         self.flow_truth = flow_truth if flow_truth is not None else {}
+        if bus is not None:
+            _bind_events()
         self.bus = bus  # None when off: `if self.bus` then costs no frame
         self.counts: dict[FlowTruth, _ClassCounts] = {
             truth: _ClassCounts() for truth in FlowTruth
@@ -243,6 +259,8 @@ class StreamingVictimCollector:
     ) -> None:
         if pre_window <= 0:
             raise ValueError("pre_window must be positive")
+        if bus is not None:
+            _bind_events()
         self.bus = bus  # None when off: `if self.bus` then costs no frame
         self._series = StreamingBandwidthSeries(
             start=0.0, end=duration, bin_width=series_bin_width

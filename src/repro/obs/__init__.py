@@ -36,7 +36,6 @@ from repro.obs.events import (
     DefensePushback,
     EngineStats,
     LinkDrop,
-    LinkStats,
     MetricEvent,
     MonitorSnapshot,
     RunCompleted,
@@ -70,7 +69,6 @@ __all__ = [
     "EngineStats",
     "EventBus",
     "LinkDrop",
-    "LinkStats",
     "LiveMetrics",
     "MetricEvent",
     "MetricSink",

@@ -23,7 +23,6 @@ defense.activation  first pushback-start instant
 monitor.snapshot    TrafficMonitor epoch (traffic-matrix recompute)
 engine.stats        scheduler/queue occupancy, piggybacked on epochs
 link.drop           a link-head hook, queue, or failed link ate a packet
-link.stats          periodic per-link counter snapshot (serve layer)
 run.started         run_experiment, after scenario build
 run.completed       run_experiment, with the headline summary
 campaign.run        cell worker, one per cell it filed
@@ -180,21 +179,6 @@ class LinkDrop(MetricEvent):
 
 
 @dataclass(slots=True)
-class LinkStats(MetricEvent):
-    """Periodic per-link counter snapshot."""
-
-    kind = "link.stats"
-
-    link: str
-    packets_offered: int
-    packets_sent: int
-    bytes_sent: int
-    hook_drops: int
-    failure_drops: int
-    queue_len: int
-
-
-@dataclass(slots=True)
 class RunStarted(MetricEvent):
     """A run began executing (time is always 0.0).
 
@@ -310,7 +294,6 @@ EVENT_TYPES: dict[str, type[MetricEvent]] = {
         MonitorSnapshot,
         EngineStats,
         LinkDrop,
-        LinkStats,
         RunStarted,
         RunCompleted,
         CampaignRun,

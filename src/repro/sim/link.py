@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from repro.obs.events import LinkDrop
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue, PacketQueue
 from repro.util.validation import check_non_negative, check_positive
@@ -19,6 +18,10 @@ from repro.util.validation import check_non_negative, check_positive
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.node import Node
+
+#: The event class a link emits, imported by :func:`_bind_events` once a
+#: bus is attached: a bus-free run never loads :mod:`repro.obs`.
+LinkDrop = None
 
 
 class LinkHook(Protocol):
@@ -39,6 +42,13 @@ class SimplexLink:
     in attachment order before enqueue; counters track utilization for the
     metrics layer.
     """
+
+    __slots__ = (
+        "bandwidth_bps", "delay", "sim", "src", "dst", "_receive",
+        "_busy_until", "_drain_pending", "_queue", "_q_pass_idle", "name",
+        "_head_hooks", "_up", "packets_sent", "bytes_sent",
+        "packets_offered", "hook_drops", "failure_drops", "_bus",
+    )
 
     def __init__(
         self,
@@ -79,10 +89,18 @@ class SimplexLink:
         self.packets_offered = 0
         self.hook_drops = 0
         self.failure_drops = 0
-        # Observability bus (None = off).  Checked with `is not None`
-        # rather than truthiness: drops sit on the hot path and the
-        # plain identity test is the cheapest possible guard.
-        self.bus = None
+        self._bus = None
+
+    @property
+    def bus(self):
+        """The observability bus drops are published on (None = off)."""
+        return self._bus
+
+    @bus.setter
+    def bus(self, bus) -> None:
+        if bus is not None:
+            _bind_events()
+        self._bus = bus
 
     @property
     def queue(self) -> PacketQueue:
@@ -207,8 +225,12 @@ class SimplexLink:
             schedule_anon(depart, self._drain_event)
 
     def _drop_event(self, reason: str) -> None:
-        """Publish one ``link.drop`` event (bus attached and listening)."""
-        bus = self.bus
+        """Publish one ``link.drop`` event (bus attached and listening).
+
+        Checked with ``is not None`` first: drops sit on the hot path and
+        the plain identity test is the cheapest possible guard.
+        """
+        bus = self._bus
         if bus is not None and bus:
             bus.emit(LinkDrop(self.sim.now, self.name, reason))
 
@@ -223,3 +245,11 @@ class SimplexLink:
             f"SimplexLink({self.name}, {self.bandwidth_bps / 1e6:.1f}Mbps, "
             f"{self.delay * 1e3:.1f}ms, qlen={len(self.queue)})"
         )
+
+
+def _bind_events() -> None:
+    """Bind :data:`LinkDrop` (a bus is being attached)."""
+    global LinkDrop
+    from repro.obs import events
+
+    LinkDrop = events.LinkDrop

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.events import EngineStats, MonitorSnapshot
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.counting.setunion import TrafficMatrixEstimator
     from repro.sim.engine import Simulator
@@ -122,6 +120,9 @@ class TrafficMonitor:
         bus = self.bus
         if not bus:
             return
+        # Imported here, once an epoch: a bus-free run never loads repro.obs.
+        from repro.obs.events import EngineStats, MonitorSnapshot
+
         bus.emit(MonitorSnapshot(
             time=snapshot.time,
             epoch=self.epochs,

@@ -30,6 +30,11 @@ class PacketHandler(Protocol):
 class Node:
     """Base network element: named, addressable, link-connected."""
 
+    __slots__ = (
+        "sim", "name", "address", "_links_out", "packets_received",
+        "packets_forwarded", "packets_dropped_no_route", "packets_delivered",
+    )
+
     def __init__(self, sim: "Simulator", name: str, address: int | None = None) -> None:
         self.sim = sim
         self.name = name
@@ -89,6 +94,11 @@ class Router(Node):
     #: entries the memo is cleared rather than grown (stable flows
     #: repopulate it immediately, memory stays bounded).
     _MEMO_MAX = 1 << 16
+
+    __slots__ = (
+        "_routing_table", "_local_subnet_handlers", "_control_handlers",
+        "_memo", "_memo_mask", "_link_actions",
+    )
 
     def __init__(self, sim: "Simulator", name: str, address: int | None = None) -> None:
         super().__init__(sim, name, address)
@@ -219,6 +229,11 @@ class Host(Node):
     default handler catches everything unbound (and the forged dup-ACK
     probes MAFIC sends to spoofed addresses land here silently).
     """
+
+    __slots__ = (
+        "_port_handlers", "_default_handler", "_gateway", "_uplink_send",
+        "unhandled_packets",
+    )
 
     def __init__(self, sim: "Simulator", name: str, address: int) -> None:
         super().__init__(sim, name, address)

@@ -38,6 +38,8 @@ class PacketQueue(Protocol):
 class DropTailQueue:
     """Bounded FIFO; arrivals beyond ``capacity`` packets are dropped."""
 
+    __slots__ = ("capacity", "_queue", "drops", "enqueued")
+
     def __init__(self, capacity: int = 64) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -57,9 +59,9 @@ class DropTailQueue:
 
         True of drop-tail (capacity is at least one and there is no other
         state) — but only of *this* ``enqueue``/``dequeue`` pair: a subclass
-        or an instance that replaces either one is offered every packet.
-        A discipline that must see every arrival (RED's average, DRR's
-        deficits) simply has no such attribute.
+        that overrides either one is offered every packet.  A discipline
+        that must see every arrival (RED's average, DRR's deficits) simply
+        has no such attribute.
         """
         return (
             getattr(self.enqueue, "__func__", None) is DropTailQueue.enqueue
@@ -96,6 +98,11 @@ class DRRQueue:
     flow cannot starve the rest — the longest-queue-drop policy of the
     original paper).
     """
+
+    __slots__ = (
+        "capacity", "quantum", "_queues", "_deficits", "_active", "_total",
+        "drops", "enqueued",
+    )
 
     def __init__(self, capacity: int = 64, quantum: int = 1500) -> None:
         if capacity <= 0:
@@ -189,6 +196,12 @@ class REDQueue:
     studies often enable it); MAFIC's own dropping is a separate mechanism
     at the link head, not a queue discipline.
     """
+
+    __slots__ = (
+        "capacity", "min_thresh", "max_thresh", "max_prob", "weight", "_rng",
+        "_queue", "_avg", "_count_since_drop", "drops", "early_drops",
+        "enqueued",
+    )
 
     def __init__(
         self,

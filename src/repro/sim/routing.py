@@ -30,6 +30,12 @@ def _codes(values: Iterable[int], wide: bool) -> array:
     return array("I", values) if wide else array("B", bytes(values))
 
 
+def _holds(bases: array, base: int) -> bool:
+    """Whether the sorted ``bases`` hold ``base``."""
+    at = bisect_left(bases, base)
+    return at < len(bases) and bases[at] == base
+
+
 class RoutingTable:
     """Longest-prefix-match next-hop table for one router.
 
@@ -42,7 +48,14 @@ class RoutingTable:
     resolves local delivery, LPM and the outgoing link in one probe, and
     asks the table only on a miss), and :meth:`watch` is how a router
     hears that its memo went stale.
+
+    A table made by :meth:`shared_without` holds another table's arrays
+    and the ``(netmask, base)`` of each route it leaves out of them.
+    Either table copies the arrays (less the routes it leaves out) on
+    its next :meth:`add_routes`, so neither write reaches the other.
     """
+
+    __slots__ = ("_prefixes", "_hop_names", "_default", "_watchers", "_excluded")
 
     def __init__(self) -> None:
         # (netmask, sorted masked bases, hop code per base), longest
@@ -51,6 +64,34 @@ class RoutingTable:
         self._hop_names: list[str] = []
         self._default: str | None = None
         self._watchers: list[Callable[[], None]] = []
+        # None while the arrays are this table's own; else the routes it
+        # leaves out of the arrays it shares (each one in them).
+        self._excluded: frozenset[tuple[int, int]] | None = None
+
+    def shared_without(self, subnets: Iterable[Subnet]) -> "RoutingTable":
+        """A new table with this one's routes bar ``subnets``, on this
+        table's arrays: no route is copied until one of the two is written.
+
+        Its :meth:`next_hop`, :meth:`routes`, :meth:`longest_netmask` and
+        ``len()`` answer as a table filled with the same routes would.
+        """
+        if self._excluded is None:
+            self._excluded = frozenset()  # shared from now on
+        left_out = {(subnet.netmask, subnet.base) for subnet in subnets}
+        table = RoutingTable()
+        table._hop_names = self._hop_names
+        excluded = []
+        for entry in self._prefixes:
+            mask, bases, _ = entry
+            gone = [
+                key for key in left_out
+                if key[0] == mask and _holds(bases, key[1])
+            ]
+            if len(gone) < len(bases):  # a prefix with nothing left goes
+                table._prefixes.append(entry)
+                excluded += gone
+        table._excluded = frozenset(excluded)
+        return table
 
     def add_route(self, subnet: Subnet, next_hop_name: str) -> None:
         """Install a route to ``subnet`` via the named neighbour.
@@ -66,6 +107,8 @@ class RoutingTable:
         lengths are re-sorted at most once per call, and watchers hear
         of a call once (not at all of an empty one).
         """
+        if self._excluded is not None:
+            self._unshare()
         codes = dict(zip(self._hop_names, range(len(self._hop_names))))
         # netmask -> {masked base: hop code}, first install wins.
         fresh_by_mask: dict[int, dict[int, int]] = {}
@@ -107,6 +150,22 @@ class RoutingTable:
         ]
         self._changed()
 
+    def _unshare(self) -> None:
+        """Copy the shared arrays, less the excluded routes, to write them."""
+        excluded = self._excluded
+        self._excluded = None
+        prefixes = []
+        for mask, bases, hops in self._prefixes:
+            kept = [
+                at for at, base in enumerate(bases) if (mask, base) not in excluded
+            ]
+            prefixes.append((
+                mask,
+                array(bases.typecode, [bases[at] for at in kept]),
+                array(hops.typecode, [hops[at] for at in kept]),
+            ))
+        self._prefixes = prefixes
+
     def set_default(self, next_hop_name: str) -> None:
         """Install a default route."""
         self._default = next_hop_name
@@ -121,19 +180,22 @@ class RoutingTable:
 
     def next_hop(self, dst_ip: int) -> str | None:
         """Longest-prefix-match lookup; falls back to the default route."""
+        excluded = self._excluded
         for mask, bases, hops in self._prefixes:
             key = dst_ip & mask
             at = bisect_right(bases, key)
-            if at and bases[at - 1] == key:
+            if at and bases[at - 1] == key and not (excluded and (mask, key) in excluded):
                 return self._hop_names[hops[at - 1]]
         return self._default
 
     def routes(self) -> tuple[tuple[Subnet, str], ...]:
         """Each subnet once, with its hop: longest prefix first, then ascending base."""
         names = self._hop_names
+        excluded = self._excluded or ()
         return tuple(
             (Subnet(base, mask.bit_count()), names[hop])
             for mask, bases, hops in self._prefixes for base, hop in zip(bases, hops)
+            if (mask, base) not in excluded
         )
 
     def watch(self, on_change: Callable[[], None]) -> None:
@@ -149,7 +211,8 @@ class RoutingTable:
             on_change()
 
     def __len__(self) -> int:
-        return sum(len(bases) for _, bases, _ in self._prefixes)
+        held = sum(len(bases) for _, bases, _ in self._prefixes)
+        return held - len(self._excluded or ())
 
 
 def shortest_path_tree(
@@ -213,6 +276,12 @@ def build_static_routes(
     anchor is the whole reach.  Leaves are skipped inside the trees and
     get their first hop from their anchor's.  This relies on the
     adjacency being symmetric, as :data:`Adjacency` says it is.
+
+    Every leaf of an anchor routes the same way, so the anchor's reach
+    is worked out and packed once: a leaf with no table yet gets one
+    that shares those arrays and leaves out the subnets attached at the
+    leaf alone (see :meth:`RoutingTable.shared_without`).  A tree is
+    kept only while its source's own table is still to be built.
     """
     attachments = list(subnet_attachments)
     for attach_name, subnet in attachments:
@@ -226,43 +295,61 @@ def build_static_routes(
     leaves_of: dict[str, list[str]] = {}
     for leaf, anchor in anchor_of.items():
         leaves_of.setdefault(anchor, []).append(leaf)
-    first_hops: dict[str, dict[str, str]] = {}  # source -> {node: first hop}
-    # anchor -> [(attach name, route)]: built once per anchor, not once
-    # per leaf, since every leaf of an anchor routes the same way.
-    via_anchor: dict[str, list[tuple[str, tuple[Subnet, str]]]] = {}
+    # source -> {node: first hop}, for a tree run before its source's turn.
+    first_hops: dict[str, dict[str, str]] = {}
+    # anchor -> (its reach packed, {leaf: the subnets attached there alone}).
+    reach_of: dict[str, tuple[RoutingTable, dict[str, list[Subnet]]]] = {}
 
     def first_hops_from(source: str) -> dict[str, str]:
-        hops = first_hops.get(source)
-        if hops is None:
-            dist, pred = shortest_path_tree(adjacency, source, anchor_of)
-            hops = first_hops[source] = {
-                leaf: leaf for leaf in leaves_of.get(source, ())
-            }
-            # Settling order puts every predecessor before its successors,
-            # so one pass carries each node's first hop down the tree.
-            for node in islice(dist, 1, None):
-                via = pred[node]
-                hop = hops[node] = node if via == source else hops[via]
-                for leaf in leaves_of.get(node, ()):
-                    hops[leaf] = hop
+        dist, pred = shortest_path_tree(adjacency, source, anchor_of)
+        hops = {leaf: leaf for leaf in leaves_of.get(source, ())}
+        # Settling order puts every predecessor before its successors,
+        # so one pass carries each node's first hop down the tree.
+        for node in islice(dist, 1, None):
+            via = pred[node]
+            hop = hops[node] = node if via == source else hops[via]
+            for leaf in leaves_of.get(node, ()):
+                hops[leaf] = hop
         return hops
 
+    def reach(anchor: str, hops: dict[str, str]) -> tuple[RoutingTable, dict[str, list[Subnet]]]:
+        via = [(at, subnet) for at, subnet in attachments if at == anchor or at in hops]
+        packed = RoutingTable()
+        packed.add_routes((subnet, anchor) for _, subnet in via)
+        owner: dict[Subnet, str | None] = {}  # None: attached at two routers
+        for at, subnet in via:
+            owner[subnet] = at if owner.get(subnet, at) == at else None
+        alone_at: dict[str, list[Subnet]] = {}
+        for subnet, at in owner.items():
+            if anchor_of.get(at) == anchor:
+                alone_at.setdefault(at, []).append(subnet)
+        return packed, alone_at
+
     for name, router in routers.items():
+        table = router.routing_table
         anchor = anchor_of.get(name)
         if anchor is None:
-            hops = first_hops_from(name)
+            hops = first_hops.pop(name, None)
+            if hops is None:
+                hops = first_hops_from(name)
+            if name in leaves_of and name not in reach_of:
+                reach_of[name] = reach(name, hops)
             # Absent from hops: local (no hop) or unreachable.
             routes = [(subnet, hops[at]) for at, subnet in attachments if at in hops]
         else:
-            via = via_anchor.get(anchor)
-            if via is None:
-                hops = {} if anchor in anchor_of else first_hops_from(anchor)
-                via = via_anchor[anchor] = [
-                    (at, (subnet, anchor)) for at, subnet in attachments
-                    if at == anchor or at in hops
-                ]
-            routes = [route for at, route in via if at != name]
-        table = router.routing_table
+            if anchor not in reach_of:
+                hops = {}
+                if anchor not in anchor_of:  # a branching anchor: its tree
+                    hops = first_hops_from(anchor)
+                    if anchor in routers:
+                        first_hops[anchor] = hops
+                reach_of[anchor] = reach(anchor, hops)
+            packed, alone_at = reach_of[anchor]
+            shared = packed.shared_without(alone_at.get(name, ()))
+            if table is None:
+                router.routing_table = shared
+                continue
+            routes = shared.routes()
         if table is None:
             table = RoutingTable()
         table.add_routes(routes)

@@ -110,11 +110,6 @@ class Topology:
         """The victim end host."""
         return self.hosts[self.victim_host_name]
 
-    @property
-    def ingress_routers(self) -> list[Router]:
-        """Edge routers where traffic enters the domain."""
-        return [self.routers[name] for name in self.ingress_names]
-
     def victim_access_link(self) -> SimplexLink:
         """The link from the last-hop router down to the victim host."""
         link = self.victim_router.link_to(self.victim_host_name)
@@ -192,6 +187,8 @@ def _attach_edge_host(
 
 class _HostDelivery:
     """Router-side local delivery: push the packet down the access link."""
+
+    __slots__ = ("_host", "_router", "_send")
 
     def __init__(self, host: Host, router: Router) -> None:
         self._host = host

@@ -14,7 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _DATA = PacketType.DATA
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     """Sender-side counters every agent maintains."""
 
@@ -46,6 +46,11 @@ class FlowAgent:
     ground-truth malicious for the metrics layer (the defence never
     reads it).
     """
+
+    __slots__ = (
+        "sim", "host", "flow", "packet_size", "is_attack", "keep_send_times",
+        "_spoof", "stats", "started", "stopped",
+    )
 
     def __init__(
         self,

@@ -51,6 +51,14 @@ class TcpSender(FlowAgent):
 
     DUP_ACK_THRESHOLD = 3
 
+    __slots__ = (
+        "cwnd", "ssthresh", "max_cwnd", "app_limit_bps", "next_seq",
+        "high_ack", "_dup_ack_count", "_in_fast_recovery", "_recover_seq",
+        "_srtt", "_rttvar", "rto", "_rto_event", "_sent_at",
+        "_retransmitted", "total_segments", "on_complete", "completed_at",
+        "_app_gate_open", "_last_peer_ts",
+    )
+
     def __init__(
         self,
         sim: "Simulator",

@@ -63,6 +63,8 @@ class CbrSender(FlowAgent):
     construction behaves exactly like the unbatched original.
     """
 
+    __slots__ = ("rate_bps", "jitter", "_rng", "_seq", "_exclusive_rng", "_series")
+
     def __init__(
         self,
         sim: "Simulator",
@@ -178,6 +180,8 @@ class OnOffSender(CbrSender):
     that probes verdict-timer defences (silent while judged, bursting
     between verdicts).
     """
+
+    __slots__ = ("mean_on", "mean_off", "deterministic", "_on", "_phase_ends")
 
     def __init__(
         self,

@@ -112,6 +112,8 @@ class Pcg64Stream:
     ``bit_generator.state`` reads like numpy PCG64's state dict.
     """
 
+    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger", "_numpy")
+
     def __init__(self, seed: int) -> None:
         s0, s1, i0, i1 = _seed_words(seed)
         # pcg_setseq_128_srandom_r: from state 0 step (to ``inc``), add
@@ -199,11 +201,9 @@ class Pcg64Stream:
 
             bit_generator = PCG64(0)
             bit_generator.state = self.state
-            gen = Generator(bit_generator)
-            self._numpy = gen
-            # Instance attributes shadow the pure methods from now on.
-            self.random = gen.random
-            self.integers = gen.integers
+            self._numpy = Generator(bit_generator)
+            # Numpy's methods replace the pure ones from now on.
+            self.__class__ = _HandedOffStream
         return self._numpy
 
     def __getattr__(self, name: str):
@@ -211,6 +211,18 @@ class Pcg64Stream:
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._handoff(), name)
+
+
+class _HandedOffStream(Pcg64Stream):
+    """A :class:`Pcg64Stream` after its hand-off: numpy serves every draw."""
+
+    __slots__ = ()
+
+    def random(self, *args, **kwargs):
+        return self._numpy.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self._numpy.integers(*args, **kwargs)
 
 
 class RngRegistry:

@@ -104,7 +104,7 @@ class TestDetection:
     def test_report_records_shares(self):
         coord, _ = self._warmed()
         coord.on_snapshot(snap(3.0, 1000, {"in0": 0.75, "in1": 0.25}))
-        report = coord.reports[-1]
+        report = coord.latest_report
         assert report.shares["in0"] == pytest.approx(0.75)
         assert report.egress_estimate == 1000
 

@@ -8,17 +8,23 @@ the domain.  Each bound below fails on the state it replaced:
   :data:`LINK_BYTES` from ``sim/link.py`` (its name, its delivery
   target, a hook tuple when it has hooks): four bound methods cached per
   link and an empty hook list each made it ~447;
-* the traffic monitor keeps its latest matrix and an epoch count, so a
-  run twice as long leaves it the same bytes, where a matrix history
-  grew by one snapshot an epoch;
+* no instance of a class on the ``slots-on-hotpath`` roster (links,
+  queues, routers, tables, senders, agents, counters, streams) carries
+  a ``__dict__`` once a scenario is built;
+* the traffic monitor keeps its latest matrix and an epoch count, and
+  the pushback coordinator its latest report, an epoch count and the
+  ATRs it started, so a run twice as long leaves each the same bytes,
+  where a matrix history and a report list grew by one an epoch;
 * a plain ``run_experiment`` process does not import the modules a run
-  never executes, and their public names still resolve through the
-  packages (PEP 562);
+  never executes (the event bus among them: a bus-free run never makes
+  an event), and their public names still resolve through the packages
+  (PEP 562);
 * a bus-free run makes no ``NullSink.__bool__`` call: every producer
   holds ``None``, whose falsy test runs no Python frame.
 """
 
 import gc
+import importlib
 import subprocess
 import sys
 import tracemalloc
@@ -29,13 +35,15 @@ import repro.experiments
 import repro.metrics
 import repro.obs
 from repro.counting.loglog import LogLogLinkCounter
+from repro.counting.pushback import PushbackCoordinator, PushbackPolicyConfig
 from repro.counting.setunion import TrafficMatrixEstimator
 from repro.experiments.presets import huge_topology, paper_default
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import build_scenario
+from repro.lint.rules.slots import HOT_CLASSES
 from repro.obs.bus import NullSink
 from repro.sim.engine import Simulator
-from repro.sim.monitor import TrafficMonitor
+from repro.sim.monitor import MatrixSnapshot, TrafficMonitor
 
 #: Seen: 140 (a 64-byte name, a 64-byte bound ``receive``, and a hook
 #: tuple on the 32 links that carry hooks).
@@ -47,14 +55,45 @@ LINK_BYTES = 192
 SAME_BYTES = 64
 
 #: What a run never executes: figures, their text rendering, config
-#: validation, the post-hoc flow report, the serve-mode aggregators.
+#: validation, the post-hoc flow report, the serve-mode aggregators, and
+#: with no bus attached the event classes and the bus itself.
 POST_HOC = (
     "repro.experiments.figures",
     "repro.experiments.reporting",
     "repro.experiments.validation",
     "repro.metrics.flowreport",
     "repro.obs.aggregators",
+    "repro.obs.events",
+    "repro.obs.bus",
 )
+
+#: Roster classes a built ``huge_topology(1)`` scenario makes.
+BUILT_ROSTER = {
+    "SimplexLink", "DropTailQueue", "Router", "Host", "RoutingTable",
+    "_HostDelivery", "FlowStats", "TcpSender", "CbrSender", "Zombie",
+    "MaficStats", "MaficAgent", "FlowTables", "TableCounters",
+    "DupAckProber", "AdaptiveMaficPolicy", "LogLogCounter",
+    "LogLogLinkCounter", "Pcg64Stream",
+}
+
+
+def test_no_roster_class_instance_of_a_built_scenario_has_a_dict():
+    roster = {
+        getattr(importlib.import_module(module), name)
+        for module, names in HOT_CLASSES.items() for name in names
+    }
+    scenario = build_scenario(huge_topology(1))
+    found: dict[str, int] = {}
+    with_dict: dict[str, int] = {}
+    for obj in gc.get_objects():
+        cls = type(obj)
+        if cls in roster:
+            found[cls.__name__] = found.get(cls.__name__, 0) + 1
+            if hasattr(obj, "__dict__"):
+                with_dict[cls.__name__] = with_dict.get(cls.__name__, 0) + 1
+    assert BUILT_ROSTER <= set(found), BUILT_ROSTER - set(found)
+    assert found["SimplexLink"] >= len(scenario.topology.links)
+    assert with_dict == {}
 
 
 def test_a_built_link_retains_at_most_192_bytes_of_its_own():
@@ -108,6 +147,49 @@ def test_a_run_twice_as_long_leaves_the_monitor_the_same_bytes():
     _monitor_retained(0.5)  # one-time caches the first estimates fill
     short, short_epochs = _monitor_retained(5.0)
     long, long_epochs = _monitor_retained(10.0)
+    assert (short_epochs, long_epochs) == (20, 40)
+    assert short > 0
+    assert abs(long - short) <= SAME_BYTES
+
+
+def _coordinator_retained(epochs: int) -> tuple[int, int]:
+    """Bytes still held from allocations made under ``pushback.py``
+    after ``epochs`` overload epochs, and the epochs it counted."""
+    ingresses = [f"in{i}" for i in range(8)]
+    snapshots = [
+        MatrixSnapshot(
+            time=0.25 * (epoch + 1),
+            sources=ingresses,
+            destinations=["victim"],
+            matrix=[[125.0 + epoch % 3] for _ in ingresses],
+            ingress_totals=dict.fromkeys(ingresses, 125.0),
+            egress_totals={"victim": 1000.0 + 8 * (epoch % 3)},
+        )
+        for epoch in range(epochs)
+    ]
+    calm = MatrixSnapshot(0.0, ingresses, ["victim"], [[10.0] for _ in ingresses],
+                          {}, {"victim": 80.0})
+    coordinator = PushbackCoordinator("victim", PushbackPolicyConfig(warmup_epochs=1))
+    coordinator.on_snapshot(calm)
+    gc.collect()
+    tracemalloc.start(32)
+    try:
+        for snapshot in snapshots:
+            coordinator.on_snapshot(snapshot)
+        gc.collect()
+        traced = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = traced.filter_traces(
+        [tracemalloc.Filter(True, "*/repro/counting/pushback.py", all_frames=True)]
+    )
+    return sum(trace.size for trace in held.traces), coordinator.overload_epochs
+
+
+def test_a_run_twice_as_long_leaves_the_coordinator_the_same_bytes():
+    _coordinator_retained(2)
+    short, short_epochs = _coordinator_retained(20)
+    long, long_epochs = _coordinator_retained(40)
     assert (short_epochs, long_epochs) == (20, 40)
     assert short > 0
     assert abs(long - short) <= SAME_BYTES

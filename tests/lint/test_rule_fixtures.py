@@ -282,6 +282,28 @@ class TestSlotsOnHotpath:
         assert len(findings) == 1
         assert "roster" in findings[0].message
 
+    def test_flags_an_unslotted_per_link_class(self):
+        findings = run(self.RULE, "repro.sim.link", """
+            class SimplexLink:
+                def __init__(self, sim):
+                    self.sim = sim
+        """)
+        assert len(findings) == 1
+        assert "SimplexLink" in findings[0].message
+
+    def test_flags_a_per_atr_dataclass_without_slots_true(self):
+        findings = run(self.RULE, "repro.core.mafic", """
+            from dataclasses import dataclass
+
+            @dataclass
+            class MaficStats:
+                packets_examined: int = 0
+
+            class MaficAgent:
+                __slots__ = ("sim",)
+        """)
+        assert [f.message.split()[2] for f in findings] == ["MaficStats"]
+
     def test_event_dataclass_needs_slots_true(self):
         findings = run(self.RULE, "repro.obs.events", """
             from dataclasses import dataclass

@@ -396,18 +396,17 @@ class TestIdlePassThrough:
         assert (queue.offers, queue.departures, queue.enqueued) == (3, 3, 3)
         assert len(dst.received) == 3
 
-    def test_instance_that_replaces_enqueue_sees_every_offer(self, sim):
+    def test_subclass_that_replaces_enqueue_sees_every_offer(self, sim):
         link, _ = make_link(sim)
-        queue = DropTailQueue(4)
         seen = []
-        admit = queue.enqueue
 
-        def spy(packet, now):
-            seen.append(packet.seq)
-            return admit(packet, now)
+        # A slotted queue takes no per-instance method: override in a subclass.
+        class _Spy(DropTailQueue):
+            def enqueue(self, packet, now):
+                seen.append(packet.seq)
+                return super().enqueue(packet, now)
 
-        queue.enqueue = spy
-        link.queue = queue
+        link.queue = queue = _Spy(4)
         self._idle_sends(sim, link, 3)
         assert seen == [0, 1, 2] and queue.enqueued == 3
 

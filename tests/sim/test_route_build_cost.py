@@ -14,7 +14,10 @@ masked bases and a parallel array of one-byte hop codes: 0.57 MiB for
 the 81,664 routes on CPython 3.11, about five bytes a route.  One
 ``{base: hop}`` dict per prefix length held 2.96 MiB, and a per-table
 list of every installed ``(subnet, hop)`` route beside those dicts, read
-only by ``routes()`` and ``len()``, once took it to 5.36 MiB.
+only by ``routes()`` and ``len()``, once took it to 5.36 MiB.  The 256
+leaves route alike per anchor, so they share their anchor's packed
+reach, each leaving out its own subnet, where each packed its own 255
+routes: the 640 arrays became 256.
 """
 
 import gc
@@ -100,3 +103,36 @@ def test_the_built_tables_hold_no_more_than_their_dicts(domain):
     held_mib = sum(stat.size for stat in held.statistics("filename")) / 2**20
     assert held_mib <= 1.0, f"{held_mib:.2f} MiB"
     assert sum(len(router.routing_table) for router in routers.values()) == 81_664
+
+
+def test_leaves_of_one_anchor_share_its_arrays_and_keep_their_routes(domain):
+    topology, leaves = domain
+    routers = _fresh_routers(topology)
+    attachments = list(topology.subnet_of_router.items())
+    build_static_routes(topology.adjacency, routers, attachments)
+    leaves_of: dict[str, list[str]] = {}
+    for leaf in sorted(leaves):
+        (anchor,) = topology.adjacency[leaf]
+        leaves_of.setdefault(anchor, []).append(leaf)
+    assert any(len(group) > 1 for group in leaves_of.values())
+    for anchor, group in leaves_of.items():
+        held = {
+            id(array)
+            for leaf in group
+            for _, bases, hops in routers[leaf].routing_table._prefixes
+            for array in (bases, hops)
+        }
+        assert len(held) == 2, anchor  # one packed reach: bases and hops
+        for leaf in group:
+            table = routers[leaf].routing_table
+            # The routes an unshared build fills the leaf with.
+            alone = RoutingTable()
+            alone.add_routes((subnet, anchor) for at, subnet in attachments if at != leaf)
+            assert table.routes() == alone.routes(), leaf
+            assert len(table) == len(alone)
+            assert table.longest_netmask() == alone.longest_netmask()
+            own = topology.subnet_of_router.get(leaf)
+            if own is not None:
+                assert table.next_hop(own.base) is None
+            for _, subnet in attachments:
+                assert table.next_hop(subnet.base) == alone.next_hop(subnet.base)

@@ -150,6 +150,88 @@ class TestPackedTableMatchesADictPerMask:
             assert table.next_hop(subnet.base + 1) == reference.next_hop(subnet.base + 1)
 
 
+def _assert_same_table(table, reference, probes=()):
+    """``table`` answers as ``reference`` does: length, routes (and
+    their order), longest netmask and every lookup."""
+    routes = table.routes()
+    assert len(table) == len(routes) == len(reference.routes())
+    assert set(routes) == reference.routes()
+    assert [(-subnet.prefix_len, subnet.base) for subnet, _ in routes] == sorted(
+        (-subnet.prefix_len, subnet.base) for subnet, _ in routes
+    )
+    assert table.longest_netmask() == max(
+        (subnet.netmask for subnet, _ in routes), default=0
+    )
+    installed = [address for subnet, _ in reference.routes()
+                 for address in (subnet.base, subnet.base + subnet.size - 1)]
+    for address in installed + list(probes):
+        assert table.next_hop(address) == reference.next_hop(address), hex(address)
+
+
+class TestSharedTable:
+    """``shared_without``: a table on another's arrays, less some subnets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        routes=st.lists(_ROUTES, max_size=12),
+        left_out=st.lists(st.one_of(st.integers(0, 11), _SUBNETS), max_size=4),
+        ops=_OPS,
+        probes=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+    )
+    def test_lockstep_with_the_table_of_its_routes(self, routes, left_out, ops, probes):
+        source = RoutingTable()
+        source.add_routes(routes)
+        before = source.routes()
+        # Indexes name installed subnets; a bare subnet may be absent.
+        left_out = [routes[i][0] if isinstance(i, int) else i
+                    for i in left_out if not isinstance(i, int) or i < len(routes)]
+        table = source.shared_without(left_out)
+        reference = _DictTable()
+        for subnet, hop in routes:
+            if subnet not in left_out:
+                reference.add(subnet, hop)
+        _assert_same_table(table, reference, probes)
+        for op, arg in ops:  # the first write copies; the source keeps its routes
+            if op == "add_routes":
+                table.add_routes(iter(arg))
+                for subnet, hop in arg:
+                    reference.add(subnet, hop)
+            elif op == "add_route":
+                table.add_route(*arg)
+                reference.add(*arg)
+            else:
+                table.set_default(arg)
+                reference.default = arg
+            _assert_same_table(table, reference, probes)
+        assert source.routes() == before
+        shared_routes = table.routes()
+        source.add_routes(iter(routes[:1] + [(Subnet(0, 8), "z")]))
+        assert table.routes() == shared_routes
+
+    def test_shares_the_arrays_until_written(self):
+        source = RoutingTable()
+        own, other = Subnet(0x0A000000, 24), Subnet(0x0A010000, 24)
+        source.add_routes([(own, "up"), (other, "up"), (Subnet(0x0A000000, 28), "up")])
+        a, b = source.shared_without([own]), source.shared_without([other])
+        assert a.routes() == ((Subnet(0x0A000000, 28), "up"), (other, "up"))
+        assert a._prefixes[0][1] is b._prefixes[0][1] is source._prefixes[0][1]
+        a.add_route(own, "back")  # a left-out subnet comes back on a write
+        assert a.next_hop(own.base + 0x20) == "back"  # past the /28
+        assert a._prefixes[0][1] is not b._prefixes[0][1]
+        assert b.routes() == ((Subnet(0x0A000000, 28), "up"), (own, "up"))
+        source.add_route(Subnet(0x0A020000, 24), "up")  # the source copies too
+        assert b._prefixes[0][1] is not source._prefixes[0][1]
+        assert len(b) == 2 and len(source) == 4
+
+    def test_a_prefix_left_wholly_out_is_gone(self):
+        source = RoutingTable()
+        host, block = Subnet(0x0A000001, 32), Subnet(0x0A000000, 24)
+        source.add_routes([(host, "up"), (block, "up")])
+        table = source.shared_without([host])
+        assert table.longest_netmask() == block.netmask
+        assert table.next_hop(host.base) == "up" and len(table) == 1
+
+
 def _build_line(sim):
     """a - b - c with one subnet at each end."""
     routers = {name: Router(sim, name) for name in "abc"}

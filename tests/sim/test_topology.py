@@ -129,14 +129,21 @@ class TestDumbbell:
 class TestHostDelivery:
     """The router-side last hop ``attach_host`` installs."""
 
-    def test_binds_the_access_link_once(self):
+    def test_binds_the_access_link_once(self, monkeypatch):
         topo = build_dumbbell()
         victim, router = topo.victim_host, topo.routers["lasthop"]
         sink = _Recorder()
         victim.bind_port(80, sink)
         lookups = []
-        real_link_to = router.link_to
-        router.link_to = lambda name: lookups.append(name) or real_link_to(name)
+        real_link_to = Router.link_to
+
+        def link_to(self, name):
+            if self is router:
+                lookups.append(name)
+            return real_link_to(self, name)
+
+        # A slotted router takes no per-instance method: patch the class.
+        monkeypatch.setattr(Router, "link_to", link_to)
         for _ in range(3):
             router.receive(Packet(flow=FlowKey(1, victim.address, 1000, 80)))
         topo.sim.run(until=1.0)

@@ -1,30 +1,32 @@
-"""A test-side ``(now, cwnd)`` history of one :class:`TcpSender`.
+"""A test-side ``(now, cwnd)`` history of a :class:`TcpSender`.
 
 The sender keeps no history of its own (nothing in the simulator reads
-one); a test that wants the window's trajectory wraps the three
-handlers that move it — new ACK, duplicate ACK and retransmission
-timeout — on the instance, and reads the list this returns.
+one), and a slotted sender takes no per-instance handler.  A test that
+wants the window's trajectory builds its sender from
+``recording(sender_cls)``: a subclass whose three handlers that move
+the window — new ACK, duplicate ACK and retransmission timeout — each
+append ``(now, cwnd)`` to the instance's ``cwnd_history`` after running.
 """
 
 
-def record_cwnd(sender) -> list[tuple[float, float]]:
-    """Install the wrappers on ``sender`` (before it starts); return the
-    list each handler call appends ``(now, cwnd)`` to."""
-    history: list[tuple[float, float]] = []
+def recording(sender_cls):
+    """``sender_cls`` with its window moves logged to ``cwnd_history``."""
 
-    def on_ack(handler):
-        def wrapped(packet, now):
-            handler(packet, now)
-            history.append((now, sender.cwnd))
-        return wrapped
+    class Recording(sender_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.cwnd_history: list[tuple[float, float]] = []
 
-    def on_timeout(handler):
-        def wrapped():
-            handler()
-            history.append((sender.sim.now, sender.cwnd))
-        return wrapped
+        def _on_new_ack(self, packet, now):
+            super()._on_new_ack(packet, now)
+            self.cwnd_history.append((now, self.cwnd))
 
-    sender._on_new_ack = on_ack(sender._on_new_ack)
-    sender._on_dup_ack = on_ack(sender._on_dup_ack)
-    sender._on_timeout = on_timeout(sender._on_timeout)
-    return history
+        def _on_dup_ack(self, packet, now):
+            super()._on_dup_ack(packet, now)
+            self.cwnd_history.append((now, self.cwnd))
+
+        def _on_timeout(self):
+            super()._on_timeout()
+            self.cwnd_history.append((self.sim.now, self.cwnd))
+
+    return Recording

@@ -29,7 +29,7 @@ from repro.transport.sink import AckingSink
 from repro.transport.tcp import _MAX_RTO, TcpSender
 from repro.transport.udp import CbrSender
 from repro.util.rng import Pcg64Stream
-from tests.transport.cwnd_recorder import record_cwnd
+from tests.transport.cwnd_recorder import recording
 
 
 class _ParentEmit:
@@ -243,8 +243,9 @@ def _run_tcp(sender_cls, *, k, delayed_ack=0.0, until=4.0, **sender_kwargs):
     sim = topo.sim
     src, victim = topo.hosts["src0"], topo.hosts["victim"]
     flow = FlowKey(src.address, victim.address, 5000, 80)
-    sender = sender_cls(sim, src, flow, keep_send_times=True, **sender_kwargs)
-    cwnd_history = record_cwnd(sender)
+    sender = recording(sender_cls)(
+        sim, src, flow, keep_send_times=True, **sender_kwargs
+    )
     src.bind_port(5000, sender)
     victim.bind_port(80, AckingSink(sim, victim, delayed_ack=delayed_ack))
     tap = _Tap()
@@ -274,7 +275,7 @@ def _run_tcp(sender_cls, *, k, delayed_ack=0.0, until=4.0, **sender_kwargs):
     }
     return {
         "wire": tap.log,
-        "cwnd_history": cwnd_history,
+        "cwnd_history": sender.cwnd_history,
         "stats": dataclasses.asdict(sender.stats),
         "state": state,
         "rto_armed": sender._rto_event is not None,

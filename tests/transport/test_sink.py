@@ -57,6 +57,24 @@ def _host_with_uplink(sim):
     return host, link
 
 
+class _Capture:
+    """Link-head hook: keeps every packet offered to the link."""
+
+    def __init__(self):
+        self.packets = []
+
+    def on_packet(self, packet, link, now):
+        self.packets.append(packet)
+        return True
+
+
+def _capture_sends(link):
+    """The list every packet offered to ``link`` is appended to."""
+    capture = _Capture()
+    link.add_head_hook(capture)
+    return capture.packets
+
+
 class TestAckingSink:
     def test_in_order_cumulative_acks(self, sim):
         host, link = _host_with_uplink(sim)
@@ -98,9 +116,7 @@ class TestAckingSink:
 
     def test_ack_echoes_timestamp(self, sim):
         host, link = _host_with_uplink(sim)
-        captured = []
-        original_send = link.send
-        link.send = lambda p: (captured.append(p), original_send(p))[1]
+        captured = _capture_sends(link)
         sink = AckingSink(sim, host)
         flow = FlowKey(1, host.address, 9, 80)
         sink.handle_packet(data(flow, 0, ts_val=0.42), 0.5)
@@ -109,9 +125,7 @@ class TestAckingSink:
 
     def test_ack_size(self, sim):
         host, link = _host_with_uplink(sim)
-        captured = []
-        original_send = link.send
-        link.send = lambda p: (captured.append(p), original_send(p))[1]
+        captured = _capture_sends(link)
         sink = AckingSink(sim, host, ack_size=52)
         sink.handle_packet(data(FlowKey(1, host.address, 9, 80), 0), 0.0)
         assert captured[0].size == 52

@@ -6,15 +6,15 @@ from repro.sim.packet import FlowKey, Packet, PacketType
 from repro.sim.topology import build_dumbbell
 from repro.transport.sink import AckingSink
 from repro.transport.tcp import TcpSender
-from tests.transport.cwnd_recorder import record_cwnd
+from tests.transport.cwnd_recorder import recording
 
 
-def wire_tcp(topo, port=5000, **kwargs):
-    """A TcpSender on src0 talking to an AckingSink on the victim."""
+def wire_tcp(topo, port=5000, sender_cls=TcpSender, **kwargs):
+    """A ``sender_cls`` on src0 talking to an AckingSink on the victim."""
     src = topo.hosts["src0"]
     victim = topo.hosts["victim"]
     flow = FlowKey(src.address, victim.address, port, 80)
-    sender = TcpSender(topo.sim, src, flow, **kwargs)
+    sender = sender_cls(topo.sim, src, flow, **kwargs)
     src.bind_port(port, sender)
     sink = AckingSink(topo.sim, victim)
     if 80 not in getattr(victim, "_port_handlers", {}):
@@ -112,13 +112,13 @@ class TestLossResponse:
 
     def test_window_halves_after_loss(self):
         topo = build_dumbbell()
-        sender, _ = wire_tcp(topo, initial_cwnd=8, ssthresh=8, max_cwnd=8)
+        sender, _ = wire_tcp(topo, sender_cls=recording(TcpSender),
+                             initial_cwnd=8, ssthresh=8, max_cwnd=8)
         hook = _DropNth([12])
         topo.routers["left"].link_to("lasthop").add_head_hook(hook)
-        history = record_cwnd(sender)
         sender.start(at=0.0)
         topo.sim.run(until=3.0)
-        halved = [w for _, w in history if w <= 4 + 3]
+        halved = [w for _, w in sender.cwnd_history if w <= 4 + 3]
         assert halved  # ssthresh+3 inflation then back to ssthresh
 
     def test_timeout_on_total_blackout(self):
