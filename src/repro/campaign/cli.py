@@ -45,16 +45,14 @@ from repro.campaign.orchestrator import (
     campaign_gc,
     campaign_status,
     open_store,
+    resume_hint,
     run_campaign,
 )
 from repro.campaign.query import campaign_figures, campaign_report, report_rows
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import (
-    DEFAULT_LEASE_TTL,
-    DEFAULT_MAX_ATTEMPTS,
-    StoreError,
-    atomic_write_text,
-)
+from repro.campaign.store import StoreError, atomic_write_text
+from repro.campaign.worker import add_lease_flags
+from repro.experiments.cli import _add_record_flag
 from repro.util.registry import UnknownComponentError
 from repro.util.validation import (
     check_non_negative, check_positive, checked_float, positive_int,
@@ -106,31 +104,8 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
             help="cProfile ONE missing cell (implies --jobs 1 "
             "--max-runs 1) and dump pstats to FILE",
         )
-        p.add_argument(
-            "--record", default=None, metavar="FILE",
-            help="record the campaign's event stream (one campaign.run "
-            "per executed cell plus progress) to a JSONL flight "
-            "recording for 'python -m repro replay'",
-        )
-        p.add_argument(
-            "--lease-ttl", type=checked_float(check_positive, "lease-ttl"),
-            default=DEFAULT_LEASE_TTL, metavar="S",
-            help="heartbeat TTL before a worker's lease counts as dead "
-            f"(default: {DEFAULT_LEASE_TTL:g}s)",
-        )
-        p.add_argument(
-            "--cell-timeout", type=checked_float(check_positive, "cell-timeout"),
-            default=None, metavar="S",
-            help="kill a worker whose cell runs longer than S seconds "
-            "(the attempt is charged to the ledger); cells then run in "
-            "worker subprocesses even at --jobs 1",
-        )
-        p.add_argument(
-            "--max-attempts", type=positive_int, default=DEFAULT_MAX_ATTEMPTS,
-            metavar="K",
-            help="failed attempts before a cell is quarantined "
-            f"(default: {DEFAULT_MAX_ATTEMPTS})",
-        )
+        _add_record_flag(p)
+        add_lease_flags(p)
         p.add_argument(
             "--retry-failed", action="store_true",
             help="clear the failure ledger first, so quarantined cells "
@@ -238,8 +213,7 @@ def cmd(args: argparse.Namespace) -> int:
                 # report printing) so no invocation ever tracebacks.
                 print(
                     "\ninterrupted; completed artifacts are on disk — "
-                    f"finish with 'python -m repro campaign resume "
-                    f"{args.spec} --root {args.root}'",
+                    + resume_hint(args.spec, args.root),
                     file=sys.stderr,
                 )
                 return 130
@@ -265,6 +239,7 @@ def cmd(args: argparse.Namespace) -> int:
 
 def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
     from repro.obs.bus import CallbackSink, EventBus
+    from repro.obs.recorder import recorded
 
     if args.campaign_command == "resume" and not open_store(spec, args.root).exists():
         print(
@@ -300,18 +275,11 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
     bus.subscribe(
         CallbackSink(on_worker), kinds=("worker.started", "worker.died")
     )
-    recorder = None
-    if args.record:
-        from repro.obs.recorder import JsonlSink
-
-        recorder = JsonlSink(args.record, metadata={
-            "command": f"campaign {args.campaign_command}",
-            "campaign": spec.name,
-            "spec_path": args.spec,
-        })
-        bus.subscribe(recorder)
-
-    try:
+    with recorded(args.record, bus, {
+        "command": f"campaign {args.campaign_command}",
+        "campaign": spec.name,
+        "spec_path": args.spec,
+    }):
         report = run_campaign(
             spec,
             root=args.root,
@@ -325,11 +293,6 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             cell_timeout=args.cell_timeout,
             max_attempts=args.max_attempts,
         )
-    finally:
-        if recorder is not None:
-            recorder.close()
-    if recorder is not None:
-        print(f"recorded {recorder.events_written} events to {args.record}")
     state = "complete" if report.complete else "incomplete"
     print(
         f"campaign {report.name}: {report.planned} planned, "
@@ -354,8 +317,7 @@ def _cmd_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
     if report.interrupted:
         print(
             f"interrupted: {report.executed} new artifacts are on disk; "
-            f"finish with 'python -m repro campaign resume {args.spec} "
-            f"--root {args.root}'",
+            + resume_hint(args.spec, args.root),
             file=sys.stderr,
         )
         return 130
@@ -567,16 +529,3 @@ def _cmd_gc(spec: CampaignSpec, args: argparse.Namespace) -> int:
             "(pass --apply to delete)"
         )
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover
-    """Standalone entry point (mirrors ``python -m repro campaign``)."""
-    parser = argparse.ArgumentParser(prog="repro-campaign")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_parser(sub)
-    args = parser.parse_args(argv)
-    return cmd(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

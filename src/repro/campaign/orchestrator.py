@@ -35,6 +35,16 @@ from repro.campaign.store import (
 DEFAULT_ROOT = "campaigns"
 
 
+def resume_hint(spec_path: str, root: str | Path) -> str:
+    """How to finish an interrupted campaign in the store it ran in."""
+    import shlex
+
+    return (
+        f"finish with 'python -m repro campaign resume "
+        f"{shlex.quote(str(spec_path))} --root {shlex.quote(str(root))}'"
+    )
+
+
 def default_jobs() -> int:
     """Worker count when the caller doesn't choose: one per CPU this
     process may run on (its affinity mask, where the OS keeps one)."""

@@ -123,6 +123,30 @@ class StdoutJsonSink:
         sys.stdout.flush()
 
 
+def add_lease_flags(p: argparse.ArgumentParser) -> None:
+    """``--lease-ttl``, ``--cell-timeout`` and ``--max-attempts``: this
+    module's CLI and ``campaign run|resume`` take them alike."""
+    p.add_argument(
+        "--lease-ttl", type=checked_float(check_positive, "lease-ttl"),
+        default=DEFAULT_LEASE_TTL, metavar="S",
+        help="heartbeat TTL before a worker's lease counts as dead "
+        f"(default: {DEFAULT_LEASE_TTL:g}s)",
+    )
+    p.add_argument(
+        "--cell-timeout", type=checked_float(check_positive, "cell-timeout"),
+        default=None, metavar="S",
+        help="kill a worker whose cell runs longer than S seconds (the "
+        "attempt is charged to the ledger first); a campaign then runs "
+        "its cells in worker subprocesses even at --jobs 1",
+    )
+    p.add_argument(
+        "--max-attempts", type=positive_int, default=DEFAULT_MAX_ATTEMPTS,
+        metavar="K",
+        help="failed attempts before a cell is quarantined "
+        f"(default: {DEFAULT_MAX_ATTEMPTS})",
+    )
+
+
 def run_worker(
     store_dir,
     worker: str | None = None,
@@ -390,24 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         "--worker", default=None, metavar="NAME",
         help="worker identity for leases/events (default: host:pid)",
     )
-    parser.add_argument(
-        "--lease-ttl", type=checked_float(check_positive, "lease-ttl"),
-        default=DEFAULT_LEASE_TTL, metavar="S",
-        help="heartbeat TTL before a lease counts as dead "
-        f"(default: {DEFAULT_LEASE_TTL}s)",
-    )
-    parser.add_argument(
-        "--cell-timeout", type=checked_float(check_positive, "cell-timeout"),
-        default=None, metavar="S",
-        help="kill this worker if one cell runs longer than S seconds "
-        "(the attempt is charged to the ledger first)",
-    )
-    parser.add_argument(
-        "--max-attempts", type=positive_int, default=DEFAULT_MAX_ATTEMPTS,
-        metavar="K",
-        help="failed attempts before a cell is quarantined "
-        f"(default: {DEFAULT_MAX_ATTEMPTS})",
-    )
+    add_lease_flags(parser)
     parser.add_argument(
         "--max-cells", type=positive_int, default=None, metavar="K",
         help="attempt at most K cells, then exit",

@@ -10,7 +10,7 @@ Usage::
     python -m repro serve --campaign spec.toml [--root DIR] [--jobs N]
     python -m repro replay recording.jsonl.gz [--port P] [--pace X]
     python -m repro figure fig3a [--scale S] [--out FILE]
-    python -m repro validate [run flags] [--rate R]
+    python -m repro validate [run flags]
     python -m repro campaign run|resume|status|report spec.toml
     python -m repro list
 
@@ -24,6 +24,7 @@ attack, or defence is immediately runnable by name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import sys
 from dataclasses import replace
@@ -68,31 +69,73 @@ LAZY_VERBS = {
 }
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """The scenario-shaping flags shared by ``run``, ``serve`` and
-    ``validate``.
+#: The config flags of ``run``, ``serve`` and ``validate``: flag, the
+#: config field it sets (dotted into a nested config), its type or the
+#: registry whose names are its choices, and its help.  Every default is
+#: None, so a --preset keeps its own values unless a flag is given.
+CONFIG_FLAGS = (
+    ("--flows", "total_flows", int, "Vt, total flows"),
+    ("--pd", "mafic.drop_probability", float,
+     "drop probability Pd (default 0.9)"),
+    ("--tcp", "tcp_fraction", float, "TCP share Gamma"),
+    ("--routers", "n_routers", int, "domain size N"),
+    ("--rate", "rate_bps", float,
+     "attack source rate R in bits/s (default 1e6)"),
+    ("--duration", "duration", float, "run length in seconds"),
+    ("--seed", "seed", int, "base seed (default 1)"),
+    ("--topology", "topology", TOPOLOGIES, None),
+    ("--workload", "workload", WORKLOADS, None),
+    ("--attack", "attack", ATTACKS, None),
+    ("--defense", "defense", DEFENSES, None),
+)
 
-    Workload/topology knobs default to None so that a --preset keeps
-    its own values unless a flag is given explicitly.
-    """
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """:data:`CONFIG_FLAGS` and ``--preset``.  A value is checked by the
+    config it lands in (:func:`_run_config`), not here."""
     p.set_defaults(usage_error=p.error)
-    p.add_argument("--flows", type=int, default=None, help="Vt, total flows")
-    p.add_argument("--pd", type=float, default=None,
-                   help="drop probability Pd (default 0.9)")
-    p.add_argument("--tcp", type=float, default=None, help="TCP share Gamma")
-    p.add_argument("--routers", type=int, default=None, help="domain size N")
-    p.add_argument("--duration", type=float, default=None,
-                   help="run length in seconds")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--topology", choices=TOPOLOGIES.names(), default=None)
-    p.add_argument("--workload", choices=WORKLOADS.names(), default=None)
-    p.add_argument("--attack", choices=ATTACKS.names(), default=None)
-    p.add_argument("--defense", choices=DEFENSES.names(), default=None)
+    for flag, _, kind, help_text in CONFIG_FLAGS:
+        if isinstance(kind, type):
+            p.add_argument(flag, type=kind, default=None, help=help_text)
+        else:
+            p.add_argument(flag, choices=kind.names(), default=None)
     p.add_argument(
         "--preset", type=str, default=None,
         help="start from a named preset (see --list-presets); "
         "explicit flags still override",
     )
+
+
+def _add_record_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--record", metavar="FILE", default=None,
+        help="record the typed event stream to a JSONL flight recording "
+        "(.gz compresses); play it back with 'python -m repro replay FILE'",
+    )
+
+
+def _add_server_flags(p: argparse.ArgumentParser) -> None:
+    """``serve`` and ``replay``'s HTTP address, pacing and rate window."""
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=8765,
+                   help="HTTP port (0 = pick a free one)")
+    p.add_argument(
+        "--pace", type=checked_float(check_non_negative, "pace"),
+        default=0.0, metavar="X",
+        help="simulated seconds played per wall-clock second "
+        "(0 = full speed); serve: single-run mode only",
+    )
+    p.add_argument(
+        "--window", type=checked_float(check_positive, "window"),
+        default=1.0, metavar="S",
+        help="sliding window for windowed rates, in sim seconds",
+    )
+
+
+def _check_scale(name: str, value: float) -> float:
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+    return value
 
 
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
@@ -138,12 +181,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         choices=sorted(COMPONENT_REGISTRIES) + ["all"],
         help="print one registry (or all of them) and exit",
     )
-    run_p.add_argument(
-        "--record", metavar="FILE", default=None,
-        help="record the full typed event stream to a JSONL flight "
-        "recording (.gz compresses); play it back with "
-        "'python -m repro replay FILE'; single-run mode only",
-    )
+    _add_record_flag(run_p)
 
     serve_p = sub.add_parser(
         "serve",
@@ -163,30 +201,13 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         help="campaign artifact root (only with --campaign; "
         "default: ./campaigns)",
     )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8765,
-                         help="HTTP port (0 = pick a free one)")
-    serve_p.add_argument(
-        "--pace", type=checked_float(check_non_negative, "pace"),
-        default=0.0, metavar="X",
-        help="simulated seconds advanced per wall-clock second "
-        "(0 = run at full speed); single-run mode only",
-    )
-    serve_p.add_argument(
-        "--window", type=checked_float(check_positive, "window"),
-        default=1.0, metavar="S",
-        help="sliding window for windowed rates, in sim seconds",
-    )
+    _add_server_flags(serve_p)
     serve_p.add_argument(
         "--linger", action="store_true",
         help="keep serving after the run finishes until Ctrl-C "
         "(otherwise the server stops once the work is done)",
     )
-    serve_p.add_argument(
-        "--record", metavar="FILE", default=None,
-        help="also record the full typed event stream to a JSONL "
-        "flight recording (.gz compresses) for 'repro replay'",
-    )
+    _add_record_flag(serve_p)
     serve_p.add_argument(
         "--jobs", type=positive_int, default=1, metavar="N",
         help="with --campaign: N lease-pull worker processes, their "
@@ -202,20 +223,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     replay_p.add_argument(
         "recording", help="JSONL recording written by --record"
     )
-    replay_p.add_argument("--host", default="127.0.0.1")
-    replay_p.add_argument("--port", type=int, default=8765,
-                          help="HTTP port (0 = pick a free one)")
-    replay_p.add_argument(
-        "--pace", type=checked_float(check_non_negative, "pace"),
-        default=0.0, metavar="X",
-        help="recorded seconds replayed per wall-clock second "
-        "(0 = feed as fast as possible)",
-    )
-    replay_p.add_argument(
-        "--window", type=checked_float(check_positive, "window"),
-        default=1.0, metavar="S",
-        help="sliding window for windowed rates, in sim seconds",
-    )
+    _add_server_flags(replay_p)
     replay_p.add_argument(
         "--no-linger", dest="linger", action="store_false", default=True,
         help="exit after feeding the recording instead of serving "
@@ -224,7 +232,8 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure", help="regenerate one paper figure")
     fig_p.add_argument("name", choices=sorted(FIGURES))
-    fig_p.add_argument("--scale", type=float, default=1.0,
+    fig_p.add_argument("--scale", type=checked_float(_check_scale, "scale"),
+                       default=1.0,
                        help="sweep resolution (0-1]; smaller = faster")
     fig_p.add_argument("--out", type=str, default=None,
                        help="write the data table to this file")
@@ -242,8 +251,6 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         "validate", help="feasibility-check a configuration without running"
     )
     _add_config_flags(val_p)
-    val_p.add_argument("--rate", type=float, default=None,
-                       help="attack source rate R in bits/s (default 1e6)")
     return parser
 
 
@@ -271,27 +278,18 @@ def _print_registries(which: str) -> int:
 
 def _run_config(args: argparse.Namespace) -> ExperimentConfig:
     """Build the run's config: preset (if any) + explicit flag overrides."""
-    overrides = {
-        key: value
-        for key, value in (
-            ("total_flows", args.flows),
-            ("tcp_fraction", args.tcp),
-            ("n_routers", args.routers),
-            ("duration", args.duration),
-            ("topology", args.topology),
-            ("workload", args.workload),
-            ("attack", args.attack),
-            ("defense", args.defense),
-            ("rate_bps", getattr(args, "rate", None)),  # validate's own
-        )
-        if value is not None
-    }
-    overrides["seed"] = args.seed
+    overrides: dict[str, dict] = {}  # nested config ("" = top level) -> fields
+    for flag, path, _, _ in CONFIG_FLAGS:
+        value = getattr(args, flag[2:])
+        if value is not None:
+            nested, _, name = path.rpartition(".")
+            overrides.setdefault(nested, {})[name] = value
     try:  # a value the config rejects is a usage error naming the field
         config = get_preset(args.preset) if args.preset else ExperimentConfig()
-        if args.pd is not None:
-            overrides["mafic"] = replace(config.mafic, drop_probability=args.pd)
-        return config.with_overrides(**overrides)
+        top = overrides.pop("", {})
+        for nested, fields in overrides.items():
+            top[nested] = replace(getattr(config, nested), **fields)
+        return config.with_overrides(**top)
     except (ValueError, TypeError, KeyError) as exc:  # KeyError: unknown preset
         args.usage_error(exc.args[0])
 
@@ -335,12 +333,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         return _cmd_run_multi_seed(config, args)
     bus = None
-    recorder = None
+    recording = contextlib.nullcontext()
     if args.record:
         from repro.obs.bus import EventBus
-        from repro.obs.recorder import JsonlSink
+        from repro.obs.recorder import recorded
 
-        recorder = JsonlSink(args.record, metadata={
+        bus = EventBus()
+        recording = recorded(args.record, bus, {
             "command": "run",
             "scenario": (
                 f"{config.topology}/{config.workload}/"
@@ -350,20 +349,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "duration": config.duration,
             "config_hash": config.config_hash(),
         })
-        bus = EventBus()
-        bus.subscribe(recorder)
-    try:
+    with recording:
         if args.profile:
-            result = _run_profiled(config, args.profile, bus=bus)
+            from repro.experiments.profiling import profiled_call
+
+            result = profiled_call(
+                lambda: run_experiment(config, bus=bus), args.profile
+            )
         else:
             result = run_experiment(config, bus=bus)
-    finally:
-        if recorder is not None:
-            recorder.close()
-    if recorder is not None:
-        print(
-            f"recorded {recorder.events_written} events to {args.record}",
-        )
     print(format_summary(result.summary))
     if result.activation_time is not None:
         print(f"\npushback triggered at t={result.activation_time:.2f}s; "
@@ -371,18 +365,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print("\npushback never triggered")
     return 0
-
-
-def _run_profiled(config: ExperimentConfig, out_path: str, bus=None):
-    """Run one experiment under cProfile; write stats, print the top.
-
-    Thin wrapper over :func:`repro.experiments.profiling.profiled_call`
-    — the same machinery behind ``campaign run --profile``, which
-    profiles one grid cell.
-    """
-    from repro.experiments.profiling import profiled_call
-
-    return profiled_call(lambda: run_experiment(config, bus=bus), out_path)
 
 
 def _cmd_run_multi_seed(config: ExperimentConfig, args: argparse.Namespace) -> int:

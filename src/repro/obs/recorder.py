@@ -23,6 +23,7 @@ a newer schema revision — are counted and skipped, not fatal.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import json
@@ -165,6 +166,26 @@ class JsonlSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@contextlib.contextmanager
+def recorded(path: str | None, bus, metadata: dict) -> Iterator[JsonlSink | None]:
+    """``--record``: every event ``bus`` carries in the block goes to ``path``.
+
+    Subscribes a :class:`JsonlSink` headed by ``metadata``, closes it when
+    the block ends and, unless the block raised, prints how many events
+    the file holds.  No ``path``, no recording.
+    """
+    if not path:
+        yield None
+        return
+    sink = JsonlSink(path, metadata=metadata)
+    bus.subscribe(sink)
+    try:
+        yield sink
+    finally:
+        sink.close()
+    print(f"recorded {sink.events_written} events to {path}", flush=True)
 
 
 class Recording:

@@ -46,6 +46,7 @@ from repro.obs.aggregators import AtrDrilldown, FlowDrilldown, LiveMetrics
 from repro.obs.bus import EventBus, RunBatch
 from repro.obs.events import MetricEvent, encode_line
 from repro.obs.exposition import render_prometheus
+from repro.obs.recorder import RecordingError, open_recording, recorded
 from repro.util.validation import check_non_negative
 
 #: Event kinds the drill-down aggregators fold (the per-packet kinds the
@@ -517,12 +518,15 @@ def _serve_campaign(args, bus, live, broker, status) -> int:
     """
     import functools
 
-    from repro.campaign.orchestrator import DEFAULT_ROOT, run_campaign
+    from repro.campaign.orchestrator import (
+        DEFAULT_ROOT, resume_hint, run_campaign,
+    )
     from repro.campaign.spec import CampaignSpec
     from repro.experiments.runner import run_experiment
     from repro.obs.bus import CallbackSink
 
     spec = CampaignSpec.load(args.campaign)
+    root = args.root if args.root is not None else DEFAULT_ROOT
     status.update(mode="campaign", phase="running", campaign=spec.name)
     pump = _snapshot_pump(live, broker, interval=0.25)
     # Worker subprocesses have no slices to pump from: pump per cell.
@@ -531,7 +535,7 @@ def _serve_campaign(args, bus, live, broker, status) -> int:
     )
     report = run_campaign(
         spec,
-        root=args.root if args.root is not None else DEFAULT_ROOT,
+        root=root,
         jobs=args.jobs, bus=bus, sim_events=True,
         run_cell=functools.partial(
             run_experiment, slice_seconds=0.25, on_slice=pump
@@ -546,7 +550,7 @@ def _serve_campaign(args, bus, live, broker, status) -> int:
         status.update(phase="interrupted")
         print(
             f"\ninterrupted: {report.executed} new artifacts are on disk; "
-            f"finish with 'python -m repro campaign resume {args.campaign}'",
+            + resume_hint(args.campaign, root),
             flush=True,
         )
         return 130
@@ -563,8 +567,6 @@ def _serve_campaign(args, bus, live, broker, status) -> int:
 
 def _replay_feed(args, bus, live, broker, status) -> int:
     """Feed a recording's events back through the bus, optionally paced."""
-    from repro.obs.recorder import RecordingError, open_recording
-
     try:
         recording = open_recording(args.recording)
     except (OSError, RecordingError) as exc:
@@ -619,23 +621,6 @@ def _replay_feed(args, bus, live, broker, status) -> int:
     return 0
 
 
-def _open_recorder(args, bus):
-    """Attach a JsonlSink for ``--record`` (all kinds); None when off."""
-    record = getattr(args, "record", None)
-    if not record:
-        return None
-    from repro.obs.recorder import JsonlSink
-
-    sink = JsonlSink(record, metadata={
-        "command": "serve" if getattr(args, "campaign", None) is None
-        else "serve --campaign",
-        "campaign": getattr(args, "campaign", None),
-    })
-    bus.subscribe(sink)
-    print(f"recording event stream to {record}", flush=True)
-    return sink
-
-
 def _serve_common(args, work) -> int:
     """Bind, start the HTTP half, run ``work`` on this thread, linger.
 
@@ -659,14 +644,11 @@ def _serve_common(args, work) -> int:
     bus.subscribe(flows, kinds=DRILLDOWN_KINDS)
     bus.subscribe(atrs, kinds=DRILLDOWN_KINDS)
     bus.subscribe(broker, kinds=STREAMED_KINDS)
-    recorder = _open_recorder(args, bus)
 
     try:
         server = _Server((args.host, args.port), live, broker, flows, atrs)
     except OSError as exc:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}")
-        if recorder is not None:
-            recorder.close()
         return 2
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port}/  "
@@ -677,19 +659,16 @@ def _serve_common(args, work) -> int:
     )
     http_thread.start()
 
+    campaign = getattr(args, "campaign", None)
     try:
-        code = work(bus, live, broker, server.status)
-        if recorder is not None:
-            # Finalize the file the moment the work half stops feeding
-            # the bus: nothing new is recorded while lingering, and a
-            # reader (or a replay of this very file) must not see a
-            # truncated gzip tail.
-            recorder.close()
-            print(
-                f"recorded {recorder.events_written} events to "
-                f"{recorder.path}",
-                flush=True,
-            )
+        # The recording ends the moment the work half stops feeding the
+        # bus: nothing new is recorded while lingering, and a reader (or
+        # a replay of this very file) must not see a truncated gzip tail.
+        with recorded(getattr(args, "record", None), bus, {
+            "command": "serve" if campaign is None else "serve --campaign",
+            "campaign": campaign,
+        }):
+            code = work(bus, live, broker, server.status)
         if code == 0 and args.linger:
             server.status["phase"] = "lingering"
             print("work finished; serving until Ctrl-C (--linger)",
@@ -701,8 +680,6 @@ def _serve_common(args, work) -> int:
                 print("\nshutting down", flush=True)
     finally:
         bus.close()           # wakes SSE clients with the sentinel
-        if recorder is not None:
-            recorder.close()  # bus.close() closed it too; idempotent
         server.shutdown()     # stops serve_forever
         server.server_close()
         http_thread.join(timeout=5.0)

@@ -175,6 +175,18 @@ class TestFigure:
             main(["figure", "fig99"])
 
 
+class TestFigureScale:
+    @pytest.mark.parametrize("scale", ["nan", "0", "-5", "1.5", "inf"])
+    def test_a_scale_outside_0_1_is_a_usage_error(self, scale, capsys):
+        """Not a traceback from the axis thinning, nor a quietly thinned
+        grid: ``0`` and ``-5`` used to run fig3a's 0.01 grid."""
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig3a", "--scale", scale])
+        assert exc.value.code == 2
+        assert "argument --scale: scale must be in (0, 1]" \
+            in capsys.readouterr().err
+
+
 class TestValidate:
     def test_feasible_default(self, capsys):
         assert main(["validate"]) == 0
@@ -235,6 +247,59 @@ class TestRejectedConfigValues:
         assert config.with_overrides(
             mafic=preset.mafic, seed=preset.seed
         ) == preset
+
+
+#: Each config flag, a value for it, the field it sets and the value
+#: that lands there (none of them the default).
+CONFIG_FLAG_CASES = [
+    ("--flows", "12", "total_flows", 12),
+    ("--pd", "0.7", "mafic.drop_probability", 0.7),
+    ("--tcp", "0.5", "tcp_fraction", 0.5),
+    ("--routers", "9", "n_routers", 9),
+    ("--rate", "5e5", "rate_bps", 5e5),
+    ("--duration", "3.5", "duration", 3.5),
+    ("--seed", "7", "seed", 7),
+    ("--topology", "star", "topology", "star"),
+    ("--workload", "web_mice", "workload", "web_mice"),
+    ("--attack", "pulsing", "attack", "pulsing"),
+    ("--defense", "none", "defense", "none"),
+]
+
+
+@pytest.mark.parametrize("verb", ["run", "serve", "validate"])
+def test_the_config_verbs_share_every_config_flag(verb):
+    """``run``, ``serve`` and ``validate`` take one set of config flags,
+    and each lands on its own field, nested ones included."""
+    import argparse
+    from operator import attrgetter
+
+    from repro.experiments.cli import _build_parser, _run_config
+
+    parser = _build_parser(verb)
+    verb_parser = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices[verb]
+    flags = {flag for action in verb_parser._actions
+             for flag in action.option_strings}
+    assert {case[0] for case in CONFIG_FLAG_CASES} <= flags
+    default = ExperimentConfig()
+    for flag, text, field, value in CONFIG_FLAG_CASES:
+        config = _run_config(parser.parse_args([verb, flag, text]))
+        assert attrgetter(field)(default) != value
+        assert attrgetter(field)(config) == value, flag
+        top = field.split(".")[0]  # and nothing else moved
+        assert config.with_overrides(**{top: getattr(default, top)}) \
+            == default, flag
+
+
+@pytest.mark.parametrize("verb", ["run", "serve", "validate"])
+def test_a_rejected_rate_is_a_usage_error_on_every_config_verb(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--rate", "0", "--port", "0"] if verb == "serve"
+             else [verb, "--rate", "0"])
+    assert exc.value.code == 2
+    assert f"repro {verb}: error: rate_bps" in capsys.readouterr().err
 
 
 class TestRegistryListing:

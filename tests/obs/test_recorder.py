@@ -28,6 +28,7 @@ from repro.obs.recorder import (
     JsonlSink,
     RecordingError,
     open_recording,
+    recorded,
 )
 
 TINY = dict(total_flows=8, n_routers=6, duration=1.4, topology="star")
@@ -301,6 +302,42 @@ class TestJsonlSink:
         for worker in range(threads):
             mine = [e.flow for e in back if e.atr == f"atr{worker}"]
             assert mine == list(range(per_thread))
+
+
+class TestRecorded:
+    """``--record``'s one set-up: a sink on the bus for the block."""
+
+    def test_records_the_block_then_counts_it(self, tmp_path, capsys):
+        path = tmp_path / "r.jsonl"
+        bus = EventBus()
+        with recorded(str(path), bus, {"command": "test"}) as sink:
+            for event in SAMPLE_EVENTS:
+                bus.emit(event)
+        bus.emit(SAMPLE_EVENTS[0])  # after the block: not recorded
+        assert sink.events_written == len(SAMPLE_EVENTS)
+        assert capsys.readouterr().out == f"recorded 4 events to {path}\n"
+        recording = open_recording(str(path))
+        assert recording.metadata == {"command": "test"}
+        assert len(list(recording.events())) == len(SAMPLE_EVENTS)
+
+    def test_no_path_records_nothing(self, tmp_path, capsys):
+        bus = EventBus()
+        with recorded(None, bus, {}) as sink:
+            bus.emit(SAMPLE_EVENTS[0])
+        assert sink is None
+        assert capsys.readouterr().out == ""
+
+    def test_a_block_that_raises_leaves_a_closed_file_and_no_count(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "r.jsonl.gz"
+        bus = EventBus()
+        with pytest.raises(RuntimeError):
+            with recorded(str(path), bus, {}):
+                bus.emit(SAMPLE_EVENTS[0])
+                raise RuntimeError("boom")
+        assert capsys.readouterr().out == ""
+        assert len(list(open_recording(str(path)).events())) == 1
 
 
 class TestOpenRecording:

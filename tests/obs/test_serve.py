@@ -252,6 +252,38 @@ class TestNonFiniteFlagsFailWhereTheyEnter:
             _paced_slicer(pace, lambda now: None)
 
 
+def test_an_interrupted_campaign_names_the_store_it_resumes(
+    tmp_path, monkeypatch, capsys
+):
+    """``serve --campaign --root DIR`` cut short by Ctrl-C: following
+    the printed hint must resume DIR, not the default store."""
+    import argparse
+    import types
+
+    import repro.campaign.orchestrator as orchestrator
+    from repro.obs.serve import _serve_campaign
+    from tests.campaign.conftest import tiny_spec
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(tiny_spec(name="cut").to_dict()))
+    report = types.SimpleNamespace(
+        planned=2, cached=0, executed=1, jobs=1, deaths=0, quarantined=0,
+        interrupted=True, complete=False,
+    )
+    monkeypatch.setattr(
+        orchestrator, "run_campaign", lambda spec, **kwargs: report
+    )
+    root = tmp_path / "served"
+    args = argparse.Namespace(campaign=str(spec_path), root=str(root), jobs=1)
+    status = {}
+    assert _serve_campaign(
+        args, EventBus(), LiveMetrics(), SSEBroker(), status
+    ) == 130
+    assert status["phase"] == "interrupted"
+    assert (f"finish with 'python -m repro campaign resume {spec_path} "
+            f"--root {root}'") in capsys.readouterr().out
+
+
 @pytest.mark.slow
 class TestServeEndToEnd:
     """The CLI process itself: run, serve, SIGINT, exit 0."""
