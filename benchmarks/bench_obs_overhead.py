@@ -2,7 +2,9 @@
 """Observability overhead guard: the sink layer must be free when idle.
 
 Runs the standard Table-II scenario (``paper_default``) four ways in one
-process and proves they are **bit-identical** before measuring anything:
+process and proves they are **bit-identical** (equal
+``ExperimentResult.fingerprint``, every MAFIC verdict included) before
+measuring anything:
 
 * ``baseline``   — ``run_experiment(config)``: no bus argument at all
   (the victim collector streams; there is no other).
@@ -35,7 +37,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--rounds N] [--che
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -85,24 +86,6 @@ def _run_mode(name: str, config, record_path: str):
     return run_experiment(config, bus=bus), live
 
 
-def _fingerprint(result) -> dict:
-    """Everything that must be bit-identical across observability modes."""
-    summary = dataclasses.asdict(result.summary)
-    return {
-        "summary": {
-            key: (value.hex() if isinstance(value, float) else value)
-            for key, value in summary.items()
-        },
-        "series_total": [value.hex() for value in result.series.total_kbps],
-        "events_executed": result.events_executed,
-        "identified_atrs": sorted(result.identified_atrs),
-        "activation_time": (
-            None if result.activation_time is None
-            else result.activation_time.hex()
-        ),
-    }
-
-
 def _measure(config, rounds: int, record_path: str):
     """Interleaved measurement of every mode; parity-checked.
 
@@ -115,7 +98,8 @@ def _measure(config, rounds: int, record_path: str):
     round's ratio; noise doesn't survive the min.
     """
     round_walls = {name: [] for name in MODES}
-    fingerprints: dict[str, dict] = {}
+    fingerprints: dict[str, str] = {}
+    events = 0
     last_live = None
     run_experiment(config)  # warm imports/caches outside the clock
     for _ in range(rounds):
@@ -128,7 +112,9 @@ def _measure(config, rounds: int, record_path: str):
             result, live = _run_mode(name, config, record_path)
             wall = time.perf_counter() - started
             round_walls[name].append(wall)
-            fingerprints[name] = _fingerprint(result)
+            fingerprints[name] = result.fingerprint()
+            if name == "baseline":
+                events = result.events_executed
             if live is not None:
                 last_live = live
     walls = {name: min(values) for name, values in round_walls.items()}
@@ -143,7 +129,7 @@ def _measure(config, rounds: int, record_path: str):
     mismatched = [
         name for name, fp in fingerprints.items() if fp != reference
     ]
-    return walls, overheads, fingerprints, mismatched, last_live
+    return walls, overheads, events, mismatched, last_live
 
 
 def _recording_roundtrip_failures(config, record_path: str) -> list[str]:
@@ -211,7 +197,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         record_path = os.path.join(tmp, "bench.jsonl.gz")
-        walls, overheads, fingerprints, mismatched, live = _measure(
+        walls, overheads, events, mismatched, live = _measure(
             config, rounds, record_path
         )
         roundtrip_failures = _recording_roundtrip_failures(
@@ -223,7 +209,7 @@ def main() -> int:
             print(f"FATAL: mode {name!r} diverged from baseline results")
         return 1
     print("all observability modes bit-identical "
-          f"(events={fingerprints['baseline']['events_executed']})")
+          f"(events={events})")
 
     snap = live.snapshot() if live is not None else {}
     if args.check:
@@ -243,7 +229,7 @@ def main() -> int:
             return 1
         print("obs-overhead smoke invariants hold "
               f"(live sink folded {snap['arrivals_total']} arrivals; "
-              "summaries identical with and without observers; "
+              "fingerprints identical with and without observers; "
               "record->refold round-trip reproduces the live snapshot)")
         return 0
 
@@ -269,7 +255,7 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "events_executed": fingerprints["baseline"]["events_executed"],
+        "events_executed": events,
         "bit_identical_across_modes": True,
         "wall_seconds": {name: round(wall, 4) for name, wall in walls.items()},
         "overhead_method": "min paired per-round ratio",

@@ -7,10 +7,10 @@ the filter so that assumption can be ablated: an
 :class:`IngressFilter` at an ingress router's uplink drops every packet
 whose claimed source falls outside the subnets that router fronts for.
 
-With filtering on, zombies can only spoof within their own subnet, so the
-duplicate-ACK probes at least reach the right subnet; MAFIC is still
-needed to catch unresponsiveness (a compromised host's own address is
-"legitimate" in the paper's sense).
+The filter does not change how zombies spoof: a spoofer draws from *any*
+allocated subnet (``attacks/spoofing.py``), so only a zombie whose draw
+lands in its own router's subnet gets past its first hop to where MAFIC
+sees it; every other zombie is cut by its own ingress filter.
 """
 
 from __future__ import annotations

@@ -66,8 +66,11 @@ def pulsing_stress() -> ExperimentConfig:
 
 
 def filtered_domain() -> ExperimentConfig:
-    """The paper's counterfactual: RFC 2827 ingress filtering deployed
-    everywhere, MAFIC layered on top."""
+    """RFC 2827 ingress filtering everywhere, MAFIC layered on top.
+
+    ``LEGIT_SUBNET`` spoofs into *any* allocated subnet, so about 19 of
+    20 zombies die at their own ingress filter and MAFIC never activates
+    at full size (seeds 1-3): this measures the filter, not MAFIC."""
     return ExperimentConfig(
         ingress_filtering=True,
         spoofing=SpoofingModel(mode=SpoofMode.LEGIT_SUBNET),
@@ -114,6 +117,10 @@ def huge_topology(scale: int = 8) -> ExperimentConfig:
     ``streaming_series=True`` change nothing a run computes (see the
     fields' comment in ``config.py``); they stay set only because they
     are part of the pinned config hash.
+
+    At ``scale=8`` MAFIC never activates (seeds 1-3); a run that must
+    exercise it sets ``force_activation_at``, as the ledger's
+    ``scale_8x`` does.
     """
     check_int("scale", scale, 1)
     return ExperimentConfig(

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario import BuiltScenario, build_scenario
 from repro.metrics.rates import MetricsSummary, summarize
 from repro.metrics.timeseries import BandwidthSeries
+from repro.util.hashing import sha256
 
 
 @dataclass
@@ -34,6 +36,40 @@ class ExperimentResult:
     def detached(self) -> "ExperimentResult":
         """A copy without the (unpicklable) scenario object graph."""
         return replace(self, scenario=None)
+
+    def fingerprint(self) -> str:
+        """A 16-hex-digit digest of everything this run computed.
+
+        The one definition of "the same run": SHA-256 over the canonical
+        JSON of the summary, both victim series, ``events_executed``, the
+        activation time, the identified ATRs and every MAFIC verdict in
+        order — floats by ``float.hex``, so equal digests mean
+        bit-identical results.  Needs the live scenario for the verdict
+        log, so a :meth:`detached` result raises ``ValueError``.
+        """
+        if self.scenario is None:
+            raise ValueError(
+                "a detached result has no verdict log "
+                "(scenario.defense_collector.verdicts) to fingerprint"
+            )
+        activation = self.activation_time
+        blob = json.dumps({
+            "summary": {
+                key: (value.hex() if isinstance(value, float) else value)
+                for key, value in asdict(self.summary).items()
+            },
+            "series_total": [v.hex() for v in self.series.total_kbps],
+            "series_attack": [v.hex() for v in self.series.attack_kbps],
+            "events_executed": self.events_executed,
+            "activation_time": None if activation is None else activation.hex(),
+            "identified_atrs": sorted(self.identified_atrs),
+            "verdicts": [
+                (now.hex(), label, verdict, truth.value)
+                for now, label, verdict, truth
+                in self.scenario.defense_collector.verdicts
+            ],
+        }, sort_keys=True, separators=(",", ":"))
+        return sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     @property
     def atr_precision(self) -> float:

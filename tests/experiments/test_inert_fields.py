@@ -9,8 +9,6 @@ proof a field needs before run identity may stop hashing it, and a new
 observation field joins it before it can leave the hash.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.presets import PRESETS, get_preset
@@ -30,24 +28,15 @@ FLIPS = (
 )
 
 
-def _outcome(config):
-    result = run_experiment(config)
-    return (
-        dataclasses.asdict(result.summary),
-        list(result.series.total_kbps),
-        result.events_executed,
-        list(result.scenario.defense_collector.verdicts),
-    )
-
-
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_flipping_an_inert_field_changes_no_result(preset):
     config = get_preset(preset).with_overrides(**TINY)
-    baseline = _outcome(config)
-    assert baseline[2] > 0
+    run = run_experiment(config)
+    assert run.events_executed > 0
+    baseline = run.fingerprint()
     for field, value in FLIPS:
         if getattr(config, field) == value:
             continue  # the baseline run already has it
         flipped = config.with_overrides(**{field: value})
         assert flipped.config_hash() != config.config_hash()
-        assert _outcome(flipped) == baseline, (field, value)
+        assert run_experiment(flipped).fingerprint() == baseline, (field, value)

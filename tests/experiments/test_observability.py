@@ -6,8 +6,6 @@ violation localizes to the mode that broke (victim collector, run
 slicing, attached bus) rather than "the fixture failed".
 """
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.presets import paper_default
@@ -22,24 +20,6 @@ def _tiny_config(seed: int = 3):
     )
 
 
-def _fingerprint(result) -> dict:
-    summary = {
-        key: (value.hex() if isinstance(value, float) else value)
-        for key, value in dataclasses.asdict(result.summary).items()
-    }
-    return {
-        "summary": summary,
-        "series_total": [x.hex() for x in result.series.total_kbps],
-        "series_attack": [x.hex() for x in result.series.attack_kbps],
-        "events_executed": result.events_executed,
-        "activation": (
-            None if result.activation_time is None
-            else result.activation_time.hex()
-        ),
-        "identified": sorted(result.identified_atrs),
-    }
-
-
 @pytest.mark.parametrize("queue", ["public", "reference"])
 def test_streaming_collector_matches_buffered(queue, monkeypatch):
     """The bounded-memory victim collector is float-identical to the
@@ -51,7 +31,7 @@ def test_streaming_collector_matches_buffered(queue, monkeypatch):
     config = _tiny_config()
     streaming = run_experiment(config)
     buffered = run_with_reference(config, monkeypatch)
-    assert _fingerprint(buffered) == _fingerprint(streaming)
+    assert buffered.fingerprint() == streaming.fingerprint()
 
 
 def test_sliced_run_matches_unsliced():
@@ -63,7 +43,7 @@ def test_sliced_run_matches_unsliced():
     sliced = run_experiment(
         config, slice_seconds=0.1, on_slice=ticks.append
     )
-    assert _fingerprint(whole) == _fingerprint(sliced)
+    assert whole.fingerprint() == sliced.fingerprint()
     # ~duration/step pauses; float accumulation may add or drop one.
     assert 19 <= len(ticks) <= 21
     assert ticks[-1] == config.duration
@@ -75,7 +55,7 @@ def test_attached_bus_does_not_perturb_results():
     bus = EventBus()
     sink = bus.subscribe(BufferedSink())
     observed = run_experiment(config, bus=bus)
-    assert _fingerprint(silent) == _fingerprint(observed)
+    assert silent.fingerprint() == observed.fingerprint()
     assert len(sink.of_kind("run.started")) == 1
     assert len(sink.of_kind("run.completed")) == 1
 

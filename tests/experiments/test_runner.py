@@ -75,9 +75,9 @@ class TestReproducibility:
     def test_same_seed_same_results(self):
         a = run_experiment(small_config(seed=21))
         b = run_experiment(small_config(seed=21))
-        assert a.summary.accuracy == b.summary.accuracy
-        assert a.summary.legit_drop_rate == b.summary.legit_drop_rate
-        assert a.events_executed == b.events_executed
+        assert a.fingerprint() == b.fingerprint()
+        with pytest.raises(ValueError, match="verdict log"):
+            a.detached().fingerprint()
 
     def test_different_seed_different_run(self):
         a = run_experiment(small_config(seed=21))
@@ -102,9 +102,7 @@ class TestStreamingConfigField:
     def test_config_field_matches_buffered_results(self):
         on = run_experiment(small_config(streaming_series=True))
         off = run_experiment(small_config())
-        assert on.events_executed == off.events_executed
-        assert on.summary == off.summary
-        assert on.series == off.series
+        assert on.fingerprint() == off.fingerprint()
 
 
 class TestAtrMetrics:

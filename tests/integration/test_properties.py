@@ -33,6 +33,7 @@ def test_conservation_and_bounds(cfg):
     2. All five rates are within [0, 1].
     3. Victim arrivals of a class never exceed what that class sent.
     4. Accuracy + false-negative = 1 exactly (complementary counts).
+    5. No flow label ends the run in two of an agent's SFT/NFT/PDT.
     """
     run = run_experiment(cfg)
     dc = run.scenario.defense_collector
@@ -58,6 +59,13 @@ def test_conservation_and_bounds(cfg):
     if s.attack_examined:
         assert s.accuracy + s.false_negative_rate == pytest.approx(1.0)
 
+    for agent in run.scenario.agents.values():
+        sft, nft, pdt = (
+            table.keys()
+            for table in (agent.tables.sft, agent.tables.nft, agent.tables.pdt)
+        )
+        assert not (sft & nft or sft & pdt or nft & pdt)
+
 
 @settings(max_examples=4, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31))
@@ -67,8 +75,4 @@ def test_determinism_under_fixed_seed(seed):
         total_flows=8, n_routers=8, duration=2.6,
         topology=TopologyKind.STAR, seed=seed,
     )
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    assert a.summary == b.summary
-    assert a.events_executed == b.events_executed
-    assert a.identified_atrs == b.identified_atrs
+    assert run_experiment(cfg).fingerprint() == run_experiment(cfg).fingerprint()

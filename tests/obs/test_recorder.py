@@ -1,6 +1,5 @@
 """Flight recorder: header schema, round-trips, replay identity."""
 
-import dataclasses
 import gzip
 import io
 import json
@@ -457,16 +456,6 @@ class TestOpenRecording:
         assert list(recording.events()) == list(recording.events())
 
 
-def _fingerprint(result):
-    summary = dataclasses.asdict(result.summary)
-    return (
-        {k: (v.hex() if isinstance(v, float) else v)
-         for k, v in summary.items()},
-        [v.hex() for v in result.series.total_kbps],
-        result.events_executed,
-    )
-
-
 class TestRecordingARun:
     """The tentpole acceptance properties, at unit scale."""
 
@@ -474,11 +463,11 @@ class TestRecordingARun:
         """A run with a JsonlSink attached is bit-identical to a bare
         run — the golden-master guarantee extends to recording."""
         config = ExperimentConfig(**TINY)
-        baseline = _fingerprint(run_experiment(config))
+        baseline = run_experiment(config).fingerprint()
         bus = EventBus()
         with JsonlSink(str(tmp_path / "r.jsonl.gz")) as sink:
             bus.subscribe(sink)
-            recorded = _fingerprint(run_experiment(config, bus=bus))
+            recorded = run_experiment(config, bus=bus).fingerprint()
         assert recorded == baseline
 
     def test_replayed_stream_reproduces_live_snapshot(self, tmp_path):

@@ -13,8 +13,6 @@ getting slower.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.sim.engine import PySimulator
@@ -23,15 +21,6 @@ from repro.transport.tcp import TcpSender
 
 def _small_config():
     return ExperimentConfig(total_flows=12, n_routers=10, duration=3.0, seed=11)
-
-
-def _fingerprint(result):
-    return (
-        dataclasses.asdict(result.summary),
-        result.events_executed,
-        sorted(result.identified_atrs),
-        result.activation_time,
-    )
 
 
 def _eager_restart_rto(self):
@@ -61,7 +50,7 @@ class TestLazyRtoTimers:
 
         # Identical simulation: the postpone path draws exactly one seq
         # per ACK, like cancel+reschedule does.
-        assert _fingerprint(lazy) == _fingerprint(eager)
+        assert lazy.fingerprint() == eager.fingerprint()
 
         # The point of the lazy path: every ACK that used to cancel and
         # re-push its RTO timer now updates it in place, so whole
@@ -86,7 +75,7 @@ class TestHandleFreeEvents:
         # occupancy, since an entry counts the same with or without a
         # handle behind it.  (The event_pool_* keys are 0 on both sides:
         # there is no free list left to count.)
-        assert _fingerprint(bare) == _fingerprint(handled)
+        assert bare.fingerprint() == handled.fingerprint()
         assert bare_stats == handled.scenario.sim.queue_stats()
         assert bare_stats["event_pool_reused"] == 0
         assert bare_stats["pushes"] > bare.events_executed
