@@ -17,16 +17,16 @@ Architecture (mirrors the component registries of ``repro.util``):
   :data:`~repro.lint.analyzer.RULES` registry — adding a rule is a
   one-file change under :mod:`repro.lint.rules`.
 * :func:`~repro.lint.analyzer.analyze` drives every registered rule
-  over a file set, applies inline ``# repro: allow[rule-id]``
-  suppressions, and returns a deterministic
+  over a file set and returns a deterministic
   :class:`~repro.lint.analyzer.LintReport`.
-* :mod:`repro.lint.baseline` grandfathers findings by content
-  fingerprint so the gate (``python -m repro lint --check``) can be
-  adopted on an imperfect tree and ratcheted down.
+
+Every finding fails the gate (``python -m repro lint --check``): no
+comment, side file or output mode excuses one.  A genuine exception
+is a rule change (a scope or roster edit), reviewed like code.
 
 CLI::
 
-    python -m repro lint [--check] [--json] [paths ...]
+    python -m repro lint [--check] [--rule RULE-ID] [--list-rules] [paths ...]
 """
 
 from repro.lint.analyzer import (

@@ -7,22 +7,19 @@ The moving parts:
   rules self-register with (exactly the pattern the topology/workload/
   attack/defense registries established).
 * :class:`ModuleSource` — one parsed Python file: path, derived module
-  name, AST, and the inline ``# repro: allow[rule-id]`` suppressions.
+  name and AST.
 * :class:`Project` — the whole analyzed file set plus the repo root,
   for rules that cross files (twin-parity, event-kind-registry).
 * :func:`analyze` — run every rule over a path set and return a
   deterministic :class:`LintReport`.
 
-Suppressions: a comment ``# repro: allow[rule-id] <one-line reason>``
-on the offending line (or the line directly above it) silences that
-rule there; ``allow[*]`` silences every rule.  Suppressed findings are
-counted, not dropped silently — ``lint --json`` lists them.
+No comment or file excuses a finding.  A genuine exception is a rule
+change, reviewed like code: a narrower ``scope`` or a roster edit.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -33,8 +30,6 @@ from repro.util.registry import Registry
 #: rule-id -> LintRule subclass.  Rules self-register at import time;
 #: :func:`load_rules` imports the bundled rule modules.
 RULES: Registry[type["LintRule"]] = Registry("lint rule")
-
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_*,\- ]+)\]")
 
 #: Directory names never descended into when expanding a path.
 _SKIP_DIRS = frozenset({"__pycache__", "build", ".git", ".ruff_cache"})
@@ -125,9 +120,7 @@ class ModuleSource:
             display_path if display_path is not None
             else self.path.as_posix()
         )
-        self.lines = text.splitlines()
         self._tree: ast.Module | None = None
-        self._allows: dict[int, frozenset[str]] | None = None
         self._parents: dict[ast.AST, tuple[ast.AST, str]] | None = None
 
     @classmethod
@@ -150,30 +143,6 @@ class ModuleSource:
             self._tree = ast.parse(self.text, filename=str(self.path))
         return self._tree
 
-    @property
-    def allows(self) -> dict[int, frozenset[str]]:
-        """line number -> rule ids suppressed on that line."""
-        if self._allows is None:
-            table: dict[int, frozenset[str]] = {}
-            for lineno, line in enumerate(self.lines, start=1):
-                match = _ALLOW_RE.search(line)
-                if match:
-                    ids = frozenset(
-                        part.strip() for part in match.group(1).split(",")
-                        if part.strip()
-                    )
-                    table[lineno] = ids
-            self._allows = table
-        return self._allows
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        """Whether an inline allow covers ``finding`` (same or prior line)."""
-        for lineno in (finding.line, finding.line - 1):
-            ids = self.allows.get(lineno)
-            if ids and (finding.rule in ids or "*" in ids):
-                return True
-        return False
-
     def parents(self) -> dict[ast.AST, tuple[ast.AST, str]]:
         """child node -> (parent node, field name) for ancestry walks."""
         if self._parents is None:
@@ -194,15 +163,8 @@ class ModuleSource:
     ) -> Finding:
         """Build a :class:`Finding` anchored at a node or line number."""
         line = where if isinstance(where, int) else getattr(where, "lineno", 0)
-        snippet = (
-            self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        )
         return Finding(
-            rule=rule,
-            path=self.display_path,
-            line=line,
-            message=message,
-            snippet=snippet,
+            rule=rule, path=self.display_path, line=line, message=message
         )
 
 
@@ -226,13 +188,12 @@ class LintReport:
     """Deterministic result of one :func:`analyze` run."""
 
     findings: list[Finding] = field(default_factory=list)
-    suppressed: list[Finding] = field(default_factory=list)
     files: int = 0
     errors: list[Finding] = field(default_factory=list)  # unparseable files
 
     @property
     def all_findings(self) -> list[Finding]:
-        """Active findings plus parse errors (what the gate counts)."""
+        """Rule findings plus parse errors (what the gate counts)."""
         return sorted(
             self.findings + self.errors, key=lambda f: f.sort_key
         )
@@ -246,7 +207,7 @@ def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             for sub in sorted(path.rglob("*.py")):
                 if not _SKIP_DIRS.intersection(sub.parts):
                     yield sub
-        else:
+        elif path.suffix == ".py":
             yield path
 
 
@@ -265,8 +226,8 @@ def analyze(
 
     ``root`` anchors display paths and tells project-wide rules where
     companion non-Python sources (``_corec.c``) live.  Findings are
-    sorted, suppressions applied, and parse failures reported as
-    findings of the pseudo-rule ``parse-error`` rather than raised —
+    sorted, and parse failures are reported as findings of the
+    pseudo-rule ``parse-error`` rather than raised —
     a broken file must fail the gate, not crash it.
     """
     report = LintReport()
@@ -293,14 +254,7 @@ def analyze(
                 raw.extend(rule.check_module(src))
         if rule.project_wide:
             raw.extend(rule.check_project(project))
-
-    by_display = {src.display_path: src for src in sources}
-    for finding in sorted(set(raw), key=lambda f: f.sort_key):
-        src = by_display.get(finding.path)
-        if src is not None and src.is_suppressed(finding):
-            report.suppressed.append(finding)
-        else:
-            report.findings.append(finding)
+    report.findings = sorted(set(raw), key=lambda f: f.sort_key)
     return report
 
 
@@ -312,16 +266,13 @@ def analyze_source(
 ) -> list[Finding]:
     """Fixture helper: run per-module rules over one source snippet.
 
-    Returns the unsuppressed findings, sorted.  Used heavily by the
-    self-test suite; project-wide rules' cross-file passes don't run
-    here (they have dedicated entry points that take explicit inputs).
+    Returns the findings, sorted.  Used heavily by the self-test
+    suite; project-wide rules' cross-file passes don't run here (they
+    have dedicated entry points that take explicit inputs).
     """
     src = ModuleSource(text, path=path, module=module)
     raw: list[Finding] = []
     for rule in _instantiate(rules):
         if rule.applies_to(src.module):
             raw.extend(rule.check_module(src))
-    return [
-        f for f in sorted(set(raw), key=lambda f: f.sort_key)
-        if not src.is_suppressed(f)
-    ]
+    return sorted(set(raw), key=lambda f: f.sort_key)

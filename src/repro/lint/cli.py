@@ -2,32 +2,24 @@
 
 Modes:
 
-* default — print findings (baselined ones annotated), always exit 0;
-  the reporting mode for local exploration.
-* ``--check`` — the CI gate: exit 1 if any finding is neither
-  suppressed inline nor in the baseline.
-* ``--json`` — machine-readable report (findings, suppressed,
-  baselined, file count) for tooling.
-* ``--write-baseline`` — adjudicate current findings into the baseline
-  file (review the diff before committing it; the baseline is meant to
-  stay empty).
+* default — print every finding and a ``N file(s): M finding(s)``
+  summary, always exit 0; the reporting mode for local exploration.
+* ``--check`` — the CI gate: exit 1 on any finding.
+* ``--rule RULE-ID`` — run only the named rules (repeatable).
 * ``--list-rules`` — the rule roster with each invariant's rationale.
+
+A path that does not exist, a path with no Python file under it and an
+unknown rule id are usage errors (exit 2) that name the culprit: a typo
+must not read as findings, nor pass a gate that checked nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.lint.analyzer import RULES, analyze, load_rules
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    load_baseline,
-    partition,
-    write_baseline,
-)
+from repro.lint.analyzer import RULES, analyze, iter_python_files, load_rules
 
 
 def _default_root() -> Path:
@@ -47,34 +39,35 @@ def _default_paths(root: Path) -> list[Path]:
     return [src] if src.is_dir() else [root]
 
 
+def _lint_path(raw: str) -> Path:
+    """A path argument: it must exist and hold at least one Python file."""
+    path = Path(raw)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"no such file or directory: {raw}")
+    if next(iter_python_files([path]), None) is None:
+        raise argparse.ArgumentTypeError(f"no Python file under {raw}")
+    return path
+
+
 def add_parser(sub: argparse._SubParsersAction) -> None:
     """Register the ``lint`` subcommand on the main CLI."""
+    load_rules()
     p = sub.add_parser(
         "lint",
         help="statically check the repo's determinism/atomicity/"
         "twin-parity invariants",
     )
     p.add_argument(
-        "paths", nargs="*", type=Path,
+        "paths", nargs="*", type=_lint_path,
         help="files or directories (default: the repro package)",
     )
     p.add_argument(
         "--check", action="store_true",
-        help="exit nonzero on any non-baselined finding (the CI gate)",
+        help="exit nonzero on any finding (the CI gate)",
     )
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="machine-readable output")
     p.add_argument(
         "--rule", action="append", dest="rules", metavar="RULE-ID",
-        help="run only this rule (repeatable)",
-    )
-    p.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <repo-root>/{BASELINE_NAME})",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current findings as the new baseline",
+        choices=RULES.names(), help="run only this rule (repeatable)",
     )
     p.add_argument("--list-rules", action="store_true",
                    help="list the registered rules and exit")
@@ -85,45 +78,19 @@ def cmd(args: argparse.Namespace) -> int:
         return _list_rules()
 
     root = _default_root()
-    paths = [Path(p) for p in args.paths] or _default_paths(root)
-    baseline_path = args.baseline or root / BASELINE_NAME
+    report = analyze(
+        args.paths or _default_paths(root), rules=args.rules, root=root
+    )
+    findings = report.all_findings
+    for finding in findings:
+        print(finding.render())
+    print(f"{report.files} file(s): {len(findings)} finding(s)",
+          file=sys.stderr)
 
-    report = analyze(paths, rules=args.rules, root=root)
-    baselined_fps = load_baseline(baseline_path)
-    new, tolerated = partition(report, baselined_fps)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, report.all_findings)
+    if args.check and findings:
         print(
-            f"wrote {len(report.all_findings)} finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-
-    if args.as_json:
-        print(json.dumps({
-            "files": report.files,
-            "findings": [f.to_dict() for f in new],
-            "baselined": [f.to_dict() for f in tolerated],
-            "suppressed": [f.to_dict() for f in report.suppressed],
-        }, indent=2))
-    else:
-        for finding in new:
-            print(finding.render())
-        for finding in tolerated:
-            print(f"{finding.render()}  (baselined)")
-        summary = (
-            f"{report.files} file(s): {len(new)} finding(s), "
-            f"{len(tolerated)} baselined, "
-            f"{len(report.suppressed)} suppressed inline"
-        )
-        print(summary, file=sys.stderr)
-
-    if args.check and new:
-        print(
-            f"lint --check: {len(new)} non-baselined finding(s); fix, "
-            "add `# repro: allow[rule-id] <reason>`, or (last resort) "
-            "re-baseline",
+            f"lint --check: {len(findings)} finding(s); fix the code, or "
+            "change the rule (its scope or roster) in a reviewed edit",
             file=sys.stderr,
         )
         return 1
@@ -131,7 +98,6 @@ def cmd(args: argparse.Namespace) -> int:
 
 
 def _list_rules() -> int:
-    load_rules()
     for name in RULES.names():
         rule = RULES.get(name)
         print(f"{name:<22} {rule.title}")

@@ -1,16 +1,11 @@
 """The finding record every lint rule produces.
 
-A :class:`Finding` is deliberately plain: rule id, file, line, message,
-and the stripped source line it anchors to.  The *fingerprint* hashes
-the stable parts (rule, path, snippet) and **not** the line number, so a
-baselined finding survives unrelated edits above it — the same content
-addressing the campaign store uses for run artifacts, applied to lint
-debt.
+A :class:`Finding` is deliberately plain: rule id, file, line and
+message.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -22,7 +17,6 @@ class Finding:
     path: str  # POSIX-style, repo-relative where possible
     line: int
     message: str
-    snippet: str = ""  # the offending source line, stripped
 
     #: Ordering key findings sort by: file, then position, then rule.
     sort_key: tuple = field(init=False, repr=False, compare=False)
@@ -31,23 +25,6 @@ class Finding:
         object.__setattr__(
             self, "sort_key", (self.path, self.line, self.rule, self.message)
         )
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash used by the baseline (line-number independent)."""
-        basis = "\x1f".join((self.rule, self.path, self.snippet.strip()))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        """JSON payload for ``lint --json`` and the baseline file."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
         """One human-readable ``path:line: [rule] message`` line."""

@@ -10,9 +10,9 @@ that computation.  Seeded, locally constructed generators
 the rule polices ambient state, not randomness itself.
 
 Timing that intentionally reads the wall clock (benchmark harnesses,
-campaign lease heartbeats) lives outside the scoped packages, so no
-allowlist gymnastics are needed; anything unusual inside the scope
-takes an inline ``# repro: allow[no-wallclock-in-sim]``.
+campaign lease heartbeats) lives outside the scoped packages; code that
+needs the clock moves out of the scope, and a package that must read it
+leaves the scope in a reviewed edit of :attr:`NoWallclockRule.scope`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,12 @@
-"""Tests for the analyzer core: module naming, suppressions,
-fingerprints, parse errors, and the baseline."""
+"""Tests for the analyzer core: module naming, findings, parse errors,
+rule selection, the registry, and allow comments that excuse nothing."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint.analyzer import (
-    RULES,
-    ModuleSource,
-    analyze,
-    load_rules,
-    module_name_for,
-)
-from repro.lint.baseline import load_baseline, partition, write_baseline
+import repro.sim.engine
+from repro.lint.analyzer import RULES, analyze, load_rules, module_name_for
 from repro.lint.findings import Finding
 
 
@@ -37,54 +31,7 @@ class TestModuleNameFor:
         assert module_name_for(Path("tests/sim/test_link.py")) is None
 
 
-class TestSuppressions:
-    def test_allow_table_parsed(self):
-        src = ModuleSource(
-            "x = 1  # repro: allow[bus-guard] caller guards\n"
-            "# repro: allow[atomic-write, twin-parity]\n"
-            "y = 2\n"
-        )
-        assert src.allows[1] == frozenset({"bus-guard"})
-        assert src.allows[2] == frozenset({"atomic-write", "twin-parity"})
-
-    def test_same_line_and_line_above(self):
-        src = ModuleSource(
-            "# repro: allow[r1]\n"
-            "a = 1\n"
-            "b = 2  # repro: allow[r2]\n"
-        )
-        f1 = Finding(rule="r1", path="<fixture>", line=2, message="m")
-        f2 = Finding(rule="r2", path="<fixture>", line=3, message="m")
-        f3 = Finding(rule="r3", path="<fixture>", line=3, message="m")
-        assert src.is_suppressed(f1)
-        assert src.is_suppressed(f2)
-        assert not src.is_suppressed(f3)
-
-    def test_wildcard(self):
-        src = ModuleSource("a = 1  # repro: allow[*] generated file\n")
-        f = Finding(rule="anything", path="<fixture>", line=1, message="m")
-        assert src.is_suppressed(f)
-
-
 class TestFinding:
-    def test_fingerprint_ignores_line_number(self):
-        a = Finding(
-            rule="r", path="p.py", line=10, message="m", snippet="x = 1"
-        )
-        b = Finding(
-            rule="r", path="p.py", line=99, message="m", snippet="x = 1"
-        )
-        assert a.fingerprint == b.fingerprint
-
-    def test_fingerprint_tracks_content(self):
-        a = Finding(
-            rule="r", path="p.py", line=10, message="m", snippet="x = 1"
-        )
-        b = Finding(
-            rule="r", path="p.py", line=10, message="m", snippet="x = 2"
-        )
-        assert a.fingerprint != b.fingerprint
-
     def test_render(self):
         f = Finding(rule="bus-guard", path="a/b.py", line=7, message="oops")
         assert f.render() == "a/b.py:7: [bus-guard] oops"
@@ -110,26 +57,12 @@ class TestAnalyze:
         )
         first = analyze([tmp_path], root=tmp_path)
         second = analyze([tmp_path], root=tmp_path)
-        assert [f.to_dict() for f in first.all_findings] == [
-            f.to_dict() for f in second.all_findings
-        ]
+        assert first.all_findings == second.all_findings
         assert [f.rule for f in first.all_findings] == [
             "no-wallclock-in-sim", "bus-guard"
         ]
         # root-relative display paths, POSIX-style
         assert first.all_findings[0].path == "repro/sim/a.py"
-
-    def test_suppressed_are_counted_not_dropped(self, tmp_path):
-        pkg = tmp_path / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "a.py").write_text(
-            "def f(bus, ev):\n"
-            "    bus.emit(ev)  # repro: allow[bus-guard] caller guards\n",
-            encoding="utf-8",
-        )
-        report = analyze([tmp_path], root=tmp_path)
-        assert report.findings == []
-        assert [f.rule for f in report.suppressed] == ["bus-guard"]
 
     def test_rule_selection(self, tmp_path):
         pkg = tmp_path / "repro" / "sim"
@@ -152,53 +85,78 @@ class TestRegistry:
         } <= set(RULES.names())
 
 
-class TestBaseline:
-    def _finding(self, snippet="x = 1"):
-        return Finding(
-            rule="r", path="p.py", line=3, message="m", snippet=snippet
-        )
+ENGINE_PY = Path(repro.sim.engine.__file__)
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        write_baseline(path, [self._finding()])
-        assert load_baseline(path) == {self._finding().fingerprint}
+#: rule-id -> a ``repro`` tree (relative path -> text) that the rule
+#: flags.  Twin parity drifts the real engine from its C twin.
+SEEDED = {
+    "no-wallclock-in-sim": {"repro/sim/a.py": (
+        "import time\n\ndef stamp():\n    return time.time()\n"
+    )},
+    "bus-guard": {"repro/sim/a.py": (
+        "def publish(bus, ev):\n    bus.emit(ev)\n"
+    )},
+    "atomic-write": {"repro/campaign/a.py": (
+        "def save(path, payload):\n    path.write_text(payload)\n"
+    )},
+    "slots-on-hotpath": {"repro/obs/bus.py": (
+        "class _Subscription:\n"
+        "    def __init__(self, sink):\n"
+        "        self.sink = sink\n"
+    )},
+    "write-only-state": {"repro/counting/pushback.py": (
+        "class Coordinator:\n"
+        "    def __init__(self):\n"
+        "        self.reports = []\n"
+        "\n"
+        "    def on_epoch(self, report):\n"
+        "        self.reports.append(report)\n"
+    )},
+    "event-kind-registry": {"repro/obs/events.py": (
+        "class MetricEvent:\n    kind = \"event\"\n\n"
+        "class Arrival(MetricEvent):\n    kind = \"arrival\"\n\n"
+        "class Departure(MetricEvent):\n    kind = \"departure\"\n\n"
+        "EVENT_TYPES = {cls.kind: cls for cls in (Arrival,)}\n"
+    )},
+    "twin-parity": {
+        "repro/sim/engine.py": ENGINE_PY.read_text(encoding="utf-8").replace(
+            "def peek_time", "def _peek_time"
+        ),
+        "repro/sim/_corec.c": (ENGINE_PY.parent / "_corec.c").read_text(
+            encoding="utf-8"
+        ),
+    },
+}
 
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text('{"version": 99, "findings": []}', encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
+class TestAllowCommentsExcuseNothing:
+    """No rule honours a ``# repro: allow[...]`` comment: a seeded
+    violation reports the same findings with one above each flagged
+    line, through the whole :func:`analyze` pass."""
 
-    def test_partition(self, tmp_path):
-        pkg = tmp_path / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "a.py").write_text(
-            "import time\nt = time.time()\n", encoding="utf-8"
-        )
-        report = analyze([tmp_path], root=tmp_path)
-        baseline = {f.fingerprint for f in report.all_findings}
-        new, tolerated = partition(report, baseline)
-        assert new == [] and len(tolerated) == 1
-        new, tolerated = partition(report, set())
-        assert len(new) == 1 and tolerated == []
+    def test_every_rule_has_a_seeded_violation(self):
+        load_rules()
+        assert set(SEEDED) == set(RULES.names())
 
-    def test_baseline_survives_line_shift(self, tmp_path):
-        pkg = tmp_path / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        target = pkg / "a.py"
-        target.write_text("import time\nt = time.time()\n", encoding="utf-8")
-        baseline = {
-            f.fingerprint
-            for f in analyze([tmp_path], root=tmp_path).all_findings
-        }
-        # Unrelated lines above shift the finding; fingerprint holds.
-        target.write_text(
-            "import time\n\n\nPAD = 1\nt = time.time()\n", encoding="utf-8"
-        )
-        new, tolerated = partition(
-            analyze([tmp_path], root=tmp_path), baseline
-        )
-        assert new == [] and len(tolerated) == 1
+    @pytest.mark.parametrize("rule", sorted(SEEDED))
+    def test_flagged_lines_stay_flagged(self, rule, tmp_path):
+        for name, text in SEEDED[rule].items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        before = analyze([tmp_path], rules=[rule], root=tmp_path).findings
+        assert before and {f.rule for f in before} == {rule}
+
+        allow = f"# repro: allow[*]\n# repro: allow[{rule}] reviewed\n"
+        for path in {f.path for f in before}:
+            target = tmp_path / path
+            lines = target.read_text(encoding="utf-8").splitlines(True)
+            flagged = {f.line for f in before if f.path == path}
+            for line in sorted(flagged, reverse=True):
+                lines.insert(line - 1, allow)
+            target.write_text("".join(lines), encoding="utf-8")
+        after = analyze([tmp_path], rules=[rule], root=tmp_path).findings
+
+        assert [(f.rule, f.path, f.message) for f in after] == [
+            (f.rule, f.path, f.message) for f in before
+        ]

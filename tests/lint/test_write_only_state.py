@@ -3,7 +3,7 @@
 It is project-wide (an attribute grown in one module may be read in
 another), so each case writes a small ``repro`` tree and runs the real
 analyzer over it: one list it must flag, the reads that must silence
-it, and an inline ``# repro: allow[write-only-state]``.
+it, and a ``# repro: allow[write-only-state]`` comment that must not.
 """
 
 import textwrap
@@ -82,7 +82,7 @@ def test_a_list_never_grown_is_not_write_only(tmp_path):
     assert report.findings == []
 
 
-def test_an_inline_allow_suppresses_it(tmp_path):
+def test_an_allow_comment_does_not_suppress_it(tmp_path):
     report = _findings(tmp_path, **{"counting.pushback": """
         class Coordinator:
             def __init__(self):
@@ -92,8 +92,7 @@ def test_an_inline_allow_suppresses_it(tmp_path):
             def on_epoch(self, report):
                 self.reports.append(report)
     """})
-    assert report.findings == []
-    assert [f.rule for f in report.suppressed] == [RULE]
+    assert [(f.rule, f.line) for f in report.findings] == [(RULE, 5)]
 
 
 def test_the_gate_fails_on_a_seeded_history(tmp_path, capsys):
